@@ -18,9 +18,10 @@ Two evaluation routes coexist:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .measure import (
     MomentSequenceMeasure,
     Semicircle,
     mean,
-    moments,
-    quadrature_integrate,
     variance_of,
 )
 from .transforms import (
@@ -269,6 +268,27 @@ def csk_family(nu: Measure, side: Side = "two_sided") -> CskDescriptor:
 # pseudo-variance and variance
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_growth_s_series(mseq: MomentSeq) -> tuple[float, np.ndarray]:
+    """Growth rate ``rho`` and the highest-first coefficients of the S-series
+    of ``mseq`` dilated to unit growth.
+
+    Built once per moment law: every mean on a grid solves against the same
+    polynomial.
+    """
+    values = np.asarray(mseq.values)
+    if not np.all(np.isfinite(values)):
+        raise NumericError("moment-route reconstruction needs finite moments")
+    orders = np.arange(1, mseq.order + 1)
+    rho = float(np.max(np.abs(values) ** (1.0 / orders)))
+    s = s_series(MomentSeq(tuple(values / rho**orders)))
+    poly = np.asarray(s.coeffs[::-1])
+    if not np.all(np.isfinite(poly)):
+        raise NumericError("the S-series of the moment sequence is not finite")
+    poly.flags.writeable = False  # shared by every caller of the cache
+    return rho, poly
+
+
 def _pseudo_variance_from_moments(mseq: MomentSeq, m: float) -> float:
     """Reconstruct the pseudo-variance at mean ``m`` from truncated moments.
 
@@ -280,39 +300,31 @@ def _pseudo_variance_from_moments(mseq: MomentSeq, m: float) -> float:
     The sequence is dilated to unit growth before reverting: the root
     variable ``w = m**2/PV(m)`` is dilation-invariant, and reverting a
     series with order-unity coefficients keeps roundoff from being
-    amplified into the high-order S coefficients.
+    amplified into the high-order S coefficients.  The root is bracketed by
+    the first sign change along a 0.01-step walk away from 0.
     """
-    if m <= 0.0 or mseq.values[0] <= 0.0:
+    if not (m > 0.0 and mseq.values[0] > 0.0):  # also catches nan
         raise DomainError("moment-route reconstruction requires positive means")
-    values = np.asarray(mseq.values)
-    orders = np.arange(1, mseq.order + 1)
-    rho = float(np.max(np.abs(values) ** (1.0 / orders)))
-    s = s_series(MomentSeq(tuple(values / rho**orders)))
-    poly = np.asarray(s.coeffs[::-1])
+    rho, poly = _unit_growth_s_series(mseq)
     f = lambda w: float(np.polyval(poly, w)) - rho / m
-    if abs(f(0.0)) <= 1e-15 * rho:
+    f0 = f(0.0)
+    if abs(f0) <= 1e-15 * rho:
         raise DomainError("pseudo-variance diverges at the generator mean")
-    step = 0.01
-    if f(0.0) < 0.0:  # m below the generator mean: root at negative w
-        prev, w = 0.0, -step
-        while f(w) < 0.0:
-            prev, w = w, w - step
-            if w <= -0.999:
-                raise NumericError(
-                    f"no S-series bracket left of 0 for m = {m:g}; "
-                    "the mean may be outside the reconstructable domain"
-                )
-        root = bracketed_root(f, w, prev)
-    else:
-        prev, w = 0.0, step
-        while f(w) > 0.0:
-            prev, w = w, w + step
-            if w > 4.0:
-                raise NumericError(
-                    f"no S-series bracket right of 0 for m = {m:g}; "
-                    "the mean may be outside the reconstructable domain"
-                )
-        root = bracketed_root(f, prev, w)
+    # m below the generator mean puts the root at negative w
+    step = -0.01 if f0 < 0.0 else 0.01
+    ws = np.cumsum(np.full(402, step))  # accumulated one step at a time
+    ws = ws[(ws > -0.999) & (ws <= 4.0)]
+    vals = np.polyval(poly, ws) - rho / m
+    inside = vals < 0.0 if f0 < 0.0 else vals > 0.0
+    if inside.all():
+        raise NumericError(
+            f"no S-series bracket {'left' if f0 < 0.0 else 'right'} of 0 for m = {m:g}; "
+            "the mean may be outside the reconstructable domain"
+        )
+    k = int(np.argmin(inside))
+    prev = float(ws[k - 1]) if k else 0.0
+    lo, hi = sorted((prev, float(ws[k])))
+    root = bracketed_root(f, lo, hi)
     return m * m / root
 
 
@@ -394,11 +406,6 @@ def csk_density_weight(nu: Measure, x: float, m: float) -> float:
     return pv / (pv + m * (m - x))
 
 
-def member_measure_mean(nu: Measure, m: float) -> float:
-    """Mean of the tilted member computed by direct integration (diagnostic)."""
-    return quadrature_integrate(nu, lambda x: x * csk_density_weight(nu, x, m))
-
-
 # ---------------------------------------------------------------------------
 # transformation laws of (pseudo-)variance functions
 
@@ -470,23 +477,3 @@ def bt_variance(vfun: Callable[[float], float], m0: float, t: float, m: float) -
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     return vfun(m) + t * m * (m - m0)
-
-
-def sample_variance_profile(nu: Measure, kind: Literal["pseudo", "true"] = "true",
-                            count: int = 33, margin: float = 0.05) -> VarianceProfile:
-    """Sample the (pseudo-)variance function on a compact sub-interval.
-
-    The grid covers the domain of means shrunk by ``margin`` on each side,
-    keeping clear of the endpoint singularities.
-    """
-    lo, hi = mean_domain(nu)
-    width = hi - lo
-    grid = np.linspace(lo + margin * width, hi - margin * width, count)
-    fn = pseudo_variance if kind == "pseudo" else variance
-    pts = []
-    for m in grid:
-        try:
-            pts.append((float(m), fn(nu, float(m))))
-        except DomainError:
-            continue
-    return VarianceProfile(kind, samples=tuple(pts))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import conv
 from .csk import variance as csk_variance
-from .errors import DomainError
+from .errors import CskfamError, DomainError
 from .measure import Measure, MomentSeq, MomentSequenceMeasure, mean, moments, variance_of
 from .series import DEFAULT_ORDER, TruncatedSeries
 from .transforms import s_series_to_moments, sigma_series_to_s_series
@@ -134,6 +134,11 @@ def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> 
     Pipeline: multiplicative power ``n``, then additive power ``n`` of the
     requested kind, then dilation by ``1/(n*m0**n)``.  The first moment of
     the result equals 1 up to roundoff.
+
+    The generator is dilated to unit mean first, which is exact because
+    ``D_{1/m0}(nu) ** boxtimes n = D_{1/m0**n}(nu ** boxtimes n)`` and
+    dilations commute with additive powers.  Powering the raw moments
+    instead overflows for ``m0 > 1`` (about ``m0**(n*order)``).
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -145,12 +150,12 @@ def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> 
     m0 = m.values[0]
     if m0 <= 0.0:
         raise DomainError("the scaled sequence needs a positive generator mean")
-    powered = conv.boxtimes_power(m, float(n))
+    powered = conv.boxtimes_power(conv.dilate(m, 1.0 / m0), float(n))
     if kind == "boxplus":
         added = conv.boxplus_power(powered, float(n))
     else:
         added = conv.uplus_power(powered, float(n))
-    return conv.dilate(added, 1.0 / (n * m0**n))
+    return conv.dilate(added, 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ def convergence_report(
             target = lim_variance(gamma, m)
             try:
                 value = csk_variance(law, float(m))
-            except Exception as exc:  # reconstruction can fail near domain edges
+            except CskfamError as exc:  # reconstruction can fail near domain edges
                 vrows.append(VarianceRow(n, float(m), None, target, None,
                                          f"{type(exc).__name__}: {exc}"))
             else:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: direct polynomial substitution,
 Lagrange inversion, and explicit enumeration of set partitions.  None of it
-shares code paths with the package internals it checks.
+shares code paths with the package internals it checks.  The production
+reversion is itself a Lagrange pass, so :func:`substitution_revert`, which
+solves for one coefficient at a time through :func:`compose_direct`, is the
+reference that shares no algorithm with it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,23 @@ def compose_direct(outer, inner, order: int) -> np.ndarray:
         acc[:take] += c * power[:take]
         power = np.convolve(power, inner)
     return acc
+
+
+def substitution_revert(coeffs, order: int | None = None) -> np.ndarray:
+    """Compositional inverse, one coefficient at a time.
+
+    With ``g_k`` still 0, the ``z**k`` coefficient of ``a(g(z))`` holds
+    everything but the ``a1*g_k`` term, so ``g_k`` is minus that over ``a1``.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    if order is None:
+        order = len(a) - 1
+    assert a[0] == 0.0 and a[1] != 0.0
+    g = np.zeros(order + 1)
+    g[1] = 1.0 / a[1]
+    for k in range(2, order + 1):
+        g[k] = -compose_direct(a[: k + 1], g[: k + 1], k)[k] / a[1]
+    return g
 
 
 def lagrange_revert(coeffs, order: int | None = None) -> np.ndarray:

@@ -218,6 +218,14 @@ def test_boxtimes_power_fuss_catalan():
     assert got2.values[:4] == (1.0, 3.0, 12.0, 55.0)
 
 
+def test_boxtimes_power_fuss_catalan_order_160():
+    # every order of the 160-term reversion, including the top ones where
+    # roundoff in the reverted series piles up
+    got = np.asarray(boxtimes_power(moments(FreePoisson(), 160), 2.0).values)
+    want = np.array([fuss_catalan(2, n) for n in range(1, 161)])
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 def test_boxtimes_power_integer_equals_repeated_boxtimes():
     got = boxtimes_power(FP_M, 2.0)
     alt = boxtimes(FP_M, FP_M)

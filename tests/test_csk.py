@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cskfam import csk as csk_module
 from cskfam.csk import (
     VarianceProfile,
     affine_pseudo_variance,
@@ -23,7 +24,7 @@ from cskfam.csk import (
     uplus_power_variance,
     variance,
 )
-from cskfam.errors import DomainError, InsufficientDataError
+from cskfam.errors import DomainError, InsufficientDataError, NumericError
 from cskfam.measure import (
     AtomicMeasure,
     FreePoisson,
@@ -33,7 +34,7 @@ from cskfam.measure import (
     moments,
     quadrature_integrate,
 )
-from cskfam.transforms import cauchy_transform, psi_transform, s_transform
+from cskfam.transforms import bracketed_root, cauchy_transform, psi_transform, s_transform
 
 FP = FreePoisson()
 TWO_ATOM = AtomicMeasure((0.5, 2.5), (0.4, 0.6))
@@ -410,8 +411,54 @@ def test_moment_route_matches_analytic_route():
 
 
 def test_moment_route_reports_unreachable_means():
-    from cskfam.errors import NumericError
-
     seq = MomentSequenceMeasure(moments(FP, 40).values)
     with pytest.raises(NumericError):
         pseudo_variance(seq, 0.4)  # |w| = 0.6 is past the noise envelope
+
+
+def test_moment_route_rejects_non_finite_moments():
+    seq = MomentSequenceMeasure((1.0, math.nan, 5.0, 14.0, 42.0))
+    with pytest.raises(NumericError):
+        variance(seq, 0.8)
+    with pytest.raises(NumericError):
+        pseudo_variance(MomentSequenceMeasure((1.0, 2.0, math.inf, 14.0)), 0.8)
+    with pytest.raises(DomainError):
+        pseudo_variance(MomentSequenceMeasure((1.0, 2.0, 5.0, 14.0)), math.nan)
+
+
+def _stepped_walk_pseudo_variance(mseq, m):
+    """The bracket walk one scalar step at a time: the reference for the
+    vectorized walk, which must pick the same bracket."""
+    rho, poly = csk_module._unit_growth_s_series(mseq)
+    f = lambda w: float(np.polyval(poly, w)) - rho / m
+    step = 0.01
+    if f(0.0) < 0.0:
+        prev, w = 0.0, -step
+        while f(w) < 0.0:
+            prev, w = w, w - step
+            if w <= -0.999:
+                raise NumericError("no bracket")
+        root = bracketed_root(f, w, prev)
+    else:
+        prev, w = 0.0, step
+        while f(w) > 0.0:
+            prev, w = w, w + step
+            if w > 4.0:
+                raise NumericError("no bracket")
+        root = bracketed_root(f, prev, w)
+    return m * m / root
+
+
+def test_moment_route_walk_matches_stepped_walk():
+    three_atom = AtomicMeasure((0.2, 1.0, 3.0), (0.3, 0.3, 0.4))
+    laws = [moments(FP, 40), moments(TWO_ATOM, 30), moments(three_atom, 40)]
+    for mseq in laws:
+        seq = MomentSequenceMeasure(mseq.values)
+        for m in (0.3, 0.6, 0.8, 0.9, 1.2, 1.5, 1.9, 2.4):
+            try:
+                want = _stepped_walk_pseudo_variance(mseq, m)
+            except (NumericError, DomainError):
+                with pytest.raises((NumericError, DomainError)):
+                    pseudo_variance(seq, m)
+            else:
+                assert pseudo_variance(seq, m) == want

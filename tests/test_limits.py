@@ -2,10 +2,12 @@
 Boolean-to-free identity between the two limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cskfam import csk
 from cskfam.conv import bp_transform
 from cskfam.errors import DomainError
 from cskfam.limits import (
@@ -20,6 +22,7 @@ from cskfam.limits import (
     verify_bp_identity,
 )
 from cskfam.measure import AtomicMeasure, FreePoisson, MarchenkoPasturCentered, moments
+from cskfam.transforms import s_series
 
 from oracles import lagrange_revert
 
@@ -222,6 +225,30 @@ def test_report_variance_rows(fp_reports):
 def test_report_errors_nonnegative(fp_reports):
     for rep in fp_reports.values():
         assert all(r.error >= 0.0 for r in rep.rows)
+
+
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_nonunit_mean_stays_finite(kind):
+    # mean 1.7: powering the raw order-40 moments overflowed for n >= 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = convergence_report(AtomicMeasure((0.5, 2.5), (0.4, 0.6)), kind)
+    assert all(math.isfinite(r.value) for r in rep.rows)
+    assert not any("ValueError" in r.note for r in rep.variance_rows)
+
+
+def test_report_builds_one_s_series_per_scaled_law(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return s_series(m)
+
+    monkeypatch.setattr(csk, "s_series", counting)
+    csk._unit_growth_s_series.cache_clear()
+    rep = convergence_report(FP, "uplus")
+    assert len(rep.variance_rows) == 21
+    assert len(calls) == 7
 
 
 def test_report_rejects_unsorted_schedule():
