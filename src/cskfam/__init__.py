@@ -71,7 +71,6 @@ from .measure import (
     MarchenkoPasturCentered,
     Measure,
     MomentSeq,
-    MomentSequenceMeasure,
     Semicircle,
     mean,
     moments,

@@ -18,8 +18,8 @@ import click
 import numpy as np
 
 from . import conv, csk, limits, transforms
-from .errors import CskfamError, MeasureSpecError
-from .measure import Measure, MomentSequenceMeasure, moments, parse_measure_spec
+from .errors import CskfamError
+from .measure import Measure, MomentSeq, moments, parse_measure_spec
 from .series import DEFAULT_ORDER
 
 
@@ -78,7 +78,7 @@ def _emit(out: str | None, comment_rows: list[str], header: list[str],
             fh.write(text)
 
 
-def _fail(exc: Exception) -> "click.exceptions.Exit":
+def _fail(exc: Exception) -> SystemExit:
     click.echo(f"error: {exc}", err=True)
     return SystemExit(1)
 
@@ -127,8 +127,6 @@ def transform(spec, which, grid, out):
                 rows.append([_fmt(x), "", str(exc).replace(",", ";")])
         _emit(out, [f"transform,{which}", f"spec,{nu.describe()}", f"grid,{grid}"],
               ["argument", "value", "error"], rows)
-    except MeasureSpecError as exc:
-        raise _fail(exc)
     except CskfamError as exc:
         raise _fail(exc)
 
@@ -149,13 +147,12 @@ def convolve(spec, spec2, power, op, order, out):
     try:
         nu = _load_measure(spec)
         m_nu = moments(nu, order)
-        if op == "boxtimes" and not isinstance(nu, MomentSequenceMeasure) and not nu.is_positive:
+        if op == "boxtimes" and not isinstance(nu, MomentSeq) and not nu.is_positive:
             raise CskfamError("boxtimes requires measures supported on [0, inf)")
         if spec2 is not None:
             other = _load_measure(spec2)
             m_other = moments(other, order)
-            if op == "boxtimes" and not isinstance(other, MomentSequenceMeasure) \
-                    and not other.is_positive:
+            if op == "boxtimes" and not isinstance(other, MomentSeq) and not other.is_positive:
                 raise CskfamError("boxtimes requires measures supported on [0, inf)")
             if op == "boxplus":
                 result = conv.boxplus(m_nu, m_other)
@@ -179,8 +176,6 @@ def convolve(spec, spec2, power, op, order, out):
         rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
         _emit(out, [f"convolve,{op}", config, f"order,{order}"],
               ["order", "moment"], rows)
-    except click.UsageError:
-        raise
     except CskfamError as exc:
         raise _fail(exc)
 

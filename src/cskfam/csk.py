@@ -8,12 +8,12 @@ and variance functions, member densities, and the transformation laws of
 the variance function under affine images, convolution powers and the
 Boolean-to-free map.
 
-Two evaluation routes coexist:
-
-* atomic and named-density generators go through quadrature-backed
-  transforms and monotone root-finding in ``theta``;
-* moment-sequence generators are handled in the S-series domain, where the
-  reverted series converges regardless of the (unknown) support radius.
+Everything here reads the generator through the measure protocol (mean,
+support, G and Psi) and inverts the mean map by monotone root-finding in
+``theta``.  The one exception is a moment sequence: its truncated power
+series of Psi diverges at the relevant ``theta``, so its mean map is
+inverted on the reverted S-series, which converges regardless of the
+unknown support radius.
 """
 
 from __future__ import annotations
@@ -25,25 +25,23 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, NumericError
+from .errors import DomainError, NumericError
 from .measure import (
-    AtomicMeasure,
-    DensityMeasure,
     FreePoisson,
     MarchenkoPasturCentered,
     Measure,
     MomentSeq,
-    MomentSequenceMeasure,
     Semicircle,
     mean,
+    support_bounds,
     variance_of,
 )
 from .transforms import (
+    _check_theta,
     bracketed_root,
     cauchy_transform,
     psi_integral,
     s_series,
-    support_bounds,
     theta_range,
 )
 
@@ -123,10 +121,7 @@ def k_mean(nu: Measure, theta: float) -> float:
     """
     if theta == 0.0:
         return mean(nu)
-    if not isinstance(nu, MomentSequenceMeasure):
-        t_lo, t_hi = theta_range(nu)
-        if not t_lo < theta < t_hi:
-            raise DomainError(f"theta = {theta:g} outside ({t_lo:g}, {t_hi:g})")
+    _check_theta(nu, theta)
     p = psi_integral(nu, theta)
     return p / (theta * (1.0 + p))
 
@@ -169,13 +164,13 @@ def _bracket_theta(nu: Measure, m: float, m0: float) -> tuple[float, float]:
 
 def psi_mean_inverse(nu: Measure, m: float) -> float:
     """The kernel parameter whose family member has mean ``m``."""
-    if isinstance(nu, MomentSequenceMeasure):
+    if isinstance(nu, MomentSeq):
         m0 = nu.values[0]
         if abs(m - m0) <= _MEAN_MATCH_TOL:
             return 0.0
         if m == 0.0:
             raise DomainError("moment-sequence inversion needs a nonzero target mean")
-        pv = _pseudo_variance_from_moments(nu.moment_seq(), m)
+        pv = _pseudo_variance_from_moments(nu, m)
         return 1.0 / (m + pv / m)
     m0 = mean(nu)
     if abs(m - m0) <= _MEAN_MATCH_TOL:
@@ -223,25 +218,16 @@ def _upper_mean_endpoint(nu: Measure) -> float:
 def _lower_mean_endpoint(nu: Measure) -> float:
     """``m_minus = b - 1/G(b)``, with ``m_minus = b`` when G diverges at b."""
     b, _ = support_bounds(nu)
-    if isinstance(nu, AtomicMeasure):
-        if b == nu.atoms[0]:
-            return b  # an atom sits at b, so G blows up there
-        g = cauchy_transform(nu, b).real if b < nu.atoms[0] else None
-        if g is None:
-            raise NumericError("unexpected support configuration")
-        return b - 1.0 / g
-    if isinstance(nu, DensityMeasure):
-        lo, _ = nu.support()
-        if b == lo and nu.edge_exponents()[0] < 0.0:
-            return b  # inverse-square-root edge makes G(b) = -inf
-        return b - 1.0 / cauchy_transform(nu, b).real
-    raise InsufficientDataError("mean domain needs a support-aware measure")
+    if b == nu.support()[0] and nu.lower_edge_singular:
+        return b
+    return b - 1.0 / cauchy_transform(nu, b).real
 
 
 def mean_domain(nu: Measure, side: Side = "two_sided") -> tuple[float, float]:
-    """Open interval of attainable means on the requested side."""
-    if isinstance(nu, MomentSequenceMeasure):
-        raise InsufficientDataError("mean domain of a moment-sequence measure is unknown")
+    """Open interval of attainable means on the requested side.
+
+    Needs the support, so a moment sequence raises InsufficientDataError.
+    """
     if side not in ("plus", "minus", "two_sided"):
         raise DomainError(f"unknown side {side!r}")
     m0 = mean(nu)
@@ -335,8 +321,8 @@ def pseudo_variance(nu: Measure, m: float) -> float:
     generator variance when the generator mean is 0, and 0 otherwise.
     Diverges at the generator mean when that mean is nonzero.
     """
-    if isinstance(nu, MomentSequenceMeasure):
-        return _pseudo_variance_from_moments(nu.moment_seq(), m)
+    if isinstance(nu, MomentSeq):
+        return _pseudo_variance_from_moments(nu, m)
     m0 = mean(nu)
     if m == 0.0:
         return variance_of(nu) if abs(m0) <= _MEAN_MATCH_TOL else 0.0
@@ -354,12 +340,11 @@ def variance(nu: Measure, m: float) -> float:
     Evaluated as ``(1/psi(m) - m) * (m - m0)``, which stays regular at
     ``m = 0``; at the generator mean it returns the generator variance.
     """
-    if isinstance(nu, MomentSequenceMeasure):
-        mseq = nu.moment_seq()
-        m0 = mseq.values[0]
+    if isinstance(nu, MomentSeq):
+        m0 = nu.values[0]
         if abs(m - m0) <= _MEAN_MATCH_TOL:
-            return mseq.variance
-        pv = _pseudo_variance_from_moments(mseq, m)
+            return nu.variance
+        pv = _pseudo_variance_from_moments(nu, m)
         return pv * (m - m0) / m
     m0 = mean(nu)
     if abs(m - m0) <= _MEAN_MATCH_TOL:

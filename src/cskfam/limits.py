@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-import numpy as np
-
 from . import conv
 from .csk import variance as csk_variance
 from .errors import CskfamError, DomainError
-from .measure import Measure, MomentSeq, MomentSequenceMeasure, mean, moments, variance_of
+from .measure import Measure, MomentSeq, mean, moments, variance_of
 from .series import DEFAULT_ORDER, TruncatedSeries
 from .transforms import s_series_to_moments, sigma_series_to_s_series
 
@@ -235,11 +233,10 @@ def convergence_report(
             value = scaled.values[order - 1]
             target = lim.values[order - 1]
             rows.append(MomentRow(n, order, value, target, abs(value - target)))
-        law = MomentSequenceMeasure(scaled.values)
         for m in variance_grid:
             target = lim_variance(gamma, m)
             try:
-                value = csk_variance(law, float(m))
+                value = csk_variance(scaled, float(m))
             except CskfamError as exc:  # reconstruction can fail near domain edges
                 vrows.append(VarianceRow(n, float(m), None, target, None,
                                          f"{type(exc).__name__}: {exc}"))

@@ -1,12 +1,17 @@
 """Probability-measure representations, their moments, and ingestion.
 
-Three concrete representations are supported:
-
-* atomic measures (finitely many weighted point masses),
-* named densities with compact support: a semicircle law, the centered
-  Marchenko-Pastur family, and the free Poisson law,
-* truncated moment sequences, which only participate in moment-level
-  arithmetic.
+Every generating measure is a :class:`Measure` and implements one protocol:
+``moments``, ``integrate``, ``cauchy`` (G), ``psi_integral``, ``support``,
+``theta_range`` and the flag ``lower_edge_singular``.  Atomic measures
+answer with exact weighted sums; the named densities (semicircle, centered
+Marchenko-Pastur, free Poisson) with adaptive quadrature, and take their
+moments from their exact free cumulants.  A :class:`MomentSeq` is known
+only through ``m1..mK``: it answers with truncated series that warn outside
+their trust radius, and raises :class:`InsufficientDataError` for what a
+moment list does not fix (the support, integrals of arbitrary functions).
+It is also the value type of the moment-level calculus.  The public
+functions (``moments``, ``quadrature_integrate``, ``cauchy_transform``,
+``psi_integral``, ``theta_range``) are the only callers of the numeric methods.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -23,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -33,6 +38,8 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     MeasureSpecError,
+    SingularityError,
+    TruncationAccuracyWarning,
 )
 
 #: Absolute tolerance targeted by adaptive quadrature for order-unity
@@ -40,45 +47,6 @@ from .errors import (
 QUAD_ABS_TOL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class MomentSeq:
-    """Raw moments ``m1..mK`` of a probability measure (``m0 = 1`` implicit)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("a moment sequence needs at least m1")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def moment(self, n: int) -> float:
-        """Return ``m_n``; ``n = 0`` gives the total mass 1."""
-        if n == 0:
-            return 1.0
-        if n > self.order:
-            raise InsufficientDataError(f"moment m_{n} beyond stored order {self.order}")
-        return self.values[n - 1]
-
-    def truncate(self, order: int) -> "MomentSeq":
-        if order > self.order:
-            raise InsufficientDataError(f"cannot extend order {self.order} to {order}")
-        return MomentSeq(self.values[:order])
-
-    @property
-    def mean(self) -> float:
-        return self.values[0]
-
-    @property
-    def variance(self) -> float:
-        if self.order < 2:
-            raise InsufficientDataError("variance needs the first two moments")
-        return self.values[1] - self.values[0] ** 2
 
 
 @dataclass(frozen=True)
@@ -96,7 +64,11 @@ class QuadPiece:
 
 
 class Measure:
-    """Base class for all measure representations."""
+    """Base class of the measure representations: the measure protocol."""
+
+    #: True when the Cauchy transform is infinite at the lowest support
+    #: point: an atom there, or an inverse-square-root density edge.
+    lower_edge_singular: bool = False
 
     @property
     def is_positive(self) -> bool:
@@ -112,27 +84,59 @@ class Measure:
         """The (closed) convex hull of the support."""
         raise NotImplementedError
 
+    def theta_range(self) -> tuple[float, float]:
+        """Admissible open interval of theta: ``(1/b, 1/B)`` from
+        :func:`support_bounds`, infinite where a bound is 0."""
+        b, big = support_bounds(self)
+        theta_plus = math.inf if big == 0.0 else 1.0 / big
+        theta_minus = -math.inf if b == 0.0 else 1.0 / b
+        return theta_minus, theta_plus
+
+    def moments(self, order: int) -> "MomentSeq":
+        """Raw moments ``m1..m_order`` (``order >= 1``)."""
+        raise NotImplementedError
+
+    def integrate(self, f) -> float | complex:
+        """Integral of ``f`` against the measure."""
+        raise NotImplementedError
+
+    def cauchy(self, z: complex) -> complex:
+        """``G(z) = integral of 1/(z - x)``."""
+        raise NotImplementedError
+
+    def psi_integral(self, theta: float) -> float:
+        """``integral of theta*x / (1 - theta*x)`` at ``theta != 0``.
+
+        Positive measures also take a complex ``theta`` off the real axis
+        (the Psi transform).
+        """
+        raise NotImplementedError
+
     def describe(self) -> str:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class AtomicMeasure(Measure):
-    """Finitely many atoms with positive weights summing to one."""
+    """Finitely many finite atoms with positive weights summing to one."""
 
     atoms: tuple[float, ...]
     weights: tuple[float, ...]
+
+    lower_edge_singular = True  # the lowest point is an atom
 
     def __post_init__(self):
         atoms = tuple(float(a) for a in self.atoms)
         weights = tuple(float(w) for w in self.weights)
         if len(atoms) != len(weights) or not atoms:
             raise DomainError("atoms and weights must be nonempty parallel lists")
+        if not all(math.isfinite(a) for a in atoms):
+            raise DomainError("atoms must be finite")
         if len(set(atoms)) != len(atoms):
             raise DomainError("atoms must be distinct")
-        if any(w <= 0.0 for w in weights):
+        if not all(w > 0.0 for w in weights):  # written to reject nan
             raise DomainError("weights must be strictly positive")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise DomainError(f"weights sum to {sum(weights)!r}, expected 1")
         order = np.argsort(atoms)
         object.__setattr__(self, "atoms", tuple(atoms[i] for i in order))
@@ -152,6 +156,22 @@ class AtomicMeasure(Measure):
     def support(self) -> tuple[float, float]:
         return self.atoms[0], self.atoms[-1]
 
+    def moments(self, order: int) -> "MomentSeq":
+        a = np.asarray(self.atoms)
+        w = np.asarray(self.weights)
+        return MomentSeq(tuple(float(np.dot(w, a**n)) for n in range(1, order + 1)))
+
+    def integrate(self, f) -> float | complex:
+        return sum(w * f(a) for a, w in zip(self.atoms, self.weights))
+
+    def cauchy(self, z: complex) -> complex:
+        if any(z == complex(a) for a in self.atoms):
+            raise SingularityError(f"z = {z} is an atom of the measure")
+        return sum(w / (z - a) for a, w in zip(self.atoms, self.weights))
+
+    def psi_integral(self, theta: float | complex) -> float | complex:
+        return sum(w * theta * a / (1.0 - theta * a) for a, w in zip(self.atoms, self.weights))
+
     def describe(self) -> str:
         pairs = ";".join(f"{a:g}:{w:g}" for a, w in zip(self.atoms, self.weights))
         return f"atomic({pairs})"
@@ -170,17 +190,40 @@ class DensityMeasure(Measure):
     def pieces(self) -> list[QuadPiece]:
         raise NotImplementedError
 
-    def edge_exponents(self) -> tuple[float, float]:
-        """Power of the density at the lower/upper support edge.
-
-        ``+0.5`` marks a square-root zero, ``-0.5`` an integrable
-        inverse-square-root blowup.
-        """
-        raise NotImplementedError
-
     def free_cumulants(self, order: int) -> tuple[float, ...]:
         """Exact free cumulants ``k1..k_order``; the moment source."""
         raise NotImplementedError
+
+    def moments(self, order: int) -> "MomentSeq":
+        return MomentSeq(_density_moments(self, order))
+
+    def integrate(self, f) -> float | complex:
+        lo, hi = self.support()
+        probe = f(0.5 * (lo + hi))
+        if isinstance(probe, complex):
+            re = integrate_pieces(self, lambda p, u, x: p.weight(u) * f(x).real)
+            im = integrate_pieces(self, lambda p, u, x: p.weight(u) * f(x).imag)
+            return complex(re, im)
+        return integrate_pieces(self, lambda p, u, x: p.weight(u) * f(x))
+
+    def cauchy(self, z: complex) -> complex:
+        lo, hi = self.support()
+        if z.imag == 0.0 and lo < z.real < hi:
+            raise SingularityError(f"z = {z.real:g} lies inside the support ({lo:g}, {hi:g})")
+        value = _cauchy_density(self, z)
+        return value.real if z.imag == 0.0 else value
+
+    def psi_integral(self, theta: float | complex) -> float | complex:
+        if isinstance(theta, complex):
+            # zx/(1-zx) = -1 + (1/z)/(1/z - x) pointwise; reuse the stable G kernel
+            return _cauchy_density(self, 1.0 / theta) / theta - 1.0
+        hint = _edge_points_hint(lambda p: 1.0 / theta - p.anchor)
+
+        def g(p, u, x):
+            # theta*x/(1-theta*x) = x / (1/theta - x), stable at edges
+            return p.weight(u) * x / ((1.0 / theta - p.anchor) - p.sign * u * u)
+
+        return integrate_pieces(self, g, hint)
 
 
 @dataclass(frozen=True)
@@ -191,8 +234,10 @@ class Semicircle(DensityMeasure):
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0.0:
-            raise DomainError("semicircle variance must be positive")
+        if not math.isfinite(self.center):
+            raise DomainError("semicircle center must be finite")
+        if not 0.0 < self.variance < math.inf:
+            raise DomainError("semicircle variance must be positive and finite")
 
     @property
     def radius(self) -> float:
@@ -220,9 +265,6 @@ class Semicircle(DensityMeasure):
         lo, hi = self.support()
         return [QuadPiece(lo, +1, umax, w), QuadPiece(hi, -1, umax, w)]
 
-    def edge_exponents(self) -> tuple[float, float]:
-        return 0.5, 0.5
-
     def free_cumulants(self, order: int) -> tuple[float, ...]:
         out = [0.0] * order
         out[0] = self.center
@@ -248,6 +290,10 @@ class MarchenkoPasturCentered(DensityMeasure):
     def __post_init__(self):
         if not 0.0 < self.a * self.a <= 1.0:
             raise DomainError("marchenko_pastur_centered requires 0 < a**2 <= 1")
+
+    @property
+    def lower_edge_singular(self) -> bool:
+        return self.a == 1.0
 
     @property
     def is_positive(self) -> bool:
@@ -277,9 +323,6 @@ class MarchenkoPasturCentered(DensityMeasure):
 
         return [QuadPiece(lo, +1, _SQRT2, w_lo), QuadPiece(hi, -1, _SQRT2, w_hi)]
 
-    def edge_exponents(self) -> tuple[float, float]:
-        return (-0.5 if self.a == 1.0 else 0.5), (-0.5 if self.a == -1.0 else 0.5)
-
     def free_cumulants(self, order: int) -> tuple[float, ...]:
         # centered free Poisson type: k1 = 0, k2 = 1, k_n = a**(n-2)
         out = [0.0] * order
@@ -294,6 +337,8 @@ class MarchenkoPasturCentered(DensityMeasure):
 @dataclass(frozen=True)
 class FreePoisson(DensityMeasure):
     """Free Poisson law: density ``sqrt((4-x)/x) / (2*pi)`` on ``(0, 4)``."""
+
+    lower_edge_singular = True  # inverse-square-root edge at 0
 
     @property
     def is_positive(self) -> bool:
@@ -316,9 +361,6 @@ class FreePoisson(DensityMeasure):
 
         return [QuadPiece(0.0, +1, _SQRT2, w_lo), QuadPiece(4.0, -1, _SQRT2, w_hi)]
 
-    def edge_exponents(self) -> tuple[float, float]:
-        return -0.5, 0.5
-
     def free_cumulants(self, order: int) -> tuple[float, ...]:
         return (1.0,) * order
 
@@ -327,11 +369,13 @@ class FreePoisson(DensityMeasure):
 
 
 @dataclass(frozen=True)
-class MomentSequenceMeasure(Measure):
-    """A measure known only through finitely many moments.
+class MomentSeq(Measure):
+    """Raw moments ``m1..mK`` of a probability measure (``m0 = 1`` implicit).
 
-    Integration against arbitrary functions and support queries are not
-    available: a finite moment list does not determine the measure.
+    As a measure it is known only through these moments: G and Psi are
+    truncated sums trusted outside :func:`laurent_trust_radius`, and
+    positivity cannot be certified.  Values are kept as given, non-finite
+    ones included; the routes that need finite moments check them.
     """
 
     values: tuple[float, ...]
@@ -339,7 +383,29 @@ class MomentSequenceMeasure(Measure):
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
-            raise DomainError("a moment-sequence measure needs at least m1")
+            raise DomainError("a moment sequence needs at least m1")
+
+    @property
+    def order(self) -> int:
+        return len(self.values)
+
+    def moment(self, n: int) -> float:
+        """Return ``m_n``; ``n = 0`` gives the total mass 1."""
+        if n == 0:
+            return 1.0
+        if n > self.order:
+            raise InsufficientDataError(f"moment m_{n} beyond stored order {self.order}")
+        return self.values[n - 1]
+
+    @property
+    def mean(self) -> float:
+        return self.values[0]
+
+    @property
+    def variance(self) -> float:
+        if self.order < 2:
+            raise InsufficientDataError("variance needs the first two moments")
+        return self.values[1] - self.values[0] ** 2
 
     @property
     def is_positive(self) -> bool:
@@ -352,11 +418,64 @@ class MomentSequenceMeasure(Measure):
     def support(self) -> tuple[float, float]:
         raise InsufficientDataError("support of a moment-sequence measure is unknown")
 
-    def moment_seq(self) -> MomentSeq:
-        return MomentSeq(self.values)
+    def theta_range(self) -> tuple[float, float]:
+        # no support bound; the truncated sums warn outside their trust region
+        return -math.inf, math.inf
+
+    def moments(self, order: int) -> "MomentSeq":
+        if self.order < order:
+            raise InsufficientDataError(f"measure stores {self.order} moments, {order} requested")
+        return MomentSeq(self.values[:order])
+
+    def integrate(self, f) -> float | complex:
+        raise InsufficientDataError(
+            "cannot integrate an arbitrary function against a moment-sequence measure"
+        )
+
+    def cauchy(self, z: complex) -> complex:
+        radius = laurent_trust_radius(self)
+        if abs(z) <= radius:
+            warnings.warn(
+                f"|z| = {abs(z):.3g} inside the Laurent trust radius "
+                f"{radius:.3g}; truncated G is unreliable here",
+                TruncationAccuracyWarning,
+                stacklevel=3,
+            )
+        theta = 1.0 / z
+        coeffs = (1.0,) + self.values  # m0..mK
+        acc = 0.0 + 0.0j
+        for c in reversed(coeffs):
+            acc = acc * theta + c
+        return theta * acc
+
+    def psi_integral(self, theta: float) -> float:
+        radius = laurent_trust_radius(self)
+        if abs(theta) >= 1.0 / radius:
+            warnings.warn(
+                f"|theta| = {abs(theta):.3g} outside the trust region "
+                f"(< {1.0 / radius:.3g}) of the truncated moment series",
+                TruncationAccuracyWarning,
+                stacklevel=4,
+            )
+        acc = 0.0
+        for v in reversed(self.values):
+            acc = acc * theta + v
+        return theta * acc
 
     def describe(self) -> str:
-        return f"moments(order={len(self.values)})"
+        return f"moments(order={self.order})"
+
+
+def support_bounds(nu: Measure) -> tuple[float, float]:
+    """``b = min(0, inf supp)`` and ``B = max(0, sup supp)``."""
+    lo, hi = nu.support()
+    return min(0.0, lo), max(0.0, hi)
+
+
+def laurent_trust_radius(m: MomentSeq) -> float:
+    """Radius outside which the truncated Laurent sum of G is trusted."""
+    growth = max(abs(v) ** (1.0 / n) for n, v in enumerate(m.values, start=1))
+    return 2.0 * (1.0 + growth)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +500,7 @@ def integrate_pieces(nu: DensityMeasure, g, points_hint=None) -> float:
 
     ``g`` receives the substitution variable ``u`` and the original
     coordinate ``x = anchor + sign*u**2``; it must already include the piece
-    weight.  This is the edge-stable entry point used by the transform layer.
+    weight.  This is the edge-stable entry point of every density method.
     """
     total = 0.0
     for piece in nu.pieces():
@@ -391,6 +510,38 @@ def integrate_pieces(nu: DensityMeasure, g, points_hint=None) -> float:
             pts = [p for p in points_hint(piece) if 0.0 < p < umax] or None
         total += _quad(lambda u: g(piece, u, anchor + sign * u * u), 0.0, umax, points=pts)
     return total
+
+
+def _edge_points_hint(dz_of_piece):
+    def hint(piece):
+        dz = dz_of_piece(piece)
+        if 0.0 < abs(dz) < 0.5:
+            s = math.sqrt(abs(dz))
+            return (s, 10.0 * s, 100.0 * s)
+        return ()
+
+    return hint
+
+
+def _cauchy_density(nu: DensityMeasure, z: complex) -> complex:
+    # x = anchor + sign*u**2, so z - x = (z - anchor) - sign*u**2 without
+    # cancellation even when z sits on a support edge.
+    if z.imag == 0.0:
+        zr = z.real
+        hint = _edge_points_hint(lambda p: zr - p.anchor)
+        val = integrate_pieces(
+            nu, lambda p, u, x: p.weight(u) / ((zr - p.anchor) - p.sign * u * u), hint
+        )
+        return complex(val, 0.0)
+    re = integrate_pieces(
+        nu, lambda p, u, x: p.weight(u) * ((z - p.anchor) - p.sign * u * u).real
+        / abs((z - p.anchor) - p.sign * u * u) ** 2
+    )
+    im = integrate_pieces(
+        nu, lambda p, u, x: -p.weight(u) * ((z - p.anchor) - p.sign * u * u).imag
+        / abs((z - p.anchor) - p.sign * u * u) ** 2
+    )
+    return complex(re, im)
 
 
 def quadrature_integrate(nu: Measure, f) -> float | complex:
@@ -403,22 +554,7 @@ def quadrature_integrate(nu: Measure, f) -> float | complex:
     :class:`InsufficientDataError` for moment-sequence measures and
     :class:`AccuracyError` when the quadrature cannot reach its tolerance.
     """
-    if isinstance(nu, AtomicMeasure):
-        return sum(w * f(a) for a, w in zip(nu.atoms, nu.weights))
-    if isinstance(nu, MomentSequenceMeasure):
-        raise InsufficientDataError(
-            "cannot integrate an arbitrary function against a moment-sequence measure"
-        )
-    if not isinstance(nu, DensityMeasure):
-        raise TypeError(f"unsupported measure type {type(nu).__name__}")
-
-    lo, hi = nu.support()
-    probe = f(0.5 * (lo + hi))
-    if isinstance(probe, complex):
-        re = integrate_pieces(nu, lambda p, u, x: p.weight(u) * f(x).real)
-        im = integrate_pieces(nu, lambda p, u, x: p.weight(u) * f(x).imag)
-        return complex(re, im)
-    return integrate_pieces(nu, lambda p, u, x: p.weight(u) * f(x))
+    return nu.integrate(f)
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +574,13 @@ def _density_moments(nu: DensityMeasure, order: int) -> tuple[float, ...]:
 def moments(nu: Measure, order: int) -> MomentSeq:
     """First ``order`` raw moments of ``nu``.
 
-    Exact power sums for atomic measures, adaptive quadrature for the named
-    densities.  A moment-sequence measure must already store at least
+    Exact power sums for atomic measures, the free-cumulant dictionary for
+    the named densities.  A moment sequence must already store at least
     ``order`` moments.
     """
     if order < 1:
         raise DomainError("moment order must be at least 1")
-    if isinstance(nu, AtomicMeasure):
-        a = np.asarray(nu.atoms)
-        w = np.asarray(nu.weights)
-        return MomentSeq(tuple(float(np.dot(w, a**n)) for n in range(1, order + 1)))
-    if isinstance(nu, MomentSequenceMeasure):
-        if len(nu.values) < order:
-            raise InsufficientDataError(
-                f"measure stores {len(nu.values)} moments, {order} requested"
-            )
-        return MomentSeq(nu.values[:order])
-    if isinstance(nu, DensityMeasure):
-        return MomentSeq(_density_moments(nu, order))
-    raise TypeError(f"unsupported measure type {type(nu).__name__}")
+    return nu.moments(order)
 
 
 def mean(nu: Measure) -> float:
@@ -469,8 +593,10 @@ def variance_of(nu: Measure) -> float:
 
 # ---------------------------------------------------------------------------
 # measure-spec parsing
-
-_NAMED = {"semicircle", "marchenko_pastur_centered", "free_poisson"}
+#
+# The parser checks the document's structure and that every number is a
+# finite number; the constructors check ranges, and their DomainError is
+# reported as a MeasureSpecError at the enclosing object.
 
 
 def _require(cond: bool, message: str, location: str):
@@ -478,14 +604,22 @@ def _require(cond: bool, message: str, location: str):
         raise MeasureSpecError(message, location)
 
 
-def _number_list(obj, location: str) -> list[float]:
+def _number(v, location: str) -> float:
+    # integers arrive as floats (parse_int=float): anything else is not a number
+    _require(isinstance(v, float) and math.isfinite(v), "expected a finite number", location)
+    return v
+
+
+def _number_list(obj, location: str) -> tuple[float, ...]:
     _require(isinstance(obj, list) and obj, "expected a nonempty array of numbers", location)
-    out = []
-    for i, v in enumerate(obj):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 "expected a number", f"{location}[{i}]")
-        out.append(float(v))
-    return out
+    return tuple(_number(v, f"{location}[{i}]") for i, v in enumerate(obj))
+
+
+def _construct(cls, location: str, *args) -> Measure:
+    try:
+        return cls(*args)
+    except DomainError as exc:
+        raise MeasureSpecError(str(exc), location) from exc
 
 
 def parse_measure_spec(text: str) -> Measure:
@@ -497,51 +631,43 @@ def parse_measure_spec(text: str) -> Measure:
     * ``{"type": "named", "name": "...", "params": {...}}``
     * ``{"type": "moments", "values": [...]}``
 
+    Every number must be finite (``NaN`` and ``Infinity`` are rejected).
     Malformed documents raise :class:`MeasureSpecError` annotated with the
     position of the offending field.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise MeasureSpecError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from exc
 
     _require(isinstance(doc, dict), "top level must be an object", "$")
     kind = doc.get("type")
-    _require(kind in {"atomic", "named", "moments"},
+    _require(kind in ("atomic", "named", "moments"),
              f"unknown type {kind!r}; expected atomic, named or moments", "$.type")
 
     if kind == "atomic":
         atoms = _number_list(doc.get("atoms"), "$.atoms")
         weights = _number_list(doc.get("weights"), "$.weights")
-        _require(len(atoms) == len(weights), "atoms and weights must have equal length",
-                 "$.weights")
-        _require(len(set(atoms)) == len(atoms), "atoms must be distinct", "$.atoms")
-        _require(all(w > 0 for w in weights), "weights must be positive", "$.weights")
-        _require(abs(sum(weights) - 1.0) <= 1e-12,
-                 f"weights sum to {sum(weights)!r}, expected 1", "$.weights")
-        return AtomicMeasure(tuple(atoms), tuple(weights))
+        return _construct(AtomicMeasure, "$", atoms, weights)
 
-    if kind == "named":
-        name = doc.get("name")
-        _require(name in _NAMED, f"unknown density name {name!r}", "$.name")
-        params = doc.get("params", {})
-        _require(isinstance(params, dict), "params must be an object", "$.params")
-        if name == "free_poisson":
-            _require(not params, "free_poisson takes no parameters", "$.params")
-            return FreePoisson()
-        if name == "semicircle":
-            extra = set(params) - {"center", "variance"}
-            _require(not extra, f"unknown parameters {sorted(extra)}", "$.params")
-            center = float(params.get("center", 0.0))
-            var = float(params.get("variance", 1.0))
-            _require(var > 0.0, "variance must be positive", "$.params.variance")
-            return Semicircle(center, var)
-        extra = set(params) - {"a"}
+    if kind == "moments":
+        return MomentSeq(_number_list(doc.get("values"), "$.values"))
+
+    name = doc.get("name")
+    _require(name in ("semicircle", "marchenko_pastur_centered", "free_poisson"),
+             f"unknown density name {name!r}", "$.name")
+    params = doc.get("params", {})
+    _require(isinstance(params, dict), "params must be an object", "$.params")
+    if name == "free_poisson":
+        _require(not params, "free_poisson takes no parameters", "$.params")
+        return FreePoisson()
+    if name == "semicircle":
+        extra = set(params) - {"center", "variance"}
         _require(not extra, f"unknown parameters {sorted(extra)}", "$.params")
-        _require("a" in params, "marchenko_pastur_centered requires parameter a", "$.params.a")
-        a = float(params["a"])
-        _require(0.0 < a * a <= 1.0, "parameter a must satisfy 0 < a**2 <= 1", "$.params.a")
-        return MarchenkoPasturCentered(a)
-
-    values = _number_list(doc.get("values"), "$.values")
-    return MomentSequenceMeasure(tuple(values))
+        center = _number(params.get("center", 0.0), "$.params.center")
+        var = _number(params.get("variance", 1.0), "$.params.variance")
+        return _construct(Semicircle, "$.params", center, var)
+    extra = set(params) - {"a"}
+    _require(not extra, f"unknown parameters {sorted(extra)}", "$.params")
+    _require("a" in params, "marchenko_pastur_centered requires parameter a", "$.params.a")
+    return _construct(MarchenkoPasturCentered, "$.params", _number(params["a"], "$.params.a"))

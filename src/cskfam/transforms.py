@@ -1,10 +1,12 @@
 """The analytic transform stack: G, M, Psi, chi, S, Sigma, R and K.
 
-Point evaluation works for atomic and named-density measures through
-edge-stable adaptive quadrature; moment-sequence measures get truncated
-Laurent/power-series evaluation with an explicit trust region.  The series
-dictionary between moments and the S-transform lives here as well, since
-the convolution layer and the limit-law layer both need it.
+Every transform is written once against the measure protocol of
+:mod:`.measure`: point values come from ``cauchy_transform`` and
+``psi_integral``, which each representation answers in its own way (exact
+sums, edge-stable quadrature, or truncated series that warn outside their
+trust region).  The series dictionary between moments and the S-transform
+lives here as well, since the convolution layer and the limit-law layer
+both need it.
 
 All real-line inversions (chi, the S-transform, R) work on intervals where
 the underlying transform is strictly monotone, so roots are found by
@@ -13,28 +15,12 @@ bracket expansion followed by Brent's method.
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
 from scipy import optimize
 
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    NumericError,
-    SingularityError,
-    TruncationAccuracyWarning,
-)
-from .measure import (
-    AtomicMeasure,
-    DensityMeasure,
-    Measure,
-    MomentSeq,
-    MomentSequenceMeasure,
-    integrate_pieces,
-    mean,
-)
+from .errors import DomainError, InsufficientDataError, NumericError, SingularityError
+from .measure import Measure, MomentSeq
+from .measure import laurent_trust_radius  # noqa: F401  (part of this module's API)
 from .series import TruncatedSeries, ps_compose, ps_mul, ps_reciprocal, ps_revert
 
 #: Brent tolerances for all monotone 1-D inversions in this module.
@@ -50,80 +36,13 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     )
 
 
-# ---------------------------------------------------------------------------
-# support-derived parameter bounds
-
-
-def support_bounds(nu: Measure) -> tuple[float, float]:
-    """``b = min(0, inf supp)`` and ``B = max(0, sup supp)``."""
-    lo, hi = nu.support()
-    return min(0.0, lo), max(0.0, hi)
-
-
 def theta_range(nu: Measure) -> tuple[float, float]:
     """Admissible open interval of the kernel parameter theta."""
-    b, big = support_bounds(nu)
-    theta_plus = math.inf if big == 0.0 else 1.0 / big
-    theta_minus = -math.inf if b == 0.0 else 1.0 / b
-    return theta_minus, theta_plus
+    return nu.theta_range()
 
 
 # ---------------------------------------------------------------------------
 # Cauchy transform
-
-
-def _edge_points_hint(dz_of_piece):
-    def hint(piece):
-        dz = dz_of_piece(piece)
-        if 0.0 < abs(dz) < 0.5:
-            s = math.sqrt(abs(dz))
-            return (s, 10.0 * s, 100.0 * s)
-        return ()
-
-    return hint
-
-
-def _cauchy_density(nu: DensityMeasure, z: complex) -> complex:
-    # x = anchor + sign*u**2, so z - x = (z - anchor) - sign*u**2 without
-    # cancellation even when z sits on a support edge.
-    if z.imag == 0.0:
-        zr = z.real
-        hint = _edge_points_hint(lambda p: zr - p.anchor)
-        val = integrate_pieces(
-            nu, lambda p, u, x: p.weight(u) / ((zr - p.anchor) - p.sign * u * u), hint
-        )
-        return complex(val, 0.0)
-    re = integrate_pieces(
-        nu, lambda p, u, x: p.weight(u) * ((z - p.anchor) - p.sign * u * u).real
-        / abs((z - p.anchor) - p.sign * u * u) ** 2
-    )
-    im = integrate_pieces(
-        nu, lambda p, u, x: -p.weight(u) * ((z - p.anchor) - p.sign * u * u).imag
-        / abs((z - p.anchor) - p.sign * u * u) ** 2
-    )
-    return complex(re, im)
-
-
-def laurent_trust_radius(m: MomentSeq) -> float:
-    """Radius outside which the truncated Laurent sum of G is trusted."""
-    growth = max(abs(v) ** (1.0 / n) for n, v in enumerate(m.values, start=1))
-    return 2.0 * (1.0 + growth)
-
-
-def _cauchy_moment_seq(m: MomentSeq, z: complex) -> complex:
-    if abs(z) <= laurent_trust_radius(m):
-        warnings.warn(
-            f"|z| = {abs(z):.3g} inside the Laurent trust radius "
-            f"{laurent_trust_radius(m):.3g}; truncated G is unreliable here",
-            TruncationAccuracyWarning,
-            stacklevel=3,
-        )
-    theta = 1.0 / z
-    coeffs = (1.0,) + m.values  # m0..mK
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * theta + c
-    return theta * acc
 
 
 def cauchy_transform(nu: Measure, z: complex) -> complex:
@@ -134,20 +53,7 @@ def cauchy_transform(nu: Measure, z: complex) -> complex:
     :func:`laurent_trust_radius`; evaluation inside that disk emits a
     :class:`TruncationAccuracyWarning`.
     """
-    z = complex(z)
-    if isinstance(nu, AtomicMeasure):
-        if any(z == complex(a) for a in nu.atoms):
-            raise SingularityError(f"z = {z} is an atom of the measure")
-        return sum(w / (z - a) for a, w in zip(nu.atoms, nu.weights))
-    if isinstance(nu, MomentSequenceMeasure):
-        return _cauchy_moment_seq(nu.moment_seq(), z)
-    if isinstance(nu, DensityMeasure):
-        lo, hi = nu.support()
-        if z.imag == 0.0 and lo < z.real < hi:
-            raise SingularityError(f"z = {z.real:g} lies inside the support ({lo:g}, {hi:g})")
-        value = _cauchy_density(nu, z)
-        return value.real if z.imag == 0.0 else value
-    raise TypeError(f"unsupported measure type {type(nu).__name__}")
+    return nu.cauchy(complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -165,42 +71,19 @@ def psi_integral(nu: Measure, theta: float) -> float:
 
     This is M - 1 computed without cancellation near theta = 0; the kernel
     positivity requirement of the public Psi transform does not apply here.
+    For a moment sequence it is the truncated power sum, which warns with
+    :class:`TruncationAccuracyWarning` outside its trust region.
     """
     if theta == 0.0:
         return 0.0
-    if isinstance(nu, AtomicMeasure):
-        return sum(w * theta * a / (1.0 - theta * a) for a, w in zip(nu.atoms, nu.weights))
-    if isinstance(nu, DensityMeasure):
-        hint = _edge_points_hint(lambda p: 1.0 / theta - p.anchor)
-
-        def g(p, u, x):
-            # theta*x/(1-theta*x) = x / (1/theta - x), stable at edges
-            return p.weight(u) * x / ((1.0 / theta - p.anchor) - p.sign * u * u)
-
-        return integrate_pieces(nu, g, hint)
-    if isinstance(nu, MomentSequenceMeasure):
-        m = nu.moment_seq()
-        radius = laurent_trust_radius(m)
-        if abs(theta) >= 1.0 / radius:
-            warnings.warn(
-                f"|theta| = {abs(theta):.3g} outside the trust region "
-                f"(< {1.0 / radius:.3g}) of the truncated moment series",
-                TruncationAccuracyWarning,
-                stacklevel=3,
-            )
-        acc = 0.0
-        for v in reversed(m.values):
-            acc = acc * theta + v
-        return theta * acc
-    raise TypeError(f"unsupported measure type {type(nu).__name__}")
+    return nu.psi_integral(theta)
 
 
 def m_transform(nu: Measure, theta: float) -> float:
     """``M(theta) = integral of 1/(1 - theta*x)``; equals ``G(1/theta)/theta``."""
     if theta == 0.0:
         return 1.0
-    if not isinstance(nu, MomentSequenceMeasure):
-        _check_theta(nu, theta)
+    _check_theta(nu, theta)
     return 1.0 + psi_integral(nu, theta)
 
 
@@ -221,11 +104,7 @@ def psi_transform(nu: Measure, z: complex) -> complex:
         if zr != 0.0 and lo <= 1.0 / zr <= hi:
             raise SingularityError(f"1/z = {1.0 / zr:g} lies in the support")
         return complex(psi_integral(nu, zr), 0.0)
-    if isinstance(nu, AtomicMeasure):
-        return sum(w * z * a / (1.0 - z * a) for a, w in zip(nu.atoms, nu.weights))
-    # zx/(1-zx) = -1 + (1/z)/(1/z - x) pointwise; reuse the stable G kernel
-    g_val = _cauchy_density(nu, 1.0 / z)
-    return g_val / z - 1.0
+    return nu.psi_integral(z)
 
 
 def chi_inverse(nu: Measure, w: float) -> float:
@@ -273,14 +152,11 @@ def r_transform(nu: Measure, z: float) -> float:
     """``R(z) = G^{-1}(z) - 1/z`` with the inverse taken on the real axis.
 
     The preimage is searched outside the support: above it for ``z > 0``,
-    below it for ``z < 0``.
+    below it for ``z < 0``, so a moment sequence raises
+    :class:`InsufficientDataError`.
     """
     if z == 0.0:
         raise DomainError("R is evaluated at nonzero arguments only")
-    if isinstance(nu, MomentSequenceMeasure):
-        raise InsufficientDataError(
-            "R for a moment-sequence measure needs its cumulant series, not point inversion"
-        )
     lo, hi = nu.support()
     f = lambda y: cauchy_transform(nu, y).real - z
     if z > 0.0:

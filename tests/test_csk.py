@@ -29,7 +29,7 @@ from cskfam.measure import (
     AtomicMeasure,
     FreePoisson,
     MarchenkoPasturCentered,
-    MomentSequenceMeasure,
+    MomentSeq,
     Semicircle,
     moments,
     quadrature_integrate,
@@ -152,7 +152,7 @@ def test_atomic_mean_domain():
 
 def test_mean_domain_rejects_moment_sequences():
     with pytest.raises(InsufficientDataError):
-        mean_domain(MomentSequenceMeasure((1.0, 2.0)))
+        mean_domain(MomentSeq((1.0, 2.0)))
 
 
 def test_csk_family_descriptor():
@@ -400,7 +400,7 @@ def test_moment_route_matches_analytic_route():
     # grows with |w| = |m^2/PV(m)|; at order 40 and free-Poisson moment
     # growth it resolves |w| <= 0.3 to ~1e-8 and |w| <= 0.2 to machine
     # precision.  The grid stays inside that envelope.
-    seq = MomentSequenceMeasure(moments(FP, 40).values)
+    seq = MomentSeq(moments(FP, 40).values)
     for m in (0.7, 0.8, 0.9, 1.3):
         assert abs(pseudo_variance(seq, m) - pseudo_variance(FP, m)) <= 1e-7
         assert abs(variance(seq, m) - variance(FP, m)) <= 1e-7
@@ -411,19 +411,19 @@ def test_moment_route_matches_analytic_route():
 
 
 def test_moment_route_reports_unreachable_means():
-    seq = MomentSequenceMeasure(moments(FP, 40).values)
+    seq = MomentSeq(moments(FP, 40).values)
     with pytest.raises(NumericError):
         pseudo_variance(seq, 0.4)  # |w| = 0.6 is past the noise envelope
 
 
 def test_moment_route_rejects_non_finite_moments():
-    seq = MomentSequenceMeasure((1.0, math.nan, 5.0, 14.0, 42.0))
+    seq = MomentSeq((1.0, math.nan, 5.0, 14.0, 42.0))
     with pytest.raises(NumericError):
         variance(seq, 0.8)
     with pytest.raises(NumericError):
-        pseudo_variance(MomentSequenceMeasure((1.0, 2.0, math.inf, 14.0)), 0.8)
+        pseudo_variance(MomentSeq((1.0, 2.0, math.inf, 14.0)), 0.8)
     with pytest.raises(DomainError):
-        pseudo_variance(MomentSequenceMeasure((1.0, 2.0, 5.0, 14.0)), math.nan)
+        pseudo_variance(MomentSeq((1.0, 2.0, 5.0, 14.0)), math.nan)
 
 
 def _stepped_walk_pseudo_variance(mseq, m):
@@ -453,7 +453,7 @@ def test_moment_route_walk_matches_stepped_walk():
     three_atom = AtomicMeasure((0.2, 1.0, 3.0), (0.3, 0.3, 0.4))
     laws = [moments(FP, 40), moments(TWO_ATOM, 30), moments(three_atom, 40)]
     for mseq in laws:
-        seq = MomentSequenceMeasure(mseq.values)
+        seq = MomentSeq(mseq.values)
         for m in (0.3, 0.6, 0.8, 0.9, 1.2, 1.5, 1.9, 2.4):
             try:
                 want = _stepped_walk_pseudo_variance(mseq, m)

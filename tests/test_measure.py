@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cskfam.csk import k_mean, mean_domain
 from cskfam.errors import (
     AccuracyError,
+    CskfamError,
     DomainError,
     InsufficientDataError,
     MeasureSpecError,
@@ -16,7 +18,6 @@ from cskfam.measure import (
     FreePoisson,
     MarchenkoPasturCentered,
     MomentSeq,
-    MomentSequenceMeasure,
     Semicircle,
     integrate_pieces,
     mean,
@@ -24,6 +25,7 @@ from cskfam.measure import (
     parse_measure_spec,
     quadrature_integrate,
 )
+from cskfam.transforms import cauchy_transform, m_transform, psi_integral, r_transform, theta_range
 
 from oracles import catalan, nc_moments_from_free_cumulants
 
@@ -79,7 +81,7 @@ def test_density_moments_agree_with_quadrature(nu):
 
 
 def test_moment_sequence_measure_slices_and_rejects():
-    nu = MomentSequenceMeasure((1.0, 2.0, 5.0))
+    nu = MomentSeq((1.0, 2.0, 5.0))
     assert moments(nu, 2).values == (1.0, 2.0)
     with pytest.raises(InsufficientDataError):
         moments(nu, 4)
@@ -124,7 +126,7 @@ def test_complex_integrand():
 
 def test_moment_sequence_cannot_integrate():
     with pytest.raises(InsufficientDataError):
-        quadrature_integrate(MomentSequenceMeasure((1.0, 2.0)), lambda x: x)
+        quadrature_integrate(MomentSeq((1.0, 2.0)), lambda x: x)
 
 
 def test_quadrature_failure_carries_estimate():
@@ -146,7 +148,7 @@ def test_positivity_flags():
     assert Semicircle(3.0, 1.0).is_positive
     assert not Semicircle(0.0, 1.0).is_positive
     assert not MarchenkoPasturCentered(1.0).is_positive
-    assert not MomentSequenceMeasure((1.0, 2.0)).is_positive
+    assert not MomentSeq((1.0, 2.0)).is_positive
 
 
 def test_zero_mass():
@@ -162,6 +164,18 @@ def test_atomic_validation():
         AtomicMeasure((1.0, 2.0), (0.6, 0.6))  # weights do not sum to 1
     with pytest.raises(DomainError):
         AtomicMeasure((1.0, 2.0), (-0.5, 1.5))  # negative weight
+    with pytest.raises(DomainError):
+        AtomicMeasure((0.0, 1.0), (math.nan, 1.0))  # nan weight
+    with pytest.raises(DomainError):
+        AtomicMeasure((math.nan, 1.0), (0.5, 0.5))
+    with pytest.raises(DomainError):
+        AtomicMeasure((math.inf, 1.0), (0.5, 0.5))
+
+
+def test_semicircle_parameter_bounds():
+    for center, var in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (0.0, 0.0)):
+        with pytest.raises(DomainError):
+            Semicircle(center, var)
 
 
 def test_marchenko_pastur_parameter_bounds():
@@ -209,8 +223,15 @@ def test_parse_named_with_params():
 
 def test_parse_moments_passthrough():
     nu = parse_measure_spec('{"type":"moments","values":[1,2,5,14]}')
-    assert isinstance(nu, MomentSequenceMeasure)
+    assert isinstance(nu, MomentSeq)
     assert nu.values == (1.0, 2.0, 5.0, 14.0)
+
+
+def test_parse_reports_constructor_errors_with_location():
+    with pytest.raises(MeasureSpecError) as err:
+        parse_measure_spec('{"type":"atomic","atoms":[1,2],"weights":[-0.5,1.5]}')
+    assert err.value.location == "$"
+    assert "strictly positive" in str(err.value)
 
 
 def test_parse_syntax_error_is_position_annotated():
@@ -230,6 +251,21 @@ def test_parse_syntax_error_is_position_annotated():
         ('{"type":"named","name":"marchenko_pastur_centered"}', "requires parameter"),
         ('{"type":"moments","values":[]}', "nonempty"),
         ('[1,2,3]', "object"),
+        ('{"type":["atomic"]}', "unknown type"),
+        ('{"type":"named","name":["semicircle"]}', "unknown density"),
+        ('{"type":"named","name":"semicircle","params":{"center":"abc"}}', "finite number"),
+        ('{"type":"named","name":"semicircle","params":{"center":[1]}}', "finite number"),
+        ('{"type":"named","name":"semicircle","params":{"center":"1.5"}}', "finite number"),
+        ('{"type":"named","name":"semicircle","params":{"center":true}}', "finite number"),
+        ('{"type":"named","name":"semicircle","params":{"variance":0}}', "variance"),
+        ('{"type":"named","name":"marchenko_pastur_centered","params":{"a":"0.5"}}',
+         "finite number"),
+        ('{"type":"atomic","atoms":[NaN,1],"weights":[0.5,0.5]}', "finite number"),
+        ('{"type":"atomic","atoms":[Infinity,1],"weights":[0.5,0.5]}', "finite number"),
+        ('{"type":"atomic","atoms":[1e400,1],"weights":[0.5,0.5]}', "finite number"),
+        ('{"type":"atomic","atoms":[1' + "0" * 400 + ',1],"weights":[0.5,0.5]}',
+         "finite number"),
+        ('{"type":"moments","values":[NaN,2]}', "finite number"),
     ],
 )
 def test_parse_rejections(doc, needle):
@@ -244,9 +280,45 @@ def test_supports():
     lo, hi = Semicircle(0.0, 1.0).support()
     assert (lo, hi) == (-2.0, 2.0)
     with pytest.raises(InsufficientDataError):
-        MomentSequenceMeasure((1.0,)).support()
+        MomentSeq((1.0,)).support()
 
 
 def test_mean_helper():
     assert abs(mean(FreePoisson()) - 1.0) <= 1e-12
     assert abs(mean(MarchenkoPasturCentered(0.7))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the measure protocol: every representation answers every entry point or
+# raises a typed error
+
+PROTOCOL_MEASURES = [
+    AtomicMeasure((0.5, 2.5), (0.4, 0.6)),
+    FreePoisson(),
+    Semicircle(1.0, 0.5),
+    MarchenkoPasturCentered(0.5),
+    MomentSeq((1.0, 2.0, 5.0, 14.0, 42.0, 132.0)),
+]
+
+ENTRY_POINTS = {
+    "moments": lambda nu: moments(nu, 3),
+    "quadrature_integrate": lambda nu: quadrature_integrate(nu, lambda x: x * x),
+    "cauchy_transform": lambda nu: cauchy_transform(nu, 10.0),
+    "psi_integral": lambda nu: psi_integral(nu, 0.01),
+    "m_transform": lambda nu: m_transform(nu, 0.01),
+    "k_mean": lambda nu: k_mean(nu, 0.01),
+    "mean_domain": lambda nu: mean_domain(nu),
+    "r_transform": lambda nu: r_transform(nu, 0.05),
+    "theta_range": lambda nu: theta_range(nu),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("nu", PROTOCOL_MEASURES, ids=lambda nu: nu.describe())
+def test_protocol_entry_points_answer_or_raise_typed_errors(nu, entry):
+    try:
+        value = ENTRY_POINTS[entry](nu)
+    except CskfamError:
+        assert isinstance(nu, MomentSeq)  # only a moment list lacks information
+        return
+    assert value is not None

@@ -16,7 +16,6 @@ from cskfam.measure import (
     FreePoisson,
     MarchenkoPasturCentered,
     MomentSeq,
-    MomentSequenceMeasure,
     Semicircle,
     moments,
     quadrature_integrate,
@@ -99,8 +98,8 @@ def test_g_large_z_decay():
 
 
 def test_g_moment_sequence_laurent():
-    nu = MomentSequenceMeasure(moments(FP, 20).values)
-    radius = laurent_trust_radius(nu.moment_seq())
+    nu = MomentSeq(moments(FP, 20).values)
+    radius = laurent_trust_radius(nu)
     z = 2.0 * radius
     truncated = cauchy_transform(nu, z)
     exact = cauchy_transform(FP, z)
@@ -154,6 +153,13 @@ def test_psi_g_identity():
             lhs = psi_transform(nu, z)
             rhs = cauchy_transform(nu, 1.0 / z) / z - 1.0
             assert abs(lhs - rhs) <= 1e-10
+
+
+def test_psi_off_the_real_axis():
+    z = complex(-0.5, 0.3)
+    for nu in (FP, TWO_ATOM):
+        want = quadrature_integrate(nu, lambda x: z * x / (1.0 - z * x))
+        assert abs(psi_transform(nu, z) - want) <= 1e-10
 
 
 def test_psi_free_poisson_range():
