@@ -36,6 +36,7 @@ from .csk import (
     closed_form_variance,
     csk_density_weight,
     csk_family,
+    family_row,
     k_mean,
     mean_domain,
     pseudo_variance,

@@ -197,9 +197,7 @@ def csk_cmd(spec, at_grid, out):
         rows = []
         for m in points:
             try:
-                theta = csk.psi_mean_inverse(nu, m)
-                pv = csk.pseudo_variance(nu, m)
-                v = csk.variance(nu, m)
+                theta, pv, v = csk.family_row(nu, m)
                 rows.append([_fmt(m), _fmt(theta), _fmt(pv), _fmt(v), ""])
             except CskfamError as exc:
                 rows.append([_fmt(m), "", "", "", str(exc).replace(",", ";")])

@@ -6,7 +6,9 @@ sweeping ``theta`` produces a family of measures parametrized either by
 computes the mean map and its inverse, domains of means, pseudo-variance
 and variance functions, member densities, and the transformation laws of
 the variance function under affine images, convolution powers and the
-Boolean-to-free map.
+Boolean-to-free map.  ``family_row`` gives theta, the pseudo-variance and
+the variance at one mean from a single inversion of the mean map; it is
+what ``cskfam csk`` tabulates.
 
 Everything here reads the generator through the measure protocol (mean,
 support, G and Psi) and inverts the mean map by monotone root-finding in
@@ -118,48 +120,49 @@ def k_mean(nu: Measure, theta: float) -> float:
     Strictly increasing in ``theta``; ``theta = 0`` returns the generator
     mean.  Computed as ``P/(theta*(1+P))`` with ``P = integral of
     theta*x/(1-theta*x)``, which stays stable as ``theta -> 0``.
+
+    ``1 + P``, the integral of ``1/(1 - theta*x)``, is positive, but at a
+    large unbounded ``theta`` it cancels to 0 or below in floating point;
+    the mean is lost there and NumericError is raised.
     """
     if theta == 0.0:
         return mean(nu)
     _check_theta(nu, theta)
     p = psi_integral(nu, theta)
+    if not 1.0 + p > 0.0:
+        raise NumericError(f"the mean map is lost to cancellation at theta = {theta:g}")
     return p / (theta * (1.0 + p))
 
 
 def _bracket_theta(nu: Measure, m: float, m0: float) -> tuple[float, float]:
-    """Sign-change bracket for ``k_mean(theta) = m``, expanding toward the
-    admissible endpoint."""
+    """Sign-change bracket for ``k_mean(theta) = m``.
+
+    theta walks from 0 toward the admissible endpoint on the side of ``m``:
+    doubling when that endpoint is infinite, halving the remaining distance
+    when it is finite.  A doubling walk also ends where ``k_mean`` loses the
+    mean to cancellation, since no mean it resolves reaches ``m``.
+    """
     t_lo, t_hi = theta_range(nu)
-    f = lambda t: k_mean(nu, t) - m
-    if m > m0:
-        if math.isinf(t_hi):
-            t = 1.0
-            for _ in range(80):
-                if f(t) > 0.0:
-                    return t / 2.0 if t > 1.0 else 1e-300, t
-                t *= 2.0
-            raise DomainError(f"m = {m:g} above the attainable means")
-        prev = 0.0
-        for k in range(1, 41):
-            t = t_hi * (1.0 - 2.0**-k)
-            if f(t) > 0.0:
-                return (prev if prev > 0.0 else 1e-300), t
-            prev = t
-        raise DomainError(f"m = {m:g} at or above the upper mean endpoint")
-    if math.isinf(t_lo):
-        t = -1.0
-        for _ in range(80):
-            if f(t) < 0.0:
-                return t, (t / 2.0 if t < -1.0 else -1e-300)
-            t *= 2.0
-        raise DomainError(f"m = {m:g} below the attainable means")
+    sign, end = (1.0, t_hi) if m > m0 else (-1.0, t_lo)
+    if math.isinf(end):
+        walk = (sign * 2.0**k for k in range(80))
+    else:
+        walk = (end * (1.0 - 2.0**-k) for k in range(1, 41))
     prev = 0.0
-    for k in range(1, 41):
-        t = t_lo * (1.0 - 2.0**-k)
-        if f(t) < 0.0:
-            return t, (prev if prev < 0.0 else -1e-300)
+    for t in walk:
+        try:
+            gap = sign * (k_mean(nu, t) - m)
+        except NumericError:  # lost to cancellation
+            break
+        if gap > 0.0:
+            inner = prev if prev != 0.0 else sign * 1e-300
+            return (inner, t) if sign > 0.0 else (t, inner)
         prev = t
-    raise DomainError(f"m = {m:g} at or below the lower mean endpoint")
+    side = "above" if sign > 0.0 else "below"
+    if math.isinf(end):
+        raise DomainError(f"m = {m:g} {side} the attainable means")
+    edge = "upper" if sign > 0.0 else "lower"
+    raise DomainError(f"m = {m:g} at or {side} the {edge} mean endpoint")
 
 
 def psi_mean_inverse(nu: Measure, m: float) -> float:
@@ -314,6 +317,27 @@ def _pseudo_variance_from_moments(mseq: MomentSeq, m: float) -> float:
     return m * m / root
 
 
+# Each formula below takes the mean-map root as a callable and asks for it
+# only off its special cases, so the public functions solve only when their
+# value needs the root, and family_row solves once for all three columns.
+
+
+def _pseudo_variance(nu: Measure, m: float, m0: float, theta: Callable[[], float]) -> float:
+    if m == 0.0:
+        return variance_of(nu) if abs(m0) <= _MEAN_MATCH_TOL else 0.0
+    if abs(m - m0) <= _MEAN_MATCH_TOL:
+        if abs(m0) <= _MEAN_MATCH_TOL:
+            return variance_of(nu)
+        raise DomainError("pseudo-variance diverges at a nonzero generator mean")
+    return m * (1.0 / theta() - m)
+
+
+def _variance(nu: Measure, m: float, m0: float, theta: Callable[[], float]) -> float:
+    if abs(m - m0) <= _MEAN_MATCH_TOL:
+        return variance_of(nu)
+    return (1.0 / theta() - m) * (m - m0)
+
+
 def pseudo_variance(nu: Measure, m: float) -> float:
     """Pseudo-variance ``m * (1/psi(m) - m)`` of the member with mean ``m``.
 
@@ -323,15 +347,7 @@ def pseudo_variance(nu: Measure, m: float) -> float:
     """
     if isinstance(nu, MomentSeq):
         return _pseudo_variance_from_moments(nu, m)
-    m0 = mean(nu)
-    if m == 0.0:
-        return variance_of(nu) if abs(m0) <= _MEAN_MATCH_TOL else 0.0
-    if abs(m - m0) <= _MEAN_MATCH_TOL:
-        if abs(m0) <= _MEAN_MATCH_TOL:
-            return variance_of(nu)
-        raise DomainError("pseudo-variance diverges at a nonzero generator mean")
-    theta = psi_mean_inverse(nu, m)
-    return m * (1.0 / theta - m)
+    return _pseudo_variance(nu, m, mean(nu), lambda: psi_mean_inverse(nu, m))
 
 
 def variance(nu: Measure, m: float) -> float:
@@ -346,11 +362,23 @@ def variance(nu: Measure, m: float) -> float:
             return nu.variance
         pv = _pseudo_variance_from_moments(nu, m)
         return pv * (m - m0) / m
-    m0 = mean(nu)
-    if abs(m - m0) <= _MEAN_MATCH_TOL:
-        return variance_of(nu)
+    return _variance(nu, m, mean(nu), lambda: psi_mean_inverse(nu, m))
+
+
+def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
+    """``(theta, pseudo_variance, variance)`` at mean ``m`` from one root solve.
+
+    The same values, bit for bit, and the same first error as
+    ``psi_mean_inverse``, ``pseudo_variance`` and ``variance`` called in
+    turn: the mean map is inverted once and both variances read the root.
+    A moment sequence keeps its S-series route through the three calls.
+    """
+    if isinstance(nu, MomentSeq):
+        return psi_mean_inverse(nu, m), pseudo_variance(nu, m), variance(nu, m)
     theta = psi_mean_inverse(nu, m)
-    return (1.0 / theta - m) * (m - m0)
+    m0 = mean(nu)
+    root = lambda: theta
+    return theta, _pseudo_variance(nu, m, m0, root), _variance(nu, m, m0, root)
 
 
 def _pseudo_variance_slope_at_zero(nu: Measure) -> float:

@@ -433,6 +433,8 @@ class MomentSeq(Measure):
         )
 
     def cauchy(self, z: complex) -> complex:
+        if z == 0:
+            raise SingularityError("z = 0 is the pole of the truncated Laurent series of G")
         radius = laurent_trust_radius(self)
         if abs(z) <= radius:
             warnings.warn(

@@ -67,8 +67,7 @@ def s_identity_suite() -> list[Check]:
         ws = []
         ok_interval = True
         for m in grid:
-            theta = csk.psi_mean_inverse(nu, float(m))
-            pv = csk.pseudo_variance(nu, float(m))
+            theta, pv, _ = csk.family_row(nu, float(m))
             w = m * m / pv
             ws.append(w)
             ok_interval &= delta - 1.0 < w < 0.0

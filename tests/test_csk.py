@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from cskfam import csk as csk_module
+from cskfam.cli import main
 from cskfam.csk import (
     VarianceProfile,
     affine_pseudo_variance,
@@ -17,6 +19,7 @@ from cskfam.csk import (
     closed_form_variance,
     csk_density_weight,
     csk_family,
+    family_row,
     k_mean,
     mean_domain,
     pseudo_variance,
@@ -24,7 +27,7 @@ from cskfam.csk import (
     uplus_power_variance,
     variance,
 )
-from cskfam.errors import DomainError, InsufficientDataError, NumericError
+from cskfam.errors import CskfamError, DomainError, InsufficientDataError, NumericError
 from cskfam.measure import (
     AtomicMeasure,
     FreePoisson,
@@ -110,6 +113,27 @@ def test_psi_mean_inverse_outside_domain():
         psi_mean_inverse(FP, 2.5)  # above m_plus = 2
     with pytest.raises(DomainError):
         psi_mean_inverse(FP, -0.5)  # below m_minus = 0
+
+
+@pytest.mark.parametrize(
+    "nu, m, side",
+    [
+        (TWO_ATOM, 0.5, "below"),  # lower mean endpoint 1/1.04
+        (AtomicMeasure((0.1, 0.2, 0.7), (0.1, 0.2, 0.7)), 0.25, "below"),
+        (Semicircle(3.0, 0.5), -1.5, "below"),
+        (AtomicMeasure((-2.0, -1.0), (0.5, 0.5)), 0.0, "above"),  # theta walks to +inf
+    ],
+)
+def test_psi_mean_inverse_beyond_an_unbounded_walk(nu, m, side):
+    # The theta walk toward -inf (+inf) drives 1 + Psi to 0 by cancellation
+    # before it can bracket a mean below (above) the domain.
+    with pytest.raises(DomainError, match=f"^m = {m:g} {side} the attainable means$"):
+        psi_mean_inverse(nu, m)
+
+
+def test_k_mean_lost_to_cancellation():
+    with pytest.raises(NumericError, match="cancellation"):
+        k_mean(TWO_ATOM, -1e17)
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +486,64 @@ def test_moment_route_walk_matches_stepped_walk():
                     pseudo_variance(seq, m)
             else:
                 assert pseudo_variance(seq, m) == want
+
+
+# ---------------------------------------------------------------------------
+# one row of the family table
+
+
+def _separately(nu, m):
+    """theta, PV and V from three separate calls, or the first error."""
+    try:
+        return psi_mean_inverse(nu, m), pseudo_variance(nu, m), variance(nu, m)
+    except CskfamError as exc:
+        return type(exc), str(exc)
+
+
+def _row(nu, m):
+    try:
+        return family_row(nu, m)
+    except CskfamError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(result):
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+@pytest.mark.parametrize(
+    "nu, grid",
+    [
+        # m = 0, m0 +- within the match tolerance, below and above the domain
+        (TWO_ATOM, (-1.0, 0.0, 0.5, 1.0, 1.5, 1.7, 1.7 + 5e-13, 2.0, 2.4, 2.6)),
+        (AtomicMeasure((-1.0, 0.0, 2.0), (0.25, 0.25, 0.5)), (-1.0, -0.3, 0.0, 0.5, 1.0, 3.0)),
+        (FP, (-0.5, 0.0, 0.25, 0.5, 1.0, 1.0 - 5e-13, 1.5, 1.9, 2.5)),
+        (Semicircle(), (-1.5, -0.7, -1e-13, 0.0, 1e-13, 0.7, 1.5)),
+        (Semicircle(3.0, 0.5), (-1.5, 2.9, 3.0, 3.5, 4.0)),
+        (MarchenkoPasturCentered(0.5), (-1.5, -0.5, 0.0, 0.4, 1.5, 4.0)),
+        (MarchenkoPasturCentered(1.0), (-1.2, -0.5, 0.0, 1.0, 3.0)),
+        (MomentSeq(moments(FP, 10).values), (-0.5, 0.0, 0.1, 0.5, 1.0, 1.0 + 5e-13, 1.5, 10.0)),
+        (MomentSeq((0.0, 1.0, 0.0, 2.0, 0.0, 5.0)), (-1.0, 0.0, 1e-13, 0.5)),
+        (MomentSeq((1.0,)), (0.5, 1.0)),
+    ],
+)
+def test_family_row_is_bitwise_the_three_calls(nu, grid):
+    for m in grid:
+        assert _bits(_row(nu, m)) == _bits(_separately(nu, m)), m
+
+
+def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path):
+    calls = []
+    original = csk_module.psi_mean_inverse
+
+    def counted(nu, m):
+        calls.append(m)
+        return original(nu, m)
+
+    monkeypatch.setattr(csk_module, "psi_mean_inverse", counted)
+    spec = tmp_path / "mp.json"
+    spec.write_text('{"type":"named","name":"marchenko_pastur_centered","params":{"a":0.5}}')
+    result = CliRunner().invoke(main, ["csk", "--spec", str(spec), "--at=-0.75:1.5:0.25"])
+    assert result.exit_code == 0, result.output
+    means = [-0.75 + 0.25 * i for i in range(10)]
+    assert calls == means  # one inversion per row, the generator mean included

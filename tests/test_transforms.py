@@ -66,6 +66,8 @@ def test_g_singularity_errors():
         cauchy_transform(TWO_ATOM, 2.0)
     with pytest.raises(SingularityError):
         cauchy_transform(FP, 1.0)
+    with pytest.raises(SingularityError):  # the pole of the truncated Laurent series
+        cauchy_transform(MomentSeq(moments(FP, 8).values), 0.0)
 
 
 def test_g_conjugate_symmetry():
