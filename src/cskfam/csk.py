@@ -51,6 +51,10 @@ Side = Literal["plus", "minus", "two_sided"]
 
 _MEAN_MATCH_TOL = 1e-12
 
+#: Floor on ``1 + psi_integral`` below which ``k_mean`` declares the mean
+#: lost: under it the sum has cancelled to fewer than half its digits.
+_MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class CskDescriptor:
@@ -122,24 +126,29 @@ def k_mean(nu: Measure, theta: float) -> float:
     theta*x/(1-theta*x)``, which stays stable as ``theta -> 0``.
 
     ``1 + P``, the integral of ``1/(1 - theta*x)``, is positive, but at a
-    large unbounded ``theta`` it cancels to 0 or below in floating point;
-    the mean is lost there and NumericError is raised.
+    large unbounded ``theta`` it cancels in floating point: once it is at
+    most ``sqrt(eps)`` (about 1.5e-8) fewer than half its digits are left,
+    the computed mean can fall on the wrong side of a target, and
+    NumericError is raised.  Means within about 1e-8 of the end of the
+    domain on an unbounded side are lost with them.
     """
     if theta == 0.0:
         return mean(nu)
     _check_theta(nu, theta)
     p = psi_integral(nu, theta)
-    if not 1.0 + p > 0.0:
+    if not 1.0 + p > _MEAN_MAP_FLOOR:
         raise NumericError(f"the mean map is lost to cancellation at theta = {theta:g}")
     return p / (theta * (1.0 + p))
 
 
-def _bracket_theta(nu: Measure, m: float, m0: float) -> tuple[float, float]:
-    """Sign-change bracket for ``k_mean(theta) = m``.
+def _bracket_theta(nu: Measure, mean_map: Callable[[float], float], m: float,
+                   m0: float) -> tuple[float, float]:
+    """Sign-change bracket for ``mean_map(theta) = m``, ``mean_map`` being
+    ``k_mean`` of ``nu``.
 
     theta walks from 0 toward the admissible endpoint on the side of ``m``:
     doubling when that endpoint is infinite, halving the remaining distance
-    when it is finite.  A doubling walk also ends where ``k_mean`` loses the
+    when it is finite.  A doubling walk also ends where the mean map loses the
     mean to cancellation, since no mean it resolves reaches ``m``.
     """
     t_lo, t_hi = theta_range(nu)
@@ -151,7 +160,7 @@ def _bracket_theta(nu: Measure, m: float, m0: float) -> tuple[float, float]:
     prev = 0.0
     for t in walk:
         try:
-            gap = sign * (k_mean(nu, t) - m)
+            gap = sign * (mean_map(t) - m)
         except NumericError:  # lost to cancellation
             break
         if gap > 0.0:
@@ -178,8 +187,17 @@ def psi_mean_inverse(nu: Measure, m: float) -> float:
     m0 = mean(nu)
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return 0.0
-    lo, hi = _bracket_theta(nu, m, m0)
-    return bracketed_root(lambda t: k_mean(nu, t) - m, lo, hi)
+    # The walk and Brent share one memo, so Brent's first two evaluations,
+    # at the bracket ends, reuse the walk's values.
+    memo: dict[float, float] = {}
+
+    def k(t: float) -> float:
+        if t not in memo:
+            memo[t] = k_mean(nu, t)
+        return memo[t]
+
+    lo, hi = _bracket_theta(nu, k, m, m0)
+    return bracketed_root(lambda t: k(t) - m, lo, hi)
 
 
 # ---------------------------------------------------------------------------

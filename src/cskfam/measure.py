@@ -54,13 +54,15 @@ class QuadPiece:
     """One edge-regularized integration piece of a density.
 
     Integration runs over ``u`` in ``(0, umax)`` with ``x = anchor + sign*u**2``,
-    and ``weight(u)`` already contains the density times ``|dx/du|``.
+    and ``weight(u)`` already contains the density times ``|dx/du|``.  The
+    weight maps a float to a float and is called once per quadrature node,
+    so it computes with ``math`` on Python floats, never with numpy scalars.
     """
 
     anchor: float
     sign: int
     umax: float
-    weight: Callable[[np.ndarray], np.ndarray]
+    weight: Callable[[float], float]
 
 
 class Measure:
@@ -201,10 +203,10 @@ class DensityMeasure(Measure):
         lo, hi = self.support()
         probe = f(0.5 * (lo + hi))
         if isinstance(probe, complex):
-            re = integrate_pieces(self, lambda p, u, x: p.weight(u) * f(x).real)
-            im = integrate_pieces(self, lambda p, u, x: p.weight(u) * f(x).imag)
+            re = integrate_pieces(self, lambda p: _weighted(p, lambda x: f(x).real))
+            im = integrate_pieces(self, lambda p: _weighted(p, lambda x: f(x).imag))
             return complex(re, im)
-        return integrate_pieces(self, lambda p, u, x: p.weight(u) * f(x))
+        return integrate_pieces(self, lambda p: _weighted(p, f))
 
     def cauchy(self, z: complex) -> complex:
         lo, hi = self.support()
@@ -219,11 +221,12 @@ class DensityMeasure(Measure):
             return _cauchy_density(self, 1.0 / theta) / theta - 1.0
         hint = _edge_points_hint(lambda p: 1.0 / theta - p.anchor)
 
-        def g(p, u, x):
-            # theta*x/(1-theta*x) = x / (1/theta - x), stable at edges
-            return p.weight(u) * x / ((1.0 / theta - p.anchor) - p.sign * u * u)
+        def kernel(p):
+            # theta*x/(1-theta*x) = x / ((1/theta - anchor) - sign*u**2), stable at edges
+            w, a, s, c = p.weight, p.anchor, p.sign, 1.0 / theta - p.anchor
+            return lambda u: w(u) * (a + s * u * u) / (c - s * u * u)
 
-        return integrate_pieces(self, g, hint)
+        return integrate_pieces(self, kernel, hint)
 
 
 @dataclass(frozen=True)
@@ -258,9 +261,10 @@ class Semicircle(DensityMeasure):
     def pieces(self) -> list[QuadPiece]:
         r, v = self.radius, self.variance
         umax = math.sqrt(r)
+        two_r, pi_v = 2.0 * r, math.pi * v
 
         def w(u):
-            return u * u * np.sqrt(2.0 * r - u * u) / (math.pi * v)
+            return u * u * math.sqrt(two_r - u * u) / pi_v
 
         lo, hi = self.support()
         return [QuadPiece(lo, +1, umax, w), QuadPiece(hi, -1, umax, w)]
@@ -314,12 +318,13 @@ class MarchenkoPasturCentered(DensityMeasure):
         # 1 + a*x at x = lo + u**2 is (1-a)**2 + a*u**2; at x = hi - u**2 it is
         # (1+a)**2 - a*u**2.  Both forms are exact where the naive expression
         # cancels catastrophically (|a| = 1 near the singular edge).
+        c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
 
         def w_lo(u):
-            return u * u * np.sqrt(4.0 - u * u) / (math.pi * ((1.0 - a) ** 2 + a * u * u))
+            return u * u * math.sqrt(4.0 - u * u) / (math.pi * (c_lo + a * u * u))
 
         def w_hi(u):
-            return u * u * np.sqrt(4.0 - u * u) / (math.pi * ((1.0 + a) ** 2 - a * u * u))
+            return u * u * math.sqrt(4.0 - u * u) / (math.pi * (c_hi - a * u * u))
 
         return [QuadPiece(lo, +1, _SQRT2, w_lo), QuadPiece(hi, -1, _SQRT2, w_hi)]
 
@@ -354,10 +359,10 @@ class FreePoisson(DensityMeasure):
 
     def pieces(self) -> list[QuadPiece]:
         def w_lo(u):
-            return np.sqrt(4.0 - u * u) / math.pi
+            return math.sqrt(4.0 - u * u) / math.pi
 
         def w_hi(u):
-            return u * u / (math.pi * np.sqrt(4.0 - u * u))
+            return u * u / (math.pi * math.sqrt(4.0 - u * u))
 
         return [QuadPiece(0.0, +1, _SQRT2, w_lo), QuadPiece(4.0, -1, _SQRT2, w_hi)]
 
@@ -485,11 +490,16 @@ def laurent_trust_radius(m: MomentSeq) -> float:
 
 
 def _quad(f, lo: float, hi: float, points=None) -> float:
+    # The integrands compute on Python floats, which raise where numpy would
+    # warn and return inf: a node that lands on a pole of the integrand.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, estimate = integrate.quad(
-            f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12, limit=400, points=points
-        )
+        try:
+            value, estimate = integrate.quad(
+                f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12, limit=400, points=points
+            )
+        except ZeroDivisionError as exc:
+            raise SingularityError("a quadrature node fell on a pole of the integrand") from exc
     if estimate > max(QUAD_ABS_TOL, 1e-9 * abs(value)):
         raise AccuracyError(
             f"quadrature error estimate {estimate:.3e} exceeds tolerance", best_estimate=value
@@ -497,21 +507,35 @@ def _quad(f, lo: float, hi: float, points=None) -> float:
     return value
 
 
-def integrate_pieces(nu: DensityMeasure, g, points_hint=None) -> float:
-    """Integrate ``g(u, x)`` over the density pieces of ``nu``.
+def integrate_pieces(
+    nu: DensityMeasure,
+    kernel: Callable[[QuadPiece], Callable[[float], float]],
+    points_hint: Callable[[QuadPiece], tuple[float, ...]] | None = None,
+) -> float:
+    """Sum over the density pieces of ``nu`` of the integral of ``kernel(piece)``.
 
-    ``g`` receives the substitution variable ``u`` and the original
-    coordinate ``x = anchor + sign*u**2``; it must already include the piece
-    weight.  This is the edge-stable entry point of every density method.
+    ``kernel(piece)`` returns the piece's integrand ``f(u)`` of the
+    substitution variable ``u``, where the original coordinate is
+    ``x = anchor + sign*u**2``; ``f`` must already include the piece weight.
+    ``f`` is called once per quadrature node, so ``kernel`` computes the
+    piece's constants once and ``f`` works on Python floats.
+    ``points_hint(piece)`` proposes break points in ``u``; those inside
+    ``(0, umax)`` are passed to the quadrature.  This is the edge-stable
+    entry point of every density method.
     """
     total = 0.0
     for piece in nu.pieces():
-        anchor, sign, umax = piece.anchor, piece.sign, piece.umax
         pts = None
         if points_hint is not None:
-            pts = [p for p in points_hint(piece) if 0.0 < p < umax] or None
-        total += _quad(lambda u: g(piece, u, anchor + sign * u * u), 0.0, umax, points=pts)
+            pts = [p for p in points_hint(piece) if 0.0 < p < piece.umax] or None
+        total += _quad(kernel(piece), 0.0, piece.umax, points=pts)
     return total
+
+
+def _weighted(piece: QuadPiece, f) -> Callable[[float], float]:
+    """The integrand ``weight(u) * f(x)`` of ``f`` on one piece."""
+    w, a, s = piece.weight, piece.anchor, piece.sign
+    return lambda u: w(u) * f(a + s * u * u)
 
 
 def _edge_points_hint(dz_of_piece):
@@ -531,19 +555,32 @@ def _cauchy_density(nu: DensityMeasure, z: complex) -> complex:
     if z.imag == 0.0:
         zr = z.real
         hint = _edge_points_hint(lambda p: zr - p.anchor)
-        val = integrate_pieces(
-            nu, lambda p, u, x: p.weight(u) / ((zr - p.anchor) - p.sign * u * u), hint
-        )
-        return complex(val, 0.0)
-    re = integrate_pieces(
-        nu, lambda p, u, x: p.weight(u) * ((z - p.anchor) - p.sign * u * u).real
-        / abs((z - p.anchor) - p.sign * u * u) ** 2
-    )
-    im = integrate_pieces(
-        nu, lambda p, u, x: -p.weight(u) * ((z - p.anchor) - p.sign * u * u).imag
-        / abs((z - p.anchor) - p.sign * u * u) ** 2
-    )
-    return complex(re, im)
+
+        def kernel(p):
+            w, s, c = p.weight, p.sign, zr - p.anchor
+            return lambda u: w(u) / (c - s * u * u)
+
+        return complex(integrate_pieces(nu, kernel, hint), 0.0)
+
+    def re_kernel(p):
+        w, s, c = p.weight, p.sign, z - p.anchor
+
+        def f(u):
+            d = c - s * u * u
+            return w(u) * d.real / abs(d) ** 2
+
+        return f
+
+    def im_kernel(p):
+        w, s, c = p.weight, p.sign, z - p.anchor
+
+        def f(u):
+            d = c - s * u * u
+            return -w(u) * d.imag / abs(d) ** 2
+
+        return f
+
+    return complex(integrate_pieces(nu, re_kernel), integrate_pieces(nu, im_kernel))
 
 
 def quadrature_integrate(nu: Measure, f) -> float | complex:

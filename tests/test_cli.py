@@ -14,13 +14,17 @@ def _invoke(args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
+_MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 1)
+
 # Golden files were written by earlier versions of the CLI: the first five
 # before the measure protocol existed, the two edge tables before the
-# row function (csk.family_row) did.  Every later version must reproduce
-# them byte for byte.  The rows at m = 2.5 and m = 10 of
-# csk_catalan_moments.csv pin a known defect: they lie outside the domain of
-# means (0, 2) of free Poisson, yet the moment route answers there.  They are
-# expected to become error rows when that route checks its domain.
+# row function (csk.family_row) did, and the Marchenko-Pastur, semicircle,
+# M, Psi and near-edge G tables before the per-piece quadrature integrands.
+# Every later version must reproduce them byte for byte.  The rows at
+# m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known defect: they lie
+# outside the domain of means (0, 2) of free Poisson, yet the moment route
+# answers there.  They are expected to become error rows when that route
+# checks its domain.
 GOLDEN_CASES = {
     "csk_free_poisson.csv": ["csk", "--spec", GOLDEN / "free_poisson.json",
                              "--at", "0.25:2.5:0.25"],
@@ -36,6 +40,19 @@ GOLDEN_CASES = {
                               "--op", "boxtimes", "--power", "2", "--order", "8"],
     "transform_g.csv": ["transform", "--spec", GOLDEN / "semicircle.json",
                         "--which", "G", "--grid=-2,0,1,2.5,3,4.5"],
+    "csk_mp_a1.csv": ["csk", "--spec", GOLDEN / "mp_a1.json", f"--at={_MP_MEANS}"],
+    "csk_mp_a025.csv": ["csk", "--spec", GOLDEN / "mp_a025.json", f"--at={_MP_MEANS}"],
+    "csk_mp_a15_16.csv": ["csk", "--spec", GOLDEN / "mp_a15_16.json", f"--at={_MP_MEANS}"],
+    "csk_semicircle.csv": ["csk", "--spec", GOLDEN / "semicircle.json",
+                           "--at", "0,0.3,0.5,0.9,1,1.2,1.5,1.7,2"],
+    "transform_m_mp.csv": ["transform", "--spec", GOLDEN / "mp_a1.json", "--which", "M",
+                           "--grid=-1.5,-0.99,-0.5,-0.1,0,0.1,0.3,0.33,0.5"],
+    "transform_psi_free_poisson.csv": ["transform", "--spec", GOLDEN / "free_poisson.json",
+                                       "--which", "Psi",
+                                       "--grid=-10,-1,-0.01,0.1,0.2,0.24,0.249,0.3"],
+    # arguments within 0.5 of a support edge add break points to the quadrature
+    "transform_g_edges.csv": ["transform", "--spec", GOLDEN / "free_poisson.json",
+                              "--which", "G", "--grid=-0.4,-0.05,-0.001,2,4.001,4.05,4.4"],
 }
 
 
@@ -58,6 +75,10 @@ def test_golden_output_on_stdout_matches_file():
     [
         ('{"type":"atomic","atoms":[0.5,2.5],"weights":[0.4,0.6]}', "0.5"),
         ('{"type":"named","name":"semicircle","params":{"center":3,"variance":0.5}}', "-1.5"),
+        # just below the lower mean endpoint 2.823: rounding in 1 + Psi once
+        # made the theta walk stop at theta ~ -2e15 and answer
+        ('{"type":"named","name":"semicircle","params":{"center":3,"variance":0.5}}', "2"),
+        ('{"type":"named","name":"semicircle","params":{"center":3,"variance":0.5}}', "2.5"),
     ],
 )
 def test_csk_mean_below_domain_is_an_error_row(doc, m, tmp_path):

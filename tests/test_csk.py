@@ -122,11 +122,17 @@ def test_psi_mean_inverse_outside_domain():
         (AtomicMeasure((0.1, 0.2, 0.7), (0.1, 0.2, 0.7)), 0.25, "below"),
         (Semicircle(3.0, 0.5), -1.5, "below"),
         (AtomicMeasure((-2.0, -1.0), (0.5, 0.5)), 0.0, "above"),  # theta walks to +inf
+        # just below the domain: without the sqrt(eps) floor of k_mean the
+        # walk stopped on a sign change made by rounding, at |theta| ~ 1e13-1e15
+        (TWO_ATOM, 0.9605, "below"),
+        (Semicircle(3.0, 0.5), 2.0, "below"),  # lower mean endpoint 2.823
+        (Semicircle(3.0, 0.5), 2.4, "below"),
+        (Semicircle(3.0, 0.5), 2.6, "below"),
     ],
 )
 def test_psi_mean_inverse_beyond_an_unbounded_walk(nu, m, side):
-    # The theta walk toward -inf (+inf) drives 1 + Psi to 0 by cancellation
-    # before it can bracket a mean below (above) the domain.
+    # The theta walk toward -inf (+inf) drives 1 + Psi below sqrt(eps) by
+    # cancellation before it can bracket a mean below (above) the domain.
     with pytest.raises(DomainError, match=f"^m = {m:g} {side} the attainable means$"):
         psi_mean_inverse(nu, m)
 
@@ -134,6 +140,42 @@ def test_psi_mean_inverse_beyond_an_unbounded_walk(nu, m, side):
 def test_k_mean_lost_to_cancellation():
     with pytest.raises(NumericError, match="cancellation"):
         k_mean(TWO_ATOM, -1e17)
+
+
+def test_k_mean_floor_on_one_plus_psi():
+    # 1 + Psi(theta) is about 1.04/|theta| for TWO_ATOM at large negative theta:
+    # 6.2e-8 at -2**24 (kept) and 7.7e-9 at -2**27, under sqrt(eps) = 1.49e-8
+    lower_end = 1.0 / (0.4 / 0.5 + 0.6 / 2.5)
+    assert lower_end < k_mean(TWO_ATOM, -2.0**24) < lower_end + 1e-6
+    with pytest.raises(NumericError, match="cancellation"):
+        k_mean(TWO_ATOM, -2.0**27)
+
+
+@pytest.mark.parametrize(
+    "nu, means",
+    [
+        (FP, (0.05, 0.5, 1.5, 1.99)),
+        (MarchenkoPasturCentered(0.5), (-0.9, -0.2, 0.4, 0.95)),
+        (Semicircle(1.0, 0.5), (0.35, 0.8, 1.3, 1.65)),
+        (TWO_ATOM, (1.0, 1.5, 2.0, 2.3)),
+    ],
+    ids=lambda v: v.describe() if hasattr(v, "describe") else None,
+)
+def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, monkeypatch):
+    thetas = []
+    original = csk_module.k_mean
+
+    def recorded(nu_, theta):
+        thetas.append(theta)
+        return original(nu_, theta)
+
+    monkeypatch.setattr(csk_module, "k_mean", recorded)
+    for m in means:
+        thetas.clear()
+        theta = psi_mean_inverse(nu, m)
+        assert len(thetas) == len(set(thetas)), f"repeated theta at m = {m}"
+        assert theta in thetas  # Brent's answer is a point it evaluated
+        assert abs(original(nu, theta) - m) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from cskfam.errors import (
     DomainError,
     InsufficientDataError,
     MeasureSpecError,
+    SingularityError,
 )
 from cskfam.measure import (
     AtomicMeasure,
@@ -75,7 +76,9 @@ def test_semicircle_moments():
 def test_density_moments_agree_with_quadrature(nu):
     got = moments(nu, 8).values
     quad = [
-        integrate_pieces(nu, lambda p, u, x, n=n: p.weight(u) * x**n) for n in range(1, 9)
+        integrate_pieces(
+            nu, lambda p, n=n: lambda u: p.weight(u) * (p.anchor + p.sign * u * u) ** n)
+        for n in range(1, 9)
     ]
     np.testing.assert_allclose(got, quad, atol=1e-10, rtol=1e-10)
 
@@ -133,8 +136,19 @@ def test_quadrature_failure_carries_estimate():
     # integrand with a non-integrable endpoint blowup in u
     nu = FreePoisson()
     with pytest.raises(AccuracyError) as err:
-        integrate_pieces(nu, lambda p, u, x: p.weight(u) / u**2.5)
+        integrate_pieces(nu, lambda p: lambda u: p.weight(u) / u**2.5)
     assert err.value.best_estimate is not None
+
+
+@pytest.mark.parametrize(
+    "nu, theta",
+    [(FreePoisson(), 0.9), (Semicircle(3.0, 0.5), 0.33), (MarchenkoPasturCentered(-1.0), -50.0)],
+)
+def test_quadrature_node_on_a_pole_is_a_singularity(nu, theta):
+    # 1/theta lies inside the support and a node lands exactly on the pole
+    # of x/(1/theta - x): a typed error, not inf
+    with pytest.raises(SingularityError, match="pole"):
+        psi_integral(nu, theta)
 
 
 # ---------------------------------------------------------------------------

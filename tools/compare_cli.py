@@ -1,0 +1,110 @@
+"""Compare the CLI output of two source checkouts on the benchmark jobs.
+
+    python3 tools/compare_cli.py PARENT CHANGE [--workload W[,W...]] [--seeds 201,7919]
+
+For each seed, the jobs of each workload are generated with ``bench/jobs.py``
+of this checkout, exactly as ``bench/run.py`` generates them (same spec
+files, same arguments).  Each checkout then runs every job through
+``cskfam.cli.main`` in one fresh interpreter whose ``sys.path`` starts with
+that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
+code differ and exits 1 on any difference, 0 when all agree.  The default
+workload list is every workload of ``bench/jobs.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import jobs as J  # noqa: E402
+
+# Runs in the fresh interpreter: argv is SRC JOBS RESULT.  A job that raises
+# is exit code 1, as in the benchmark worker; its traceback goes to stderr.
+_RUNNER = """
+import json, sys, traceback
+sys.path.insert(0, sys.argv[1])
+from cskfam.cli import main
+with open(sys.argv[2], encoding="utf-8") as fh:
+    jobs = json.load(fh)
+codes = []
+for job in jobs:
+    try:
+        main(job["args"] + ["--out", job["out"]], standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 1
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    codes.append(code)
+with open(sys.argv[3], "w", encoding="utf-8") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def run_checkout(checkout: Path, jobs: list[dict], outdir: Path) -> list[tuple[int, bytes]]:
+    """Exit code and CSV bytes of every job, run by ``checkout``'s sources."""
+    outdir.mkdir()
+    runs = [dict(job, out=str(outdir / f"job{i}.csv")) for i, job in enumerate(jobs)]
+    jobs_path, result_path = outdir / "jobs.json", outdir / "codes.json"
+    jobs_path.write_text(json.dumps(runs), encoding="utf-8")
+    subprocess.run([sys.executable, "-c", _RUNNER, str(checkout / "src"), str(jobs_path),
+                    str(result_path)], check=True)
+    codes = json.loads(result_path.read_text(encoding="utf-8"))
+    out = []
+    for code, job in zip(codes, runs):
+        path = Path(job["out"])
+        out.append((code, path.read_bytes() if path.exists() else b""))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", default=",".join(J.WORKLOADS))
+    parser.add_argument("--seeds", default="201,7919")
+    args = parser.parse_args(argv)
+    workloads = args.workload.split(",")
+    unknown = [w for w in workloads if w not in J.WORKLOADS]
+    if unknown:
+        parser.error(f"unknown workload {unknown}; choose from {sorted(J.WORKLOADS)}")
+    for checkout in (args.parent, args.change):
+        if not (checkout / "src" / "cskfam" / "cli.py").is_file():
+            parser.error(f"no cskfam sources under {checkout / 'src'}")
+
+    compared, differ = 0, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        jobs, labels = [], []
+        for seed in (int(s) for s in args.seeds.split(",")):
+            for name in workloads:
+                workdir = tmp / f"{name}-{seed}"
+                workdir.mkdir()
+                for i, job in enumerate(J.WORKLOADS[name](random.Random(seed), workdir)):
+                    jobs.append({"args": job.args})
+                    labels.append(f"{name} seed {seed} job {i} ({job.kind})")
+        parent = run_checkout(args.parent.resolve(), jobs, tmp / "parent")
+        change = run_checkout(args.change.resolve(), jobs, tmp / "change")
+        for label, (pcode, pout), (ccode, cout) in zip(labels, parent, change):
+            compared += 1
+            if pcode != ccode:
+                differ += 1
+                print(f"DIFFER {label}: exit code {pcode} -> {ccode}")
+            elif pout != cout:
+                differ += 1
+                print(f"DIFFER {label}: CSV bytes differ")
+    print(f"{compared} jobs compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
