@@ -131,12 +131,27 @@ def transform(spec, which, grid, out):
         raise _fail(exc)
 
 
+_PAIR_OPS = {"boxplus": conv.boxplus, "uplus": conv.uplus, "boxtimes": conv.boxtimes}
+_POWER_OPS = {"boxplus": conv.boxplus_power, "uplus": conv.uplus_power,
+              "boxtimes": conv.boxtimes_power, "bt": conv.bp_transform}
+
+
+def _operand(path: str, op: str, order: int) -> tuple[Measure, MomentSeq]:
+    """Load one operand and its moments; boxtimes needs a positive measure
+    (a moment list cannot certify positivity, so it is taken as given)."""
+    nu = _load_measure(path)
+    m_nu = moments(nu, order)
+    if op == "boxtimes" and not isinstance(nu, MomentSeq) and not nu.is_positive:
+        raise CskfamError("boxtimes requires measures supported on [0, inf)")
+    return nu, m_nu
+
+
 @main.command()
 @click.option("--spec", required=True, type=click.Path(), help="First measure-spec file.")
 @click.option("--spec2", default=None, type=click.Path(), help="Second measure-spec file.")
 @click.option("--power", default=None, type=float,
               help="Convolution power (or map parameter t for op=bt).")
-@click.option("--op", required=True, type=click.Choice(["boxplus", "uplus", "boxtimes", "bt"]))
+@click.option("--op", required=True, type=click.Choice(list(_POWER_OPS)))
 @click.option("--order", default=DEFAULT_ORDER, show_default=True,
               help="Moment order of the computation.")
 @click.option("--out", default=None, type=click.Path())
@@ -144,34 +159,16 @@ def convolve(spec, spec2, power, op, order, out):
     """Convolve two measures, or apply a convolution power, at moment level."""
     if (spec2 is None) == (power is None):
         raise click.UsageError("provide exactly one of --spec2 or --power")
+    if spec2 is not None and op not in _PAIR_OPS:
+        raise click.UsageError("op=bt takes --power (the parameter t), not --spec2")
     try:
-        nu = _load_measure(spec)
-        m_nu = moments(nu, order)
-        if op == "boxtimes" and not isinstance(nu, MomentSeq) and not nu.is_positive:
-            raise CskfamError("boxtimes requires measures supported on [0, inf)")
+        nu, m_nu = _operand(spec, op, order)
         if spec2 is not None:
-            other = _load_measure(spec2)
-            m_other = moments(other, order)
-            if op == "boxtimes" and not isinstance(other, MomentSeq) and not other.is_positive:
-                raise CskfamError("boxtimes requires measures supported on [0, inf)")
-            if op == "boxplus":
-                result = conv.boxplus(m_nu, m_other)
-            elif op == "uplus":
-                result = conv.uplus(m_nu, m_other)
-            elif op == "boxtimes":
-                result = conv.boxtimes(m_nu, m_other)
-            else:
-                raise click.UsageError("op=bt takes --power (the parameter t), not --spec2")
+            other, m_other = _operand(spec2, op, order)
+            result = _PAIR_OPS[op](m_nu, m_other)
             config = f"specs,{nu.describe()},{other.describe()}"
         else:
-            if op == "boxplus":
-                result = conv.boxplus_power(m_nu, power)
-            elif op == "uplus":
-                result = conv.uplus_power(m_nu, power)
-            elif op == "boxtimes":
-                result = conv.boxtimes_power(m_nu, power)
-            else:
-                result = conv.bp_transform(m_nu, power)
+            result = _POWER_OPS[op](m_nu, power)
             config = f"spec,{nu.describe()},power,{_fmt(power)}"
         rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
         _emit(out, [f"convolve,{op}", config, f"order,{order}"],

@@ -11,11 +11,14 @@ the variance at one mean from a single inversion of the mean map; it is
 what ``cskfam csk`` tabulates.
 
 Everything here reads the generator through the measure protocol (mean,
-support, G and Psi) and inverts the mean map by monotone root-finding in
-``theta``.  The one exception is a moment sequence: its truncated power
-series of Psi diverges at the relevant ``theta``, so its mean map is
-inverted on the reverted S-series, which converges regardless of the
-unknown support radius.
+support, G and Psi), and each quantity has one formula for every
+representation: both ends of the domain of means are ``edge - 1/G(edge)``,
+and the pseudo-variance and variance are read off the mean-map root
+``theta``.  Only ``psi_mean_inverse`` picks a route by representation: it
+inverts the mean map by monotone root-finding in ``theta``, except for a
+moment sequence, whose truncated power series of Psi diverges at the
+relevant ``theta``; that root comes from the reverted S-series, which
+converges regardless of the unknown support radius.
 """
 
 from __future__ import annotations
@@ -175,18 +178,21 @@ def _bracket_theta(nu: Measure, mean_map: Callable[[float], float], m: float,
 
 
 def psi_mean_inverse(nu: Measure, m: float) -> float:
-    """The kernel parameter whose family member has mean ``m``."""
-    if isinstance(nu, MomentSeq):
-        m0 = nu.values[0]
-        if abs(m - m0) <= _MEAN_MATCH_TOL:
-            return 0.0
-        if m == 0.0:
-            raise DomainError("moment-sequence inversion needs a nonzero target mean")
-        pv = _pseudo_variance_from_moments(nu, m)
-        return 1.0 / (m + pv / m)
+    """The kernel parameter whose family member has mean ``m``.
+
+    The one place that picks a route by representation.  A moment
+    sequence's truncated series of Psi diverges at the relevant ``theta``,
+    so its root comes from the reverted S-series: ``theta = 1/(m + PV/m)``
+    with the pseudo-variance read off the S-series root.  Every other
+    measure is inverted by a bracket walk and Brent on ``k_mean``.
+    """
     m0 = mean(nu)
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return 0.0
+    if isinstance(nu, MomentSeq):
+        if m == 0.0:
+            raise DomainError("moment-sequence inversion needs a nonzero target mean")
+        return 1.0 / (m + _pseudo_variance_from_moments(nu, m) / m)
     # The walk and Brent share one memo, so Brent's first two evaluations,
     # at the bracket ends, reuse the walk's values.
     memo: dict[float, float] = {}
@@ -204,59 +210,30 @@ def psi_mean_inverse(nu: Measure, m: float) -> float:
 # mean-domain endpoints
 
 
-def _aitken(seq: np.ndarray) -> np.ndarray:
-    out = []
-    for i in range(len(seq) - 2):
-        d = seq[i + 2] - 2.0 * seq[i + 1] + seq[i]
-        if d == 0.0:
-            out.append(seq[i + 2])
-        else:
-            out.append(seq[i + 2] - (seq[i + 2] - seq[i + 1]) ** 2 / d)
-    return np.asarray(out)
-
-
-def _upper_mean_endpoint(nu: Measure) -> float:
-    """``m_plus = B - lim_{z -> B+} 1/G(z)`` by geometric-sequence extrapolation.
-
-    The limit is approached along ``B + 10**-k`` for ``k = 2..8``; two Aitken
-    passes remove the leading square-root (or geometric) error term.
-    Declared failed when the accelerated estimates still differ by more
-    than 1e-6.
-    """
-    _, big = support_bounds(nu)
-    scale = max(1.0, abs(big))
-    seq = np.array(
-        [big - 1.0 / cauchy_transform(nu, big + scale * 10.0**-k).real for k in range(2, 9)]
-    )
-    acc = _aitken(_aitken(seq))
-    if abs(acc[-1] - acc[-2]) > 1e-6:
-        raise NumericError(
-            f"upper mean endpoint failed to converge: last estimates {acc[-2]!r}, {acc[-1]!r}"
-        )
-    return float(acc[-1])
-
-
-def _lower_mean_endpoint(nu: Measure) -> float:
-    """``m_minus = b - 1/G(b)``, with ``m_minus = b`` when G diverges at b."""
-    b, _ = support_bounds(nu)
-    if b == nu.support()[0] and nu.lower_edge_singular:
-        return b
-    return b - 1.0 / cauchy_transform(nu, b).real
+def _mean_endpoint(nu: Measure, upper: bool) -> float:
+    """``edge - 1/G(edge)`` at the lower or upper end ``edge`` of
+    :func:`support_bounds`; ``edge`` itself when G diverges there."""
+    edge = support_bounds(nu)[upper]
+    singular = nu.upper_edge_singular if upper else nu.lower_edge_singular
+    if singular and edge == nu.support()[upper]:
+        return edge
+    return edge - 1.0 / cauchy_transform(nu, edge).real
 
 
 def mean_domain(nu: Measure, side: Side = "two_sided") -> tuple[float, float]:
     """Open interval of attainable means on the requested side.
 
-    Needs the support, so a moment sequence raises InsufficientDataError.
+    Each end is ``m = edge - 1/G(edge)`` at the matching end of
+    :func:`support_bounds` (Bryc & Hassairi, "One-sided Cauchy-Stieltjes
+    kernel families", 2011), and ``edge`` itself where G diverges.  Needs
+    the support, so a moment sequence raises InsufficientDataError.
     """
     if side not in ("plus", "minus", "two_sided"):
         raise DomainError(f"unknown side {side!r}")
     m0 = mean(nu)
-    if side == "plus":
-        return m0, _upper_mean_endpoint(nu)
-    if side == "minus":
-        return _lower_mean_endpoint(nu), m0
-    return _lower_mean_endpoint(nu), _upper_mean_endpoint(nu)
+    lo = m0 if side == "plus" else _mean_endpoint(nu, upper=False)
+    hi = m0 if side == "minus" else _mean_endpoint(nu, upper=True)
+    return lo, hi
 
 
 def csk_family(nu: Measure, side: Side = "two_sided") -> CskDescriptor:
@@ -363,8 +340,6 @@ def pseudo_variance(nu: Measure, m: float) -> float:
     generator variance when the generator mean is 0, and 0 otherwise.
     Diverges at the generator mean when that mean is nonzero.
     """
-    if isinstance(nu, MomentSeq):
-        return _pseudo_variance_from_moments(nu, m)
     return _pseudo_variance(nu, m, mean(nu), lambda: psi_mean_inverse(nu, m))
 
 
@@ -374,12 +349,6 @@ def variance(nu: Measure, m: float) -> float:
     Evaluated as ``(1/psi(m) - m) * (m - m0)``, which stays regular at
     ``m = 0``; at the generator mean it returns the generator variance.
     """
-    if isinstance(nu, MomentSeq):
-        m0 = nu.values[0]
-        if abs(m - m0) <= _MEAN_MATCH_TOL:
-            return nu.variance
-        pv = _pseudo_variance_from_moments(nu, m)
-        return pv * (m - m0) / m
     return _variance(nu, m, mean(nu), lambda: psi_mean_inverse(nu, m))
 
 
@@ -388,11 +357,10 @@ def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
 
     The same values, bit for bit, and the same first error as
     ``psi_mean_inverse``, ``pseudo_variance`` and ``variance`` called in
-    turn: the mean map is inverted once and both variances read the root.
-    A moment sequence keeps its S-series route through the three calls.
+    turn: the mean map is inverted once, by whichever route
+    ``psi_mean_inverse`` takes for the representation, and both variances
+    read that root.
     """
-    if isinstance(nu, MomentSeq):
-        return psi_mean_inverse(nu, m), pseudo_variance(nu, m), variance(nu, m)
     theta = psi_mean_inverse(nu, m)
     m0 = mean(nu)
     root = lambda: theta

@@ -2,7 +2,9 @@
 
 Every generating measure is a :class:`Measure` and implements one protocol:
 ``moments``, ``integrate``, ``cauchy`` (G), ``psi_integral``, ``support``,
-``theta_range`` and the flag ``lower_edge_singular``.  Atomic measures
+``theta_range`` and the flags ``lower_edge_singular`` and
+``upper_edge_singular``, which say where G diverges at an end of the
+support (the mean-domain formula needs it there).  Atomic measures
 answer with exact weighted sums; the named densities (semicircle, centered
 Marchenko-Pastur, free Poisson) with adaptive quadrature, and take their
 moments from their exact free cumulants.  A :class:`MomentSeq` is known
@@ -27,7 +29,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -71,6 +73,8 @@ class Measure:
     #: True when the Cauchy transform is infinite at the lowest support
     #: point: an atom there, or an inverse-square-root density edge.
     lower_edge_singular: bool = False
+    #: The same at the highest support point.
+    upper_edge_singular: bool = False
 
     @property
     def is_positive(self) -> bool:
@@ -110,7 +114,9 @@ class Measure:
         """``integral of theta*x / (1 - theta*x)`` at ``theta != 0``.
 
         Positive measures also take a complex ``theta`` off the real axis
-        (the Psi transform).
+        (the Psi transform).  A real ``theta`` whose pole ``1/theta`` meets
+        the support (an atom, or the closed support of a density) raises
+        SingularityError.
         """
         raise NotImplementedError
 
@@ -126,6 +132,7 @@ class AtomicMeasure(Measure):
     weights: tuple[float, ...]
 
     lower_edge_singular = True  # the lowest point is an atom
+    upper_edge_singular = True  # so is the highest
 
     def __post_init__(self):
         atoms = tuple(float(a) for a in self.atoms)
@@ -172,6 +179,8 @@ class AtomicMeasure(Measure):
         return sum(w / (z - a) for a, w in zip(self.atoms, self.weights))
 
     def psi_integral(self, theta: float | complex) -> float | complex:
+        if any(theta * a == 1.0 for a in self.atoms):
+            raise SingularityError(f"the pole 1/theta = {1.0 / theta:g} is an atom of the measure")
         return sum(w * theta * a / (1.0 - theta * a) for a, w in zip(self.atoms, self.weights))
 
     def describe(self) -> str:
@@ -189,8 +198,13 @@ class DensityMeasure(Measure):
     def density(self, x: float) -> float:
         raise NotImplementedError
 
-    def pieces(self) -> list[QuadPiece]:
+    def _pieces(self) -> list[QuadPiece]:
         raise NotImplementedError
+
+    @cached_property
+    def pieces(self) -> tuple[QuadPiece, ...]:
+        """The edge-regularized integration pieces, built once per measure."""
+        return tuple(self._pieces())
 
     def free_cumulants(self, order: int) -> tuple[float, ...]:
         """Exact free cumulants ``k1..k_order``; the moment source."""
@@ -219,6 +233,11 @@ class DensityMeasure(Measure):
         if isinstance(theta, complex):
             # zx/(1-zx) = -1 + (1/z)/(1/z - x) pointwise; reuse the stable G kernel
             return _cauchy_density(self, 1.0 / theta) / theta - 1.0
+        lo, hi = self.support()
+        if lo <= 1.0 / theta <= hi:
+            raise SingularityError(
+                f"the pole 1/theta = {1.0 / theta:g} lies in the support [{lo:g}, {hi:g}]"
+            )
         hint = _edge_points_hint(lambda p: 1.0 / theta - p.anchor)
 
         def kernel(p):
@@ -258,7 +277,7 @@ class Semicircle(DensityMeasure):
         d = r * r - (x - self.center) ** 2
         return math.sqrt(d) / (2.0 * math.pi * self.variance) if d > 0.0 else 0.0
 
-    def pieces(self) -> list[QuadPiece]:
+    def _pieces(self) -> list[QuadPiece]:
         r, v = self.radius, self.variance
         umax = math.sqrt(r)
         two_r, pi_v = 2.0 * r, math.pi * v
@@ -300,6 +319,10 @@ class MarchenkoPasturCentered(DensityMeasure):
         return self.a == 1.0
 
     @property
+    def upper_edge_singular(self) -> bool:
+        return self.a == -1.0
+
+    @property
     def is_positive(self) -> bool:
         return False  # support (a-2, a+2) always reaches below 0
 
@@ -312,7 +335,7 @@ class MarchenkoPasturCentered(DensityMeasure):
             return 0.0
         return math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi * (1.0 + self.a * x))
 
-    def pieces(self) -> list[QuadPiece]:
+    def _pieces(self) -> list[QuadPiece]:
         a = self.a
         lo, hi = self.support()
         # 1 + a*x at x = lo + u**2 is (1-a)**2 + a*u**2; at x = hi - u**2 it is
@@ -357,7 +380,7 @@ class FreePoisson(DensityMeasure):
             return 0.0
         return math.sqrt((4.0 - x) / x) / (2.0 * math.pi)
 
-    def pieces(self) -> list[QuadPiece]:
+    def _pieces(self) -> list[QuadPiece]:
         def w_lo(u):
             return math.sqrt(4.0 - u * u) / math.pi
 
@@ -490,16 +513,17 @@ def laurent_trust_radius(m: MomentSeq) -> float:
 
 
 def _quad(f, lo: float, hi: float, points=None) -> float:
-    # The integrands compute on Python floats, which raise where numpy would
-    # warn and return inf: a node that lands on a pole of the integrand.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        try:
-            value, estimate = integrate.quad(
-                f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12, limit=400, points=points
-            )
-        except ZeroDivisionError as exc:
-            raise SingularityError("a quadrature node fell on a pole of the integrand") from exc
+    # full_output makes quad return its convergence message instead of
+    # warning; the error estimate below is the check.  The integrands compute
+    # on Python floats, which raise where numpy would warn and return inf: a
+    # node that lands on a pole of the integrand.
+    try:
+        value, estimate = integrate.quad(
+            f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12, limit=400, points=points,
+            full_output=1,
+        )[:2]
+    except ZeroDivisionError as exc:
+        raise SingularityError("a quadrature node fell on a pole of the integrand") from exc
     if estimate > max(QUAD_ABS_TOL, 1e-9 * abs(value)):
         raise AccuracyError(
             f"quadrature error estimate {estimate:.3e} exceeds tolerance", best_estimate=value
@@ -524,7 +548,7 @@ def integrate_pieces(
     entry point of every density method.
     """
     total = 0.0
-    for piece in nu.pieces():
+    for piece in nu.pieces:
         pts = None
         if points_hint is not None:
             pts = [p for p in points_hint(piece) if 0.0 < p < piece.umax] or None

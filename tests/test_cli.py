@@ -20,11 +20,20 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 # before the measure protocol existed, the two edge tables before the
 # row function (csk.family_row) did, and the Marchenko-Pastur, semicircle,
 # M, Psi and near-edge G tables before the per-piece quadrature integrands.
-# Every later version must reproduce them byte for byte.  The rows at
-# m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known defect: they lie
-# outside the domain of means (0, 2) of free Poisson, yet the moment route
-# answers there.  They are expected to become error rows when that route
-# checks its domain.
+# Every later version must reproduce them byte for byte.  Eight were
+# rewritten on purpose since:
+# - the "# mean_domain" line of csk_free_poisson, csk_free_poisson_edges,
+#   csk_mp_a1, csk_mp_a025, csk_mp_a15_16 and csk_semicircle, when the
+#   upper end became edge - 1/G(edge) like the lower one; the Aitken
+#   extrapolation it replaced was up to 1.0e-9 off the exact end;
+# - csk_catalan_moments (the m = 1 message, and PV and V at m = 1.5 by at
+#   most 2.0e-16 relative) and three variance values of limit_free_poisson
+#   (at most 2.5e-16 relative), when moment sequences began to read PV and
+#   V off the mean-map root theta like every other measure.
+# The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
+# defect: they lie outside the domain of means (0, 2) of free Poisson, yet
+# the moment route answers there.  They are expected to become error rows
+# when that route checks its domain.
 GOLDEN_CASES = {
     "csk_free_poisson.csv": ["csk", "--spec", GOLDEN / "free_poisson.json",
                              "--at", "0.25:2.5:0.25"],
@@ -124,6 +133,8 @@ def test_malformed_spec_exits_1_without_traceback(doc, tmp_path):
     "args",
     [
         ["convolve", "--spec", GOLDEN / "free_poisson.json", "--op", "boxplus"],
+        ["convolve", "--spec", GOLDEN / "free_poisson.json",
+         "--spec2", GOLDEN / "free_poisson.json", "--op", "bt"],
         ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "1:2"],
         ["limit", "--spec", GOLDEN / "free_poisson.json", "--kind", "boxplus",
          "--n-schedule", "one"],
@@ -133,6 +144,22 @@ def test_malformed_spec_exits_1_without_traceback(doc, tmp_path):
 )
 def test_usage_error_exits_2(args):
     assert _invoke(args).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "operands, code",
+    [
+        (["--spec", GOLDEN / "semicircle.json", "--power", "2"], 1),
+        (["--spec", GOLDEN / "free_poisson.json", "--spec2", GOLDEN / "semicircle.json"], 1),
+        (["--spec", GOLDEN / "semicircle.json", "--spec2", GOLDEN / "free_poisson.json"], 1),
+        # a moment list cannot certify positivity and is taken as given
+        (["--spec", GOLDEN / "free_poisson.json", "--spec2", GOLDEN / "catalan_moments.json"], 0),
+    ],
+)
+def test_convolve_boxtimes_checks_each_operand_is_positive(operands, code):
+    result = _invoke(["convolve", "--op", "boxtimes", "--order", "6"] + operands)
+    assert result.exit_code == code, result.output
+    assert ("boxtimes requires measures supported on [0, inf)" in result.output) == bool(code)
 
 
 def test_verify_all_passes():

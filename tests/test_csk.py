@@ -185,7 +185,7 @@ def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, monkeypa
 def test_free_poisson_mean_domain():
     lo, hi = mean_domain(FP)
     assert lo == 0.0  # G diverges at the inverse-square-root edge
-    assert abs(hi - 2.0) <= 1e-6
+    assert abs(hi - 2.0) <= 1e-13
 
 
 def test_free_poisson_upper_endpoint_direct_check():
@@ -194,16 +194,25 @@ def test_free_poisson_upper_endpoint_direct_check():
     assert abs((4.0 - 1.0 / g4) - 2.0) <= 1e-10
 
 
-@pytest.mark.parametrize("a", [0.3, 0.5, 1.0, -1.0, -0.6])
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0, -1.0, -0.6, 15 / 16])
 def test_marchenko_pastur_mean_domain(a):
+    # a = 1 and a = -1 have G infinite at the lower and upper edge
     lo, hi = mean_domain(MarchenkoPasturCentered(a))
-    assert abs(lo + 1.0) <= 1e-6
-    assert abs(hi - 1.0) <= 1e-6
+    assert abs(lo + 1.0) <= 1e-13
+    assert abs(hi - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("center, var", [(0.0, 1.0), (1.0, 0.5), (-1.0, 2.0), (0.5, 4.0)])
+def test_semicircle_mean_domain(center, var):
+    # the support contains 0, so both ends are edge - 1/G(edge) = center +- sqrt(var)
+    lo, hi = mean_domain(Semicircle(center, var))
+    assert abs(lo - (center - math.sqrt(var))) <= 1e-13
+    assert abs(hi - (center + math.sqrt(var))) <= 1e-13
 
 
 def test_one_sided_domains():
     lo, hi = mean_domain(FP, "plus")
-    assert lo == 1.0 and abs(hi - 2.0) <= 1e-6
+    assert lo == 1.0 and abs(hi - 2.0) <= 1e-13
     lo, hi = mean_domain(FP, "minus")
     assert lo == 0.0 and hi == 1.0
 
@@ -213,7 +222,12 @@ def test_atomic_mean_domain():
     lo, hi = mean_domain(TWO_ATOM)
     g0 = cauchy_transform(TWO_ATOM, 0.0)
     assert abs(lo + 1.0 / g0) <= 1e-12
-    assert abs(hi - 2.5) <= 1e-6  # atom at B makes 1/G -> 0
+    assert hi == 2.5  # atom at B makes 1/G -> 0
+    # atoms below 0 only: B = 0 is not an atom, and the upper end is -1/G(0)
+    negative = AtomicMeasure((-2.0, -0.5), (0.5, 0.5))
+    lo, hi = mean_domain(negative)
+    assert lo == -2.0
+    assert hi == -1.0 / cauchy_transform(negative, 0.0).real
 
 
 def test_mean_domain_rejects_moment_sequences():
@@ -525,9 +539,9 @@ def test_moment_route_walk_matches_stepped_walk():
                 want = _stepped_walk_pseudo_variance(mseq, m)
             except (NumericError, DomainError):
                 with pytest.raises((NumericError, DomainError)):
-                    pseudo_variance(seq, m)
+                    csk_module._pseudo_variance_from_moments(seq, m)
             else:
-                assert pseudo_variance(seq, m) == want
+                assert csk_module._pseudo_variance_from_moments(seq, m) == want
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +603,20 @@ def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path)
     assert result.exit_code == 0, result.output
     means = [-0.75 + 0.25 * i for i in range(10)]
     assert calls == means  # one inversion per row, the generator mean included
+
+
+def test_moments_spec_row_solves_the_s_series_root_once(monkeypatch, tmp_path):
+    calls = []
+    original = csk_module._pseudo_variance_from_moments
+
+    def counted(mseq, m):
+        calls.append(m)
+        return original(mseq, m)
+
+    monkeypatch.setattr(csk_module, "_pseudo_variance_from_moments", counted)
+    spec = tmp_path / "catalan.json"
+    spec.write_text('{"type":"moments","values":[1,2,5,14,42,132,429,1430,4862,16796]}')
+    result = CliRunner().invoke(main, ["csk", "--spec", str(spec), "--at", "0.8"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1].split(",")[-1] == ""  # an answered row
+    assert calls == [0.8]

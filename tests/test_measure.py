@@ -145,9 +145,35 @@ def test_quadrature_failure_carries_estimate():
     [(FreePoisson(), 0.9), (Semicircle(3.0, 0.5), 0.33), (MarchenkoPasturCentered(-1.0), -50.0)],
 )
 def test_quadrature_node_on_a_pole_is_a_singularity(nu, theta):
-    # 1/theta lies inside the support and a node lands exactly on the pole
-    # of x/(1/theta - x): a typed error, not inf
+    # 1/theta lies inside the support, where x/(1/theta - x) has a pole: a
+    # typed error, not a number.  psi_integral refuses before integrating;
+    # an integrand whose pole is a node is checked below.
     with pytest.raises(SingularityError, match="pole"):
+        psi_integral(nu, theta)
+
+
+def test_quadrature_node_on_the_piece_midpoint_pole_is_a_singularity():
+    # the first Gauss-Kronrod node of each piece is its midpoint umax/2
+    with pytest.raises(SingularityError, match="pole"):
+        integrate_pieces(FreePoisson(), lambda p: lambda u: 1.0 / (u - 0.5 * p.umax))
+
+
+@pytest.mark.parametrize(
+    "nu, theta",
+    [
+        (Semicircle(0.0, 1.0), 0.9),
+        (MarchenkoPasturCentered(0.5), 0.9),
+        (Semicircle(3.0, 0.5), 0.49),
+        (Semicircle(0.0, 1.0), 0.5),  # 1/theta on the closed support's edge
+        (FreePoisson(), 0.25),
+        (AtomicMeasure((0.5, 2.0), (0.5, 0.5)), 0.5),  # 1/theta is an atom
+        (AtomicMeasure((0.5, 2.0), (0.5, 0.5)), 2.0),
+    ],
+)
+def test_psi_integral_with_its_pole_on_the_support_is_a_singularity(nu, theta):
+    # once returned -0.383, -0.425 and -3.140 for the densities, and raised
+    # ZeroDivisionError for the atomic law
+    with pytest.raises(SingularityError, match="pole 1/theta"):
         psi_integral(nu, theta)
 
 

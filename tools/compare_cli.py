@@ -7,13 +7,16 @@ of this checkout, exactly as ``bench/run.py`` generates them (same spec
 files, same arguments).  Each checkout then runs every job through
 ``cskfam.cli.main`` in one fresh interpreter whose ``sys.path`` starts with
 that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
-code differ and exits 1 on any difference, 0 when all agree.  The default
-workload list is every workload of ``bench/jobs.py``.
+code differ, followed by each differing line of its CSV (``-`` parent, then
+``+`` change; a missing line prints as ``(none)``), and exits 1 on any
+difference, 0 when all agree.  The default workload list is every workload
+of ``bench/jobs.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import subprocess
@@ -66,6 +69,13 @@ def run_checkout(checkout: Path, jobs: list[dict], outdir: Path) -> list[tuple[i
     return out
 
 
+def differing_lines(parent: bytes, change: bytes) -> list[tuple[str | None, str | None]]:
+    """The ``(parent, change)`` line pairs that differ, position by position."""
+    pairs = itertools.zip_longest(parent.decode("utf-8").splitlines(),
+                                  change.decode("utf-8").splitlines())
+    return [(p, c) for p, c in pairs if p != c]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -97,11 +107,15 @@ def main(argv=None) -> int:
         for label, (pcode, pout), (ccode, cout) in zip(labels, parent, change):
             compared += 1
             if pcode != ccode:
-                differ += 1
                 print(f"DIFFER {label}: exit code {pcode} -> {ccode}")
             elif pout != cout:
-                differ += 1
                 print(f"DIFFER {label}: CSV bytes differ")
+            else:
+                continue
+            differ += 1
+            for pline, cline in differing_lines(pout, cout):
+                print(f"  - {pline if pline is not None else '(none)'}")
+                print(f"  + {cline if cline is not None else '(none)'}")
     print(f"{compared} jobs compared, {differ} differ")
     return 1 if differ else 0
 
