@@ -211,7 +211,8 @@ def csk_cmd(spec, at_grid, out):
 @click.option("--moments", "moment_order", default=6, show_default=True,
               help="Highest moment order compared against the limit law.")
 @click.option("--order", default=DEFAULT_ORDER, show_default=True,
-              help="Internal series order of the convolution pipeline.")
+              help="Series order of the moment rows' S-series route; the variance "
+                   "rows do not depend on it.")
 @click.option("--out", default=None, type=click.Path())
 def limit(spec, kind, n_schedule, moment_order, order, out):
     """Run the scaled-convolution limit experiment and report errors."""

@@ -5,14 +5,18 @@ Lagrange inversion, and explicit enumeration of set partitions.  None of it
 shares code paths with the package internals it checks.  The production
 reversion is itself a Lagrange pass, so :func:`substitution_revert`, which
 solves for one coefficient at a time through :func:`compose_direct`, is the
-reference that shares no algorithm with it.
+reference that shares no algorithm with it.  The exact series helpers work
+on plain lists in the arithmetic of their inputs (``Fraction`` or mpmath
+numbers), so their results carry no double rounding at all.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -114,11 +118,11 @@ def is_interval(partition) -> bool:
 def _moments_by_enumeration(cumulants, n_max: int, keep) -> list[float]:
     out = []
     for n in range(1, n_max + 1):
-        total = 0.0
+        total = 0  # int start values keep Fraction inputs exact
         for partition in set_partitions(n):
             if not keep(partition):
                 continue
-            term = 1.0
+            term = 1
             for block in partition:
                 term *= cumulants[len(block) - 1]
             total += term
@@ -140,11 +144,11 @@ def _cumulants_by_enumeration(moments_, n_max: int, keep) -> list[float]:
     """Invert the partition sum triangularly: the full block carries k_n."""
     kappa: list[float] = []
     for n in range(1, n_max + 1):
-        rest = 0.0
+        rest = 0
         for partition in set_partitions(n):
             if len(partition) == 1 or not keep(partition):
                 continue
-            term = 1.0
+            term = 1
             for block in partition:
                 term *= kappa[len(block) - 1]
             rest += term
@@ -158,6 +162,107 @@ def nc_free_cumulants_from_moments(moments_, n_max: int) -> list[float]:
 
 def interval_boolean_cumulants_from_moments(moments_, n_max: int) -> list[float]:
     return _cumulants_by_enumeration(moments_, n_max, is_interval)
+
+
+# ---------------------------------------------------------------------------
+# exact and high-precision series (lists c0..c(n-1), any field)
+
+
+def series_mul(a, b, n: int) -> list:
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def series_power(a, p: int, n: int) -> list:
+    out = [1] + [0] * (n - 1)
+    for _ in range(p):
+        out = series_mul(out, a, n)
+    return out
+
+
+def series_compose(outer, inner, n: int) -> list:
+    """``outer(inner(w))`` for ``inner`` with zero constant term (Horner)."""
+    out = [0] * n
+    for c in reversed(outer[:n]):
+        out = series_mul(out, inner, n)
+        out[0] += c
+    return out
+
+
+def series_revert(a, n: int) -> list:
+    """Lagrange inversion, ``g_k = [w**(k-1)] (w/a(w))**k / k``; exact in exact arithmetic."""
+    tail = list(a[1:n + 1]) + [0] * max(0, n - len(a) + 1)
+    base = [1 / tail[0]]  # w/a(w), the reciprocal of a(w)/w
+    for k in range(1, n):
+        base.append(-sum(tail[j] * base[k - j] for j in range(1, k + 1)) / tail[0])
+    g, power = [0] * n, [1] + [0] * (n - 1)
+    for k in range(1, n):
+        power = series_mul(power, base, n)
+        g[k] = power[k - 1] / k
+    return g
+
+
+def s_of_moments(moments_) -> list:
+    """S-series ``s0..s(K-1)`` of the moments ``m1..mK``: ``chi(w) (1 + w) / w``."""
+    k = len(moments_)
+    chi = series_revert([0] + list(moments_), k + 1)
+    return series_mul(chi[1:], [1, 1], k)
+
+
+def moments_of_s(s) -> list:
+    """Moments ``m1..mK`` of the law whose S-series is ``s0..s(K-1)``."""
+    k = len(s)
+    ratio = series_mul(s, [(-1) ** j for j in range(k)], k)  # S / (1 + w)
+    return series_revert([0] + ratio, k + 1)[1:]
+
+
+def exact_scaled_sequence(moments_, n: int, kind: str) -> list[Fraction]:
+    """Moments of ``D_{1/(n m0**n)}((nu ** boxtimes n) ** kind n)`` from exact
+    moments, one operation at a time: the multiplicative power through
+    ``S**n``, the additive power by scaling the free (non-crossing) or
+    Boolean (interval) cumulants, both found by partition enumeration."""
+    k = len(moments_)
+    powered = moments_of_s(series_power(s_of_moments(moments_), n, k))
+    if kind == "boxplus":
+        cumulants = nc_free_cumulants_from_moments(powered, k)
+        added = nc_moments_from_free_cumulants([n * c for c in cumulants], k)
+    else:
+        cumulants = interval_boolean_cumulants_from_moments(powered, k)
+        added = interval_moments_from_boolean_cumulants([n * c for c in cumulants], k)
+    c = Fraction(1) / (n * moments_[0] ** n)
+    return [v * c**j for j, v in enumerate(added, start=1)]
+
+
+def mp_scaled_law_variance(moments_, n: int, kind: str, m: float, dps: int = 60) -> float:
+    """Variance function at mean ``m`` of the law of :func:`exact_scaled_sequence`,
+    from its S-series at ``dps`` digits.
+
+    The S-series of the generator (from exact ``moments_``) goes through the
+    textbook laws one at a time: ``S**n`` for the multiplicative power;
+    ``S(z/n)/n`` for the free power, or the same law on
+    ``Sigma(z) = S(z/(1 - z))`` for the Boolean one; ``S/c`` for the
+    dilation by ``c``.  Then ``S(w) = 1/m`` is solved for ``w`` and
+    ``V(m) = m (m - 1)/w`` (the scaled law has mean 1).  Converges where the
+    root lies well inside the S-series' disk: small ``n``, ``m`` near 1.
+    """
+    with mpmath.workdps(dps):
+        k = len(moments_)
+        mom = [mpmath.mpf(v.numerator) / v.denominator for v in moments_]
+        s = series_power(s_of_moments(mom), n, k)
+        if kind == "uplus":  # to Sigma and back
+            s = series_compose(s, [0] + [1] * (k - 1), k)
+        s = [c / mpmath.mpf(n) ** (j + 1) for j, c in enumerate(s)]
+        if kind == "uplus":
+            s = series_compose(s, [0] + [(-1) ** (j + 1) for j in range(1, k)], k)
+        c = 1 / (n * mom[0] ** n)
+        s = [v / c for v in s]
+        target = 1 / mpmath.mpf(m)
+        w = mpmath.findroot(lambda x: mpmath.polyval(s[::-1], x) - target,
+                            (target - 1) / s[1])
+        return float(m * (m - 1) / w)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 # before the measure protocol existed, the two edge tables before the
 # row function (csk.family_row) did, and the Marchenko-Pastur, semicircle,
 # M, Psi and near-edge G tables before the per-piece quadrature integrands.
-# Every later version must reproduce them byte for byte.  Eight were
+# Every later version must reproduce them byte for byte.  Nine were
 # rewritten on purpose since:
 # - the "# mean_domain" line of csk_free_poisson, csk_free_poisson_edges,
 #   csk_mp_a1, csk_mp_a025, csk_mp_a15_16 and csk_semicircle, when the
@@ -29,7 +29,14 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 # - csk_catalan_moments (the m = 1 message, and PV and V at m = 1.5 by at
 #   most 2.0e-16 relative) and three variance values of limit_free_poisson
 #   (at most 2.5e-16 relative), when moment sequences began to read PV and
-#   V off the mean-map root theta like every other measure.
+#   V off the mean-map root theta like every other measure;
+# - the variance rows of limit_free_poisson again, when they began to come
+#   from the generator's variance function through the boxtimes, boxplus
+#   and dilation laws instead of from 40 rounded moments of each scaled
+#   law.  The largest change, by tools/compare_cli.largest_changes, is
+#   8.6e-2 relative in a variance value (n = 4, m = 0.6: 0.5477 became
+#   0.50047, the Fuss-Catalan value m(m - 1)/(n(m**(1/n) - 1))); the
+#   moment rows did not change.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
 # defect: they lie outside the domain of means (0, 2) of free Poisson, yet
 # the moment route answers there.  They are expected to become error rows
@@ -109,20 +116,31 @@ def test_transform_moments_at_zero_is_an_error_row(which):
         "0,,z = 0 is the pole of the truncated Laurent series of G")
 
 
+_CSK_AT_1 = ["csk", "--at", "1"]
+_FREE_POISSON = '{"type":"named","name":"free_poisson"}'
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, args",
     [
-        '{"type":"named","name":"semicircle","params":{"center":"abc"}}',
-        '{"type":"named","name":"semicircle","params":{"center":[1]}}',
-        '{"type":"atomic","atoms":[NaN,1],"weights":[0.5,0.5]}',
-        '{"type":"atomic","atoms":[1,2],"weights":[0.6,0.6]}',
-        '{"type":"moments","values":[1,2',
+        ('{"type":"named","name":"semicircle","params":{"center":"abc"}}', _CSK_AT_1),
+        ('{"type":"named","name":"semicircle","params":{"center":[1]}}', _CSK_AT_1),
+        ('{"type":"atomic","atoms":[NaN,1],"weights":[0.5,0.5]}', _CSK_AT_1),
+        ('{"type":"atomic","atoms":[1,2],"weights":[0.6,0.6]}', _CSK_AT_1),
+        ('{"type":"moments","values":[1,2', _CSK_AT_1),
+        # empty moment or series orders once leaked a ValueError traceback
+        (_FREE_POISSON, ["limit", "--kind", "boxplus", "--moments", "0"]),
+        (_FREE_POISSON, ["limit", "--kind", "uplus", "--moments", "-2"]),
+        (_FREE_POISSON, ["limit", "--kind", "boxplus", "--moments", "0", "--order", "0"]),
+        # a mean-0 generator once reached gamma = Var/m0**2 before any check
+        ('{"type":"named","name":"semicircle","params":{"center":0,"variance":1}}',
+         ["limit", "--kind", "boxplus"]),
     ],
 )
-def test_malformed_spec_exits_1_without_traceback(doc, tmp_path):
+def test_malformed_input_exits_1_without_traceback(doc, args, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(doc, encoding="utf-8")
-    result = _invoke(["csk", "--spec", spec, "--at", "1"])
+    result = _invoke([args[0], "--spec", spec] + args[1:])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")

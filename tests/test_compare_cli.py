@@ -1,0 +1,41 @@
+"""The change-size report of ``tools/compare_cli.py``."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
+_spec = importlib.util.spec_from_file_location("compare_cli", _TOOL)
+compare_cli = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_cli)
+
+
+def test_largest_changes_by_row_kind_and_column():
+    parent = (b"# spec,x\n# gamma,1\nrow,n,index,value,limit,error,note\n"
+              b"moment,1,1,2,2,0,\n"
+              b"moment,1,2,4,5,1,\n"
+              b"variance,1,0.5,,0.4,,DomainError: m = 0.5 below the attainable means\n"
+              b"variance,2,0.5,0.25,0.4,0.15,\n")
+    change = (b"# spec,x\n# gamma,1.0000000000000002\nrow,n,index,value,limit,error,note\n"
+              b"moment,1,1,2,2,0,\n"
+              b"moment,1,2,4.5,5,0.5,\n"
+              b"variance,1,0.5,0.3,0.4,0.1,\n"
+              b"variance,2,0.5,0.2,0.4,0.2,\n")
+    got = compare_cli.largest_changes(parent, change)
+    # comment lines, unchanged cells and cells that were not numbers are skipped
+    assert got == {
+        "moment.value": 0.125,
+        "moment.error": 0.5,
+        "variance.value": pytest.approx(0.2),
+        "variance.error": pytest.approx(1.0 / 3.0),
+    }
+
+
+def test_largest_changes_without_row_kinds():
+    parent = b"m,theta,pv,v,note\n0.5,0,2,3,\n1,0.25,2,3,\n"
+    change = b"m,theta,pv,v,note\n0.5,0.1,2,3.3,\n1,0.25,2,3.03,\n"
+    got = compare_cli.largest_changes(parent, change)
+    assert got == {"theta": math.inf, "v": pytest.approx(0.1)}
+    assert compare_cli.largest_changes(parent, parent) == {}

@@ -3,11 +3,12 @@ Boolean-to-free identity between the two limits."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cskfam import csk
+from cskfam import csk, limits, transforms
 from cskfam.conv import bp_transform
 from cskfam.errors import DomainError
 from cskfam.limits import (
@@ -24,9 +25,18 @@ from cskfam.limits import (
 from cskfam.measure import AtomicMeasure, FreePoisson, MarchenkoPasturCentered, moments
 from cskfam.transforms import s_series
 
-from oracles import lagrange_revert
+from oracles import catalan, exact_scaled_sequence, lagrange_revert, mp_scaled_law_variance
 
 FP = FreePoisson()
+TWO_ATOM = AtomicMeasure((0.5, 2.5), (0.4, 0.6))
+
+#: exact moments m1..m30 of FP and TWO_ATOM
+EXACT_MOMENTS = {
+    "free_poisson": [Fraction(catalan(k)) for k in range(1, 31)],
+    "two_atom": [Fraction(2, 5) * Fraction(1, 2) ** k + Fraction(3, 5) * Fraction(5, 2) ** k
+                 for k in range(1, 31)],
+}
+GENERATORS = {"free_poisson": FP, "two_atom": TWO_ATOM}
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +98,32 @@ def test_limit_law_moments_rejections():
         limit_law_moments("eta", -1.0, 4)
     with pytest.raises(DomainError):
         limit_law_moments("zeta", 1.0, 4)
+    for order in (0, -3):  # once a raw ValueError from the empty exp series
+        with pytest.raises(DomainError):
+            limit_law_moments("eta", 1.0, order)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda g: limit_law_moments("eta", g, 4),
+    lambda g: limit_law_moments("sigma", g, 4),
+    lambda g: limit_law("eta", g, 4),
+    lambda g: limit_variance_eta(g, 0.5),
+    lambda g: limit_variance_sigma(g, 0.5),
+    lambda g: limit_pseudo_variance_eta(g, 0.5),
+    lambda g: limit_pseudo_variance_sigma(g, 0.5),
+])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_closed_forms_reject_nonfinite_gamma(fn, gamma):
+    # a guard written gamma <= 0 is false for nan and would answer nan
+    with pytest.raises(DomainError):
+        fn(gamma)
+
+
+@pytest.mark.parametrize("fn", [limit_variance_eta, limit_variance_sigma,
+                                limit_pseudo_variance_eta, limit_pseudo_variance_sigma])
+def test_closed_forms_reject_nan_mean(fn):
+    with pytest.raises(DomainError):
+        fn(1.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +201,17 @@ def test_scaled_sequence_rejections():
         scaled_sequence_moments(MarchenkoPasturCentered(0.5), 2, "boxplus", 4)
 
 
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_scaled_sequence_against_exact_moments(name, kind):
+    # exact rational chain, one convolution power at a time, against the
+    # one-S-series identities; 5.7e-15 relative was the worst measured
+    for n in (1, 2, 3, 16, 64):
+        want = exact_scaled_sequence(EXACT_MOMENTS[name][:6], n, kind)
+        got = scaled_sequence_moments(GENERATORS[name], n, kind, 40)
+        np.testing.assert_allclose(got.values[:6], [float(v) for v in want], rtol=2e-14, atol=0)
+
+
 def test_scaled_second_moment_matches_limit_exactly():
     # Var of the scaled law is kappa2(boxtimes power)/n = 1 for every n
     for kind in ("boxplus", "uplus"):
@@ -237,18 +284,42 @@ def test_report_nonunit_mean_stays_finite(kind):
     assert not any("ValueError" in r.note for r in rep.variance_rows)
 
 
-def test_report_builds_one_s_series_per_scaled_law(monkeypatch):
+def test_report_builds_one_generator_s_series(monkeypatch):
     calls = []
 
     def counting(m):
         calls.append(m)
         return s_series(m)
 
-    monkeypatch.setattr(csk, "s_series", counting)
+    for module in (transforms, limits, csk):
+        monkeypatch.setattr(module, "s_series", counting)
     csk._unit_growth_s_series.cache_clear()
     rep = convergence_report(FP, "uplus")
     assert len(rep.variance_rows) == 21
-    assert len(calls) == 7
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_variance_rows_against_mpmath_s_route(name, kind):
+    # the variance-function chain against the scaled law's own S-series,
+    # built from exact moments at 50 digits: converged at 30 moments for
+    # small n and m = 0.9
+    rep = convergence_report(GENERATORS[name], kind, (1, 2, 4), 2, 40, (0.9,))
+    for row in rep.variance_rows:
+        want = mp_scaled_law_variance(EXACT_MOMENTS[name], row.n, kind, row.m, dps=50)
+        assert abs(row.value - want) <= 1e-10, (row, want)
+
+
+@pytest.mark.parametrize("moment_order, series_order", [(0, 40), (-1, 40), (0, 0), (1, 0)])
+def test_report_rejects_empty_orders(moment_order, series_order):
+    with pytest.raises(DomainError):
+        convergence_report(FP, "boxplus", (1, 2), moment_order, series_order)
+
+
+def test_report_rejects_nonpositive_n():
+    with pytest.raises(DomainError):
+        convergence_report(FP, "boxplus", (0, 2), 2, 10)
 
 
 def test_report_rejects_unsorted_schedule():

@@ -8,9 +8,12 @@ files, same arguments).  Each checkout then runs every job through
 ``cskfam.cli.main`` in one fresh interpreter whose ``sys.path`` starts with
 that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
 code differ, followed by each differing line of its CSV (``-`` parent, then
-``+`` change; a missing line prints as ``(none)``), and exits 1 on any
-difference, 0 when all agree.  The default workload list is every workload
-of ``bench/jobs.py``.
+``+`` change; a missing line prints as ``(none)``) and by the size of the
+change: the largest relative change ``|change - parent| / |parent|`` of each
+column over the numeric cells that differ (see :func:`largest_changes`).
+It ends with the number of jobs that differ and one line naming the largest
+change over all jobs, and exits 1 on any difference, 0 when all agree.  The
+default workload list is every workload of ``bench/jobs.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -76,6 +80,43 @@ def differing_lines(parent: bytes, change: bytes) -> list[tuple[str | None, str 
     return [(p, c) for p, c in pairs if p != c]
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def largest_changes(parent: bytes, change: bytes) -> dict[str, float]:
+    """Largest relative change per column over the numeric cells that differ.
+
+    Rows are compared position by position, as in :func:`differing_lines`;
+    ``#`` comment lines are skipped and the parent's first other line names
+    the columns.  Where a row's first cell is a word, as the row kinds
+    ``moment`` and ``variance`` of ``cskfam limit``, the column is keyed by
+    it too (``moment.value``).  Cells that are not numbers on both sides are
+    skipped; a change away from 0 is ``inf``.
+    """
+    def table(text: bytes) -> list[list[str]]:
+        return [line.split(",") for line in text.decode("utf-8").splitlines()
+                if not line.startswith("#")]
+
+    old_rows, new_rows = table(parent), table(change)
+    if not old_rows:
+        return {}
+    header, out = old_rows[0], {}
+    for old_row, new_row in zip(old_rows[1:], new_rows[1:]):
+        kind = "" if _number(old_row[0]) is not None else f"{old_row[0]}."
+        for i, (p, c) in enumerate(zip(old_row, new_row)):
+            pv, cv = _number(p), _number(c)
+            if p == c or pv is None or cv is None:
+                continue
+            rel = abs(cv - pv) / abs(pv) if pv != 0.0 else math.inf
+            key = kind + (header[i] if i < len(header) else f"column{i + 1}")
+            out[key] = max(out.get(key, 0.0), rel)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -92,6 +133,7 @@ def main(argv=None) -> int:
             parser.error(f"no cskfam sources under {checkout / 'src'}")
 
     compared, differ = 0, 0
+    worst = (0.0, "")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         jobs, labels = [], []
@@ -116,7 +158,16 @@ def main(argv=None) -> int:
             for pline, cline in differing_lines(pout, cout):
                 print(f"  - {pline if pline is not None else '(none)'}")
                 print(f"  + {cline if cline is not None else '(none)'}")
+            changes = largest_changes(pout, cout)
+            if changes:
+                print("  largest relative change: " + ", ".join(
+                    f"{key} {rel:.2g}" for key, rel in sorted(changes.items())))
+                key, rel = max(changes.items(), key=lambda item: item[1])
+                if rel > worst[0]:
+                    worst = (rel, f"{key} of {label}")
     print(f"{compared} jobs compared, {differ} differ")
+    print(f"largest relative change over all jobs: {worst[0]:.2g} in {worst[1]}" if worst[1]
+          else "largest relative change over all jobs: none")
     return 1 if differ else 0
 
 
