@@ -57,9 +57,7 @@ from .errors import (
 )
 from .limits import (
     ConvergenceReport,
-    LimitLaw,
     convergence_report,
-    limit_law,
     limit_law_moments,
     limit_variance_eta,
     limit_variance_sigma,

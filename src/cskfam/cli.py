@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 numeric or domain failure, 2 usage error.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -28,24 +29,29 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Parse ``a:b:step`` (inclusive endpoints) or a comma-separated list."""
+    """Parse ``a:b:step`` (inclusive endpoints) or a comma-separated list of
+    finite numbers."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise click.UsageError(f"grid {text!r} must look like a:b:step")
-        try:
-            a, b, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise click.UsageError(f"grid {text!r}: {exc}") from exc
-        if step <= 0.0 or b < a:
-            raise click.UsageError("grid requires step > 0 and b >= a")
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
-        return tuple(a + i * step for i in range(count))
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
+    if ranged and len(parts) != 3:
+        raise click.UsageError(f"grid {text!r} must look like a:b:step")
     try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise click.UsageError(f"grid {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise click.UsageError(f"grid {text!r}: every number must be finite")
+    if not ranged:
+        return values
+    a, b, step = values
+    if step <= 0.0 or b < a:
+        raise click.UsageError("grid requires step > 0 and b >= a")
+    steps = (b - a) / step
+    if not math.isfinite(steps):
+        raise click.UsageError(f"grid {text!r}: (b - a)/step overflows")
+    count = int(np.floor(steps + 1e-9)) + 1
+    return tuple(a + i * step for i in range(count))
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
@@ -209,17 +215,15 @@ def csk_cmd(spec, at_grid, out):
 @click.option("--kind", required=True, type=click.Choice(["boxplus", "uplus"]))
 @click.option("--n-schedule", default="1,2,4,8,16,32,64", show_default=True)
 @click.option("--moments", "moment_order", default=6, show_default=True,
-              help="Highest moment order compared against the limit law.")
-@click.option("--order", default=DEFAULT_ORDER, show_default=True,
-              help="Series order of the moment rows' S-series route; the variance "
-                   "rows do not depend on it.")
+              help="Highest moment order compared against the limit law; also the "
+                   "order of the series behind the moment rows.")
 @click.option("--out", default=None, type=click.Path())
-def limit(spec, kind, n_schedule, moment_order, order, out):
+def limit(spec, kind, n_schedule, moment_order, out):
     """Run the scaled-convolution limit experiment and report errors."""
     try:
         nu = _load_measure(spec)
         schedule = _parse_schedule(n_schedule)
-        report = limits.convergence_report(nu, kind, schedule, moment_order, order)
+        report = limits.convergence_report(nu, kind, schedule, moment_order)
         rows = []
         for r in report.rows:
             rows.append(["moment", str(r.n), _fmt(r.order), _fmt(r.value),
@@ -233,7 +237,7 @@ def limit(spec, kind, n_schedule, moment_order, order, out):
         _emit(out,
               [f"spec,{report.measure}", f"kind,{report.kind}",
                f"limit,{report.limit_kind}", f"gamma,{_fmt(report.gamma)}",
-               f"moment_order,{report.moment_order}", f"series_order,{report.series_order}",
+               f"moment_order,{report.moment_order}",
                f"n_schedule,{'|'.join(str(n) for n in report.n_values)}"],
               ["row", "n", "index", "value", "limit", "error", "note"], rows)
     except CskfamError as exc:

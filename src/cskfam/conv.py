@@ -115,14 +115,19 @@ def boxplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
     return free_cumulants_to_moments(FreeCumulants(tuple(ka + kb)))
 
 
+def _check_power(alpha: float, what: str):
+    # written to be false for nan as well
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"{what} requires a finite alpha > 0, got {alpha:g}")
+
+
 def boxplus_power(nu: MomentSeq, alpha: float) -> MomentSeq:
     """Free convolution power: free cumulants scale by ``alpha``.
 
     Defined for ``alpha >= 1``; values in (0, 1) are computed formally and
     flagged with :class:`FormalPowerWarning`.
     """
-    if alpha <= 0.0:
-        raise DomainError("free convolution power requires alpha > 0")
+    _check_power(alpha, "free convolution power")
     if alpha < 1.0:
         warnings.warn(
             f"free convolution power alpha = {alpha:g} < 1 is a formal moment "
@@ -144,8 +149,7 @@ def uplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
 
 def uplus_power(nu: MomentSeq, alpha: float) -> MomentSeq:
     """Boolean convolution power, defined for every ``alpha > 0``."""
-    if alpha <= 0.0:
-        raise DomainError("Boolean convolution power requires alpha > 0")
+    _check_power(alpha, "Boolean convolution power")
     b = np.asarray(moments_to_boolean_cumulants(nu).values)
     return boolean_cumulants_to_moments(BooleanCumulants(tuple(alpha * b)))
 
@@ -180,8 +184,7 @@ def boxtimes_power(nu: MomentSeq, alpha: float) -> MomentSeq:
     moment so the S-series power stays on the real branch; integer powers
     fall back to repeated multiplication and carry no sign restriction.
     """
-    if alpha <= 0.0:
-        raise DomainError("multiplicative convolution power requires alpha > 0")
+    _check_power(alpha, "multiplicative convolution power")
     if nu.values[0] == 0.0:
         raise DomainError("multiplicative power requires a nonzero first moment")
     if alpha < 1.0:
@@ -235,8 +238,8 @@ def bp_transform(nu: MomentSeq, t: float) -> MomentSeq:
     Forms a semigroup in ``t``; ``t = 0`` is the identity and ``t = 1`` is the
     Boolean Bercovici-Pata bijection.
     """
-    if t < 0.0:
-        raise DomainError("the interpolation parameter t must be nonnegative")
+    if not 0.0 <= t < math.inf:  # false for nan as well
+        raise DomainError(f"the interpolation parameter t = {t:g} must be nonnegative and finite")
     if t == 0.0:
         return nu
     return uplus_power(boxplus_power(nu, 1.0 + t), 1.0 / (1.0 + t))

@@ -24,6 +24,11 @@ laws, never by rebuilding the law step by step:
 * variance functions, from the generator's own variance function through
   the multiplicative, additive and dilation laws of :mod:`.csk` (the
   "machinery of variance functions" of the paper's proofs).
+
+Every series of a report stops at the printed moment order ``K`` (``K - 1``
+for S): the dictionaries are triangular, so longer series would change
+moments ``1..K`` by roundoff only.  Moments 1-6 stay within 6e-15 relative
+of the exact values for n up to 64 (see :func:`scaled_sequence_moments`).
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from typing import Literal, Sequence
 from . import conv, csk
 from .errors import CskfamError, DomainError
 from .measure import Measure, MomentSeq, mean, moments
-from .series import DEFAULT_ORDER, TruncatedSeries, ps_compose, ps_pow_int
-from .transforms import s_series, s_series_to_moments, sigma_series_to_s_series
+from .series import TruncatedSeries, ps_pow_int
+from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
 
 LimitKind = Literal["eta", "sigma"]
 ConvKind = Literal["boxplus", "uplus"]
@@ -117,31 +122,6 @@ def limit_pseudo_variance_sigma(gamma: float, m: float) -> float:
     return limit_pseudo_variance_eta(gamma, m) - m * m
 
 
-@dataclass(frozen=True)
-class LimitLaw:
-    """A limit law bundled with its series, moments and variance forms."""
-
-    kind: LimitKind
-    gamma: float
-    transfer_series: TruncatedSeries  # S series for eta, Sigma series for sigma
-    moments: MomentSeq
-
-    def variance(self, m: float) -> float:
-        if self.kind == "eta":
-            return limit_variance_eta(self.gamma, m)
-        return limit_variance_sigma(self.gamma, m)
-
-    def pseudo_variance(self, m: float) -> float:
-        if self.kind == "eta":
-            return limit_pseudo_variance_eta(self.gamma, m)
-        return limit_pseudo_variance_sigma(self.gamma, m)
-
-
-def limit_law(kind: LimitKind, gamma: float, order: int = DEFAULT_ORDER) -> LimitLaw:
-    return LimitLaw(kind, gamma, _exp_series(gamma, order - 1),
-                    limit_law_moments(kind, gamma, order))
-
-
 # ---------------------------------------------------------------------------
 # scaled sequences
 
@@ -186,8 +166,7 @@ def _scaled_moments(unit: MomentSeq, s1: TruncatedSeries, n: int, kind: ConvKind
         return unit
     s = TruncatedSeries(tuple(c * (1.0 / n) ** k for k, c in enumerate(s1.coeffs)))  # S1(w/n)
     if kind == "uplus":  # then at w/(1 + r*w): S1(w/n) becomes S1(w/(n + (n - 1)*w))
-        r = 1.0 - 1.0 / n
-        s = ps_compose(s, TruncatedSeries((0.0,) + tuple((-r) ** k for k in range(s.order))))
+        s = _compose_moebius(s, 1.0 - 1.0 / n)
     return s_series_to_moments(ps_pow_int(s, n), unit.order)
 
 
@@ -202,9 +181,10 @@ def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> 
     module docstring derives both), then one reversion to moments.
 
     Accuracy envelope: on free Poisson and on the atomic generators of the
-    ``limit_report`` benchmark (seeds 201 and 7919) at order 40, moments
-    1-6 agree with the exact rational values within 6e-15 relative for n
-    up to 64 (5.7e-15 measured).
+    ``limit_report`` benchmark (seeds 201 and 7919), at order 6 as in
+    :func:`convergence_report` and at order 40, moments 1-6 agree with the
+    exact rational values within 6e-15 relative for n up to 64 (5.7e-15
+    measured).
     """
     if n < 1 or n != int(n):
         raise DomainError("n must be a positive integer")
@@ -262,7 +242,6 @@ class ConvergenceReport:
     limit_kind: LimitKind
     gamma: float
     moment_order: int
-    series_order: int
     n_values: tuple[int, ...]
     rows: tuple[MomentRow, ...]
     variance_rows: tuple[VarianceRow, ...]
@@ -277,14 +256,14 @@ def convergence_report(
     kind: ConvKind,
     n_values: Sequence[int] = DEFAULT_SCHEDULE,
     moment_order: int = 6,
-    series_order: int = DEFAULT_ORDER,
     variance_grid: Sequence[float] = DEFAULT_VARIANCE_GRID,
 ) -> ConvergenceReport:
     """Run the scaled-sequence experiment and tabulate errors.
 
-    One generator S-series serves the whole report.  Moment rows compare
-    orders ``1..moment_order`` of each scaled law (computed at
-    ``series_order`` through ``S_n(z) = S1(z/n)**n``, or
+    One generator S-series, of order ``moment_order - 1``, serves the whole
+    report, and no later series goes beyond ``moment_order``.  Moment rows
+    compare orders ``1..moment_order`` of each scaled law (computed through
+    ``S_n(z) = S1(z/n)**n``, or
     ``Sigma_n(z) = Sigma1(z/n)**n`` for ``uplus``; see
     :func:`scaled_sequence_moments`) with the limit law for
     ``gamma = Var(nu)/mean(nu)**2``.  Variance rows evaluate each scaled
@@ -309,12 +288,10 @@ def convergence_report(
         raise DomainError("the n schedule must be strictly increasing")
     if ns and ns[0] < 1:
         raise DomainError("n must be a positive integer")
-    if moment_order < 1 or series_order < 1:
-        raise DomainError("moment_order and series_order must be at least 1")
-    if moment_order > series_order:
-        raise DomainError("moment_order cannot exceed series_order")
+    if moment_order < 1:
+        raise DomainError("moment_order must be at least 1")
     _check_kind(kind)
-    gamma, unit, s1 = _unit_generator(nu, series_order)
+    gamma, unit, s1 = _unit_generator(nu, moment_order)
     m0 = mean(nu)
     limit_kind = LIMIT_OF_KIND[kind]
     lim = limit_law_moments(limit_kind, gamma, moment_order)
@@ -343,7 +320,6 @@ def convergence_report(
         limit_kind=limit_kind,
         gamma=gamma,
         moment_order=moment_order,
-        series_order=series_order,
         n_values=ns,
         rows=tuple(rows),
         variance_rows=tuple(vrows),

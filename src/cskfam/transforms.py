@@ -236,8 +236,12 @@ def s_series_to_moments(s: TruncatedSeries, order: int) -> MomentSeq:
     return MomentSeq(psi.coeffs[1:])
 
 
+def _compose_moebius(s: TruncatedSeries, r: float) -> TruncatedSeries:
+    """``s(w/(1 + r*w))`` at the order of ``s``; the inner series is
+    ``sum_k (-r)**(k-1) * w**k``."""
+    return ps_compose(s, TruncatedSeries((0.0,) + tuple((-r) ** k for k in range(s.order))))
+
+
 def sigma_series_to_s_series(sigma: TruncatedSeries) -> TruncatedSeries:
     """Convert a Sigma series to an S series via ``S(w) = Sigma(w/(1+w))``."""
-    n = sigma.order
-    inner = TruncatedSeries(tuple(0.0 if k == 0 else (-1.0) ** (k + 1) for k in range(n + 1)))
-    return ps_compose(sigma, inner)
+    return _compose_moebius(sigma, 1.0)

@@ -36,7 +36,10 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   law.  The largest change, by tools/compare_cli.largest_changes, is
 #   8.6e-2 relative in a variance value (n = 4, m = 0.6: 0.5477 became
 #   0.50047, the Fuss-Catalan value m(m - 1)/(n(m**(1/n) - 1))); the
-#   moment rows did not change.
+#   moment rows did not change;
+# - limit_free_poisson once more, when its "# series_order,40" line went
+#   with the --order option: the moment rows are computed at the printed
+#   order.  Its data rows did not change.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
 # defect: they lie outside the domain of means (0, 2) of free Poisson, yet
 # the moment route answers there.  They are expected to become error rows
@@ -131,7 +134,10 @@ _FREE_POISSON = '{"type":"named","name":"free_poisson"}'
         # empty moment or series orders once leaked a ValueError traceback
         (_FREE_POISSON, ["limit", "--kind", "boxplus", "--moments", "0"]),
         (_FREE_POISSON, ["limit", "--kind", "uplus", "--moments", "-2"]),
-        (_FREE_POISSON, ["limit", "--kind", "boxplus", "--moments", "0", "--order", "0"]),
+        (_FREE_POISSON, ["limit", "--kind", "uplus", "--moments", "0"]),
+        # a nan or inf power once printed nan/inf moments, or a ValueError traceback
+        *[(_FREE_POISSON, ["convolve", "--op", op, "--power", power])
+          for op in ("boxplus", "uplus", "boxtimes", "bt") for power in ("nan", "inf")],
         # a mean-0 generator once reached gamma = Var/m0**2 before any check
         ('{"type":"named","name":"semicircle","params":{"center":0,"variance":1}}',
          ["limit", "--kind", "boxplus"]),
@@ -154,6 +160,17 @@ def test_malformed_input_exits_1_without_traceback(doc, args, tmp_path):
         ["convolve", "--spec", GOLDEN / "free_poisson.json",
          "--spec2", GOLDEN / "free_poisson.json", "--op", "bt"],
         ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "1:2"],
+        # non-finite grid numbers once leaked tracebacks or nan/inf rows
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "0.5:nan:0.1"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "0.5:inf:0.1"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "0.5:1:nan"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "nan"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at=-1e308:1e308:1e308"],
+        ["transform", "--spec", GOLDEN / "free_poisson.json", "--which", "G", "--grid", "5:6:inf"],
+        ["transform", "--spec", GOLDEN / "free_poisson.json", "--which", "G",
+         "--grid", "nan,inf"],
+        # the series order is the moment order; there is no separate knob
+        ["limit", "--spec", GOLDEN / "free_poisson.json", "--kind", "boxplus", "--order", "40"],
         ["limit", "--spec", GOLDEN / "free_poisson.json", "--kind", "boxplus",
          "--n-schedule", "one"],
         ["transform", "--spec", GOLDEN / "missing.json", "--which", "G", "--grid", "3"],

@@ -284,6 +284,15 @@ def test_noninteger_power_of_negative_mean_rejected():
     boxtimes_power(neg, 2.0)  # integer power stays on the real branch
 
 
+@pytest.mark.parametrize("fn", [boxplus_power, uplus_power, boxtimes_power, bp_transform])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_powers_reject_nonfinite_parameter(fn, value):
+    # a guard written alpha <= 0 is false for nan: it once answered nan or inf
+    # moments, and boxtimes_power a raw ValueError from its integer test
+    with pytest.raises(DomainError):
+        fn(FP_M, value)
+
+
 # ---------------------------------------------------------------------------
 # dilation, affine images, Boolean-to-free map
 

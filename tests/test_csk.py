@@ -448,6 +448,24 @@ def test_law_domain_rejections():
         boxtimes_power_variance(lambda m: m, 1.0, 2.0, -0.5)
 
 
+@pytest.mark.parametrize("law", [
+    lambda x: boxplus_power_variance(lambda m: m, 1.0, x, 0.5),
+    lambda x: uplus_power_variance(lambda m: m, 1.0, x, 0.5),
+    lambda x: boxtimes_power_variance(lambda m: m, 1.0, x, 0.5),
+    lambda x: boxtimes_power_pseudo_variance(lambda m: m, x, 0.5),
+    lambda x: boxtimes_power_variance(lambda m: m, 1.0, 2.0, x),  # the mean
+    lambda x: boxtimes_power_pseudo_variance(lambda m: m, 2.0, x),  # the mean
+    lambda x: bt_variance(lambda m: m, 1.0, x, 0.5),
+    lambda x: bt_pseudo_variance(lambda m: m, x, 0.5),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_laws_reject_nonfinite_parameter(law, value):
+    # guards written alpha <= 0, m <= 0 or t < 0 are false for nan, and the
+    # laws once answered nan
+    with pytest.raises(DomainError):
+        law(value)
+
+
 # ---------------------------------------------------------------------------
 # variance profiles
 

@@ -8,12 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cskfam import csk, limits, transforms
+from cskfam import conv, csk, limits, series, transforms
 from cskfam.conv import bp_transform
 from cskfam.errors import DomainError
 from cskfam.limits import (
     convergence_report,
-    limit_law,
     limit_law_moments,
     limit_pseudo_variance_eta,
     limit_pseudo_variance_sigma,
@@ -83,16 +82,6 @@ def test_eta_moments_against_lagrange_oracle():
     np.testing.assert_allclose(got.values, psi[1:], rtol=1e-11)
 
 
-def test_limit_law_bundle():
-    law = limit_law("eta", 1.0, 8)
-    assert law.kind == "eta"
-    assert law.moments.values[0] == 1.0
-    assert abs(law.variance(1.0) - 1.0) <= 1e-15
-    assert abs(law.pseudo_variance(0.5) - 0.25 / math.log(0.5)) <= 1e-15
-    assert law.transfer_series.coeffs[0] == 1.0
-    assert law.transfer_series.coeffs[1] == -1.0
-
-
 def test_limit_law_moments_rejections():
     with pytest.raises(DomainError):
         limit_law_moments("eta", -1.0, 4)
@@ -106,7 +95,6 @@ def test_limit_law_moments_rejections():
 @pytest.mark.parametrize("fn", [
     lambda g: limit_law_moments("eta", g, 4),
     lambda g: limit_law_moments("sigma", g, 4),
-    lambda g: limit_law("eta", g, 4),
     lambda g: limit_variance_eta(g, 0.5),
     lambda g: limit_variance_sigma(g, 0.5),
     lambda g: limit_pseudo_variance_eta(g, 0.5),
@@ -226,7 +214,7 @@ def test_scaled_second_moment_matches_limit_exactly():
 @pytest.fixture(scope="module")
 def fp_reports():
     return {
-        kind: convergence_report(FP, kind, (1, 2, 4, 8, 16, 32, 64), 6, 40)
+        kind: convergence_report(FP, kind, (1, 2, 4, 8, 16, 32, 64), 6)
         for kind in ("boxplus", "uplus")
     }
 
@@ -301,30 +289,59 @@ def test_report_builds_one_generator_s_series(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 @pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_reverts_no_series_beyond_moment_order(name, kind, monkeypatch):
+    # the dictionaries are triangular, so moments 1..K need series of
+    # order K and no more; the report once reverted order-40 series
+    orders = []
+
+    def recording(a):
+        orders.append(a.order)
+        return series.ps_revert(a)
+
+    for module in (transforms, conv):
+        monkeypatch.setattr(module, "ps_revert", recording)
+    rep = convergence_report(GENERATORS[name], kind)
+    assert orders and max(orders) <= rep.moment_order + 1
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_moments_match_longer_series(name, kind):
+    # truncating every series to the printed order changes moments 1-6 by
+    # roundoff only: within 2 ulp of the same laws built at order 40
+    rep = convergence_report(GENERATORS[name], kind)
+    for n in rep.n_values:
+        got = [r.value for r in rep.rows if r.n == n]
+        want = scaled_sequence_moments(GENERATORS[name], n, kind, 40).values[:rep.moment_order]
+        np.testing.assert_allclose(got, want, rtol=5e-16, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
 def test_report_variance_rows_against_mpmath_s_route(name, kind):
     # the variance-function chain against the scaled law's own S-series,
     # built from exact moments at 50 digits: converged at 30 moments for
     # small n and m = 0.9
-    rep = convergence_report(GENERATORS[name], kind, (1, 2, 4), 2, 40, (0.9,))
+    rep = convergence_report(GENERATORS[name], kind, (1, 2, 4), 2, (0.9,))
     for row in rep.variance_rows:
         want = mp_scaled_law_variance(EXACT_MOMENTS[name], row.n, kind, row.m, dps=50)
         assert abs(row.value - want) <= 1e-10, (row, want)
 
 
-@pytest.mark.parametrize("moment_order, series_order", [(0, 40), (-1, 40), (0, 0), (1, 0)])
-def test_report_rejects_empty_orders(moment_order, series_order):
+@pytest.mark.parametrize("moment_order", [0, -1])
+def test_report_rejects_empty_orders(moment_order):
     with pytest.raises(DomainError):
-        convergence_report(FP, "boxplus", (1, 2), moment_order, series_order)
+        convergence_report(FP, "boxplus", (1, 2), moment_order)
 
 
 def test_report_rejects_nonpositive_n():
     with pytest.raises(DomainError):
-        convergence_report(FP, "boxplus", (0, 2), 2, 10)
+        convergence_report(FP, "boxplus", (0, 2), 2)
 
 
 def test_report_rejects_unsorted_schedule():
     with pytest.raises(DomainError):
-        convergence_report(FP, "uplus", (4, 2, 8), 4, 20)
+        convergence_report(FP, "uplus", (4, 2, 8), 4)
 
 
 # ---------------------------------------------------------------------------
