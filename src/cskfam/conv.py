@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormalPowerWarning
+from .errors import DomainError, FormalPowerWarning, NumericError
 from .measure import MomentSeq
 from .series import (
     TruncatedSeries,
@@ -121,6 +121,14 @@ def _check_power(alpha: float, what: str):
         raise DomainError(f"{what} requires a finite alpha > 0, got {alpha:g}")
 
 
+def _finite_power(result: MomentSeq, alpha: float, what: str) -> MomentSeq:
+    """``result`` of a power computed under ``np.errstate(all="ignore")``;
+    a large ``alpha`` overflows there to inf or nan, which is an error."""
+    if not all(math.isfinite(v) for v in result.values):
+        raise NumericError(f"{what} alpha = {alpha:g} overflows: a moment is not finite")
+    return result
+
+
 def boxplus_power(nu: MomentSeq, alpha: float) -> MomentSeq:
     """Free convolution power: free cumulants scale by ``alpha``.
 
@@ -136,7 +144,9 @@ def boxplus_power(nu: MomentSeq, alpha: float) -> MomentSeq:
             stacklevel=2,
         )
     k = np.asarray(moments_to_free_cumulants(nu).values)
-    return free_cumulants_to_moments(FreeCumulants(tuple(alpha * k)))
+    with np.errstate(all="ignore"):
+        result = free_cumulants_to_moments(FreeCumulants(tuple(alpha * k)))
+    return _finite_power(result, alpha, "free convolution power")
 
 
 def uplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
@@ -151,7 +161,9 @@ def uplus_power(nu: MomentSeq, alpha: float) -> MomentSeq:
     """Boolean convolution power, defined for every ``alpha > 0``."""
     _check_power(alpha, "Boolean convolution power")
     b = np.asarray(moments_to_boolean_cumulants(nu).values)
-    return boolean_cumulants_to_moments(BooleanCumulants(tuple(alpha * b)))
+    with np.errstate(all="ignore"):
+        result = boolean_cumulants_to_moments(BooleanCumulants(tuple(alpha * b)))
+    return _finite_power(result, alpha, "Boolean convolution power")
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +207,18 @@ def boxtimes_power(nu: MomentSeq, alpha: float) -> MomentSeq:
             stacklevel=2,
         )
     s = s_series(nu)
-    if _is_integral(alpha):
-        powered = ps_pow_int(s, int(round(alpha)))
-    else:
-        if s.coeffs[0] <= 0.0:
-            raise DomainError(
-                "non-integer multiplicative power of a negative-mean sequence "
-                "would leave the real branch"
-            )
-        powered = ps_pow_real(s, alpha)
-    return s_series_to_moments(powered, nu.order)
+    with np.errstate(all="ignore"):
+        if _is_integral(alpha):
+            powered = ps_pow_int(s, int(round(alpha)))
+        else:
+            if s.coeffs[0] <= 0.0:
+                raise DomainError(
+                    "non-integer multiplicative power of a negative-mean sequence "
+                    "would leave the real branch"
+                )
+            powered = ps_pow_real(s, alpha)
+        result = s_series_to_moments(powered, nu.order)
+    return _finite_power(result, alpha, "multiplicative convolution power")
 
 
 # ---------------------------------------------------------------------------

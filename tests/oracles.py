@@ -290,3 +290,22 @@ def random_atomic(rng, max_atoms: int = 4, positive: bool = False):
     weights /= weights.sum()
     weights[-1] = 1.0 - weights[:-1].sum()  # exact normalization
     return tuple(atoms.tolist()), tuple(weights.tolist())
+
+
+def mp_cauchy(nu, z: float, dps: int = 50):
+    """``G(z)`` of a named density at a real ``z`` outside its support, at
+    ``dps`` digits.  ``G`` is the root, decaying like ``1/z``, of the
+    quadratic that ``z = 1/G + R(G)`` gives for the law's R-transform (free
+    Poisson ``1/(1 - w)``, semicircle ``c + v*w``, centered Marchenko-Pastur
+    ``w/(1 - a*w)``), written as ``2 / (B + sign * sqrt(B**2 - 4AC))`` so that
+    nothing cancels.  Only the law's parameters are read off ``nu``."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpf(z)
+        name = type(nu).__name__
+        if name == "FreePoisson":  # z G**2 - z G + 1 = 0
+            return 2 / (z + mpmath.sign(z - 2) * mpmath.sqrt(z * z - 4 * z))
+        if name == "Semicircle":  # v G**2 - (z - c) G + 1 = 0
+            w = z - nu.center
+            return 2 / (w + mpmath.sign(w) * mpmath.sqrt(w * w - 4 * mpmath.mpf(nu.variance)))
+        a = mpmath.mpf(nu.a)  # (1 + a z) G**2 - (z + a) G + 1 = 0
+        return 2 / (z + a + mpmath.sign(z - a) * mpmath.sqrt((z - a) ** 2 - 4))

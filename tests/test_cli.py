@@ -20,7 +20,7 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 # before the measure protocol existed, the two edge tables before the
 # row function (csk.family_row) did, and the Marchenko-Pastur, semicircle,
 # M, Psi and near-edge G tables before the per-piece quadrature integrands.
-# Every later version must reproduce them byte for byte.  Nine were
+# Every later version must reproduce them byte for byte.  Files were
 # rewritten on purpose since:
 # - the "# mean_domain" line of csk_free_poisson, csk_free_poisson_edges,
 #   csk_mp_a1, csk_mp_a025, csk_mp_a15_16 and csk_semicircle, when the
@@ -39,7 +39,30 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   moment rows did not change;
 # - limit_free_poisson once more, when its "# series_order,40" line went
 #   with the --order option: the moment rows are computed at the printed
-#   order.  Its data rows did not change.
+#   order.  Its data rows did not change;
+# - every table that integrates a density (eleven files), when quadrature
+#   moved to a fixed Gauss-Legendre pair with adaptive quadrature only as
+#   a fallback.  Largest relative change per file, by
+#   tools/compare_cli.largest_changes, then the largest relative error of
+#   the new (old) values against an oracle at 50 digits: the closed-form
+#   row theta = 1/(m + V/(m - m0)), PV = m V/(m - m0), V of
+#   bench/reference.named_row for csk, oracles.mp_cauchy for G, M and Psi,
+#   bench/reference.scaled_law_variance for the limit variance rows:
+#     csk_free_poisson        4.0e-15 (theta)  4.0e-15 (1.9e-15)
+#     csk_free_poisson_edges  4.0e-15 (theta)  4.0e-15 (0)
+#     csk_mp_a025             6.8e-16 (theta)  5.3e-15 (5.6e-15)
+#     csk_mp_a1               9.9e-16 (V)      2.3e-14 (2.3e-14)
+#     csk_mp_a15_16           1.8e-15 (V)      2.2e-14 (2.2e-14)
+#     csk_semicircle          1.8e-15 (V)      2.9e-15 (2.9e-15)
+#     limit_free_poisson      3.3e-15 (value)  3.5e-14 (3.7e-14)
+#     transform_g             3.8e-16          1.9e-16 (3.1e-16)
+#     transform_g_edges       2.3e-16          2.5e-16 (3.2e-16)
+#     transform_m_mp          1.9e-16          2.8e-15 (2.6e-15)
+#     transform_psi_free_poisson 2.9e-16       5.3e-16 (5.0e-16)
+#   The csk and limit errors are those of the mean-map root, which stops at
+#   1e-14 absolute in theta.  The "# mean_domain" lines (not counted above)
+#   moved by at most 8.9e-16 relative, and the "error" column of the limit
+#   variance rows (value - limit) by up to 1.7e-13 relative.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
 # defect: they lie outside the domain of means (0, 2) of free Poisson, yet
 # the moment route answers there.  They are expected to become error rows
@@ -195,6 +218,16 @@ def test_convolve_boxtimes_checks_each_operand_is_positive(operands, code):
     result = _invoke(["convolve", "--op", "boxtimes", "--order", "6"] + operands)
     assert result.exit_code == code, result.output
     assert ("boxtimes requires measures supported on [0, inf)" in result.output) == bool(code)
+
+
+@pytest.mark.parametrize("op", ["boxplus", "uplus", "boxtimes", "bt"])
+def test_convolve_overflowing_power_exits_1(op):
+    # once printed nan (inf for uplus) moments and exited 0
+    result = _invoke(["convolve", "--spec", GOLDEN / "free_poisson.json", "--op", op,
+                      "--power", "1e300", "--order", "6"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and "overflows" in result.stderr
+    assert result.stdout == ""
 
 
 def test_verify_all_passes():

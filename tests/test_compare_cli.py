@@ -39,3 +39,20 @@ def test_largest_changes_without_row_kinds():
     got = compare_cli.largest_changes(parent, change)
     assert got == {"theta": math.inf, "v": pytest.approx(0.1)}
     assert compare_cli.largest_changes(parent, parent) == {}
+
+
+def test_differing_lines_aligns_a_removed_comment_line():
+    # position-by-position pairing once listed every later line as changed
+    parent = (b"# spec,x\n# series_order,40\n# moment_order,6\nrow,n,value\n"
+              b"moment,1,2\nmoment,2,5\n")
+    change = b"# spec,x\n# moment_order,6\nrow,n,value\nmoment,1,2\nmoment,2,5\n"
+    assert compare_cli.differing_lines(parent, change) == [("# series_order,40", None)]
+    assert compare_cli.differing_lines(change, parent) == [(None, "# series_order,40")]
+
+
+def test_differing_lines_pairs_changed_rows():
+    parent = b"m,v\n0.5,1\n1,2\n1.5,3\n"
+    change = b"m,v\n0.5,1.0000000000000002\n1,2\n1.5,3.0000000000000004\n"
+    assert compare_cli.differing_lines(parent, change) == [
+        ("0.5,1", "0.5,1.0000000000000002"), ("1.5,3", "1.5,3.0000000000000004")]
+    assert compare_cli.differing_lines(parent, parent) == []

@@ -25,7 +25,7 @@ from cskfam.conv import (
     uplus,
     uplus_power,
 )
-from cskfam.errors import DomainError, FormalPowerWarning
+from cskfam.errors import DomainError, FormalPowerWarning, NumericError
 from cskfam.measure import AtomicMeasure, FreePoisson, MarchenkoPasturCentered, MomentSeq, moments
 from cskfam.transforms import k_transform, r_transform
 
@@ -291,6 +291,15 @@ def test_powers_reject_nonfinite_parameter(fn, value):
     # moments, and boxtimes_power a raw ValueError from its integer test
     with pytest.raises(DomainError):
         fn(FP_M, value)
+
+
+@pytest.mark.parametrize("fn", [boxplus_power, uplus_power, boxtimes_power, bp_transform])
+def test_powers_reject_an_overflowing_result(fn):
+    # a finite power so large that the moments overflow once answered nan
+    # (inf for uplus_power) with no error
+    with pytest.raises(NumericError, match="overflows"):
+        fn(moments(FreePoisson(), 6), 1e300)
+    assert all(math.isfinite(v) for v in fn(moments(FreePoisson(), 6), 1e10).values)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ files, same arguments).  Each checkout then runs every job through
 ``cskfam.cli.main`` in one fresh interpreter whose ``sys.path`` starts with
 that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
 code differ, followed by each differing line of its CSV (``-`` parent, then
-``+`` change; a missing line prints as ``(none)``) and by the size of the
+``+`` change; lines are aligned first, and a line only one side has prints
+``(none)`` on the other) and by the size of the
 change: the largest relative change ``|change - parent| / |parent|`` of each
 column over the numeric cells that differ (see :func:`largest_changes`).
 It ends with the number of jobs that differ and one line naming the largest
@@ -19,6 +20,7 @@ default workload list is every workload of ``bench/jobs.py``.
 from __future__ import annotations
 
 import argparse
+import difflib
 import itertools
 import json
 import math
@@ -74,10 +76,18 @@ def run_checkout(checkout: Path, jobs: list[dict], outdir: Path) -> list[tuple[i
 
 
 def differing_lines(parent: bytes, change: bytes) -> list[tuple[str | None, str | None]]:
-    """The ``(parent, change)`` line pairs that differ, position by position."""
-    pairs = itertools.zip_longest(parent.decode("utf-8").splitlines(),
-                                  change.decode("utf-8").splitlines())
-    return [(p, c) for p, c in pairs if p != c]
+    """The ``(parent, change)`` line pairs that differ, after aligning the two
+    files with :class:`difflib.SequenceMatcher`: a line only one side has
+    pairs with ``None``, and a block of replaced lines pairs position by
+    position within the block."""
+    old = parent.decode("utf-8").splitlines()
+    new = change.decode("utf-8").splitlines()
+    out = []
+    matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            out += itertools.zip_longest(old[i1:i2], new[j1:j2])
+    return out
 
 
 def _number(cell: str) -> float | None:
@@ -90,9 +100,8 @@ def _number(cell: str) -> float | None:
 def largest_changes(parent: bytes, change: bytes) -> dict[str, float]:
     """Largest relative change per column over the numeric cells that differ.
 
-    Rows are compared position by position, as in :func:`differing_lines`;
-    ``#`` comment lines are skipped and the parent's first other line names
-    the columns.  Where a row's first cell is a word, as the row kinds
+    Rows are compared position by position; ``#`` comment lines are
+    skipped and the parent's first other line names the columns.  Where a row's first cell is a word, as the row kinds
     ``moment`` and ``variance`` of ``cskfam limit``, the column is keyed by
     it too (``moment.value``).  Cells that are not numbers on both sides are
     skipped; a change away from 0 is ``inf``.
