@@ -25,8 +25,6 @@ from .conv import (
     uplus_power,
 )
 from .csk import (
-    CskDescriptor,
-    VarianceProfile,
     affine_pseudo_variance,
     boxplus_power_variance,
     boxtimes_power_pseudo_variance,
@@ -35,7 +33,6 @@ from .csk import (
     bt_variance,
     closed_form_variance,
     csk_density_weight,
-    csk_family,
     family_row,
     k_mean,
     mean_domain,
@@ -77,7 +74,7 @@ from .measure import (
     quadrature_integrate,
     variance_of,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries, ps_add, ps_compose, ps_mul, ps_pow_real, ps_revert
+from .series import DEFAULT_ORDER, TruncatedSeries, ps_compose, ps_mul, ps_pow_real, ps_revert
 from .transforms import (
     cauchy_transform,
     chi_inverse,

@@ -24,6 +24,10 @@ from .measure import Measure, MomentSeq, moments, parse_measure_spec
 from .series import DEFAULT_ORDER
 
 
+#: Most points an ``a:b:step`` grid may hold.
+MAX_GRID_POINTS = 10**6
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -51,6 +55,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if not math.isfinite(steps):
         raise click.UsageError(f"grid {text!r}: (b - a)/step overflows")
     count = int(np.floor(steps + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise click.UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return tuple(a + i * step for i in range(count))
 
 

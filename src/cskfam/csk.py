@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -47,7 +46,6 @@ from .transforms import (
     cauchy_transform,
     psi_integral,
     s_series,
-    theta_range,
 )
 
 Side = Literal["plus", "minus", "two_sided"]
@@ -59,61 +57,18 @@ _MEAN_MATCH_TOL = 1e-12
 _MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class CskDescriptor:
-    """A kernel family: generator, side, parameter range and mean domain."""
-
-    generator: Measure
-    side: Side
-    theta_range: tuple[float, float]
-    mean_domain: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class VarianceProfile:
-    """A variance or pseudo-variance function over a mean interval.
-
-    Either closed form (a callable) or a sampled table interpolated
-    linearly.  ``kind`` is ``"true"`` for a genuine variance function and
-    ``"pseudo"`` for the pseudo-variance surrogate.
-    """
-
-    kind: Literal["pseudo", "true"]
-    fn: Callable[[float], float] | None = None
-    samples: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("pseudo", "true"):
-            raise DomainError(f"unknown variance-profile kind {self.kind!r}")
-        if (self.fn is None) == (self.samples is None):
-            raise DomainError("provide exactly one of fn or samples")
-        if self.samples is not None:
-            ms = [p[0] for p in self.samples]
-            if sorted(ms) != ms or len(set(ms)) != len(ms):
-                raise DomainError("sample means must be strictly increasing")
-            if self.kind == "true" and any(p[1] <= 0.0 for p in self.samples):
-                raise DomainError("a true variance function must be positive")
-
-    def __call__(self, m: float) -> float:
-        if self.fn is not None:
-            return float(self.fn(m))
-        xs = np.array([p[0] for p in self.samples])
-        ys = np.array([p[1] for p in self.samples])
-        if not xs[0] <= m <= xs[-1]:
-            raise DomainError(f"m = {m:g} outside the sampled interval")
-        return float(np.interp(m, xs, ys))
-
-
-def closed_form_variance(nu: Measure) -> VarianceProfile:
-    """Known closed-form variance functions of the named generators."""
+def closed_form_variance(nu: Measure) -> Callable[[float], float]:
+    """The closed-form variance function ``m -> V(m)`` of a named generator:
+    ``m`` for free Poisson, ``1 + a*m`` for the centered Marchenko-Pastur
+    law and the constant variance for the semicircle."""
     if isinstance(nu, FreePoisson):
-        return VarianceProfile("true", fn=lambda m: m)
+        return lambda m: m
     if isinstance(nu, MarchenkoPasturCentered):
         a = nu.a
-        return VarianceProfile("true", fn=lambda m: 1.0 + a * m)
+        return lambda m: 1.0 + a * m
     if isinstance(nu, Semicircle):
         v = nu.variance
-        return VarianceProfile("true", fn=lambda m: v)
+        return lambda m: v
     raise DomainError(f"no closed-form variance function for {type(nu).__name__}")
 
 
@@ -154,7 +109,7 @@ def _bracket_theta(nu: Measure, mean_map: Callable[[float], float], m: float,
     when it is finite.  A doubling walk also ends where the mean map loses the
     mean to cancellation, since no mean it resolves reaches ``m``.
     """
-    t_lo, t_hi = theta_range(nu)
+    t_lo, t_hi = nu.theta_range()
     sign, end = (1.0, t_hi) if m > m0 else (-1.0, t_lo)
     if math.isinf(end):
         walk = (sign * 2.0**k for k in range(80))
@@ -234,18 +189,6 @@ def mean_domain(nu: Measure, side: Side = "two_sided") -> tuple[float, float]:
     lo = m0 if side == "plus" else _mean_endpoint(nu, upper=False)
     hi = m0 if side == "minus" else _mean_endpoint(nu, upper=True)
     return lo, hi
-
-
-def csk_family(nu: Measure, side: Side = "two_sided") -> CskDescriptor:
-    """Assemble the family descriptor for ``nu`` on the requested side."""
-    t_lo, t_hi = theta_range(nu)
-    if side == "plus":
-        t_range = (0.0, t_hi)
-    elif side == "minus":
-        t_range = (t_lo, 0.0)
-    else:
-        t_range = (t_lo, t_hi)
-    return CskDescriptor(nu, side, t_range, mean_domain(nu, side))
 
 
 # ---------------------------------------------------------------------------

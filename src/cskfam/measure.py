@@ -11,9 +11,10 @@ their exact free cumulants.  A :class:`MomentSeq` is known
 only through ``m1..mK``: it answers with truncated series that warn outside
 their trust radius, and raises :class:`InsufficientDataError` for what a
 moment list does not fix (the support, integrals of arbitrary functions).
-It is also the value type of the moment-level calculus.  The public
-functions (``moments``, ``quadrature_integrate``, ``cauchy_transform``,
-``psi_integral``, ``theta_range``) are the only callers of the numeric methods.
+It is also the value type of the moment-level calculus.  The numeric
+methods are called only through ``moments`` and ``quadrature_integrate``
+here and through the transforms of :mod:`.transforms` (``cauchy_transform``,
+``psi_integral``, ``psi_transform``); ``theta_range`` is read directly.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -273,8 +274,7 @@ class DensityMeasure(Measure):
             )
         # theta*x/(1-theta*x) = x / ((1/theta - anchor) - offset), stable at edges
         r = 1.0 / theta
-        hint = _edge_points_hint(lambda p: r - p.anchor)
-        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), hint)
+        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), pole=r)
 
 
 @dataclass(frozen=True)
@@ -459,18 +459,6 @@ class MomentSeq(Measure):
     def order(self) -> int:
         return len(self.values)
 
-    def moment(self, n: int) -> float:
-        """Return ``m_n``; ``n = 0`` gives the total mass 1."""
-        if n == 0:
-            return 1.0
-        if n > self.order:
-            raise InsufficientDataError(f"moment m_{n} beyond stored order {self.order}")
-        return self.values[n - 1]
-
-    @property
-    def mean(self) -> float:
-        return self.values[0]
-
     @property
     def variance(self) -> float:
         if self.order < 2:
@@ -621,11 +609,7 @@ def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchor, offset, matrix
 
 
-def integrate_pieces(
-    nu: DensityMeasure,
-    integrand: Callable,
-    points_hint: Callable[[QuadPiece], tuple[float, ...]] | None = None,
-) -> float:
+def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None = None) -> float:
     """Sum over the density pieces of ``nu`` of the integral of ``weight * integrand``.
 
     ``integrand(a, d)`` is the function integrated against the density at
@@ -641,8 +625,10 @@ def integrate_pieces(
     are finite and agree within ``FIXED_RULE_TOL * max(1, |I|)``.
     Otherwise the piece goes to adaptive quadrature of
     ``weight(u) * integrand(anchor, sign*u**2)`` on Python floats, with the
-    piece's ``breaks`` and the break points that ``points_hint(piece)``
-    proposes inside ``(0, umax)``.  The fallback raises
+    piece's ``breaks``.  When the integrand has a real pole ``x = pole``
+    at a distance ``0 < q < 0.5`` from the piece's anchor, the fallback
+    also breaks at ``u = sqrt(q)``, ``10*sqrt(q)`` and ``100*sqrt(q)`` inside
+    ``(0, umax)``, where the integrand turns steep.  The fallback raises
     :class:`SingularityError` when a node falls on a pole and
     :class:`AccuracyError` (with ``best_estimate``) when its error estimate
     misses the tolerance.  This is the edge-stable entry point of every
@@ -658,8 +644,10 @@ def integrate_pieces(
             total += fine
             continue
         pts = list(piece.breaks)
-        if points_hint is not None:
-            pts += [p for p in points_hint(piece) if 0.0 < p < piece.umax]
+        q = math.inf if pole is None else abs(pole - piece.anchor)
+        if 0.0 < q < 0.5:
+            root = math.sqrt(q)
+            pts += [p for p in (root, 10.0 * root, 100.0 * root) if p < piece.umax]
         w, a, s = piece.weight, piece.anchor, piece.sign
         total += _quad(lambda u: w(u) * integrand(a, s * u * u), 0.0, piece.umax,
                        points=sorted(pts) or None)
@@ -672,25 +660,12 @@ def _pullback(f) -> Callable:
     return lambda a, d: np.broadcast_to(f(a + d), np.shape(d))
 
 
-def _edge_points_hint(dz_of_piece):
-    def hint(piece):
-        dz = dz_of_piece(piece)
-        if 0.0 < abs(dz) < 0.5:
-            s = math.sqrt(abs(dz))
-            return (s, 10.0 * s, 100.0 * s)
-        return ()
-
-    return hint
-
-
 def _cauchy_density(nu: DensityMeasure, z: complex) -> complex:
     # x = anchor + offset, so z - x = (z - anchor) - offset without
     # cancellation even when z sits on a support edge.
     if z.imag == 0.0:
         zr = z.real
-        hint = _edge_points_hint(lambda p: zr - p.anchor)
-
-        return complex(integrate_pieces(nu, lambda a, d: 1.0 / ((zr - a) - d), hint), 0.0)
+        return complex(integrate_pieces(nu, lambda a, d: 1.0 / ((zr - a) - d), pole=zr), 0.0)
 
     def re_part(a, d):
         q = (z - a) - d

@@ -2,8 +2,8 @@
 
 Every moment-level computation in this package (cumulant extraction,
 convolution powers, limit-law moments) reduces to arithmetic on truncated
-power series: addition, Cauchy products, composition, compositional
-reversion and real powers via series exp/log.
+power series: Cauchy products, composition, compositional reversion and
+real powers via series exp/log.
 
 Coefficients are double-precision reals.  Binary operations truncate the
 result to the smaller of the two operand orders; nothing silently extends
@@ -55,20 +55,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.coeffs[: order + 1])
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return ps_add(self, other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return ps_mul(self, other)
-
-    def __call__(self, x: float) -> float:
-        """Evaluate the truncated polynomial at ``x`` (Horner)."""
-        return float(np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs)))
-
-
-def one_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    return TruncatedSeries((1.0,) + (0.0,) * order)
-
 
 def identity_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The series of ``z`` itself: coefficients (0, 1, 0, ...)."""
@@ -88,16 +74,6 @@ def _wrap(a: np.ndarray) -> TruncatedSeries:
 
 def _common_order(a: TruncatedSeries, b: TruncatedSeries) -> int:
     return min(a.order, b.order)
-
-
-def ps_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum, truncated to the smaller operand order."""
-    n = _common_order(a, b) + 1
-    return _wrap(_arr(a)[:n] + _arr(b)[:n])
-
-
-def ps_scale(a: TruncatedSeries, c: float) -> TruncatedSeries:
-    return _wrap(c * _arr(a))
 
 
 def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -217,7 +193,7 @@ def ps_pow_real(a: TruncatedSeries, alpha: float) -> TruncatedSeries:
     """
     if a.coeffs[0] <= 0.0:
         raise DomainError("real series power requires a positive constant term")
-    return ps_exp(ps_scale(ps_log(a), alpha))
+    return ps_exp(_wrap(alpha * _arr(ps_log(a))))
 
 
 def ps_pow_int(a: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -227,7 +203,7 @@ def ps_pow_int(a: TruncatedSeries, n: int) -> TruncatedSeries:
     """
     if n < 0:
         return ps_pow_int(ps_reciprocal(a), -n)
-    result = one_series(a.order)
+    result = TruncatedSeries((1.0,) + (0.0,) * a.order)
     base = a
     while n:
         if n & 1:

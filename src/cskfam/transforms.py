@@ -20,7 +20,6 @@ from scipy import optimize
 
 from .errors import DomainError, InsufficientDataError, NumericError, SingularityError
 from .measure import Measure, MomentSeq
-from .measure import laurent_trust_radius  # noqa: F401  (part of this module's API)
 from .series import TruncatedSeries, ps_compose, ps_mul, ps_reciprocal, ps_revert
 
 #: Brent tolerances for all monotone 1-D inversions in this module.
@@ -36,11 +35,6 @@ def bracketed_root(f, lo: float, hi: float) -> float:
     )
 
 
-def theta_range(nu: Measure) -> tuple[float, float]:
-    """Admissible open interval of the kernel parameter theta."""
-    return nu.theta_range()
-
-
 # ---------------------------------------------------------------------------
 # Cauchy transform
 
@@ -50,7 +44,7 @@ def cauchy_transform(nu: Measure, z: complex) -> complex:
 
     ``z`` must avoid the support.  For moment-sequence measures the value is
     the truncated Laurent sum, trusted only for ``|z|`` beyond
-    :func:`laurent_trust_radius`; evaluation inside that disk emits a
+    :func:`.measure.laurent_trust_radius`; evaluation inside that disk emits a
     :class:`TruncationAccuracyWarning`.
     """
     return nu.cauchy(complex(z))
@@ -61,7 +55,7 @@ def cauchy_transform(nu: Measure, z: complex) -> complex:
 
 
 def _check_theta(nu: Measure, theta: float):
-    t_lo, t_hi = theta_range(nu)
+    t_lo, t_hi = nu.theta_range()
     if not t_lo < theta < t_hi:
         raise DomainError(f"theta = {theta:g} outside admissible range ({t_lo:g}, {t_hi:g})")
 
@@ -157,33 +151,24 @@ def r_transform(nu: Measure, z: float) -> float:
     """
     if z == 0.0:
         raise DomainError("R is evaluated at nonzero arguments only")
-    lo, hi = nu.support()
-    f = lambda y: cauchy_transform(nu, y).real - z
-    if z > 0.0:
-        start = hi + max(1e-9, 1e-9 * abs(hi))
-        if f(start) < 0.0:
-            raise DomainError(f"z = {z:g} exceeds G just above the support; no real preimage")
-        y = start + 1.0
-        for _ in range(200):
-            if f(y) < 0.0:
-                break
-            y = hi + 2.0 * (y - hi)
-        else:
-            raise NumericError("no bracket found for the inverse Cauchy transform")
-        root = bracketed_root(f, start, y)
+    # One walk for both sides: away from the support edge ``edge`` in the
+    # direction ``side``, where ``side * (G - z)`` falls from positive to
+    # negative through the preimage.
+    side = 1.0 if z > 0.0 else -1.0
+    edge = nu.support()[z > 0.0]
+    f = lambda y: side * (cauchy_transform(nu, y).real - z)
+    start = edge + side * max(1e-9, 1e-9 * abs(edge))
+    if f(start) < 0.0:
+        where = "exceeds G just above" if z > 0.0 else "is below G just under"
+        raise DomainError(f"z = {z:g} {where} the support; no real preimage")
+    y = start + side
+    for _ in range(200):
+        if f(y) < 0.0:
+            break
+        y = edge + 2.0 * (y - edge)
     else:
-        start = lo - max(1e-9, 1e-9 * abs(lo))
-        if f(start) > 0.0:
-            raise DomainError(f"z = {z:g} is below G just under the support; no real preimage")
-        y = start - 1.0
-        for _ in range(200):
-            if f(y) > 0.0:
-                break
-            y = lo - 2.0 * (lo - y)
-        else:
-            raise NumericError("no bracket found for the inverse Cauchy transform")
-        root = bracketed_root(f, y, start)
-    return root - 1.0 / z
+        raise NumericError("no bracket found for the inverse Cauchy transform")
+    return bracketed_root(f, *sorted((start, y))) - 1.0 / z
 
 
 def k_transform(nu: Measure, z: complex) -> complex:
@@ -198,20 +183,15 @@ def k_transform(nu: Measure, z: complex) -> complex:
 # series dictionary: moments <-> S
 
 
-def psi_series(m: MomentSeq) -> TruncatedSeries:
-    """Power series of Psi: coefficients ``(0, m1, ..., mK)``."""
-    return TruncatedSeries((0.0,) + m.values)
-
-
 def s_series(m: MomentSeq) -> TruncatedSeries:
     """S-transform power series around 0, at order ``K - 1``.
 
-    Reverts the Psi series to chi and multiplies by ``(1 + w) / w``.
-    Requires ``m1 != 0``.
+    Reverts the Psi series ``(0, m1, ..., mK)`` to chi and multiplies by
+    ``(1 + w) / w``.  Requires ``m1 != 0``.
     """
     if m.values[0] == 0.0:
         raise DomainError("the S series needs a nonzero first moment")
-    chi = ps_revert(psi_series(m))
+    chi = ps_revert(TruncatedSeries((0.0,) + m.values))
     chi_over_w = TruncatedSeries(chi.coeffs[1:])  # order K-1
     one_plus_w = TruncatedSeries((1.0, 1.0) + (0.0,) * max(0, chi_over_w.order - 1))
     return ps_mul(chi_over_w, one_plus_w)

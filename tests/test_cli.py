@@ -2,9 +2,11 @@
 
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from cskfam import cli
 from cskfam.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,6 +65,8 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   1e-14 absolute in theta.  The "# mean_domain" lines (not counted above)
 #   moved by at most 8.9e-16 relative, and the "error" column of the limit
 #   variance rows (value - limit) by up to 1.7e-13 relative.
+# The two R tables were written when r_transform still had one walk per
+# side of the support; they pin the folded walk that replaced them.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
 # defect: they lie outside the domain of means (0, 2) of free Poisson, yet
 # the moment route answers there.  They are expected to become error rows
@@ -95,6 +99,11 @@ GOLDEN_CASES = {
     # arguments within 0.5 of a support edge add break points to the quadrature
     "transform_g_edges.csv": ["transform", "--spec", GOLDEN / "free_poisson.json",
                               "--which", "G", "--grid=-0.4,-0.05,-0.001,2,4.001,4.05,4.4"],
+    # R on both sides of the support, at z = 0 and past G at the upper edge
+    "transform_r_free_poisson.csv": ["transform", "--spec", GOLDEN / "free_poisson.json",
+                                     "--which", "R", "--grid=-2:1:0.25"],
+    "transform_r_two_atom.csv": ["transform", "--spec", GOLDEN / "two_atom.json",
+                                 "--which", "R", "--grid=-2:2:0.5"],
 }
 
 
@@ -164,6 +173,10 @@ _FREE_POISSON = '{"type":"named","name":"free_poisson"}'
         # a mean-0 generator once reached gamma = Var/m0**2 before any check
         ('{"type":"named","name":"semicircle","params":{"center":0,"variance":1}}',
          ["limit", "--kind", "boxplus"]),
+        # an n beyond the largest double once leaked an OverflowError from 1/n,
+        # and one with an infinite float square from the variance rows
+        (_FREE_POISSON, ["limit", "--kind", "boxplus", "--n-schedule", f"1,{10**400}"]),
+        (_FREE_POISSON, ["limit", "--kind", "uplus", "--n-schedule", f"1,{10**300}"]),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(doc, args, tmp_path):
@@ -192,6 +205,10 @@ def test_malformed_input_exits_1_without_traceback(doc, args, tmp_path):
         ["transform", "--spec", GOLDEN / "free_poisson.json", "--which", "G", "--grid", "5:6:inf"],
         ["transform", "--spec", GOLDEN / "free_poisson.json", "--which", "G",
          "--grid", "nan,inf"],
+        # a range of more than MAX_GRID_POINTS points is refused before it is built
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "0:1e12:1"],
+        ["transform", "--spec", GOLDEN / "free_poisson.json", "--which", "G",
+         "--grid", "0:1e12:1"],
         # the series order is the moment order; there is no separate knob
         ["limit", "--spec", GOLDEN / "free_poisson.json", "--kind", "boxplus", "--order", "40"],
         ["limit", "--spec", GOLDEN / "free_poisson.json", "--kind", "boxplus",
@@ -228,6 +245,14 @@ def test_convolve_overflowing_power_exits_1(op):
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ") and "overflows" in result.stderr
     assert result.stdout == ""
+
+
+def test_grid_point_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    assert len(cli._parse_grid("0:9:1")) == 10
+    with pytest.raises(click.UsageError):
+        cli._parse_grid("0:10:1")
+    assert cli._parse_grid("0,1,2,3,4,5,6,7,8,9,10")[-1] == 10.0  # lists are not ranges
 
 
 def test_verify_all_passes():

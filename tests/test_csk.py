@@ -9,7 +9,6 @@ from click.testing import CliRunner
 from cskfam import csk as csk_module
 from cskfam.cli import main
 from cskfam.csk import (
-    VarianceProfile,
     affine_pseudo_variance,
     boxplus_power_variance,
     boxtimes_power_pseudo_variance,
@@ -18,7 +17,6 @@ from cskfam.csk import (
     bt_variance,
     closed_form_variance,
     csk_density_weight,
-    csk_family,
     family_row,
     k_mean,
     mean_domain,
@@ -235,14 +233,9 @@ def test_mean_domain_rejects_moment_sequences():
         mean_domain(MomentSeq((1.0, 2.0)))
 
 
-def test_csk_family_descriptor():
-    fam = csk_family(FP, "two_sided")
-    assert fam.generator == FP
-    assert fam.theta_range[0] == -math.inf
-    assert fam.theta_range[1] == 0.25
-    assert fam.mean_domain[0] == 0.0
-    fam_minus = csk_family(FP, "minus")
-    assert fam_minus.theta_range == (-math.inf, 0.0)
+def test_free_poisson_theta_range_and_lower_mean_domain():
+    assert FP.theta_range() == (-math.inf, 0.25)
+    assert mean_domain(FP, "minus") == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +460,7 @@ def test_laws_reject_nonfinite_parameter(law, value):
 
 
 # ---------------------------------------------------------------------------
-# variance profiles
+# closed-form variance functions
 
 
 def test_closed_form_profiles():
@@ -476,17 +469,6 @@ def test_closed_form_profiles():
     assert closed_form_variance(Semicircle(0.0, 2.0))(0.3) == 2.0
     with pytest.raises(DomainError):
         closed_form_variance(TWO_ATOM)
-
-
-def test_sampled_profile_interpolates():
-    profile = VarianceProfile("true", samples=((0.0, 1.0), (1.0, 2.0)))
-    assert profile(0.5) == 1.5
-    with pytest.raises(DomainError):
-        profile(2.0)
-    with pytest.raises(DomainError):
-        VarianceProfile("true", samples=((0.0, 1.0), (1.0, -2.0)))
-    with pytest.raises(DomainError):
-        VarianceProfile("true", fn=lambda m: m, samples=((0.0, 1.0),))
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,18 @@ def test_report_rejects_nonpositive_n():
         convergence_report(FP, "boxplus", (0, 2), 2)
 
 
+@pytest.mark.parametrize("n", [1.5, 0, -2, math.nan, math.inf, 10**155, 10**400],
+                         ids=["1.5", "0", "-2", "nan", "inf", "10**155", "10**400"])
+def test_step_must_be_an_integer_with_a_finite_float_square(n):
+    # 10**400 once raised OverflowError from 1/n, 10**155 from the 1/n**2
+    # of the variance rows, and a schedule entry 1.5 was silently truncated
+    # to 1
+    with pytest.raises(DomainError):
+        scaled_sequence_moments(FP, n, "boxplus", 4)
+    with pytest.raises(DomainError):
+        convergence_report(FP, "boxplus", (n,), 2)
+
+
 def test_report_rejects_unsorted_schedule():
     with pytest.raises(DomainError):
         convergence_report(FP, "uplus", (4, 2, 8), 4)

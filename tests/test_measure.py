@@ -28,7 +28,7 @@ from cskfam.measure import (
     parse_measure_spec,
     quadrature_integrate,
 )
-from cskfam.transforms import cauchy_transform, m_transform, psi_integral, r_transform, theta_range
+from cskfam.transforms import cauchy_transform, m_transform, psi_integral, r_transform
 
 from oracles import catalan, mp_cauchy, nc_moments_from_free_cumulants
 
@@ -94,12 +94,9 @@ def test_moment_sequence_measure_slices_and_rejects():
 
 def test_moment_seq_accessors():
     m = MomentSeq((1.0, 2.0, 5.0))
-    assert m.moment(0) == 1.0
-    assert m.moment(3) == 5.0
-    assert m.mean == 1.0
     assert m.variance == 1.0
     with pytest.raises(InsufficientDataError):
-        m.moment(4)
+        MomentSeq((1.0,)).variance
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +238,25 @@ def test_argument_near_an_edge_falls_back_to_adaptive_quadrature(monkeypatch):
     got = cauchy_transform(nu, -1e-6).real
     assert len(calls) == 1  # the lower piece only; the upper one is smooth
     assert abs(got - float(mp_cauchy(nu, -1e-6))) <= 1e-12 * abs(got)
+
+
+def test_pole_near_an_anchor_adds_fallback_break_points(monkeypatch):
+    # q = |pole - anchor| = 1e-6 on the lower piece: breaks at sqrt(q),
+    # 10*sqrt(q) and 100*sqrt(q); without a pole, the fallback has none
+    points = []
+    quad = scipy.integrate.quad
+
+    def recorded(*args, **kwargs):
+        points.append(kwargs.get("points"))
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recorded)
+    nu, z = FreePoisson(), -1e-6
+    integrand = lambda a, d: 1.0 / ((z - a) - d)
+    with_pole = integrate_pieces(nu, integrand, pole=z)
+    without = integrate_pieces(nu, integrand)
+    assert points == [[1e-3, 1e-2, 1e-1], None]
+    assert abs(with_pole - without) <= 1e-12 * abs(with_pole)
 
 
 def test_non_finite_fixed_sum_falls_back_and_raises():
@@ -458,7 +474,7 @@ ENTRY_POINTS = {
     "k_mean": lambda nu: k_mean(nu, 0.01),
     "mean_domain": lambda nu: mean_domain(nu),
     "r_transform": lambda nu: r_transform(nu, 0.05),
-    "theta_range": lambda nu: theta_range(nu),
+    "theta_range": lambda nu: nu.theta_range(),
 }
 
 

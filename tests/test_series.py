@@ -9,7 +9,6 @@ from cskfam.errors import DomainError
 from cskfam.series import (
     TruncatedSeries,
     identity_series,
-    ps_add,
     ps_compose,
     ps_exp,
     ps_log,
@@ -30,21 +29,7 @@ def coeffs(series):
 
 
 # ---------------------------------------------------------------------------
-# addition / multiplication
-
-
-def test_add_coefficientwise():
-    assert ps_add(S((1.0, 2.0)), S((0.0, 1.0))).coeffs == (1.0, 3.0)
-
-
-def test_add_zero_identity():
-    a = S((2.0, -1.0, 0.5))
-    assert ps_add(a, S((0.0, 0.0, 0.0))).coeffs == a.coeffs
-
-
-def test_add_inverse():
-    a = S((1.0, 1.0, 1.0))
-    assert ps_add(a, S((-1.0, -1.0, -1.0))).coeffs == (0.0, 0.0, 0.0)
+# multiplication
 
 
 def test_mul_one_plus_z_times_one_minus_z():
@@ -63,7 +48,6 @@ def test_mul_z_times_z():
 def test_binary_ops_truncate_to_min_order():
     a = S((1.0, 2.0, 3.0, 4.0))
     b = S((1.0, 1.0))
-    assert ps_add(a, b).order == 1
     assert ps_mul(a, b).order == 1
 
 

@@ -17,6 +17,7 @@ from cskfam.measure import (
     MarchenkoPasturCentered,
     MomentSeq,
     Semicircle,
+    laurent_trust_radius,
     moments,
     quadrature_integrate,
 )
@@ -25,7 +26,6 @@ from cskfam.transforms import (
     cauchy_transform,
     chi_inverse,
     k_transform,
-    laurent_trust_radius,
     m_transform,
     psi_transform,
     r_transform,
@@ -34,7 +34,6 @@ from cskfam.transforms import (
     s_transform,
     sigma_series_to_s_series,
     sigma_transform,
-    theta_range,
 )
 
 from oracles import lagrange_revert
@@ -132,7 +131,7 @@ def test_m_matches_g_crosscheck():
 
 
 def test_m_theta_range_enforced():
-    assert theta_range(FP) == (-math.inf, 0.25)
+    assert FP.theta_range() == (-math.inf, 0.25)
     with pytest.raises(DomainError):
         m_transform(FP, 0.3)
     with pytest.raises(DomainError):
@@ -276,8 +275,11 @@ def test_r_free_poisson_series_oracle():
 
 
 def test_r_no_preimage():
-    with pytest.raises(DomainError):
-        r_transform(Semicircle(0.0, 1.0), 3.0)  # G maps (2, inf) to (0, 1)
+    # G maps (2, inf) onto (0, 1) and (-inf, -2) onto (-1, 0)
+    with pytest.raises(DomainError, match="z = 3 exceeds G just above the support"):
+        r_transform(Semicircle(0.0, 1.0), 3.0)
+    with pytest.raises(DomainError, match="z = -3 is below G just under the support"):
+        r_transform(Semicircle(0.0, 1.0), -3.0)
 
 
 def test_r_rejects_zero():
