@@ -71,7 +71,6 @@ from .measure import (
     mean,
     moments,
     parse_measure_spec,
-    quadrature_integrate,
     variance_of,
 )
 from .series import DEFAULT_ORDER, TruncatedSeries, ps_compose, ps_mul, ps_pow_real, ps_revert

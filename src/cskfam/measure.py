@@ -12,9 +12,9 @@ only through ``m1..mK``: it answers with truncated series that warn outside
 their trust radius, and raises :class:`InsufficientDataError` for what a
 moment list does not fix (the support, integrals of arbitrary functions).
 It is also the value type of the moment-level calculus.  The numeric
-methods are called only through ``moments`` and ``quadrature_integrate``
-here and through the transforms of :mod:`.transforms` (``cauchy_transform``,
-``psi_integral``, ``psi_transform``); ``theta_range`` is read directly.
+methods are called only through ``moments`` here and through the transforms
+of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
+``psi_transform``); ``integrate`` and ``theta_range`` are read directly.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -27,8 +27,10 @@ density's weights at their nodes are computed once per measure, so a smooth
 integral costs one vectorized integrand evaluation and one matrix product.
 The 65-node sum is kept when it agrees with the 33-node sum within
 ``FIXED_RULE_TOL * max(1, |I|)``; otherwise (a pole of the integrand near the
-piece, a node on a pole, a non-finite sum) the piece goes to adaptive
-``scipy.integrate.quad``, whose error estimate is then the check.
+piece, a node on a pole, a non-finite sum) the piece goes to an adaptive
+fallback that bisects it and applies the same pair to each part until the
+parts pass the same check.  Everything here is numpy and the standard
+library.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     AccuracyError,
@@ -53,21 +53,20 @@ from .errors import (
     TruncationAccuracyWarning,
 )
 
-#: Absolute tolerance targeted by adaptive quadrature for order-unity
-#: integrands.  Larger integrals are resolved to ~1e-12 relative accuracy.
-QUAD_ABS_TOL = 1e-10
-
 #: Nodes per sub-interval of the fixed Gauss-Legendre pair (coarse, fine).
 #: Both are odd, so both have a node at the middle of each sub-interval: a
 #: pole there makes the sums non-finite.  Even rules would place their nodes
 #: symmetrically around it and agree on a finite principal value.
 FIXED_RULE_NODES = (33, 65)
 #: The fine sum of the fixed pair is accepted when it lies within
-#: ``FIXED_RULE_TOL * max(1, |I|)`` of the coarse one: a tenth of what
-#: adaptive quadrature is asked for (``epsabs = QUAD_ABS_TOL * 1e-2``,
-#: ``epsrel = 1e-12``).  The difference bounds the coarse rule's error, and
-#: for the analytic integrands that pass, the fine rule's error is far smaller.
+#: ``FIXED_RULE_TOL * max(1, |I|)`` of the coarse one.  The difference bounds
+#: the coarse rule's error, and for the analytic integrands that pass, the
+#: fine rule's error is far smaller.
 FIXED_RULE_TOL = 1e-13
+#: Bisection levels and sub-intervals per piece allowed to the adaptive
+#: fallback of :func:`integrate_pieces` before it gives up.
+FALLBACK_MAX_DEPTH = 40
+FALLBACK_MAX_INTERVALS = 400
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -78,11 +77,12 @@ class QuadPiece:
 
     Integration runs over ``u`` in ``(0, umax)`` with ``x = anchor + sign*u**2``,
     and ``weight(u)`` already contains the density times ``|dx/du|``.  The
-    weight maps a float to a float with ``math``: it is evaluated once per
-    node of the fixed rule (see :attr:`DensityMeasure.fixed_rule`) and once
-    per node of an adaptive fallback.  ``breaks`` are fixed break points in
-    ``(0, umax)`` where the weight has a pole just off the interval; both
-    rules split the piece there.
+    weight acts elementwise, on a numpy array of nodes and on a float: it is
+    evaluated once on the nodes of the fixed rule (see
+    :attr:`DensityMeasure.fixed_rule`) and once on the nodes of each
+    sub-interval of the adaptive fallback.  ``breaks`` are fixed break
+    points in ``(0, umax)`` where the weight has a pole just off the
+    interval; the fixed rule and the fallback both split the piece there.
     """
 
     anchor: float
@@ -312,7 +312,7 @@ class Semicircle(DensityMeasure):
         two_r, pi_v = 2.0 * r, math.pi * v
 
         def w(u):
-            return u * u * math.sqrt(two_r - u * u) / pi_v
+            return u * u * np.sqrt(two_r - u * u) / pi_v
 
         lo, hi = self.support()
         return [QuadPiece(lo, +1, umax, w), QuadPiece(hi, -1, umax, w)]
@@ -373,10 +373,10 @@ class MarchenkoPasturCentered(DensityMeasure):
         c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
 
         def w_lo(u):
-            return u * u * math.sqrt(4.0 - u * u) / (math.pi * (c_lo + a * u * u))
+            return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_lo + a * u * u))
 
         def w_hi(u):
-            return u * u * math.sqrt(4.0 - u * u) / (math.pi * (c_hi - a * u * u))
+            return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_hi - a * u * u))
 
         # For |a| near 1, 1 + a*x vanishes just outside the support, at
         # u = i*r with r = sqrt(c/|a|) on the piece whose c is small: break
@@ -424,10 +424,10 @@ class FreePoisson(DensityMeasure):
 
     def _pieces(self) -> list[QuadPiece]:
         def w_lo(u):
-            return math.sqrt(4.0 - u * u) / math.pi
+            return np.sqrt(4.0 - u * u) / math.pi
 
         def w_hi(u):
-            return u * u / (math.pi * math.sqrt(4.0 - u * u))
+            return u * u / (math.pi * np.sqrt(4.0 - u * u))
 
         return [QuadPiece(0.0, +1, _SQRT2, w_lo), QuadPiece(4.0, -1, _SQRT2, w_hi)]
 
@@ -542,32 +542,14 @@ def laurent_trust_radius(m: MomentSeq) -> float:
 # quadrature
 
 
-def _quad(f, lo: float, hi: float, points=None) -> float:
-    # full_output makes quad return its convergence message instead of
-    # warning; the error estimate below is the check.  The integrands compute
-    # on Python floats, which raise where numpy would warn and return inf: a
-    # node that lands on a pole of the integrand.
-    try:
-        value, estimate = integrate.quad(
-            f, lo, hi, epsabs=QUAD_ABS_TOL * 1e-2, epsrel=1e-12, limit=400, points=points,
-            full_output=1,
-        )[:2]
-    except ZeroDivisionError as exc:
-        raise SingularityError("a quadrature node fell on a pole of the integrand") from exc
-    if estimate > max(QUAD_ABS_TOL, 1e-9 * abs(value)):
-        raise AccuracyError(
-            f"quadrature error estimate {estimate:.3e} exceeds tolerance", best_estimate=value
-        )
-    return value
-
-
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``n``-point Gauss-Legendre rule on (0, 1).
 
-    Golub-Welsch eigenvalues, one Newton step on the three-term recurrence,
-    weights ``2 / ((1 - x**2) * P_n'(x)**2)`` made symmetric: nodes and
-    weights within about one ulp (numpy's ``leggauss`` misses the weights
-    of the 65-node rule by up to 3e-13 relative).
+    Golub-Welsch nodes (the eigenvalues of the dense ``n x n`` Jacobi
+    matrix, from ``numpy.linalg.eigvalsh``), one Newton step on the
+    three-term recurrence, weights ``2 / ((1 - x**2) * P_n'(x)**2)`` made
+    symmetric: nodes and weights within about one ulp (numpy's ``leggauss``
+    misses the weights of the 65-node rule by up to 3e-13 relative).
     """
     def legendre(x):  # P_{n-1}(x), P_n(x)
         p0, p1 = np.ones_like(x), x
@@ -576,7 +558,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         return p0, p1
 
     k = np.arange(1.0, n)
-    x = eigh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), eigvals_only=True)
+    off = np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1)
+    x = np.linalg.eigvalsh(off + off.T)
     p0, p1 = legendre(x)
     x = x - p1 * (x * x - 1.0) / (n * (x * p1 - p0))
     p0, p1 = legendre(x)
@@ -588,6 +571,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 #: The coarse and the fine rule of the fixed pair on (0, 1), built at import.
 _FIXED_RULES = tuple(_gauss_legendre(n) for n in FIXED_RULE_NODES)
+#: The nodes of both rules, coarse first, as the fallback evaluates them.
+_PAIR_NODES = np.concatenate([x for x, _ in _FIXED_RULES])
 
 
 def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -602,7 +587,7 @@ def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrix = np.zeros((len(blocks), sum(nodes.size for _, nodes, _ in blocks)))
     start = 0
     for row, (piece, nodes, w) in enumerate(blocks):
-        matrix[row, start:start + nodes.size] = w * [piece.weight(float(t)) for t in nodes]
+        matrix[row, start:start + nodes.size] = w * piece.weight(nodes)
         start += nodes.size
     anchor = np.concatenate([np.full(nodes.size, piece.anchor) for piece, nodes, _ in blocks])
     offset = np.concatenate([piece.sign * nodes * nodes for piece, nodes, _ in blocks])
@@ -623,16 +608,16 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None
     ``integrand`` on the nodes of all pieces (numpy warnings silenced) and
     one matrix product.  A piece's fine sum is kept when both of its sums
     are finite and agree within ``FIXED_RULE_TOL * max(1, |I|)``.
-    Otherwise the piece goes to adaptive quadrature of
-    ``weight(u) * integrand(anchor, sign*u**2)`` on Python floats, with the
-    piece's ``breaks``.  When the integrand has a real pole ``x = pole``
-    at a distance ``0 < q < 0.5`` from the piece's anchor, the fallback
-    also breaks at ``u = sqrt(q)``, ``10*sqrt(q)`` and ``100*sqrt(q)`` inside
-    ``(0, umax)``, where the integrand turns steep.  The fallback raises
-    :class:`SingularityError` when a node falls on a pole and
-    :class:`AccuracyError` (with ``best_estimate``) when its error estimate
-    misses the tolerance.  This is the edge-stable entry point of every
-    density method.
+    Otherwise the piece goes to the adaptive fallback,
+    :func:`_bisect_piece`, which applies the same pair to sub-intervals of
+    ``(0, umax)`` split at the piece's ``breaks``.  When the integrand has a
+    real pole ``x = pole`` at a distance ``0 < q < 0.5`` from the piece's
+    anchor, the fallback also splits at ``u = sqrt(q)``, ``10*sqrt(q)`` and
+    ``100*sqrt(q)`` inside ``(0, umax)``, where the integrand turns steep.
+    The fallback raises :class:`SingularityError` when the integrand is not
+    finite where it bisects and :class:`AccuracyError` (with
+    ``best_estimate``) when bisection stops short of the tolerance.  This
+    is the edge-stable entry point of every density method.
     """
     anchor, offset, matrix = nu.fixed_rule
     with np.errstate(all="ignore"):
@@ -648,9 +633,63 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None
         if 0.0 < q < 0.5:
             root = math.sqrt(q)
             pts += [p for p in (root, 10.0 * root, 100.0 * root) if p < piece.umax]
-        w, a, s = piece.weight, piece.anchor, piece.sign
-        total += _quad(lambda u: w(u) * integrand(a, s * u * u), 0.0, piece.umax,
-                       points=sorted(pts) or None)
+        total += _bisect_piece(piece, integrand, sorted(pts))
+    return total
+
+
+def _pair_sums(piece: QuadPiece, integrand: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """The coarse and the fine sum of the fixed pair on ``(lo, hi)`` of a piece,
+    from one evaluation on the nodes of both rules."""
+    (_, w_coarse), (_, w_fine) = _FIXED_RULES
+    u = lo + (hi - lo) * _PAIR_NODES
+    values = (hi - lo) * piece.weight(u) * integrand(piece.anchor, piece.sign * u * u)
+    return float(w_coarse @ values[:w_coarse.size]), float(w_fine @ values[w_coarse.size:])
+
+
+def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float]) -> float:
+    """Adaptive fallback of :func:`integrate_pieces` on one piece.
+
+    Starts from the sub-intervals of ``(0, umax)`` between the sorted
+    ``points`` and sums each by the fixed pair.  A sub-interval that is a
+    share ``s`` of ``umax`` is accepted when both sums are finite and agree
+    within ``FIXED_RULE_TOL * max(s, |I|)``: the whole piece's check, split
+    over its parts.  Otherwise it is bisected, after the integrand is
+    evaluated on a float at the split point, where both odd rules had their
+    middle node: a non-finite value or a ``ZeroDivisionError`` there is a
+    pole, and raises :class:`SingularityError`.  A sub-interval that still
+    fails after ``FALLBACK_MAX_DEPTH`` bisections, or once the piece has
+    used ``FALLBACK_MAX_INTERVALS`` sub-intervals, keeps its fine sum, and
+    the piece then raises :class:`AccuracyError` with the total as
+    ``best_estimate``.
+    """
+    ends = [0.0, *points, piece.umax]
+    stack = [(lo, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:])))]
+    total, evaluated, converged = 0.0, 0, True
+    with np.errstate(all="ignore"):
+        while stack:  # leftmost sub-interval first: a fixed summation order
+            lo, hi, depth = stack.pop()
+            coarse, fine = _pair_sums(piece, integrand, lo, hi)
+            evaluated += 1
+            tol = FIXED_RULE_TOL * max((hi - lo) / piece.umax, abs(fine))
+            if abs(fine - coarse) <= tol and math.isfinite(fine):
+                total += fine
+            elif depth == FALLBACK_MAX_DEPTH or evaluated >= FALLBACK_MAX_INTERVALS:
+                total += fine
+                converged = False
+            else:
+                mid = 0.5 * (lo + hi)
+                try:
+                    value = piece.weight(mid) * integrand(piece.anchor, piece.sign * mid * mid)
+                except ZeroDivisionError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise SingularityError("a quadrature node fell on a pole of the integrand")
+                stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+    if not converged:
+        raise AccuracyError(
+            f"adaptive quadrature did not reach its tolerance in {evaluated} sub-intervals",
+            best_estimate=total,
+        )
     return total
 
 
@@ -676,21 +715,6 @@ def _cauchy_density(nu: DensityMeasure, z: complex) -> complex:
         return -q.imag / abs(q) ** 2
 
     return complex(integrate_pieces(nu, re_part), integrate_pieces(nu, im_part))
-
-
-def quadrature_integrate(nu: Measure, f) -> float | complex:
-    """Integrate ``f`` against ``nu``.
-
-    Exact weighted sums for atomic measures; edge-regularized quadrature
-    for densities (:func:`integrate_pieces`: the fixed Gauss-Legendre pair,
-    adaptive quadrature where it disagrees), so ``f`` must act elementwise
-    on numpy arrays as well as on floats.  Absolute tolerance ``1e-10`` for
-    order-unity results, ~1e-12 relative accuracy for large ones.
-    Complex-valued integrands are handled componentwise.  Raises
-    :class:`InsufficientDataError` for moment-sequence measures and
-    :class:`AccuracyError` when the quadrature cannot reach its tolerance.
-    """
-    return nu.integrate(f)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ bracket expansion followed by Brent's method.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, InsufficientDataError, NumericError, SingularityError
 from .measure import Measure, MomentSeq
@@ -29,10 +30,65 @@ ROOT_MAXITER = 200
 
 
 def bracketed_root(f, lo: float, hi: float) -> float:
-    """Brent root of ``f`` on a bracket with a sign change."""
-    return float(
-        optimize.brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL, maxiter=ROOT_MAXITER)
-    )
+    """Brent root of ``f`` on a bracket with a sign change.
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) as written in scipy's ``brentq``: the same
+    steps in the same floating-point order, so it returns the same root.
+    ``f`` is called at ``lo``, then ``hi``, then once per iteration.  It
+    stops when half the bracket is below ``(ROOT_XTOL + ROOT_RTOL*|x|)/2``.
+    Raises :class:`NumericError` when ``f(lo)`` or ``f(hi)`` is not finite,
+    when they have the same sign, when ``f`` returns NaN, or after
+    ``ROOT_MAXITER`` iterations without convergence.
+    """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = _root_value(f, xpre), _root_value(f, xcur)
+    if not (math.isfinite(fpre) and math.isfinite(fcur)):
+        raise NumericError(f"f is not finite at the bracket ends: f({xpre:g}) = {fpre}, "
+                           f"f({xcur:g}) = {fcur}")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(f"no sign change on the bracket [{xpre:g}, {xcur:g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:  # underflowed: C divides to an inf or NaN step, and bisects
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _root_value(f, xcur)
+    raise NumericError(f"Brent did not converge in {ROOT_MAXITER} iterations near {xcur:g}")
+
+
+def _root_value(f, x: float) -> float:
+    value = float(f(x))
+    if math.isnan(value):
+        raise NumericError(f"f({x:g}) is NaN; the root search cannot continue")
+    return value
 
 
 # ---------------------------------------------------------------------------

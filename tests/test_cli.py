@@ -1,5 +1,7 @@
 """Command-line frontend: byte-exact golden output, exit codes, error reporting."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -65,6 +67,14 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   1e-14 absolute in theta.  The "# mean_domain" lines (not counted above)
 #   moved by at most 8.9e-16 relative, and the "error" column of the limit
 #   variance rows (value - limit) by up to 1.7e-13 relative.
+# - csk_mp_a025 and transform_g_edges, in the last digit, when the adaptive
+#   fallback moved from scipy's quad to bisection on the same fixed pair
+#   (the rows whose argument lies within 0.5 of a support edge): at
+#   m = -0.9, theta moved by 1.9e-16 and V and PV by 2.9e-16 relative; G at
+#   -0.001 and 4.001 by 1.1e-16 each.  Every new value lies within
+#   3.1e-16 of its closed form at 40 digits (old 2.0e-16): theta = 1/(m +
+#   V/m) and V = 1 + a m for MP(1/4), G(z) = (z - sqrt(z^2 - 4z))/(2z)
+#   for free Poisson.
 # The two R tables were written when r_transform still had one walk per
 # side of the support; they pin the folded walk that replaced them.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
@@ -259,3 +269,38 @@ def test_verify_all_passes():
     result = _invoke(["verify", "--suite", "all"])
     assert result.exit_code == 0, result.output
     assert "FAIL" not in result.output
+
+
+# A fresh interpreter runs one job of each benchmark kind; the csk job's
+# means near 0 send free Poisson to the adaptive fallback.
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from cskfam import measure
+from cskfam.cli import main
+fallbacks = []
+bisect_piece = measure._bisect_piece
+def counted(*args):
+    fallbacks.append(args)
+    return bisect_piece(*args)
+measure._bisect_piece = counted
+spec, out = sys.argv[2], sys.argv[3]
+for args in (["csk", "--spec", spec, "--at", "0.05,0.1,0.5"],
+             ["limit", "--spec", spec, "--kind", "boxplus", "--n-schedule", "1,2,4"],
+             ["convolve", "--spec", spec, "--op", "boxtimes", "--power", "2",
+              "--order", "8"]):
+    main(args + ["--out", out], standalone_mode=False)
+print(len(fallbacks), sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_jobs_load_no_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(src), str(GOLDEN / "free_poisson.json"),
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fallbacks, modules = proc.stdout.split(" ", 1)
+    assert int(fallbacks) > 0
+    assert modules.strip() == "[]"

@@ -33,7 +33,6 @@ from cskfam.measure import (
     MomentSeq,
     Semicircle,
     moments,
-    quadrature_integrate,
 )
 from cskfam.transforms import bracketed_root, cauchy_transform, psi_transform, s_transform
 
@@ -323,13 +322,13 @@ def test_weight_is_one_at_zero_mean_when_pv_nonzero():
 
 def test_weight_normalizes():
     for m in (0.5, 1.5):
-        total = quadrature_integrate(FP, lambda x: csk_density_weight(FP, x, m))
+        total = FP.integrate(lambda x: csk_density_weight(FP, x, m))
         assert abs(total - 1.0) <= 1e-9
 
 
 def test_weight_reproduces_mean():
     m = 1.5
-    got = quadrature_integrate(FP, lambda x: x * csk_density_weight(FP, x, m))
+    got = FP.integrate(lambda x: x * csk_density_weight(FP, x, m))
     assert abs(got - m) <= 1e-8
 
 
@@ -342,15 +341,13 @@ def test_weight_zero_mean_slope_branch():
     assert pseudo_variance(nu, 0.0) == 0.0
     for x in (-1.0, 0.5, 2.0):
         assert abs(csk_density_weight(nu, x, 0.0) - 2.0 / (2.0 + x)) <= 1e-5
-    total = quadrature_integrate(nu, lambda x: csk_density_weight(nu, x, 0.0))
+    total = nu.integrate(lambda x: csk_density_weight(nu, x, 0.0))
     assert abs(total - 1.0) <= 1e-5
 
 
 def test_variance_matches_defining_integral():
     for m in (0.6, 1.5):
-        integral = quadrature_integrate(
-            FP, lambda x: (x - m) ** 2 * csk_density_weight(FP, x, m)
-        )
+        integral = FP.integrate(lambda x: (x - m) ** 2 * csk_density_weight(FP, x, m))
         assert abs(variance(FP, m) - integral) <= 1e-8
 
 

@@ -5,8 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
+from cskfam import measure as measure_module
 from cskfam.csk import k_mean, mean_domain
 from cskfam.errors import (
     AccuracyError,
@@ -26,7 +26,6 @@ from cskfam.measure import (
     mean,
     moments,
     parse_measure_spec,
-    quadrature_integrate,
 )
 from cskfam.transforms import cauchy_transform, m_transform, psi_integral, r_transform
 
@@ -105,22 +104,22 @@ def test_moment_seq_accessors():
 
 @pytest.mark.parametrize("nu", ALL_DENSITIES, ids=lambda nu: nu.describe())
 def test_normalization(nu):
-    assert abs(quadrature_integrate(nu, lambda x: 1.0) - 1.0) <= 1e-10
+    assert abs(nu.integrate(lambda x: 1.0) - 1.0) <= 1e-10
 
 
 def test_point_evaluation():
     nu = AtomicMeasure((2.0,), (1.0,))
-    assert quadrature_integrate(nu, lambda x: x**2) == 4.0
+    assert nu.integrate(lambda x: x**2) == 4.0
 
 
 def test_free_poisson_unit_mean():
     nu = FreePoisson()
-    assert abs(quadrature_integrate(nu, lambda x: x) - 1.0) <= 1e-10
+    assert abs(nu.integrate(lambda x: x) - 1.0) <= 1e-10
 
 
 def test_complex_integrand():
     nu = Semicircle(0.0, 1.0)
-    val = quadrature_integrate(nu, lambda x: 1.0 / (2j - x))
+    val = nu.integrate(lambda x: 1.0 / (2j - x))
     # equals G(2i) = i*(1 - sqrt(2)) for the unit semicircle
     assert abs(val - 1j * (1.0 - math.sqrt(2.0))) <= 1e-10
     assert val.imag < 0.0
@@ -128,7 +127,7 @@ def test_complex_integrand():
 
 def test_moment_sequence_cannot_integrate():
     with pytest.raises(InsufficientDataError):
-        quadrature_integrate(MomentSeq((1.0, 2.0)), lambda x: x)
+        MomentSeq((1.0, 2.0)).integrate(lambda x: x)
 
 
 def test_quadrature_failure_carries_estimate():
@@ -136,6 +135,15 @@ def test_quadrature_failure_carries_estimate():
     nu = FreePoisson()
     with pytest.raises(AccuracyError) as err:
         integrate_pieces(nu, lambda a, d: 1.0 / abs(d) ** 1.25)
+    assert err.value.best_estimate is not None
+
+
+def test_quadrature_of_an_integrand_rough_at_every_scale_stops():
+    # sin(1e8 x) fails the fixed pair on every sub-interval wider than about
+    # 1e-8: bisection would need some 2**27 of them, and the fallback's
+    # sub-interval budget stops it
+    with pytest.raises(AccuracyError, match="did not reach its tolerance") as err:
+        FreePoisson().integrate(lambda x: np.sin(1e8 * x))
     assert err.value.best_estimate is not None
 
 
@@ -207,15 +215,16 @@ def test_psi_and_cauchy_against_mpmath(nu):
         assert abs(g.real - g_ref) <= 1e-12 * max(1.0, abs(g_ref)), z
 
 
-def _count_quad_calls(monkeypatch) -> list:
+def _record_fallback(monkeypatch) -> list:
+    """Patch the adaptive fallback to record the break points of each call."""
     calls = []
-    quad = scipy.integrate.quad
+    fallback = measure_module._bisect_piece
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+    def recorded(piece, integrand, points):
+        calls.append(list(points))
+        return fallback(piece, integrand, points)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    monkeypatch.setattr(measure_module, "_bisect_piece", recorded)
     return calls
 
 
@@ -225,7 +234,7 @@ def _count_quad_calls(monkeypatch) -> list:
      (MarchenkoPasturCentered(15.0 / 16.0), -0.5)],
 )
 def test_smooth_interior_makes_no_adaptive_call(nu, theta, monkeypatch):
-    calls = _count_quad_calls(monkeypatch)
+    calls = _record_fallback(monkeypatch)
     psi_integral(nu, theta)
     cauchy_transform(nu, 1.0 / theta)
     k_mean(nu, theta)
@@ -233,7 +242,7 @@ def test_smooth_interior_makes_no_adaptive_call(nu, theta, monkeypatch):
 
 
 def test_argument_near_an_edge_falls_back_to_adaptive_quadrature(monkeypatch):
-    calls = _count_quad_calls(monkeypatch)
+    calls = _record_fallback(monkeypatch)
     nu = FreePoisson()
     got = cauchy_transform(nu, -1e-6).real
     assert len(calls) == 1  # the lower piece only; the upper one is smooth
@@ -243,20 +252,40 @@ def test_argument_near_an_edge_falls_back_to_adaptive_quadrature(monkeypatch):
 def test_pole_near_an_anchor_adds_fallback_break_points(monkeypatch):
     # q = |pole - anchor| = 1e-6 on the lower piece: breaks at sqrt(q),
     # 10*sqrt(q) and 100*sqrt(q); without a pole, the fallback has none
-    points = []
-    quad = scipy.integrate.quad
-
-    def recorded(*args, **kwargs):
-        points.append(kwargs.get("points"))
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", recorded)
+    points = _record_fallback(monkeypatch)
     nu, z = FreePoisson(), -1e-6
     integrand = lambda a, d: 1.0 / ((z - a) - d)
     with_pole = integrate_pieces(nu, integrand, pole=z)
     without = integrate_pieces(nu, integrand)
-    assert points == [[1e-3, 1e-2, 1e-1], None]
+    assert points == [[1e-3, 1e-2, 1e-1], []]
     assert abs(with_pole - without) <= 1e-12 * abs(with_pole)
+
+
+@pytest.mark.parametrize(
+    "nu, z, transform",
+    [
+        (FreePoisson(), -1e-6, "G"),  # 1e-6 below the inverse-square-root edge 0
+        (MarchenkoPasturCentered(1.0), -1.0 - 1e-6, "G"),  # the same at -1
+        (MarchenkoPasturCentered(1.0), -1.0 - 1e-6, "Psi"),
+        (FreePoisson(), 4.0 + 1e-6, "Psi"),  # pole 1e-6 off the anchor 4
+        (FreePoisson(), -1e-6, "Psi"),
+    ],
+)
+def test_fallback_near_an_edge_against_mpmath(nu, z, transform, monkeypatch):
+    """The bisection fallback within 1e-12 relative of the closed form at
+    50 digits; Psi at theta = 1/z against its rounded pole (see above)."""
+    calls = _record_fallback(monkeypatch)
+    if transform == "G":
+        got = cauchy_transform(nu, z).real
+        want = float(mp_cauchy(nu, z))
+    else:
+        theta = 1.0 / z
+        got = psi_integral(nu, theta)
+        r = 1.0 / theta
+        with mpmath.workdps(50):
+            want = float(r * mp_cauchy(nu, r) - 1)
+    assert calls  # the fixed pair alone did not pass
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_non_finite_fixed_sum_falls_back_and_raises():
@@ -467,7 +496,7 @@ PROTOCOL_MEASURES = [
 
 ENTRY_POINTS = {
     "moments": lambda nu: moments(nu, 3),
-    "quadrature_integrate": lambda nu: quadrature_integrate(nu, lambda x: x * x),
+    "integrate": lambda nu: nu.integrate(lambda x: x * x),
     "cauchy_transform": lambda nu: cauchy_transform(nu, 10.0),
     "psi_integral": lambda nu: psi_integral(nu, 0.01),
     "m_transform": lambda nu: m_transform(nu, 0.01),

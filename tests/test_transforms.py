@@ -8,6 +8,7 @@ import pytest
 from cskfam.errors import (
     DomainError,
     InsufficientDataError,
+    NumericError,
     SingularityError,
     TruncationAccuracyWarning,
 )
@@ -19,10 +20,13 @@ from cskfam.measure import (
     Semicircle,
     laurent_trust_radius,
     moments,
-    quadrature_integrate,
 )
 from cskfam.series import TruncatedSeries
 from cskfam.transforms import (
+    ROOT_MAXITER,
+    ROOT_RTOL,
+    ROOT_XTOL,
+    bracketed_root,
     cauchy_transform,
     chi_inverse,
     k_transform,
@@ -92,9 +96,9 @@ def test_g_large_z_decay():
     # quadrature noise is not amplified by |z|
     z = 1e6j
     for nu in (Semicircle(0.0, 1.0), MarchenkoPasturCentered(0.5)):
-        val = quadrature_integrate(nu, lambda x: x / (z - x))
+        val = nu.integrate(lambda x: x / (z - x))
         assert abs(val) <= 1e-6
-    val = quadrature_integrate(FP, lambda x: x / (z - x))
+    val = FP.integrate(lambda x: x / (z - x))
     assert abs(val) <= 1e-6  # ~ m1/|z| with a negative next-order correction
 
 
@@ -159,7 +163,7 @@ def test_psi_g_identity():
 def test_psi_off_the_real_axis():
     z = complex(-0.5, 0.3)
     for nu in (FP, TWO_ATOM):
-        want = quadrature_integrate(nu, lambda x: z * x / (1.0 - z * x))
+        want = nu.integrate(lambda x: z * x / (1.0 - z * x))
         assert abs(psi_transform(nu, z) - want) <= 1e-10
 
 
@@ -375,3 +379,58 @@ def test_lagrange_oracle_agrees_with_s_series():
     one_plus[:2] = 1.0
     oracle = np.convolve(chi[1:], one_plus)[:10]
     np.testing.assert_allclose(np.asarray(s_series(m).coeffs), oracle, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the Brent solver
+
+MONOTONE_ROOTS = [
+    (lambda x: x**3 - 2.0, 0.0, 2.0),
+    (lambda x: math.exp(x) - 3.0, -1.0, 4.0),
+    (lambda x: math.tanh(x - 0.3), -1.0, 40.0),
+    (lambda x: math.atan(10.0 * x - 1.0), -1.0, 1.0),
+    (lambda x: x - math.cos(x), 0.0, 1.0),
+    (lambda x: 0.7 - 1.0 / x, 0.1, 5.0),
+    (lambda x: (x - 1.0) ** 5, 0.0, 3.0),  # a flat root: many bisections
+    (lambda x: math.log(x), 0.5, 3.0),
+    (lambda x: 1e-3 * x + 1e-200, -1.0, 1.0),
+    (lambda x: 1e-150 * (x**3 - 0.3), 0.0, 2.0),  # the extrapolation denominator underflows
+]
+
+
+@pytest.mark.parametrize("f, lo, hi", MONOTONE_ROOTS)
+def test_bracketed_root_matches_scipy_brentq(f, lo, hi):
+    # scipy is a test-only oracle here: the port takes the same steps, so
+    # it calls f at the same points and returns the same float
+    from scipy.optimize import brentq
+
+    ours, theirs = [], []
+    got = bracketed_root(lambda x: ours.append(x) or f(x), lo, hi)
+    want = brentq(lambda x: theirs.append(x) or f(x), lo, hi,
+                  xtol=ROOT_XTOL, rtol=ROOT_RTOL, maxiter=ROOT_MAXITER)
+    assert got == want
+    assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, match",
+    [
+        (lambda x: x * x + 1.0, -1.0, 2.0, "no sign change"),
+        (lambda x: x, 1.0, 2.0, "no sign change"),
+        (lambda x: math.inf if x < 0.0 else x - 1.0, -1.0, 2.0, "not finite"),
+        (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, "NaN"),
+        # finite at the ends, NaN at the first interior point
+        (lambda x: math.nan if 0.0 < x < 2.0 else x - 1.0, 0.0, 2.0, "NaN"),
+        # a step over [-1e300, 1e300]: bisection needs ~1000 halvings
+        (lambda x: -1.0 if x < 0.5 else 1.0, -1e300, 1e300, "did not converge"),
+    ],
+)
+def test_bracketed_root_failures_are_numeric_errors(f, lo, hi, match):
+    # scipy's brentq raised a bare ValueError or RuntimeError in these cases
+    with pytest.raises(NumericError, match=match):
+        bracketed_root(f, lo, hi)
+
+
+def test_bracketed_root_returns_an_exact_end():
+    assert bracketed_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert bracketed_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
