@@ -148,14 +148,13 @@ _POWER_OPS = {"boxplus": conv.boxplus_power, "uplus": conv.uplus_power,
               "boxtimes": conv.boxtimes_power, "bt": conv.bp_transform}
 
 
-def _operand(path: str, op: str, order: int) -> tuple[Measure, MomentSeq]:
-    """Load one operand and its moments; boxtimes needs a positive measure
-    (a moment list cannot certify positivity, so it is taken as given)."""
+def _operand(path: str, op: str) -> Measure:
+    """Load one operand; boxtimes needs a positive measure (a moment list
+    cannot certify positivity, so it is taken as given)."""
     nu = _load_measure(path)
-    m_nu = moments(nu, order)
     if op == "boxtimes" and not isinstance(nu, MomentSeq) and not nu.is_positive:
         raise CskfamError("boxtimes requires measures supported on [0, inf)")
-    return nu, m_nu
+    return nu
 
 
 @main.command()
@@ -174,13 +173,15 @@ def convolve(spec, spec2, power, op, order, out):
     if spec2 is not None and op not in _PAIR_OPS:
         raise click.UsageError("op=bt takes --power (the parameter t), not --spec2")
     try:
-        nu, m_nu = _operand(spec, op, order)
+        nu = _operand(spec, op)
         if spec2 is not None:
-            other, m_other = _operand(spec2, op, order)
-            result = _PAIR_OPS[op](m_nu, m_other)
+            other = _operand(spec2, op)
+            result = _PAIR_OPS[op](moments(nu, order), moments(other, order))
             config = f"specs,{nu.describe()},{other.describe()}"
         else:
-            result = _POWER_OPS[op](m_nu, power)
+            # a power reads what it needs of the measure itself: a named
+            # density's exact free cumulants, not moments reverted back
+            result = _POWER_OPS[op](nu, power, order)
             config = f"spec,{nu.describe()},power,{_fmt(power)}"
         rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
         _emit(out, [f"convolve,{op}", config, f"order,{order}"],

@@ -354,7 +354,7 @@ def verify_bp_identity(gamma: float, order: int = 8, tolerance: float = 1e-9) ->
     the eta limit, moment by moment."""
     eta = limit_law_moments("eta", gamma, order)
     sigma = limit_law_moments("sigma", gamma, order)
-    mapped = conv.bp_transform(sigma, 1.0)
+    mapped = conv.bp_transform(sigma, 1.0, order)
     errors = tuple(abs(a - b) for a, b in zip(mapped.values, eta.values))
     worst = max(errors)
     return BpIdentityReport(gamma, order, tolerance, errors, worst, worst <= tolerance)

@@ -1,20 +1,23 @@
 """Probability-measure representations, their moments, and ingestion.
 
 Every generating measure is a :class:`Measure` and implements one protocol:
-``moments``, ``integrate``, ``cauchy`` (G), ``psi_integral``, ``support``,
-``theta_range`` and the flags ``lower_edge_singular`` and
-``upper_edge_singular``, which say where G diverges at an end of the
-support (the mean-domain formula needs it there).  Atomic measures
-answer with exact weighted sums; the named densities (semicircle, centered
-Marchenko-Pastur, free Poisson) with quadrature, and take their moments from
-their exact free cumulants.  A :class:`MomentSeq` is known
+``moments``, ``free_cumulants``, ``s_series``, ``integrate``, ``cauchy``
+(G), ``psi_integral``, ``support``, ``theta_range`` and the flags
+``lower_edge_singular`` and ``upper_edge_singular``, which say where G
+diverges at an end of the support (the mean-domain formula needs it
+there).  Atomic measures answer with exact weighted sums; the named
+densities (semicircle, centered Marchenko-Pastur, free Poisson) with
+quadrature, and take their moments and S series from their exact free
+cumulants.  A :class:`MomentSeq` is known
 only through ``m1..mK``: it answers with truncated series that warn outside
 their trust radius, and raises :class:`InsufficientDataError` for what a
 moment list does not fix (the support, integrals of arbitrary functions).
 It is also the value type of the moment-level calculus.  The numeric
-methods are called only through ``moments`` here and through the transforms
+methods are called only through ``moments`` here, through the transforms
 of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
-``psi_transform``); ``integrate`` and ``theta_range`` are read directly.
+``psi_transform``) and through the convolution powers of :mod:`.conv`
+(``free_cumulants``, ``s_series``); ``integrate`` and ``theta_range`` are
+read directly.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -52,6 +55,7 @@ from .errors import (
     SingularityError,
     TruncationAccuracyWarning,
 )
+from .series import TruncatedSeries
 
 #: Nodes per sub-interval of the fixed Gauss-Legendre pair (coarse, fine).
 #: Both are odd, so both have a node at the middle of each sub-interval: a
@@ -126,6 +130,24 @@ class Measure:
     def moments(self, order: int) -> "MomentSeq":
         """Raw moments ``m1..m_order`` (``order >= 1``)."""
         raise NotImplementedError
+
+    def free_cumulants(self, order: int) -> tuple[float, ...]:
+        """Free cumulants ``k1..k_order``, the coefficients of
+        ``R~(z) = sum_n k_n z**n``.  Here from :meth:`moments` through the
+        dictionary :func:`.conv.moments_to_free_cumulants` (one reversion);
+        the named densities know theirs exactly."""
+        from .conv import moments_to_free_cumulants
+
+        return moments_to_free_cumulants(self.moments(order)).values
+
+    def s_series(self, order: int) -> TruncatedSeries:
+        """The S-transform series at order ``order - 1``, all that ``order``
+        moments fix.  Here from :meth:`moments` through
+        :func:`.transforms.s_series` (one reversion); the named densities
+        revert their exact ``R~`` instead."""
+        from .transforms import s_series
+
+        return s_series(self.moments(order))
 
     def integrate(self, f) -> float | complex:
         """Integral of ``f`` against the measure."""
@@ -241,8 +263,14 @@ class DensityMeasure(Measure):
         return _fixed_rule(self.pieces)
 
     def free_cumulants(self, order: int) -> tuple[float, ...]:
-        """Exact free cumulants ``k1..k_order``; the moment source."""
+        """Exact free cumulants ``k1..k_order``: the source of the moments and
+        of the S series."""
         raise NotImplementedError
+
+    def s_series(self, order: int) -> TruncatedSeries:
+        from .transforms import free_cumulants_to_s_series
+
+        return free_cumulants_to_s_series(self.free_cumulants(order))
 
     def moments(self, order: int) -> "MomentSeq":
         return MomentSeq(_density_moments(self, order))
@@ -650,22 +678,28 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float]) ->
     """Adaptive fallback of :func:`integrate_pieces` on one piece.
 
     Starts from the sub-intervals of ``(0, umax)`` between the sorted
-    ``points`` and sums each by the fixed pair.  A sub-interval that is a
+    ``points`` and sums each by the fixed pair.  Without ``points`` the only
+    such sub-interval is the whole piece, whose sums on the same nodes
+    :func:`integrate_pieces` has just rejected, so the fallback starts from
+    its two halves instead.  A sub-interval that is a
     share ``s`` of ``umax`` is accepted when both sums are finite and agree
     within ``FIXED_RULE_TOL * max(s, |I|)``: the whole piece's check, split
-    over its parts.  Otherwise it is bisected, after the integrand is
-    evaluated on a float at the split point, where both odd rules had their
-    middle node: a non-finite value or a ``ZeroDivisionError`` there is a
-    pole, and raises :class:`SingularityError`.  A sub-interval that still
+    over its parts.  Otherwise it is bisected, after a pole probe at the
+    split point (:func:`_halves`).  A sub-interval that still
     fails after ``FALLBACK_MAX_DEPTH`` bisections, or once the piece has
     used ``FALLBACK_MAX_INTERVALS`` sub-intervals, keeps its fine sum, and
     the piece then raises :class:`AccuracyError` with the total as
     ``best_estimate``.
     """
-    ends = [0.0, *points, piece.umax]
-    stack = [(lo, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:])))]
     total, evaluated, converged = 0.0, 0, True
     with np.errstate(all="ignore"):
+        if points:
+            ends = [0.0, *points, piece.umax]
+            stack = [(lo, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:])))]
+        else:
+            # the fixed pair has just failed on the whole piece, on these same
+            # nodes: it counts as the first sub-interval, and its halves follow
+            stack, evaluated = _halves(piece, integrand, 0.0, piece.umax, 0), 1
         while stack:  # leftmost sub-interval first: a fixed summation order
             lo, hi, depth = stack.pop()
             coarse, fine = _pair_sums(piece, integrand, lo, hi)
@@ -677,20 +711,30 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float]) ->
                 total += fine
                 converged = False
             else:
-                mid = 0.5 * (lo + hi)
-                try:
-                    value = piece.weight(mid) * integrand(piece.anchor, piece.sign * mid * mid)
-                except ZeroDivisionError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise SingularityError("a quadrature node fell on a pole of the integrand")
-                stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+                stack += _halves(piece, integrand, lo, hi, depth)
     if not converged:
         raise AccuracyError(
             f"adaptive quadrature did not reach its tolerance in {evaluated} sub-intervals",
             best_estimate=total,
         )
     return total
+
+
+def _halves(piece: QuadPiece, integrand: Callable, lo: float, hi: float,
+            depth: int) -> list[tuple[float, float, int]]:
+    """The halves of ``(lo, hi)`` at ``depth + 1``, the right one first for
+    :func:`_bisect_piece`'s stack, once the integrand is finite at the split
+    point: both odd rules had their middle node there, so a non-finite value
+    or a ``ZeroDivisionError`` is a pole, and raises
+    :class:`SingularityError`."""
+    mid = 0.5 * (lo + hi)
+    try:
+        value = piece.weight(mid) * integrand(piece.anchor, piece.sign * mid * mid)
+    except ZeroDivisionError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SingularityError("a quadrature node fell on a pole of the integrand")
+    return [(mid, hi, depth + 1), (lo, mid, depth + 1)]
 
 
 def _pullback(f) -> Callable:
@@ -738,9 +782,14 @@ def moments(nu: Measure, order: int) -> MomentSeq:
     the named densities.  A moment sequence must already store at least
     ``order`` moments.
     """
+    require_order(order)
+    return nu.moments(order)
+
+
+def require_order(order: int):
+    """Raise :class:`DomainError` unless ``order``, a number of moments, is at least 1."""
     if order < 1:
         raise DomainError("moment order must be at least 1")
-    return nu.moments(order)
 
 
 def mean(nu: Measure) -> float:

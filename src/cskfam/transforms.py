@@ -236,7 +236,7 @@ def k_transform(nu: Measure, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# series dictionary: moments <-> S
+# series dictionary: moments and free cumulants <-> S
 
 
 def s_series(m: MomentSeq) -> TruncatedSeries:
@@ -251,6 +251,19 @@ def s_series(m: MomentSeq) -> TruncatedSeries:
     chi_over_w = TruncatedSeries(chi.coeffs[1:])  # order K-1
     one_plus_w = TruncatedSeries((1.0, 1.0) + (0.0,) * max(0, chi_over_w.order - 1))
     return ps_mul(chi_over_w, one_plus_w)
+
+
+def free_cumulants_to_s_series(kappa: tuple[float, ...]) -> TruncatedSeries:
+    """S-transform power series at order ``K - 1`` from free cumulants ``k1..kK``.
+
+    ``w*S(w)`` is the compositional inverse of ``R~(z) = sum_n k_n z**n``
+    (Nica & Speicher, *Lectures on the Combinatorics of Free Probability*,
+    2006, Lecture 18), so one reversion gives S.  Requires ``k1 != 0``,
+    which is checked before reverting.
+    """
+    if kappa[0] == 0.0:
+        raise DomainError("the S series needs a nonzero first moment")
+    return TruncatedSeries(ps_revert(TruncatedSeries((0.0,) + tuple(kappa))).coeffs[1:])
 
 
 def s_series_to_moments(s: TruncatedSeries, order: int) -> MomentSeq:

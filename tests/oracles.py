@@ -205,6 +205,24 @@ def series_revert(a, n: int) -> list:
     return g
 
 
+def series_reciprocal(a, n: int) -> list:
+    """``1/a(w)`` through order ``n - 1``; requires ``a0 != 0``."""
+    out = [1 / a[0]]
+    for k in range(1, n):
+        out.append(-sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)) / a[0])
+    return out
+
+
+def boolean_power_moments(moments_, alpha) -> list:
+    """Moments of the Boolean power ``alpha`` of the law with moments
+    ``m1..mK``: with ``M = 1 + sum m_k w**k`` the Boolean cumulant series is
+    ``1 - 1/M``, it scales by ``alpha``, and ``1/(1 - alpha*(1 - 1/M))`` is
+    the new ``M``.  Exact in exact arithmetic."""
+    k = len(moments_) + 1
+    r = series_reciprocal([moments_[0] ** 0] + list(moments_), k)  # m0 = 1 in their field
+    return series_reciprocal([1 - alpha + alpha * r[0]] + [alpha * c for c in r[1:]], k)[1:]
+
+
 def s_of_moments(moments_) -> list:
     """S-series ``s0..s(K-1)`` of the moments ``m1..mK``: ``chi(w) (1 + w) / w``."""
     k = len(moments_)
@@ -271,6 +289,13 @@ def mp_scaled_law_variance(moments_, n: int, kind: str, m: float, dps: int = 60)
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
+
+
+def free_poisson_moments(n: int, rate) -> list:
+    """Moments ``m1..mn`` of the free Poisson law whose free cumulants all
+    equal ``rate``: Narayana polynomials, exact for a rational ``rate``."""
+    return [sum(Fraction(math.comb(k, j) * math.comb(k, j - 1), k) * rate**j
+                for j in range(1, k + 1)) for k in range(1, n + 1)]
 
 
 def fuss_catalan(p: int, n: int) -> float:

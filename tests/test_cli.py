@@ -8,7 +8,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from cskfam import cli
+from cskfam import cli, conv, measure, series, transforms
 from cskfam.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,6 +255,28 @@ def test_convolve_overflowing_power_exits_1(op):
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ") and "overflows" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("op, power, reversions",
+                         [("boxplus", "2.5", 1), ("uplus", "2", 1), ("bt", "0.75", 1),
+                          ("boxtimes", "3", 2)])
+def test_convolve_power_of_a_density_reverts_few_series(op, power, reversions, monkeypatch):
+    # a power reads the density's exact free cumulants; the CLI once built
+    # its 160 moments first and the power reverted them back: 3 reversions
+    # for boxplus, bt and boxtimes alike
+    orders = []
+
+    def recording(a):
+        orders.append(a.order)
+        return series.ps_revert(a)
+
+    for module in (conv, transforms):
+        monkeypatch.setattr(module, "ps_revert", recording)
+    measure._density_moments.cache_clear()
+    result = _invoke(["convolve", "--spec", GOLDEN / "free_poisson.json", "--op", op,
+                      "--power", power, "--order", "160"])
+    assert result.exit_code == 0, result.output
+    assert len(orders) == reversions and min(orders) >= 160
 
 
 def test_grid_point_bound_is_inclusive(monkeypatch):

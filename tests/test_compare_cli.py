@@ -56,3 +56,12 @@ def test_differing_lines_pairs_changed_rows():
     assert compare_cli.differing_lines(parent, change) == [
         ("0.5,1", "0.5,1.0000000000000002"), ("1.5,3", "1.5,3.0000000000000004")]
     assert compare_cli.differing_lines(parent, parent) == []
+
+
+def test_grade_reads_the_job_check_and_fails_every_row_on_a_nonzero_exit():
+    J = compare_cli.J
+    job = J.Job("convolve:boxplus", [], 2, J._convolve_check([1, 2]))
+    assert compare_cli.grade(job, 0, b"# convolve,boxplus\norder,moment\n1,1\n2,2\n") == "2/2 ok"
+    assert compare_cli.grade(job, 0, b"order,moment\n1,1\n2,2.5\n") == "1/2 ok"
+    assert compare_cli.grade(job, 0, b"order,moment\n1,1\n") == "0/0 ok, 1 problems"
+    assert compare_cli.grade(job, 1, b"") == "0/2 ok"

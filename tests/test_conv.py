@@ -2,6 +2,7 @@
 real powers, pushforwards, and the Boolean-to-free map."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,17 +26,28 @@ from cskfam.conv import (
     uplus,
     uplus_power,
 )
+from cskfam import conv, transforms
 from cskfam.errors import DomainError, FormalPowerWarning, NumericError
-from cskfam.measure import AtomicMeasure, FreePoisson, MarchenkoPasturCentered, MomentSeq, moments
-from cskfam.transforms import k_transform, r_transform
+from cskfam.measure import (
+    AtomicMeasure,
+    FreePoisson,
+    MarchenkoPasturCentered,
+    MomentSeq,
+    Semicircle,
+    moments,
+)
+from cskfam.transforms import k_transform, r_transform, s_series
 
 from oracles import (
+    boolean_power_moments,
+    free_poisson_moments,
     fuss_catalan,
     interval_boolean_cumulants_from_moments,
     interval_moments_from_boolean_cumulants,
     nc_free_cumulants_from_moments,
     nc_moments_from_free_cumulants,
     random_atomic,
+    series_revert,
 )
 
 FP_M = moments(FreePoisson(), 8)
@@ -132,7 +144,7 @@ def test_boxplus_identity_element():
 
 def test_boxplus_power_semicircle():
     sc = MomentSeq((0.0, 1.0, 0.0, 2.0))
-    got = boxplus_power(sc, 2.0)
+    got = boxplus_power(sc, 2.0, 4)
     np.testing.assert_allclose(got.values, [0.0, 2.0, 0.0, 8.0], atol=1e-12)
 
 
@@ -149,7 +161,7 @@ def test_uplus_translates_point_masses():
 def test_uplus_symmetric_two_atom_power():
     # K doubles: the result is the symmetric two-point law at +-sqrt(2)
     sym = moments(AtomicMeasure((-1.0, 1.0), (0.5, 0.5)), 4)
-    got = uplus_power(sym, 2.0)
+    got = uplus_power(sym, 2.0, 4)
     np.testing.assert_allclose(got.values, [0.0, 2.0, 0.0, 4.0], atol=1e-13)
 
 
@@ -159,7 +171,7 @@ def test_uplus_identity_element():
 
 
 def test_uplus_power_mean_scales():
-    got = uplus_power(FP_M, 5.0)
+    got = uplus_power(FP_M, 5.0, 8)
     assert abs(got.values[0] - 5.0) <= 1e-12
 
 
@@ -211,23 +223,23 @@ def test_boxtimes_identity_element():
 def test_boxtimes_power_fuss_catalan():
     m40 = moments(FreePoisson(), 40)
     for p in (2, 3):
-        got = boxtimes_power(m40, float(p))
+        got = boxtimes_power(m40, float(p), 40)
         want = [fuss_catalan(p, n) for n in range(1, 9)]
         np.testing.assert_allclose(got.values[:8], want, rtol=1e-10)
-    got2 = boxtimes_power(moments(FreePoisson(), 8), 2.0)
+    got2 = boxtimes_power(moments(FreePoisson(), 8), 2.0, 8)
     assert got2.values[:4] == (1.0, 3.0, 12.0, 55.0)
 
 
 def test_boxtimes_power_fuss_catalan_order_160():
     # every order of the 160-term reversion, including the top ones where
     # roundoff in the reverted series piles up
-    got = np.asarray(boxtimes_power(moments(FreePoisson(), 160), 2.0).values)
+    got = np.asarray(boxtimes_power(moments(FreePoisson(), 160), 2.0, 160).values)
     want = np.array([fuss_catalan(2, n) for n in range(1, 161)])
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_boxtimes_power_integer_equals_repeated_boxtimes():
-    got = boxtimes_power(FP_M, 2.0)
+    got = boxtimes_power(FP_M, 2.0, 8)
     alt = boxtimes(FP_M, FP_M)
     np.testing.assert_allclose(got.values, alt.values, rtol=1e-10)
 
@@ -237,7 +249,7 @@ def test_boxtimes_zero_mean_rejected():
     with pytest.raises(DomainError):
         boxtimes(sym, MomentSeq(FP_M.values[:4]))
     with pytest.raises(DomainError):
-        boxtimes_power(sym, 2.0)
+        boxtimes_power(sym, 2.0, 4)
 
 
 def test_boxtimes_commutative_associative():
@@ -260,28 +272,28 @@ def test_multiplicative_means():
     b = moments(AtomicMeasure(*random_atomic(rng, positive=True)), 6)
     assert abs(boxtimes(a, b).values[0] - a.values[0] * b.values[0]) <= 1e-12
     for alpha in (2.0, 2.5):
-        got = boxtimes_power(a, alpha)
+        got = boxtimes_power(a, alpha, 6)
         assert abs(got.values[0] - a.values[0] ** alpha) <= 1e-12
 
 
 def test_formal_power_warnings():
     with pytest.warns(FormalPowerWarning):
-        boxplus_power(FP_M, 0.5)
+        boxplus_power(FP_M, 0.5, 8)
     with pytest.warns(FormalPowerWarning):
-        boxtimes_power(FP_M, 0.5)
+        boxtimes_power(FP_M, 0.5, 8)
     with pytest.raises(DomainError):
-        boxplus_power(FP_M, -1.0)
+        boxplus_power(FP_M, -1.0, 8)
     with pytest.raises(DomainError):
-        uplus_power(FP_M, 0.0)
+        uplus_power(FP_M, 0.0, 8)
     with pytest.raises(DomainError):
-        boxtimes_power(FP_M, -2.0)
+        boxtimes_power(FP_M, -2.0, 8)
 
 
 def test_noninteger_power_of_negative_mean_rejected():
     neg = moments(AtomicMeasure((-2.0, -0.5), (0.5, 0.5)), 6)
     with pytest.raises(DomainError):
-        boxtimes_power(neg, 1.5)
-    boxtimes_power(neg, 2.0)  # integer power stays on the real branch
+        boxtimes_power(neg, 1.5, 6)
+    boxtimes_power(neg, 2.0, 6)  # integer power stays on the real branch
 
 
 @pytest.mark.parametrize("fn", [boxplus_power, uplus_power, boxtimes_power, bp_transform])
@@ -290,7 +302,7 @@ def test_powers_reject_nonfinite_parameter(fn, value):
     # a guard written alpha <= 0 is false for nan: it once answered nan or inf
     # moments, and boxtimes_power a raw ValueError from its integer test
     with pytest.raises(DomainError):
-        fn(FP_M, value)
+        fn(FP_M, value, 8)
 
 
 @pytest.mark.parametrize("fn", [boxplus_power, uplus_power, boxtimes_power, bp_transform])
@@ -298,8 +310,69 @@ def test_powers_reject_an_overflowing_result(fn):
     # a finite power so large that the moments overflow once answered nan
     # (inf for uplus_power) with no error
     with pytest.raises(NumericError, match="overflows"):
-        fn(moments(FreePoisson(), 6), 1e300)
-    assert all(math.isfinite(v) for v in fn(moments(FreePoisson(), 6), 1e10).values)
+        fn(moments(FreePoisson(), 6), 1e300, 6)
+    assert all(math.isfinite(v) for v in fn(moments(FreePoisson(), 6), 1e10, 6).values)
+
+
+# ---------------------------------------------------------------------------
+# powers of a measure: the protocol's free cumulants and S series
+
+
+def test_base_protocol_goes_through_the_moment_dictionaries():
+    for nu in (AtomicMeasure((0.5, 2.0), (0.25, 0.75)), FP_M):
+        assert nu.free_cumulants(8) == moments_to_free_cumulants(moments(nu, 8)).values
+        assert nu.s_series(8) == s_series(moments(nu, 8))
+
+
+def test_density_s_series_reverts_its_exact_cumulants():
+    # S of free Poisson is 1/(1 + w)
+    got = FreePoisson().s_series(12).coeffs
+    np.testing.assert_allclose(got, [(-1.0) ** k for k in range(12)], rtol=0.0, atol=1e-15)
+    # the semicircle's R~(z) = 1.5 z + 0.5 z**2, reverted exactly
+    want = series_revert([0, Fraction(3, 2), Fraction(1, 2)], 13)[1:]
+    got = Semicircle(1.5, 0.5).s_series(12).coeffs
+    np.testing.assert_allclose(got, [float(v) for v in want], rtol=1e-14, atol=0.0)
+
+
+def _rho_scale_error(got, want) -> float:
+    """Largest error against exact moments on the scale ``rho**n`` of their
+    growth rate where the exact moment is smaller (odd moments of a
+    symmetric law are 0), as the benchmark grades order-160 powers."""
+    wantf = [float(v) for v in want]
+    log_rho = max(math.log(abs(v)) / n for n, v in enumerate(wantf, start=1) if v)
+    return max(abs(g - w) / max(abs(w), math.exp(n * log_rho))
+               for n, (g, w) in enumerate(zip(got, wantf, strict=True), start=1))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+def test_boxplus_power_of_a_density_at_order_160(alpha):
+    # alpha = 1 is the identity; through 160 moments reverted to cumulants
+    # it once missed by 1.05e-3, with cumulants as large as 5e89
+    got = boxplus_power(FreePoisson(), alpha, 160).values
+    assert _rho_scale_error(got, free_poisson_moments(160, Fraction(alpha))) <= 1e-13
+
+
+def test_bp_transform_of_a_density_at_order_160():
+    # free power 5/4, then Boolean power 4/5; 11 rows once missed by 1e-9
+    got = bp_transform(FreePoisson(), 0.25, 160).values
+    want = boolean_power_moments(free_poisson_moments(160, Fraction(5, 4)), Fraction(4, 5))
+    assert _rho_scale_error(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_boxtimes_power_of_a_density_at_order_160(p):
+    # p = 2 through 160 rounded moments is 5.3e-10 off
+    got = boxtimes_power(FreePoisson(), float(p), 160).values
+    assert _rho_scale_error(got, [fuss_catalan(p, n) for n in range(1, 161)]) <= 1e-13
+
+
+def test_boxtimes_power_of_a_zero_mean_density_reverts_nothing(monkeypatch):
+    reverted = []
+    for module in (conv, transforms):
+        monkeypatch.setattr(module, "ps_revert", reverted.append)
+    with pytest.raises(DomainError, match="nonzero first moment"):
+        boxtimes_power(MarchenkoPasturCentered(0.5), 2.0, 160)
+    assert reverted == []  # the mean check reads k1
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +418,18 @@ def test_affine_rejects_zero_beta():
 
 
 def test_bp_identity_at_zero():
-    assert bp_transform(FP_M, 0.0).values == FP_M.values
+    assert bp_transform(FP_M, 0.0, 8).values == FP_M.values
 
 
 def test_bp_semigroup():
-    lhs = bp_transform(bp_transform(FP_M, 1.0), 1.0)
-    rhs = bp_transform(FP_M, 2.0)
+    lhs = bp_transform(bp_transform(FP_M, 1.0, 8), 1.0, 8)
+    rhs = bp_transform(FP_M, 2.0, 8)
     np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-10)
 
 
 def test_bp_rejects_negative_t():
     with pytest.raises(DomainError):
-        bp_transform(FP_M, -0.5)
+        bp_transform(FP_M, -0.5, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -372,5 +372,5 @@ def test_bp_transform_maps_sigma_moments_to_eta():
     for gamma in (0.5, 1.0):
         eta = limit_law_moments("eta", gamma, 8)
         sigma = limit_law_moments("sigma", gamma, 8)
-        mapped = bp_transform(sigma, 1.0)
+        mapped = bp_transform(sigma, 1.0, 8)
         np.testing.assert_allclose(mapped.values, eta.values, atol=1e-9)

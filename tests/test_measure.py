@@ -261,6 +261,25 @@ def test_pole_near_an_anchor_adds_fallback_break_points(monkeypatch):
     assert abs(with_pole - without) <= 1e-12 * abs(with_pole)
 
 
+def test_fallback_without_break_points_starts_from_the_halves(monkeypatch):
+    # with no pole passed and no piece breaks, the fallback once summed the
+    # whole piece again, on the nodes whose sums had just been rejected
+    spans = []
+    pair_sums = measure_module._pair_sums
+
+    def recorded(piece, integrand, lo, hi):
+        spans.append((lo, hi))
+        return pair_sums(piece, integrand, lo, hi)
+
+    monkeypatch.setattr(measure_module, "_pair_sums", recorded)
+    nu, z = FreePoisson(), -1e-6
+    got = integrate_pieces(nu, lambda a, d: 1.0 / ((z - a) - d))
+    umax = nu.pieces[0].umax
+    assert (0.0, umax) not in spans and spans[0] == (0.0, umax / 2)
+    assert len(spans) == 16  # 17 with the whole piece summed again
+    assert abs(got - float(mp_cauchy(nu, z))) <= 1e-12 * abs(got)
+
+
 @pytest.mark.parametrize(
     "nu, z, transform",
     [

@@ -9,9 +9,12 @@ files, same arguments).  Each checkout then runs every job through
 that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
 code differ, followed by each differing line of its CSV (``-`` parent, then
 ``+`` change; lines are aligned first, and a line only one side has prints
-``(none)`` on the other) and by the size of the
+``(none)`` on the other), by the size of the
 change: the largest relative change ``|change - parent| / |parent|`` of each
-column over the numeric cells that differ (see :func:`largest_changes`).
+column over the numeric cells that differ (see :func:`largest_changes`),
+and by the grade of each side: the rows within tolerance of the job's own
+``check`` over the rows attempted, as ``bench/run.py`` grades them (see
+:func:`grade`), so a moved cell reads as a fix or as a regression.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, and exits 1 on any difference, 0 when all agree.  The
 default workload list is every workload of ``bench/jobs.py``.
@@ -126,6 +129,14 @@ def largest_changes(parent: bytes, change: bytes) -> dict[str, float]:
     return out
 
 
+def grade(job: J.Job, code: int, out: bytes) -> str:
+    """``ok/attempted`` of one side's output under the job's own check; a
+    nonzero exit code fails every row, as in ``bench/run.py``."""
+    tally = J.failed_job_tally(job) if code else job.check(out.decode("utf-8"))
+    problems = f", {len(tally.problems)} problems" if tally.problems else ""
+    return f"{tally.ok}/{tally.attempted} ok{problems}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -145,7 +156,7 @@ def main(argv=None) -> int:
     worst = (0.0, "")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        jobs, labels = [], []
+        jobs, labels, checked = [], [], []
         for seed in (int(s) for s in args.seeds.split(",")):
             for name in workloads:
                 workdir = tmp / f"{name}-{seed}"
@@ -153,9 +164,10 @@ def main(argv=None) -> int:
                 for i, job in enumerate(J.WORKLOADS[name](random.Random(seed), workdir)):
                     jobs.append({"args": job.args})
                     labels.append(f"{name} seed {seed} job {i} ({job.kind})")
+                    checked.append(job)
         parent = run_checkout(args.parent.resolve(), jobs, tmp / "parent")
         change = run_checkout(args.change.resolve(), jobs, tmp / "change")
-        for label, (pcode, pout), (ccode, cout) in zip(labels, parent, change):
+        for label, job, (pcode, pout), (ccode, cout) in zip(labels, checked, parent, change):
             compared += 1
             if pcode != ccode:
                 print(f"DIFFER {label}: exit code {pcode} -> {ccode}")
@@ -174,6 +186,8 @@ def main(argv=None) -> int:
                 key, rel = max(changes.items(), key=lambda item: item[1])
                 if rel > worst[0]:
                     worst = (rel, f"{key} of {label}")
+            print(f"  graded: parent {grade(job, pcode, pout)}, "
+                  f"change {grade(job, ccode, cout)}")
     print(f"{compared} jobs compared, {differ} differ")
     print(f"largest relative change over all jobs: {worst[0]:.2g} in {worst[1]}" if worst[1]
           else "largest relative change over all jobs: none")
