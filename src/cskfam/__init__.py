@@ -8,8 +8,6 @@ associated convolution limit theorems.
 """
 
 from .conv import (
-    BooleanCumulants,
-    FreeCumulants,
     affine_image,
     boolean_cumulants_to_moments,
     boxplus,

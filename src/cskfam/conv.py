@@ -5,9 +5,10 @@ Free cumulants (additive under the free convolution), Boolean cumulants
 through S-series products, real convolution powers, dilation, affine
 images and the Boolean-to-free interpolation map.
 
-The pair operations and the dictionaries operate on truncated moment
-sequences.  The convolution powers take a measure and an order instead,
-and read what they need through the measure protocol: free cumulants for
+The pair operations operate on truncated moment sequences, and the
+dictionaries map them to and from plain tuples of cumulants.  The
+convolution powers take a measure and an order instead, and read what
+they need through the measure protocol: free cumulants for
 the free power and the Boolean-to-free map, the S series for the
 multiplicative power, moments for the Boolean power.  A named density
 answers the first two from its exact free cumulants, so its powers skip
@@ -21,12 +22,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormalPowerWarning, NumericError
-from .measure import Measure, MomentSeq, moments, require_order
+from .errors import (
+    DomainError,
+    FormalPowerWarning,
+    NumericError,
+    require_nonnegative,
+    require_order,
+    require_positive,
+)
+from .measure import Measure, MomentSeq, moments
 from .series import (
     TruncatedSeries,
     ps_mul,
@@ -38,34 +45,13 @@ from .series import (
 from .transforms import s_series, s_series_to_moments
 
 
-@dataclass(frozen=True)
-class FreeCumulants:
-    """Free cumulants ``k1..kK``: coefficients of the R-transform series."""
-
-    values: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class BooleanCumulants:
-    """Boolean cumulants ``b1..bK``: coefficients of the self-energy series."""
-
-    values: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-
 # ---------------------------------------------------------------------------
 # moment <-> cumulant dictionaries
 
 
-def moments_to_free_cumulants(m: MomentSeq) -> FreeCumulants:
-    """Extract free cumulants by reverting the Cauchy-transform series.
+def moments_to_free_cumulants(m: MomentSeq) -> tuple[float, ...]:
+    """Free cumulants ``k1..kK``, the coefficients of the R-transform series,
+    by reverting the Cauchy-transform series.
 
     In the variable ``theta = 1/z`` the Cauchy transform is the power series
     ``theta*(1 + m1*theta + ...)``; its compositional inverse gives the
@@ -89,31 +75,33 @@ def moments_to_free_cumulants(m: MomentSeq) -> FreeCumulants:
     theta_of_w = ps_revert(g_hat)
     h = TruncatedSeries(theta_of_w.coeffs[1:])  # theta(w)/w, constant term 1
     r = ps_reciprocal(h)  # 1/h = w * G^{-1}(w) = 1 + k1*w + k2*w^2 + ...
-    return FreeCumulants(r.coeffs[1 : k + 1])
+    return r.coeffs[1 : k + 1]
 
 
-def free_cumulants_to_moments(k: FreeCumulants) -> MomentSeq:
-    """Inverse of :func:`moments_to_free_cumulants`."""
-    n = k.order
-    r = TruncatedSeries((1.0,) + k.values)
+def free_cumulants_to_moments(k: tuple[float, ...]) -> MomentSeq:
+    """Inverse of :func:`moments_to_free_cumulants`: moments from the free
+    cumulants ``k1..kK``."""
+    n = len(k)
+    r = TruncatedSeries((1.0, *k))
     theta_of_w = TruncatedSeries((0.0,) + ps_reciprocal(r).coeffs)  # w/r(w), order K+1
     g_hat = ps_revert(theta_of_w)
     return MomentSeq(g_hat.coeffs[2 : n + 2])
 
 
-def moments_to_boolean_cumulants(m: MomentSeq) -> BooleanCumulants:
-    """Boolean cumulants via series division: ``(M - 1) / M`` in ``theta``."""
+def moments_to_boolean_cumulants(m: MomentSeq) -> tuple[float, ...]:
+    """Boolean cumulants ``b1..bK``, the coefficients of the self-energy
+    series, via series division: ``(M - 1) / M`` in ``theta``."""
     k = m.order
     big_m = TruncatedSeries((1.0,) + m.values)
     numer = TruncatedSeries((0.0,) + m.values)
     e = ps_mul(numer, ps_reciprocal(big_m))
-    return BooleanCumulants(e.coeffs[1 : k + 1])
+    return e.coeffs[1 : k + 1]
 
 
-def boolean_cumulants_to_moments(b: BooleanCumulants) -> MomentSeq:
-    """Inverse map: ``M = 1 / (1 - E)``."""
-    n = b.order
-    one_minus_e = TruncatedSeries((1.0,) + tuple(-v for v in b.values))
+def boolean_cumulants_to_moments(b: tuple[float, ...]) -> MomentSeq:
+    """Inverse map, from the Boolean cumulants ``b1..bK``: ``M = 1 / (1 - E)``."""
+    n = len(b)
+    one_minus_e = TruncatedSeries((1.0, *(-v for v in b)))
     big_m = ps_reciprocal(one_minus_e)
     return MomentSeq(big_m.coeffs[1 : n + 1])
 
@@ -130,16 +118,9 @@ def _check_orders(mu: MomentSeq, nu: MomentSeq, op: str):
 def boxplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
     """Free additive convolution: free cumulants add."""
     _check_orders(mu, nu, "boxplus")
-    ka = np.asarray(moments_to_free_cumulants(mu).values)
-    kb = np.asarray(moments_to_free_cumulants(nu).values)
-    return free_cumulants_to_moments(FreeCumulants(tuple(ka + kb)))
-
-
-def _check_power(alpha: float, order: int, what: str):
-    # written to be false for nan as well
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"{what} requires a finite alpha > 0, got {alpha:g}")
-    require_order(order)
+    ka = np.asarray(moments_to_free_cumulants(mu))
+    kb = np.asarray(moments_to_free_cumulants(nu))
+    return free_cumulants_to_moments(tuple(ka + kb))
 
 
 def _finite_power(result: MomentSeq, alpha: float, what: str) -> MomentSeq:
@@ -158,7 +139,8 @@ def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     Defined for ``alpha >= 1``; values in (0, 1) are computed formally and
     flagged with :class:`FormalPowerWarning`.
     """
-    _check_power(alpha, order, "free convolution power")
+    require_positive("alpha", alpha)
+    require_order(order)
     if alpha < 1.0:
         warnings.warn(
             f"free convolution power alpha = {alpha:g} < 1 is a formal moment "
@@ -168,26 +150,27 @@ def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
         )
     k = np.asarray(nu.free_cumulants(order))
     with np.errstate(all="ignore"):
-        result = free_cumulants_to_moments(FreeCumulants(tuple(alpha * k)))
+        result = free_cumulants_to_moments(tuple(alpha * k))
     return _finite_power(result, alpha, "free convolution power")
 
 
 def uplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
     """Boolean additive convolution: Boolean cumulants add."""
     _check_orders(mu, nu, "uplus")
-    ba = np.asarray(moments_to_boolean_cumulants(mu).values)
-    bb = np.asarray(moments_to_boolean_cumulants(nu).values)
-    return boolean_cumulants_to_moments(BooleanCumulants(tuple(ba + bb)))
+    ba = np.asarray(moments_to_boolean_cumulants(mu))
+    bb = np.asarray(moments_to_boolean_cumulants(nu))
+    return boolean_cumulants_to_moments(tuple(ba + bb))
 
 
 def uplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     """Moments ``m1..m_order`` of the Boolean convolution power
     ``nu**uplus(alpha)``, defined for every ``alpha > 0``: the Boolean
     cumulants of ``nu`` scale by ``alpha``."""
-    _check_power(alpha, order, "Boolean convolution power")
-    b = np.asarray(moments_to_boolean_cumulants(nu.moments(order)).values)
+    require_positive("alpha", alpha)
+    require_order(order)
+    b = np.asarray(moments_to_boolean_cumulants(nu.moments(order)))
     with np.errstate(all="ignore"):
-        result = boolean_cumulants_to_moments(BooleanCumulants(tuple(alpha * b)))
+        result = boolean_cumulants_to_moments(tuple(alpha * b))
     return _finite_power(result, alpha, "Boolean convolution power")
 
 
@@ -226,7 +209,8 @@ def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     real branch; integer powers fall back to repeated multiplication and
     carry no sign restriction.
     """
-    _check_power(alpha, order, "multiplicative convolution power")
+    require_positive("alpha", alpha)
+    require_order(order)
     s = nu.s_series(order)
     if alpha < 1.0:
         warnings.warn(
@@ -282,8 +266,7 @@ def bp_transform(nu: Measure, t: float, order: int) -> MomentSeq:
     Forms a semigroup in ``t``; ``t = 0`` is the identity and ``t = 1`` is the
     Boolean Bercovici-Pata bijection.
     """
-    if not 0.0 <= t < math.inf:  # false for nan as well
-        raise DomainError(f"the interpolation parameter t = {t:g} must be nonnegative and finite")
+    require_nonnegative("t", t)
     if t == 0.0:
         return moments(nu, order)
     return uplus_power(boxplus_power(nu, 1.0 + t, order), 1.0 / (1.0 + t), order)

@@ -29,7 +29,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, require_nonnegative, require_positive
 from .measure import (
     FreePoisson,
     MarchenkoPasturCentered,
@@ -365,35 +365,17 @@ def affine_pseudo_variance(nu: Measure, beta: float, lam: float, m: float) -> fl
     return m / (beta * inner) * pseudo_variance(nu, inner)
 
 
-def _check_power(alpha: float):
-    # written to be false for nan as well
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha = {alpha:g} must be positive and finite")
-
-
-def _check_bt(t: float):
-    # written to be false for nan as well
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"t = {t:g} must be nonnegative and finite")
-
-
-def _check_boxtimes(alpha: float, m: float):
-    _check_power(alpha)
-    if not 0.0 < m < math.inf:
-        raise DomainError(f"the multiplicative power law needs a finite m > 0, got m = {m:g}")
-
-
 def boxplus_power_variance(vfun: Callable[[float], float], m0: float, alpha: float,
                            m: float) -> float:
     """Variance law under the free convolution power: ``alpha * V(m/alpha)``."""
-    _check_power(alpha)
+    require_positive("alpha", alpha)
     return alpha * vfun(m / alpha)
 
 
 def uplus_power_variance(vfun: Callable[[float], float], m0: float, alpha: float,
                          m: float) -> float:
     """Variance law under the Boolean convolution power."""
-    _check_power(alpha)
+    require_positive("alpha", alpha)
     return alpha * vfun(m / alpha) + m * (m - alpha * m0) * (1.0 / alpha - 1.0)
 
 
@@ -401,14 +383,16 @@ def boxtimes_power_pseudo_variance(pvfun: Callable[[float], float], alpha: float
                                    m: float) -> float:
     """Pseudo-variance law under the multiplicative convolution power:
     ``m**(2 - 2/alpha) * PV(m**(1/alpha))``."""
-    _check_boxtimes(alpha, m)
+    require_positive("alpha", alpha)
+    require_positive("m", m)
     return m ** (2.0 - 2.0 / alpha) * pvfun(m ** (1.0 / alpha))
 
 
 def boxtimes_power_variance(vfun: Callable[[float], float], m0: float, alpha: float,
                             m: float) -> float:
     """Variance law under the multiplicative convolution power."""
-    _check_boxtimes(alpha, m)
+    require_positive("alpha", alpha)
+    require_positive("m", m)
     root = m ** (1.0 / alpha)
     if abs(root - m0) <= 1e-13:
         ratio = alpha * m0 ** (alpha - 1.0)  # removable singularity at the mean
@@ -419,11 +403,11 @@ def boxtimes_power_variance(vfun: Callable[[float], float], m0: float, alpha: fl
 
 def bt_pseudo_variance(pvfun: Callable[[float], float], t: float, m: float) -> float:
     """Pseudo-variance law under the Boolean-to-free map: ``PV(m) + t*m**2``."""
-    _check_bt(t)
+    require_nonnegative("t", t)
     return pvfun(m) + t * m * m
 
 
 def bt_variance(vfun: Callable[[float], float], m0: float, t: float, m: float) -> float:
     """Variance law under the Boolean-to-free map: ``V(m) + t*m*(m - m0)``."""
-    _check_bt(t)
+    require_nonnegative("t", t)
     return vfun(m) + t * m * (m - m0)

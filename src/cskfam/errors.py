@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the argument
+checks that raise them."""
+
+import math
 
 
 class CskfamError(Exception):
@@ -54,3 +57,25 @@ class FormalPowerWarning(UserWarning):
 
 class TruncationAccuracyWarning(UserWarning):
     """A truncated-series evaluation was requested outside its trust region."""
+
+
+# ---------------------------------------------------------------------------
+# argument checks, each written to be false for nan as well
+
+
+def require_positive(name: str, x: float):
+    """Raise :class:`DomainError` unless ``x`` is positive and finite."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} = {x:g} must be positive and finite")
+
+
+def require_nonnegative(name: str, x: float):
+    """Raise :class:`DomainError` unless ``x`` is nonnegative and finite."""
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} = {x:g} must be nonnegative and finite")
+
+
+def require_order(order: int):
+    """Raise :class:`DomainError` unless ``order``, a number of moments, is at least 1."""
+    if order < 1:
+        raise DomainError("moment order must be at least 1")

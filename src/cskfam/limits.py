@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from . import conv, csk
-from .errors import CskfamError, DomainError
+from .errors import CskfamError, DomainError, require_order, require_positive
 from .measure import Measure, MomentSeq, mean, moments
 from .series import TruncatedSeries, ps_pow_int
 from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
@@ -64,12 +64,6 @@ def _exp_series(gamma: float, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def _check_gamma(gamma: float):
-    # written to be false for nan as well
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma = {gamma:g} must be positive and finite")
-
-
 def limit_law_moments(kind: LimitKind, gamma: float, order: int) -> MomentSeq:
     """Moments of the limit law with parameter ``gamma``.
 
@@ -77,9 +71,8 @@ def limit_law_moments(kind: LimitKind, gamma: float, order: int) -> MomentSeq:
     ``kind = "sigma"``: Sigma-transform series ``exp(-gamma*z)``.
     Both have first moment exactly 1.
     """
-    _check_gamma(gamma)
-    if order < 1:
-        raise DomainError(f"moment order {order} must be at least 1")
+    require_positive("gamma", gamma)
+    require_order(order)
     if kind == "eta":
         s = _exp_series(gamma, order - 1)
     elif kind == "sigma":
@@ -95,7 +88,7 @@ def limit_variance_eta(gamma: float, m: float) -> float:
     Defined on (0, 1]; the singularity at m = 1 is removable with value
     ``gamma``.
     """
-    _check_gamma(gamma)
+    require_positive("gamma", gamma)
     if not 0.0 < m <= 1.0:
         raise DomainError(f"m = {m:g} outside (0, 1]")
     if m == 1.0:
@@ -112,7 +105,7 @@ def limit_variance_sigma(gamma: float, m: float) -> float:
 
 def limit_pseudo_variance_eta(gamma: float, m: float) -> float:
     """Pseudo-variance of the eta limit: ``gamma*m**2/log(m)`` (m in (0,1))."""
-    _check_gamma(gamma)
+    require_positive("gamma", gamma)
     if not 0.0 < m < 1.0:
         raise DomainError(f"m = {m:g} outside (0, 1)")
     return gamma * m * m / math.log(m)
@@ -297,8 +290,7 @@ def convergence_report(
     ns = tuple(_check_step(n) for n in n_values)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("the n schedule must be strictly increasing")
-    if moment_order < 1:
-        raise DomainError("moment_order must be at least 1")
+    require_order(moment_order)
     _check_kind(kind)
     gamma, unit, s1 = _unit_generator(nu, moment_order)
     m0 = mean(nu)

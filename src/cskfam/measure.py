@@ -32,12 +32,15 @@ The 65-node sum is kept when it agrees with the 33-node sum within
 ``FIXED_RULE_TOL * max(1, |I|)``; otherwise (a pole of the integrand near the
 piece, a node on a pole, a non-finite sum) the piece goes to an adaptive
 fallback that bisects it and applies the same pair to each part until the
-parts pass the same check.  Everything here is numpy and the standard
-library.
+parts pass the same check.  An integrand may be real or complex: both are
+summed as they are, in one pass, and the check reads the modulus ``|I|``
+of the sum, so G and Psi off the real axis take the same path as on it.
+Everything here is numpy and the standard library.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -54,6 +57,7 @@ from .errors import (
     MeasureSpecError,
     SingularityError,
     TruncationAccuracyWarning,
+    require_order,
 )
 from .series import TruncatedSeries
 
@@ -138,7 +142,7 @@ class Measure:
         the named densities know theirs exactly."""
         from .conv import moments_to_free_cumulants
 
-        return moments_to_free_cumulants(self.moments(order)).values
+        return moments_to_free_cumulants(self.moments(order))
 
     def s_series(self, order: int) -> TruncatedSeries:
         """The S-transform series at order ``order - 1``, all that ``order``
@@ -276,33 +280,35 @@ class DensityMeasure(Measure):
         return MomentSeq(_density_moments(self, order))
 
     def integrate(self, f) -> float | complex:
-        lo, hi = self.support()
-        probe = f(0.5 * (lo + hi))
-        if isinstance(probe, complex):
-            re = integrate_pieces(self, _pullback(lambda x: f(x).real))
-            im = integrate_pieces(self, _pullback(lambda x: f(x).imag))
-            return complex(re, im)
         return integrate_pieces(self, _pullback(f))
 
-    def cauchy(self, z: complex) -> complex:
-        lo, hi = self.support()
-        if z.imag == 0.0 and lo < z.real < hi:
-            raise SingularityError(f"z = {z.real:g} lies inside the support ({lo:g}, {hi:g})")
-        value = _cauchy_density(self, z)
-        return value.real if z.imag == 0.0 else value
+    def cauchy(self, z: complex) -> float | complex:
+        # x = anchor + offset, so z - x = (z - anchor) - offset without
+        # cancellation even when z sits on a support edge; a real z is
+        # integrated as a float, with its pole hint
+        pole = None
+        if z.imag == 0.0:
+            lo, hi = self.support()
+            if lo < z.real < hi:
+                raise SingularityError(f"z = {z.real:g} lies inside the support ({lo:g}, {hi:g})")
+            z = pole = z.real
+        return integrate_pieces(self, lambda a, d: 1.0 / ((z - a) - d), pole=pole)
 
     def psi_integral(self, theta: float | complex) -> float | complex:
-        if isinstance(theta, complex):
-            # zx/(1-zx) = -1 + (1/z)/(1/z - x) pointwise; reuse the stable G kernel
-            return _cauchy_density(self, 1.0 / theta) / theta - 1.0
-        lo, hi = self.support()
-        if lo <= 1.0 / theta <= hi:
-            raise SingularityError(
-                f"the pole 1/theta = {1.0 / theta:g} lies in the support [{lo:g}, {hi:g}]"
-            )
-        # theta*x/(1-theta*x) = x / ((1/theta - anchor) - offset), stable at edges
+        """One kernel for real and complex ``theta``: ``theta*x/(1 - theta*x)
+        = x / ((r - anchor) - offset)`` with ``r = 1/theta``, stable at the
+        edges and free of the cancellation of ``-1 + r*G(r)`` at small
+        ``|theta|``.  Only a real ``r`` can meet the support."""
         r = 1.0 / theta
-        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), pole=r)
+        pole = None
+        if r.imag == 0.0:
+            lo, hi = self.support()
+            pole = r.real
+            if lo <= pole <= hi:
+                raise SingularityError(
+                    f"the pole 1/theta = {pole:g} lies in the support [{lo:g}, {hi:g}]"
+                )
+        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), pole=pole)
 
 
 @dataclass(frozen=True)
@@ -622,20 +628,24 @@ def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchor, offset, matrix
 
 
-def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None = None) -> float:
+def integrate_pieces(nu: DensityMeasure, integrand: Callable,
+                     pole: float | None = None) -> float | complex:
     """Sum over the density pieces of ``nu`` of the integral of ``weight * integrand``.
 
     ``integrand(a, d)`` is the function integrated against the density at
     ``x = a + d``, given as a piece's anchor ``a`` and the signed offset
     ``d = sign*u**2`` from it, so that a distance ``z - x`` computes as
     ``(z - a) - d`` without cancellation at an edge.  It acts elementwise,
-    on numpy arrays of nodes and on Python floats.
+    on numpy arrays of nodes and on Python floats, and may return real or
+    complex values: a complex integrand is summed as it is, in the same one
+    pass, and the result is complex.
 
     Each piece is first integrated by the fixed Gauss-Legendre pair on the
     measure's cached :attr:`~DensityMeasure.fixed_rule`: one call of
     ``integrand`` on the nodes of all pieces (numpy warnings silenced) and
     one matrix product.  A piece's fine sum is kept when both of its sums
-    are finite and agree within ``FIXED_RULE_TOL * max(1, |I|)``.
+    are finite and agree within ``FIXED_RULE_TOL * max(1, |I|)``, with
+    ``|I|`` the modulus of the fine sum.
     Otherwise the piece goes to the adaptive fallback,
     :func:`_bisect_piece`, which applies the same pair to sub-intervals of
     ``(0, umax)`` split at the piece's ``breaks``.  When the integrand has a
@@ -653,7 +663,7 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None
     pieces = nu.pieces
     total = 0.0
     for piece, coarse, fine in zip(pieces, sums, sums[len(pieces):]):
-        if abs(fine - coarse) <= FIXED_RULE_TOL * max(1.0, abs(fine)) and math.isfinite(fine):
+        if abs(fine - coarse) <= FIXED_RULE_TOL * max(1.0, abs(fine)) and cmath.isfinite(fine):
             total += fine
             continue
         pts = list(piece.breaks)
@@ -665,16 +675,18 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None
     return total
 
 
-def _pair_sums(piece: QuadPiece, integrand: Callable, lo: float, hi: float) -> tuple[float, float]:
+def _pair_sums(piece: QuadPiece, integrand: Callable, lo: float,
+               hi: float) -> tuple[float | complex, float | complex]:
     """The coarse and the fine sum of the fixed pair on ``(lo, hi)`` of a piece,
     from one evaluation on the nodes of both rules."""
     (_, w_coarse), (_, w_fine) = _FIXED_RULES
     u = lo + (hi - lo) * _PAIR_NODES
     values = (hi - lo) * piece.weight(u) * integrand(piece.anchor, piece.sign * u * u)
-    return float(w_coarse @ values[:w_coarse.size]), float(w_fine @ values[w_coarse.size:])
+    return (w_coarse @ values[:w_coarse.size]).item(), (w_fine @ values[w_coarse.size:]).item()
 
 
-def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float]) -> float:
+def _bisect_piece(piece: QuadPiece, integrand: Callable,
+                  points: list[float]) -> float | complex:
     """Adaptive fallback of :func:`integrate_pieces` on one piece.
 
     Starts from the sub-intervals of ``(0, umax)`` between the sorted
@@ -684,8 +696,9 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float]) ->
     its two halves instead.  A sub-interval that is a
     share ``s`` of ``umax`` is accepted when both sums are finite and agree
     within ``FIXED_RULE_TOL * max(s, |I|)``: the whole piece's check, split
-    over its parts.  Otherwise it is bisected, after a pole probe at the
-    split point (:func:`_halves`).  A sub-interval that still
+    over its parts, with ``|I|`` the modulus of a real or complex sum.
+    Otherwise it is bisected, after a pole probe at the split point
+    (:func:`_halves`).  A sub-interval that still
     fails after ``FALLBACK_MAX_DEPTH`` bisections, or once the piece has
     used ``FALLBACK_MAX_INTERVALS`` sub-intervals, keeps its fine sum, and
     the piece then raises :class:`AccuracyError` with the total as
@@ -705,7 +718,7 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float]) ->
             coarse, fine = _pair_sums(piece, integrand, lo, hi)
             evaluated += 1
             tol = FIXED_RULE_TOL * max((hi - lo) / piece.umax, abs(fine))
-            if abs(fine - coarse) <= tol and math.isfinite(fine):
+            if abs(fine - coarse) <= tol and cmath.isfinite(fine):
                 total += fine
             elif depth == FALLBACK_MAX_DEPTH or evaluated >= FALLBACK_MAX_INTERVALS:
                 total += fine
@@ -732,7 +745,7 @@ def _halves(piece: QuadPiece, integrand: Callable, lo: float, hi: float,
         value = piece.weight(mid) * integrand(piece.anchor, piece.sign * mid * mid)
     except ZeroDivisionError:
         value = math.nan
-    if not math.isfinite(value):
+    if not cmath.isfinite(value):
         raise SingularityError("a quadrature node fell on a pole of the integrand")
     return [(mid, hi, depth + 1), (lo, mid, depth + 1)]
 
@@ -741,24 +754,6 @@ def _pullback(f) -> Callable:
     """The :func:`integrate_pieces` integrand of ``f``: ``f(a + d)``, broadcast
     to the shape of ``d`` (``f`` may be a constant)."""
     return lambda a, d: np.broadcast_to(f(a + d), np.shape(d))
-
-
-def _cauchy_density(nu: DensityMeasure, z: complex) -> complex:
-    # x = anchor + offset, so z - x = (z - anchor) - offset without
-    # cancellation even when z sits on a support edge.
-    if z.imag == 0.0:
-        zr = z.real
-        return complex(integrate_pieces(nu, lambda a, d: 1.0 / ((zr - a) - d), pole=zr), 0.0)
-
-    def re_part(a, d):
-        q = (z - a) - d
-        return q.real / abs(q) ** 2
-
-    def im_part(a, d):
-        q = (z - a) - d
-        return -q.imag / abs(q) ** 2
-
-    return complex(integrate_pieces(nu, re_part), integrate_pieces(nu, im_part))
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +765,9 @@ def _density_moments(nu: DensityMeasure, order: int) -> tuple[float, ...]:
     # The named densities have exact closed-form free cumulants, so their
     # moments come from the cumulant dictionary; quadrature of x**n is the
     # independent cross-check exercised by the test suite.
-    from .conv import FreeCumulants, free_cumulants_to_moments
+    from .conv import free_cumulants_to_moments
 
-    return free_cumulants_to_moments(FreeCumulants(nu.free_cumulants(order))).values
+    return free_cumulants_to_moments(nu.free_cumulants(order)).values
 
 
 def moments(nu: Measure, order: int) -> MomentSeq:
@@ -784,12 +779,6 @@ def moments(nu: Measure, order: int) -> MomentSeq:
     """
     require_order(order)
     return nu.moments(order)
-
-
-def require_order(order: int):
-    """Raise :class:`DomainError` unless ``order``, a number of moments, is at least 1."""
-    if order < 1:
-        raise DomainError("moment order must be at least 1")
 
 
 def mean(nu: Measure) -> float:

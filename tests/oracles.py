@@ -334,3 +334,24 @@ def mp_cauchy(nu, z: float, dps: int = 50):
             return 2 / (w + mpmath.sign(w) * mpmath.sqrt(w * w - 4 * mpmath.mpf(nu.variance)))
         a = mpmath.mpf(nu.a)  # (1 + a z) G**2 - (z + a) G + 1 = 0
         return 2 / (z + a + mpmath.sign(z - a) * mpmath.sqrt((z - a) ** 2 - 4))
+
+
+def mp_cauchy_complex(nu, z: complex, dps: int = 50):
+    """``G(z)`` of a named density at a ``z`` off the real axis, at ``dps``
+    digits: of the two roots ``2 / (B +- sqrt(B**2 - 4A))`` of the quadratic
+    ``A G**2 - B G + 1 = 0`` of :func:`mp_cauchy`, the one whose imaginary
+    part has the sign opposite to ``Im z`` (G maps the upper half-plane to
+    the lower one, and the other root is ``1/(A G)``)."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(z)
+        name = type(nu).__name__
+        if name == "FreePoisson":
+            a_coef, b_coef = z, z
+        elif name == "Semicircle":
+            a_coef, b_coef = mpmath.mpf(nu.variance), z - nu.center
+        else:
+            a = mpmath.mpf(nu.a)
+            a_coef, b_coef = 1 + a * z, z + a
+        root = mpmath.sqrt(b_coef * b_coef - 4 * a_coef)
+        g = 2 / (b_coef + root)
+        return g if g.imag * z.imag < 0 else 2 / (b_coef - root)

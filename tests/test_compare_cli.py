@@ -65,3 +65,13 @@ def test_grade_reads_the_job_check_and_fails_every_row_on_a_nonzero_exit():
     assert compare_cli.grade(job, 0, b"order,moment\n1,1\n2,2.5\n") == "1/2 ok"
     assert compare_cli.grade(job, 0, b"order,moment\n1,1\n") == "0/0 ok, 1 problems"
     assert compare_cli.grade(job, 1, b"") == "0/2 ok"
+
+
+def test_source_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "cskfam"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "b.py").write_text("z = 3", encoding="utf-8")  # no final newline, as wc -l
+    (package / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n", encoding="utf-8")
+    assert compare_cli.source_lines(tmp_path) == 2

@@ -16,8 +16,11 @@ and by the grade of each side: the rows within tolerance of the job's own
 ``check`` over the rows attempted, as ``bench/run.py`` grades them (see
 :func:`grade`), so a moved cell reads as a fix or as a regression.
 It ends with the number of jobs that differ and one line naming the largest
-change over all jobs, and exits 1 on any difference, 0 when all agree.  The
-default workload list is every workload of ``bench/jobs.py``.
+change over all jobs, then the line count of ``src/cskfam/*.py`` in each
+checkout (see :func:`source_lines`), so that a comparison also shows
+whether the same output now comes from less code.  It exits 1 on any
+difference, 0 when all agree.  The default workload list is every workload
+of ``bench/jobs.py``.
 """
 
 from __future__ import annotations
@@ -129,6 +132,13 @@ def largest_changes(parent: bytes, change: bytes) -> dict[str, float]:
     return out
 
 
+def source_lines(checkout: Path) -> int:
+    """Lines of ``src/cskfam/*.py`` under ``checkout``, counted as ``wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "cskfam").glob("*.py"))
+
+
 def grade(job: J.Job, code: int, out: bytes) -> str:
     """``ok/attempted`` of one side's output under the job's own check; a
     nonzero exit code fails every row, as in ``bench/run.py``."""
@@ -191,6 +201,8 @@ def main(argv=None) -> int:
     print(f"{compared} jobs compared, {differ} differ")
     print(f"largest relative change over all jobs: {worst[0]:.2g} in {worst[1]}" if worst[1]
           else "largest relative change over all jobs: none")
+    print(f"src/cskfam lines: parent {source_lines(args.parent)}, "
+          f"change {source_lines(args.change)}")
     return 1 if differ else 0
 
 
