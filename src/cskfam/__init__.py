@@ -29,7 +29,6 @@ from .csk import (
     boxtimes_power_variance,
     bt_pseudo_variance,
     bt_variance,
-    closed_form_variance,
     csk_density_weight,
     family_row,
     k_mean,
@@ -71,7 +70,7 @@ from .measure import (
     parse_measure_spec,
     variance_of,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries, ps_compose, ps_mul, ps_pow_real, ps_revert
+from .series import ps_compose, ps_mul, ps_pow_real, ps_revert
 from .transforms import (
     cauchy_transform,
     chi_inverse,

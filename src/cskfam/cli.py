@@ -21,11 +21,12 @@ import numpy as np
 from . import conv, csk, limits, transforms
 from .errors import CskfamError
 from .measure import Measure, MomentSeq, moments, parse_measure_spec
-from .series import DEFAULT_ORDER
 
 
 #: Most points an ``a:b:step`` grid may hold.
 MAX_GRID_POINTS = 10**6
+#: Moment order of ``convolve`` when ``--order`` is not given.
+DEFAULT_ORDER = 40
 
 
 def _fmt(x: float) -> str:

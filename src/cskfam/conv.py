@@ -34,14 +34,7 @@ from .errors import (
     require_positive,
 )
 from .measure import Measure, MomentSeq, moments
-from .series import (
-    TruncatedSeries,
-    ps_mul,
-    ps_pow_int,
-    ps_pow_real,
-    ps_reciprocal,
-    ps_revert,
-)
+from .series import ps_mul, ps_pow_int, ps_pow_real, ps_reciprocal, ps_revert
 from .transforms import s_series, s_series_to_moments
 
 
@@ -71,39 +64,39 @@ def moments_to_free_cumulants(m: MomentSeq) -> tuple[float, ...]:
     their powers never come here.
     """
     k = m.order
-    g_hat = TruncatedSeries((0.0, 1.0) + m.values)  # order K+1
+    g_hat = np.array((0.0, 1.0) + m.values)  # order K+1
     theta_of_w = ps_revert(g_hat)
-    h = TruncatedSeries(theta_of_w.coeffs[1:])  # theta(w)/w, constant term 1
+    h = theta_of_w[1:]  # theta(w)/w, constant term 1
     r = ps_reciprocal(h)  # 1/h = w * G^{-1}(w) = 1 + k1*w + k2*w^2 + ...
-    return r.coeffs[1 : k + 1]
+    return tuple(r[1 : k + 1].tolist())
 
 
 def free_cumulants_to_moments(k: tuple[float, ...]) -> MomentSeq:
     """Inverse of :func:`moments_to_free_cumulants`: moments from the free
     cumulants ``k1..kK``."""
     n = len(k)
-    r = TruncatedSeries((1.0, *k))
-    theta_of_w = TruncatedSeries((0.0,) + ps_reciprocal(r).coeffs)  # w/r(w), order K+1
+    r = np.array((1.0, *k), dtype=float)
+    theta_of_w = np.concatenate(((0.0,), ps_reciprocal(r)))  # w/r(w), order K+1
     g_hat = ps_revert(theta_of_w)
-    return MomentSeq(g_hat.coeffs[2 : n + 2])
+    return MomentSeq(g_hat[2 : n + 2].tolist())
 
 
 def moments_to_boolean_cumulants(m: MomentSeq) -> tuple[float, ...]:
     """Boolean cumulants ``b1..bK``, the coefficients of the self-energy
     series, via series division: ``(M - 1) / M`` in ``theta``."""
     k = m.order
-    big_m = TruncatedSeries((1.0,) + m.values)
-    numer = TruncatedSeries((0.0,) + m.values)
+    big_m = np.array((1.0,) + m.values)
+    numer = np.array((0.0,) + m.values)
     e = ps_mul(numer, ps_reciprocal(big_m))
-    return e.coeffs[1 : k + 1]
+    return tuple(e[1 : k + 1].tolist())
 
 
 def boolean_cumulants_to_moments(b: tuple[float, ...]) -> MomentSeq:
     """Inverse map, from the Boolean cumulants ``b1..bK``: ``M = 1 / (1 - E)``."""
     n = len(b)
-    one_minus_e = TruncatedSeries((1.0, *(-v for v in b)))
+    one_minus_e = np.array((1.0, *(-v for v in b)), dtype=float)
     big_m = ps_reciprocal(one_minus_e)
-    return MomentSeq(big_m.coeffs[1 : n + 1])
+    return MomentSeq(big_m[1 : n + 1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
         if _is_integral(alpha):
             powered = ps_pow_int(s, int(round(alpha)))
         else:
-            if s.coeffs[0] <= 0.0:
+            if s[0] <= 0.0:
                 raise DomainError(
                     "non-integer multiplicative power of a negative-mean sequence "
                     "would leave the real branch"

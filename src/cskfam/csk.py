@@ -30,16 +30,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .errors import DomainError, NumericError, require_nonnegative, require_positive
-from .measure import (
-    FreePoisson,
-    MarchenkoPasturCentered,
-    Measure,
-    MomentSeq,
-    Semicircle,
-    mean,
-    support_bounds,
-    variance_of,
-)
+from .measure import Measure, MomentSeq, mean, support_bounds, variance_of
 from .transforms import (
     _check_theta,
     bracketed_root,
@@ -55,21 +46,6 @@ _MEAN_MATCH_TOL = 1e-12
 #: Floor on ``1 + psi_integral`` below which ``k_mean`` declares the mean
 #: lost: under it the sum has cancelled to fewer than half its digits.
 _MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
-
-
-def closed_form_variance(nu: Measure) -> Callable[[float], float]:
-    """The closed-form variance function ``m -> V(m)`` of a named generator:
-    ``m`` for free Poisson, ``1 + a*m`` for the centered Marchenko-Pastur
-    law and the constant variance for the semicircle."""
-    if isinstance(nu, FreePoisson):
-        return lambda m: m
-    if isinstance(nu, MarchenkoPasturCentered):
-        a = nu.a
-        return lambda m: 1.0 + a * m
-    if isinstance(nu, Semicircle):
-        v = nu.variance
-        return lambda m: v
-    raise DomainError(f"no closed-form variance function for {type(nu).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +185,7 @@ def _unit_growth_s_series(mseq: MomentSeq) -> tuple[float, np.ndarray]:
     orders = np.arange(1, mseq.order + 1)
     rho = float(np.max(np.abs(values) ** (1.0 / orders)))
     s = s_series(MomentSeq(tuple(values / rho**orders)))
-    poly = np.asarray(s.coeffs[::-1])
+    poly = s[::-1]
     if not np.all(np.isfinite(poly)):
         raise NumericError("the S-series of the moment sequence is not finite")
     poly.flags.writeable = False  # shared by every caller of the cache

@@ -38,10 +38,12 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
+import numpy as np
+
 from . import conv, csk
 from .errors import CskfamError, DomainError, require_order, require_positive
 from .measure import Measure, MomentSeq, mean, moments
-from .series import TruncatedSeries, ps_pow_int
+from .series import ps_pow_int
 from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
 
 LimitKind = Literal["eta", "sigma"]
@@ -51,17 +53,20 @@ ConvKind = Literal["boxplus", "uplus"]
 LIMIT_OF_KIND: dict[str, str] = {"boxplus": "eta", "uplus": "sigma"}
 
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64)
-DEFAULT_VARIANCE_GRID = (0.6, 0.8, 0.9)
+#: Means at which every report compares variance functions with the limit's.
+VARIANCE_GRID = (0.6, 0.8, 0.9)
+#: Largest moment error at which :func:`verify_bp_identity` passes.
+BP_IDENTITY_TOL = 1e-9
 
 
-def _exp_series(gamma: float, order: int) -> TruncatedSeries:
+def _exp_series(gamma: float, order: int) -> np.ndarray:
     """Series of ``exp(-gamma*z)`` truncated at ``order``."""
     coeffs = []
     c = 1.0
     for k in range(order + 1):
         coeffs.append(c)
         c *= -gamma / (k + 1)
-    return TruncatedSeries(tuple(coeffs))
+    return np.array(coeffs)
 
 
 def limit_law_moments(kind: LimitKind, gamma: float, order: int) -> MomentSeq:
@@ -136,7 +141,7 @@ def _check_step(n) -> int:
     return int(n)
 
 
-def _unit_generator(nu: Measure, order: int) -> tuple[float, MomentSeq, TruncatedSeries]:
+def _unit_generator(nu: Measure, order: int) -> tuple[float, MomentSeq, np.ndarray]:
     """``gamma = Var(nu)/m0**2``, the first ``order`` moments of ``nu``
     dilated to unit mean, and their S-series (order ``order - 1``), all
     from one moment sequence of ``nu``.
@@ -156,10 +161,10 @@ def _unit_generator(nu: Measure, order: int) -> tuple[float, MomentSeq, Truncate
     # The rounded 1/m0 leaves a mean 1 + O(eps), which S1**n would carry
     # into moment k of step n as an error of about n*k*eps; dividing by
     # S(0) = 1/mean sets the mean to exactly 1.
-    return m.variance / m0**2, unit, TruncatedSeries(tuple(c / s[0] for c in s.coeffs))
+    return m.variance / m0**2, unit, s / s[0]
 
 
-def _scaled_moments(unit: MomentSeq, s1: TruncatedSeries, n: int, kind: ConvKind) -> MomentSeq:
+def _scaled_moments(unit: MomentSeq, s1: np.ndarray, n: int, kind: ConvKind) -> MomentSeq:
     """Moments of the scaled law of step ``n``, as many as ``unit`` holds.
 
     ``S_n(w) = S1(phi(w))**n`` with ``phi(w) = w/n`` for ``boxplus`` and
@@ -169,7 +174,7 @@ def _scaled_moments(unit: MomentSeq, s1: TruncatedSeries, n: int, kind: ConvKind
     """
     if n == 1:
         return unit
-    s = TruncatedSeries(tuple(c * (1.0 / n) ** k for k, c in enumerate(s1.coeffs)))  # S1(w/n)
+    s = np.array([c * (1.0 / n) ** k for k, c in enumerate(s1.tolist())])  # S1(w/n)
     if kind == "uplus":  # then at w/(1 + r*w): S1(w/n) becomes S1(w/(n + (n - 1)*w))
         s = _compose_moebius(s, 1.0 - 1.0 / n)
     return s_series_to_moments(ps_pow_int(s, n), unit.order)
@@ -260,7 +265,6 @@ def convergence_report(
     kind: ConvKind,
     n_values: Sequence[int] = DEFAULT_SCHEDULE,
     moment_order: int = 6,
-    variance_grid: Sequence[float] = DEFAULT_VARIANCE_GRID,
 ) -> ConvergenceReport:
     """Run the scaled-sequence experiment and tabulate errors.
 
@@ -306,15 +310,15 @@ def convergence_report(
             value = scaled.values[order - 1]
             target = lim.values[order - 1]
             rows.append(MomentRow(n, order, value, target, abs(value - target)))
-        for m in variance_grid:
+        for m in VARIANCE_GRID:
             target = lim_variance(gamma, m)
             try:
-                value = _scaled_law_variance(nu, m0, n, kind, float(m))
+                value = _scaled_law_variance(nu, m0, n, kind, m)
             except CskfamError as exc:  # e.g. m0 * m**(1/n) outside the domain of means
-                vrows.append(VarianceRow(n, float(m), None, target, None,
+                vrows.append(VarianceRow(n, m, None, target, None,
                                          f"{type(exc).__name__}: {exc}"))
             else:
-                vrows.append(VarianceRow(n, float(m), value, target, abs(value - target)))
+                vrows.append(VarianceRow(n, m, value, target, abs(value - target)))
     return ConvergenceReport(
         measure=nu.describe(),
         kind=kind,
@@ -341,7 +345,7 @@ class BpIdentityReport:
     passed: bool
 
 
-def verify_bp_identity(gamma: float, order: int = 8, tolerance: float = 1e-9) -> BpIdentityReport:
+def verify_bp_identity(gamma: float, order: int = 8) -> BpIdentityReport:
     """Check that the Boolean-to-free map at t = 1 sends the sigma limit to
     the eta limit, moment by moment."""
     eta = limit_law_moments("eta", gamma, order)
@@ -349,4 +353,4 @@ def verify_bp_identity(gamma: float, order: int = 8, tolerance: float = 1e-9) ->
     mapped = conv.bp_transform(sigma, 1.0, order)
     errors = tuple(abs(a - b) for a, b in zip(mapped.values, eta.values))
     worst = max(errors)
-    return BpIdentityReport(gamma, order, tolerance, errors, worst, worst <= tolerance)
+    return BpIdentityReport(gamma, order, BP_IDENTITY_TOL, errors, worst, worst <= BP_IDENTITY_TOL)

@@ -59,7 +59,6 @@ from .errors import (
     TruncationAccuracyWarning,
     require_order,
 )
-from .series import TruncatedSeries
 
 #: Nodes per sub-interval of the fixed Gauss-Legendre pair (coarse, fine).
 #: Both are odd, so both have a node at the middle of each sub-interval: a
@@ -144,7 +143,7 @@ class Measure:
 
         return moments_to_free_cumulants(self.moments(order))
 
-    def s_series(self, order: int) -> TruncatedSeries:
+    def s_series(self, order: int) -> np.ndarray:
         """The S-transform series at order ``order - 1``, all that ``order``
         moments fix.  Here from :meth:`moments` through
         :func:`.transforms.s_series` (one reversion); the named densities
@@ -271,7 +270,7 @@ class DensityMeasure(Measure):
         of the S series."""
         raise NotImplementedError
 
-    def s_series(self, order: int) -> TruncatedSeries:
+    def s_series(self, order: int) -> np.ndarray:
         from .transforms import free_cumulants_to_s_series
 
         return free_cumulants_to_s_series(self.free_cumulants(order))

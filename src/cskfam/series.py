@@ -5,10 +5,10 @@ convolution powers, limit-law moments) reduces to arithmetic on truncated
 power series: Cauchy products, composition, compositional reversion and
 real powers via series exp/log.
 
-Coefficients are double-precision reals.  Binary operations truncate the
-result to the smaller of the two operand orders; nothing silently extends
-a series.  All functions are pure, so values can be shared freely between
-threads.
+A series is a 1-D float64 numpy array of its coefficients ``c0..cN``; its
+order is ``len(a) - 1``.  Binary operations truncate the result to the
+shorter operand; nothing silently extends a series.  No function writes
+to its arguments, so values can be shared freely between threads.
 
 Reversion, which every S-transform and cumulant dictionary goes through,
 is one Lagrange-inversion pass followed by one Newton step built from
@@ -20,107 +20,63 @@ Newton step removes the roundoff that the Lagrange powers accumulate (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-#: Working order used by callers that do not request anything else.
-DEFAULT_ORDER = 40
 
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients ``c0..cN`` of a power series truncated at order ``N``."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> float:
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-
-def identity_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def identity_series(order: int) -> np.ndarray:
     """The series of ``z`` itself: coefficients (0, 1, 0, ...)."""
-    c = [0.0] * (order + 1)
+    c = np.zeros(order + 1)
     if order >= 1:
         c[1] = 1.0
-    return TruncatedSeries(tuple(c))
+    return c
 
 
-def _arr(s: TruncatedSeries) -> np.ndarray:
-    return np.asarray(s.coeffs, dtype=float)
+def ps_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product truncated to the shorter operand."""
+    n = min(len(a), len(b))
+    return np.convolve(a[:n], b[:n])[:n]
 
 
-def _wrap(a: np.ndarray) -> TruncatedSeries:
-    return TruncatedSeries(tuple(a.tolist()))
-
-
-def _common_order(a: TruncatedSeries, b: TruncatedSeries) -> int:
-    return min(a.order, b.order)
-
-
-def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to the smaller operand order."""
-    n = _common_order(a, b) + 1
-    return _wrap(np.convolve(_arr(a)[:n], _arr(b)[:n])[:n])
-
-
-def ps_derivative(a: TruncatedSeries) -> TruncatedSeries:
+def ps_derivative(c: np.ndarray) -> np.ndarray:
     """Termwise derivative, padded with a trailing zero to keep the order."""
-    c = _arr(a)
     out = np.zeros_like(c)
     out[:-1] = c[1:] * np.arange(1, len(c))
-    return _wrap(out)
+    return out
 
 
-def ps_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
+def ps_reciprocal(c: np.ndarray) -> np.ndarray:
     """Multiplicative inverse; requires a nonzero constant term."""
-    c = _arr(a)
     if c[0] == 0.0:
         raise DomainError("series reciprocal requires a nonzero constant term")
     out = np.zeros_like(c)
     out[0] = 1.0 / c[0]
     for k in range(1, len(c)):
         out[k] = -np.dot(c[1 : k + 1], out[k - 1 :: -1]) / c[0]
-    return _wrap(out)
+    return out
 
 
-def ps_compose(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficients of ``a(b(z))`` up to the smaller operand order.
+def ps_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of ``a(b(z))`` up to the shorter operand's order.
 
     ``b`` must have zero constant term, otherwise the composition would need
     all coefficients of ``a``.
     """
-    if b.coeffs[0] != 0.0:
+    if b[0] != 0.0:
         raise DomainError("inner series of a composition must have zero constant term")
-    n = _common_order(a, b) + 1
-    ca, cb = _arr(a)[:n], _arr(b)[:n]
+    n = min(len(a), len(b))
+    ca, cb = a[:n], b[:n]
     out = np.zeros(n)
     out[0] = ca[-1]
     for k in range(n - 2, -1, -1):
         out = np.convolve(out, cb)[:n]
         out[0] += ca[k]
-    return _wrap(out)
+    return out
 
 
-def ps_revert(a: TruncatedSeries) -> TruncatedSeries:
+def ps_revert(a: np.ndarray) -> np.ndarray:
     """Compositional inverse: the series ``g`` with ``a(g(z)) = z``.
 
     Requires ``a0 = 0`` and ``a1 != 0``.  One Lagrange-inversion pass,
@@ -137,33 +93,30 @@ def ps_revert(a: TruncatedSeries) -> TruncatedSeries:
     Fuss-Catalan moments within 1e-9 relative (5.3e-10 measured).
     Inputs whose coefficients grow like ``4**k`` lose all accuracy past
     order about 30, with or without the step: scale them to unit growth
-    first.
+    first.  The in-place updates touch only arrays made here, never ``a``.
     """
-    c = _arr(a)
-    if c[0] != 0.0:
+    if a[0] != 0.0:
         raise DomainError("series reversion requires zero constant term")
-    if c[1] == 0.0:
+    if a[1] == 0.0:
         raise DomainError("series reversion requires a nonzero linear coefficient")
-    n = len(c)
-    f = _arr(ps_reciprocal(_wrap(c[1:])))  # w/a(w), order N-1
+    n = len(a)
+    f = ps_reciprocal(a[1:])  # w/a(w), order N-1
     g = np.zeros(n)
     power = f
     g[1] = f[0]
     for k in range(2, n):
         power = np.convolve(power, f)[: n - 1]
         g[k] = power[k - 1] / k
-    guess = _wrap(g)
-    residual = _arr(ps_compose(a, guess))
+    residual = ps_compose(a, g)
     residual[1] -= 1.0
-    slope = _arr(ps_reciprocal(ps_compose(ps_derivative(a), guess)))
+    slope = ps_reciprocal(ps_compose(ps_derivative(a), g))
     g -= np.convolve(residual, slope)[:n]
     g[0] = 0.0
-    return _wrap(g)
+    return g
 
 
-def ps_log(a: TruncatedSeries) -> TruncatedSeries:
+def ps_log(c: np.ndarray) -> np.ndarray:
     """Series logarithm; requires a positive constant term."""
-    c = _arr(a)
     if c[0] <= 0.0:
         raise DomainError("series log requires a positive constant term")
     out = np.zeros_like(c)
@@ -172,38 +125,38 @@ def ps_log(a: TruncatedSeries) -> TruncatedSeries:
     for k in range(1, len(c)):
         s = np.dot(np.arange(1, k) * out[1:k], c[k - 1 : 0 : -1]) if k > 1 else 0.0
         out[k] = (c[k] - s / k) / c[0]
-    return _wrap(out)
+    return out
 
 
-def ps_exp(a: TruncatedSeries) -> TruncatedSeries:
+def ps_exp(c: np.ndarray) -> np.ndarray:
     """Series exponential."""
-    c = _arr(a)
     out = np.zeros_like(c)
     out[0] = math.exp(c[0])
     for k in range(1, len(c)):
         out[k] = np.dot(np.arange(1, k + 1) * c[1 : k + 1], out[k - 1 :: -1]) / k
-    return _wrap(out)
+    return out
 
 
-def ps_pow_real(a: TruncatedSeries, alpha: float) -> TruncatedSeries:
+def ps_pow_real(a: np.ndarray, alpha: float) -> np.ndarray:
     """Real power ``a**alpha`` computed as ``exp(alpha * log(a))``.
 
     Requires a positive constant term.  For integer ``alpha`` the result
     agrees with repeated multiplication up to roundoff.
     """
-    if a.coeffs[0] <= 0.0:
+    if a[0] <= 0.0:
         raise DomainError("real series power requires a positive constant term")
-    return ps_exp(_wrap(alpha * _arr(ps_log(a))))
+    return ps_exp(alpha * ps_log(a))
 
 
-def ps_pow_int(a: TruncatedSeries, n: int) -> TruncatedSeries:
+def ps_pow_int(a: np.ndarray, n: int) -> np.ndarray:
     """Integer power by binary exponentiation; no constant-term restriction.
 
     ``n < 0`` additionally requires an invertible constant term.
     """
     if n < 0:
         return ps_pow_int(ps_reciprocal(a), -n)
-    result = TruncatedSeries((1.0,) + (0.0,) * a.order)
+    result = np.zeros(len(a))
+    result[0] = 1.0
     base = a
     while n:
         if n & 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, NumericError, SingularityError
 from .measure import Measure, MomentSeq
-from .series import TruncatedSeries, ps_compose, ps_mul, ps_reciprocal, ps_revert
+from .series import ps_compose, ps_mul, ps_reciprocal, ps_revert
 
 #: Brent tolerances for all monotone 1-D inversions in this module.
 ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -239,7 +239,7 @@ def k_transform(nu: Measure, z: complex) -> complex:
 # series dictionary: moments and free cumulants <-> S
 
 
-def s_series(m: MomentSeq) -> TruncatedSeries:
+def s_series(m: MomentSeq) -> np.ndarray:
     """S-transform power series around 0, at order ``K - 1``.
 
     Reverts the Psi series ``(0, m1, ..., mK)`` to chi and multiplies by
@@ -247,13 +247,13 @@ def s_series(m: MomentSeq) -> TruncatedSeries:
     """
     if m.values[0] == 0.0:
         raise DomainError("the S series needs a nonzero first moment")
-    chi = ps_revert(TruncatedSeries((0.0,) + m.values))
-    chi_over_w = TruncatedSeries(chi.coeffs[1:])  # order K-1
-    one_plus_w = TruncatedSeries((1.0, 1.0) + (0.0,) * max(0, chi_over_w.order - 1))
+    chi = ps_revert(np.array((0.0,) + m.values))
+    chi_over_w = chi[1:]  # order K-1
+    one_plus_w = np.array((1.0, 1.0) + (0.0,) * max(0, len(chi_over_w) - 2))
     return ps_mul(chi_over_w, one_plus_w)
 
 
-def free_cumulants_to_s_series(kappa: tuple[float, ...]) -> TruncatedSeries:
+def free_cumulants_to_s_series(kappa: tuple[float, ...]) -> np.ndarray:
     """S-transform power series at order ``K - 1`` from free cumulants ``k1..kK``.
 
     ``w*S(w)`` is the compositional inverse of ``R~(z) = sum_n k_n z**n``
@@ -263,34 +263,33 @@ def free_cumulants_to_s_series(kappa: tuple[float, ...]) -> TruncatedSeries:
     """
     if kappa[0] == 0.0:
         raise DomainError("the S series needs a nonzero first moment")
-    return TruncatedSeries(ps_revert(TruncatedSeries((0.0,) + tuple(kappa))).coeffs[1:])
+    return ps_revert(np.array((0.0, *kappa), dtype=float))[1:]
 
 
-def s_series_to_moments(s: TruncatedSeries, order: int) -> MomentSeq:
+def s_series_to_moments(s: np.ndarray, order: int) -> MomentSeq:
     """Invert :func:`s_series`: recover ``order`` moments from an S series.
 
     Needs ``s`` through order ``order - 1`` and a nonzero constant term.
     """
-    if s.order < order - 1:
+    if len(s) < order:
         raise InsufficientDataError(
-            f"S series order {s.order} cannot produce {order} moments"
+            f"S series order {len(s) - 1} cannot produce {order} moments"
         )
-    if s.coeffs[0] == 0.0:
+    if s[0] == 0.0:
         raise DomainError("S series must have a nonzero constant term")
-    head = s.truncate(order - 1)
-    one_plus_w = TruncatedSeries((1.0, 1.0) + (0.0,) * max(0, order - 2))
-    ratio = ps_mul(head, ps_reciprocal(one_plus_w))  # S/(1+w), order-1
-    chi = TruncatedSeries((0.0,) + ratio.coeffs)  # w*S/(1+w), order
+    one_plus_w = np.array((1.0, 1.0) + (0.0,) * max(0, order - 2))
+    ratio = ps_mul(s[:order], ps_reciprocal(one_plus_w))  # S/(1+w), order-1
+    chi = np.concatenate(((0.0,), ratio))  # w*S/(1+w), order
     psi = ps_revert(chi)
-    return MomentSeq(psi.coeffs[1:])
+    return MomentSeq(psi[1:].tolist())
 
 
-def _compose_moebius(s: TruncatedSeries, r: float) -> TruncatedSeries:
+def _compose_moebius(s: np.ndarray, r: float) -> np.ndarray:
     """``s(w/(1 + r*w))`` at the order of ``s``; the inner series is
     ``sum_k (-r)**(k-1) * w**k``."""
-    return ps_compose(s, TruncatedSeries((0.0,) + tuple((-r) ** k for k in range(s.order))))
+    return ps_compose(s, np.array((0.0,) + tuple((-r) ** k for k in range(len(s) - 1))))
 
 
-def sigma_series_to_s_series(sigma: TruncatedSeries) -> TruncatedSeries:
+def sigma_series_to_s_series(sigma: np.ndarray) -> np.ndarray:
     """Convert a Sigma series to an S series via ``S(w) = Sigma(w/(1+w))``."""
     return _compose_moebius(sigma, 1.0)

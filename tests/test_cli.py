@@ -75,6 +75,11 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   3.1e-16 of its closed form at 40 digits (old 2.0e-16): theta = 1/(m +
 #   V/m) and V = 1 + a m for MP(1/4), G(z) = (z - sqrt(z^2 - 4z))/(2z)
 #   for free Poisson.
+# The pair convolutions (six convolve_* files with two specs), the Boolean
+# limit on two atoms and verify_all.txt (stdout of `verify --suite all`,
+# whose "max error" figures pin the series suite) were written before
+# truncated series became plain numpy arrays; they pin every series path
+# that the older tables do not reach.
 # The two R tables were written when r_transform still had one walk per
 # side of the support; they pin the folded walk that replaced them.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
@@ -114,6 +119,15 @@ GOLDEN_CASES = {
                                      "--which", "R", "--grid=-2:1:0.25"],
     "transform_r_two_atom.csv": ["transform", "--spec", GOLDEN / "two_atom.json",
                                  "--which", "R", "--grid=-2:2:0.5"],
+    **{f"convolve_{op}_free_poisson_two_atom.csv": [
+        "convolve", "--spec", GOLDEN / "free_poisson.json", "--spec2", GOLDEN / "two_atom.json",
+        "--op", op, "--order", "40"] for op in ("boxplus", "uplus", "boxtimes")},
+    **{f"convolve_{op}_catalan_free_poisson.csv": [
+        "convolve", "--spec", GOLDEN / "catalan_moments.json",
+        "--spec2", GOLDEN / "free_poisson.json", "--op", op, "--order", "8"]
+       for op in ("boxplus", "uplus", "boxtimes")},
+    "limit_uplus_two_atom.csv": ["limit", "--spec", GOLDEN / "two_atom.json",
+                                 "--kind", "uplus", "--n-schedule", "1,2,4,64"],
 }
 
 
@@ -129,6 +143,12 @@ def test_golden_output_on_stdout_matches_file():
     result = _invoke(GOLDEN_CASES["transform_g.csv"])
     assert result.exit_code == 0
     assert result.stdout_bytes == (GOLDEN / "transform_g.csv").read_bytes()
+
+
+def test_verify_all_stdout_matches_golden():
+    result = _invoke(["verify", "--suite", "all"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / "verify_all.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -267,7 +287,7 @@ def test_convolve_power_of_a_density_reverts_few_series(op, power, reversions, m
     orders = []
 
     def recording(a):
-        orders.append(a.order)
+        orders.append(len(a) - 1)
         return series.ps_revert(a)
 
     for module in (conv, transforms):

@@ -319,16 +319,16 @@ def test_powers_reject_an_overflowing_result(fn):
 def test_base_protocol_goes_through_the_moment_dictionaries():
     for nu in (AtomicMeasure((0.5, 2.0), (0.25, 0.75)), FP_M):
         assert nu.free_cumulants(8) == moments_to_free_cumulants(moments(nu, 8))
-        assert nu.s_series(8) == s_series(moments(nu, 8))
+        assert np.array_equal(nu.s_series(8), s_series(moments(nu, 8)))
 
 
 def test_density_s_series_reverts_its_exact_cumulants():
     # S of free Poisson is 1/(1 + w)
-    got = FreePoisson().s_series(12).coeffs
+    got = FreePoisson().s_series(12)
     np.testing.assert_allclose(got, [(-1.0) ** k for k in range(12)], rtol=0.0, atol=1e-15)
     # the semicircle's R~(z) = 1.5 z + 0.5 z**2, reverted exactly
     want = series_revert([0, Fraction(3, 2), Fraction(1, 2)], 13)[1:]
-    got = Semicircle(1.5, 0.5).s_series(12).coeffs
+    got = Semicircle(1.5, 0.5).s_series(12)
     np.testing.assert_allclose(got, [float(v) for v in want], rtol=1e-14, atol=0.0)
 
 

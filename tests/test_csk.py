@@ -15,7 +15,6 @@ from cskfam.csk import (
     boxtimes_power_variance,
     bt_pseudo_variance,
     bt_variance,
-    closed_form_variance,
     csk_density_weight,
     family_row,
     k_mean,
@@ -454,18 +453,6 @@ def test_laws_reject_nonfinite_parameter(law, value):
     # laws once answered nan
     with pytest.raises(DomainError):
         law(value)
-
-
-# ---------------------------------------------------------------------------
-# closed-form variance functions
-
-
-def test_closed_form_profiles():
-    assert closed_form_variance(FP)(1.5) == 1.5
-    assert closed_form_variance(MarchenkoPasturCentered(0.5))(0.4) == 1.2
-    assert closed_form_variance(Semicircle(0.0, 2.0))(0.3) == 2.0
-    with pytest.raises(DomainError):
-        closed_form_variance(TWO_ATOM)
 
 
 # ---------------------------------------------------------------------------

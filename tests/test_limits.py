@@ -295,7 +295,7 @@ def test_report_reverts_no_series_beyond_moment_order(name, kind, monkeypatch):
     orders = []
 
     def recording(a):
-        orders.append(a.order)
+        orders.append(len(a) - 1)
         return series.ps_revert(a)
 
     for module in (transforms, conv):
@@ -322,8 +322,10 @@ def test_report_variance_rows_against_mpmath_s_route(name, kind):
     # the variance-function chain against the scaled law's own S-series,
     # built from exact moments at 50 digits: converged at 30 moments for
     # small n and m = 0.9
-    rep = convergence_report(GENERATORS[name], kind, (1, 2, 4), 2, (0.9,))
-    for row in rep.variance_rows:
+    rep = convergence_report(GENERATORS[name], kind, (1, 2, 4), 2)
+    rows = [r for r in rep.variance_rows if r.m == 0.9]
+    assert len(rows) == 3
+    for row in rows:
         want = mp_scaled_law_variance(EXACT_MOMENTS[name], row.n, kind, row.m, dps=50)
         assert abs(row.value - want) <= 1e-10, (row, want)
 
