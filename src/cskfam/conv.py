@@ -158,7 +158,13 @@ def uplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
 def uplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     """Moments ``m1..m_order`` of the Boolean convolution power
     ``nu**uplus(alpha)``, defined for every ``alpha > 0``: the Boolean
-    cumulants of ``nu`` scale by ``alpha``."""
+    cumulants of ``nu`` scale by ``alpha``.
+
+    Two series reciprocals.  Envelope, relative on the ``rho**n`` scale of
+    the moments' growth: ``alpha >= 1`` at order 160 within 1e-9 (2.5e-14
+    measured on atomic laws); ``alpha < 1`` is not covered, and at order
+    160 with ``alpha = 0.25`` atomic laws miss by up to 1e52 with no error.
+    """
     require_positive("alpha", alpha)
     require_order(order)
     b = np.asarray(moments_to_boolean_cumulants(nu.moments(order)))

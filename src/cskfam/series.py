@@ -51,11 +51,12 @@ def ps_reciprocal(c: np.ndarray) -> np.ndarray:
     """Multiplicative inverse; requires a nonzero constant term."""
     if c[0] == 0.0:
         raise DomainError("series reciprocal requires a nonzero constant term")
-    out = np.zeros_like(c)
-    out[0] = 1.0 / c[0]
-    for k in range(1, len(c)):
-        out[k] = -np.dot(c[1 : k + 1], out[k - 1 :: -1]) / c[0]
-    return out
+    n = len(c)
+    rev = np.zeros_like(c)  # highest coefficient first, so the dot reads forward
+    rev[-1] = 1.0 / c[0]
+    for k in range(1, n):
+        rev[n - 1 - k] = -np.dot(c[1 : k + 1], rev[n - k :]) / c[0]
+    return rev[::-1].copy()
 
 
 def ps_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,9 +89,13 @@ def ps_revert(a: np.ndarray) -> np.ndarray:
     Fuss-Catalan moments of ``boxtimes_power`` by more than 1e3 relative.
     Exactly one full-order Newton step ``g <- g - (a(g) - z) / a'(g)``
     therefore follows; it leaves an error quadratic in the pass's error.
+    It composes once: ``a'(g) = (a o g)' / g'`` by the chain rule, so the
+    slope comes from the same ``a(g)`` as the residual.  Cost: ``N - 1``
+    Lagrange products, one composition and two reciprocals.
     Accuracy envelope after the step: residual ``a(g) - z`` within 1e-12
     for order-20 inputs with unit-scale coefficients; order-160
-    Fuss-Catalan moments within 1e-9 relative (5.3e-10 measured).
+    Fuss-Catalan moments within 1e-9 relative (7.9e-10 measured for
+    ``boxtimes_power(moments(FreePoisson(), 160), 2, 160)``).
     Inputs whose coefficients grow like ``4**k`` lose all accuracy past
     order about 30, with or without the step: scale them to unit growth
     first.  The in-place updates touch only arrays made here, never ``a``.
@@ -107,10 +112,11 @@ def ps_revert(a: np.ndarray) -> np.ndarray:
     for k in range(2, n):
         power = np.convolve(power, f)[: n - 1]
         g[k] = power[k - 1] / k
-    residual = ps_compose(a, g)
-    residual[1] -= 1.0
-    slope = ps_reciprocal(ps_compose(ps_derivative(a), g))
-    g -= np.convolve(residual, slope)[:n]
+    composed = ps_compose(a, g)
+    # 1/a'(g) = g'/(a o g)'; a(g) has no constant term, so order N-2 is enough
+    slope = ps_mul(ps_derivative(g)[:-1], ps_reciprocal(ps_derivative(composed)[:-1]))
+    composed[1] -= 1.0  # now the residual a(g) - z
+    g -= np.convolve(composed, slope)[:n]
     g[0] = 0.0
     return g
 
@@ -155,12 +161,15 @@ def ps_pow_int(a: np.ndarray, n: int) -> np.ndarray:
     """
     if n < 0:
         return ps_pow_int(ps_reciprocal(a), -n)
-    result = np.zeros(len(a))
-    result[0] = 1.0
-    base = a
-    while n:
+    if n == 0:
+        result = np.zeros(len(a))
+        result[0] = 1.0
+        return result
+    result, base = None, a
+    while True:
         if n & 1:
-            result = ps_mul(result, base)
-        base = ps_mul(base, base)
+            result = base.copy() if result is None else ps_mul(result, base)
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = ps_mul(base, base)

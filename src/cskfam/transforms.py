@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, NumericError, SingularityError
 from .measure import Measure, MomentSeq
-from .series import ps_compose, ps_mul, ps_reciprocal, ps_revert
+from .series import ps_compose, ps_mul, ps_revert
 
 #: Brent tolerances for all monotone 1-D inversions in this module.
 ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -248,9 +248,7 @@ def s_series(m: MomentSeq) -> np.ndarray:
     if m.values[0] == 0.0:
         raise DomainError("the S series needs a nonzero first moment")
     chi = ps_revert(np.array((0.0,) + m.values))
-    chi_over_w = chi[1:]  # order K-1
-    one_plus_w = np.array((1.0, 1.0) + (0.0,) * max(0, len(chi_over_w) - 2))
-    return ps_mul(chi_over_w, one_plus_w)
+    return chi[1:] + chi[:-1]  # coefficient k of (1 + w)*chi/w, chi0 = 0
 
 
 def free_cumulants_to_s_series(kappa: tuple[float, ...]) -> np.ndarray:
@@ -277,8 +275,7 @@ def s_series_to_moments(s: np.ndarray, order: int) -> MomentSeq:
         )
     if s[0] == 0.0:
         raise DomainError("S series must have a nonzero constant term")
-    one_plus_w = np.array((1.0, 1.0) + (0.0,) * max(0, order - 2))
-    ratio = ps_mul(s[:order], ps_reciprocal(one_plus_w))  # S/(1+w), order-1
+    ratio = ps_mul(s[:order], np.resize((1.0, -1.0), order))  # S/(1+w), order-1
     chi = np.concatenate(((0.0,), ratio))  # w*S/(1+w), order
     psi = ps_revert(chi)
     return MomentSeq(psi[1:].tolist())

@@ -357,6 +357,25 @@ def test_bp_transform_of_a_density_at_order_160():
     assert _rho_scale_error(got, want) <= 1e-13
 
 
+ATOMIC_LAWS = {
+    "two_atoms_straddling_0": ((-1.375, 0.875), (0.28125, 0.71875)),
+    "two_positive_atoms": ((0.0625, 1.875), (0.15625, 0.84375)),
+    "three_atoms": ((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)),
+}
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 4])
+@pytest.mark.parametrize("law", sorted(ATOMIC_LAWS))
+def test_uplus_power_of_an_atomic_law_at_order_160(law, alpha):
+    # the Boolean route is two series reciprocals; dyadic atoms and weights
+    # give exact moments
+    atoms, weights = ATOMIC_LAWS[law]
+    exact = [sum(Fraction(w) * Fraction(a) ** n for a, w in zip(atoms, weights))
+             for n in range(1, 161)]
+    got = uplus_power(AtomicMeasure(atoms, weights), float(alpha), 160).values
+    assert _rho_scale_error(got, boolean_power_moments(exact, Fraction(alpha))) <= 1e-9
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_boxtimes_power_of_a_density_at_order_160(p):
     # p = 2 through 160 rounded moments is 5.3e-10 off

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cskfam import series
 from cskfam.errors import DomainError
+from cskfam.measure import MomentSeq
 from cskfam.series import (
     identity_series,
     ps_compose,
@@ -19,7 +21,7 @@ from cskfam.series import (
     ps_revert,
 )
 
-from cskfam.transforms import s_series_to_moments, sigma_series_to_s_series
+from cskfam.transforms import s_series, s_series_to_moments, sigma_series_to_s_series
 
 from oracles import catalan, compose_direct, lagrange_revert, substitution_revert
 
@@ -152,6 +154,25 @@ def test_revert_rejects_bad_inputs():
         ps_revert(np.array((0.0, 0.0, 1.0)))
 
 
+@pytest.mark.parametrize("order", [6, 40, 160])
+def test_revert_composes_once(monkeypatch, order):
+    # the Newton slope 1/a'(g) comes from (a o g)' by the chain rule, so a'
+    # is never composed
+    orders = []
+    compose = series.ps_compose
+
+    def counting(a, b):
+        orders.append(len(a) - 1)
+        return compose(a, b)
+
+    monkeypatch.setattr(series, "ps_compose", counting)
+    # z/(1 - z) reverts to z/(1 + z)
+    got = ps_revert(np.concatenate(((0.0,), np.ones(order))))
+    assert orders == [order]
+    want = np.concatenate(((0.0,), (-1.0) ** np.arange(order)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
 def _random_admissible(rng, order=20):
     a1 = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
     c = rng.uniform(-1.0, 1.0, order + 1) * (0.5 * abs(a1)) ** np.arange(order + 1)
@@ -250,6 +271,58 @@ def test_reciprocal():
     )
     with pytest.raises(DomainError):
         ps_reciprocal(np.array((0.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# shortcuts that reproduce the general kernels bit for bit
+
+
+def _reciprocal_reading_backwards(c):
+    """``ps_reciprocal`` with its dot over a reversed slice of the output."""
+    out = np.zeros_like(c)
+    out[0] = 1.0 / c[0]
+    for k in range(1, len(c)):
+        out[k] = -np.dot(c[1 : k + 1], out[k - 1 :: -1]) / c[0]
+    return out
+
+
+def _pow_int_from_one(a, n):
+    """Binary exponentiation that starts from the one series and squares
+    after every bit."""
+    if n < 0:
+        return _pow_int_from_one(_reciprocal_reading_backwards(a), -n)
+    result = np.zeros(len(a))
+    result[0] = 1.0
+    base = a
+    while n:
+        if n & 1:
+            result = ps_mul(result, base)
+        base = ps_mul(base, base)
+        n >>= 1
+    return result
+
+
+def _bit_inputs(order):
+    """Coefficients c0..c_order, all nonzero: random ones, then Catalan numbers."""
+    rng = np.random.default_rng(order)
+    yield rng.uniform(0.5, 2.0, order + 1) * rng.choice((-1.0, 1.0), order + 1)
+    yield np.array([float(catalan(k)) for k in range(order + 1)])
+
+
+@pytest.mark.parametrize("order", [7, 40, 161])
+def test_shortcuts_match_the_general_kernels_bit_for_bit(order):
+    for c in _bit_inputs(order):
+        assert np.array_equal(ps_reciprocal(c), _reciprocal_reading_backwards(c))
+        for n in (*range(7), -2):
+            assert np.array_equal(ps_pow_int(c, n), _pow_int_from_one(c, n)), n
+        # s_series: (1 + w) * chi/w as a product with the padded series 1 + w
+        chi = ps_revert(np.concatenate(((0.0,), c[1:])))
+        one_plus_w = np.array((1.0, 1.0) + (0.0,) * max(0, order - 2))
+        assert np.array_equal(s_series(MomentSeq(tuple(c[1:]))), ps_mul(chi[1:], one_plus_w))
+        # s_series_to_moments: 1/(1 + w) from the reciprocal of that series
+        ratio = ps_mul(c[:order], _reciprocal_reading_backwards(one_plus_w[:order]))
+        psi = ps_revert(np.concatenate(((0.0,), ratio)))
+        assert np.array_equal(s_series_to_moments(c, order).values, psi[1:])
 
 
 # ---------------------------------------------------------------------------
