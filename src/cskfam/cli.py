@@ -20,7 +20,7 @@ import numpy as np
 
 from . import conv, csk, limits, transforms
 from .errors import CskfamError
-from .measure import Measure, MomentSeq, moments, parse_measure_spec
+from .measure import Measure, MomentSeq, parse_measure_spec
 
 
 #: Most points an ``a:b:step`` grid may hold.
@@ -177,11 +177,9 @@ def convolve(spec, spec2, power, op, order, out):
         nu = _operand(spec, op)
         if spec2 is not None:
             other = _operand(spec2, op)
-            result = _PAIR_OPS[op](moments(nu, order), moments(other, order))
+            result = _PAIR_OPS[op](nu, other, order)
             config = f"specs,{nu.describe()},{other.describe()}"
         else:
-            # a power reads what it needs of the measure itself: a named
-            # density's exact free cumulants, not moments reverted back
             result = _POWER_OPS[op](nu, power, order)
             config = f"spec,{nu.describe()},power,{_fmt(power)}"
         rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]

@@ -5,17 +5,16 @@ Free cumulants (additive under the free convolution), Boolean cumulants
 through S-series products, real convolution powers, dilation, affine
 images and the Boolean-to-free interpolation map.
 
-The pair operations operate on truncated moment sequences, and the
-dictionaries map them to and from plain tuples of cumulants.  The
-convolution powers take a measure and an order instead, and read what
-they need through the measure protocol: free cumulants for
-the free power and the Boolean-to-free map, the S series for the
-multiplicative power, moments for the Boolean power.  A named density
-answers the first two from its exact free cumulants, so its powers skip
-the moment/cumulant round trip; atomic measures and moment sequences go
-through the dictionaries here.  The dictionaries are triangular, so
-results are exact in the stored orders up to roundoff; there is no
-truncation error beyond the order cut itself.
+Every convolution, of two measures or a power of one, takes measures and
+an order, and reads what it needs of each operand through the measure
+protocol: free cumulants for the free convolution and the Boolean-to-free
+map, the S series for the multiplicative one, moments for the Boolean
+one.  A named density answers the first two from its exact free
+cumulants, skipping the moment/cumulant round trip; atomic measures and
+moment sequences go through the dictionaries here.  The dictionaries are
+triangular, so results are exact in the stored orders up to roundoff;
+there is no truncation error beyond the order cut itself.  A moment that
+overflows to inf or nan raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .measure import Measure, MomentSeq, moments
 from .series import ps_mul, ps_pow_int, ps_pow_real, ps_reciprocal, ps_revert
-from .transforms import s_series, s_series_to_moments
+from .transforms import s_series_to_moments
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +59,8 @@ def moments_to_free_cumulants(m: MomentSeq) -> tuple[float, ...]:
     Poisson misses its moments by up to 1.05e-3 on the ``rho**n`` scale,
     and :func:`boxplus_power` of a two-atom law (atoms 0.75 and 1.625) by
     1.2e-2 at order 80.  Scaling to unit growth does not help.  This is why
-    the named densities answer :meth:`.Measure.free_cumulants` exactly and
-    their powers never come here.
+    the named densities answer :meth:`.Measure.free_cumulants` exactly, and
+    neither their powers nor the pair operations on them come here.
     """
     k = m.order
     g_hat = np.array((0.0, 1.0) + m.values)  # order K+1
@@ -103,25 +102,22 @@ def boolean_cumulants_to_moments(b: tuple[float, ...]) -> MomentSeq:
 # additive convolutions
 
 
-def _check_orders(mu: MomentSeq, nu: MomentSeq, op: str):
-    if mu.order != nu.order:
-        raise DomainError(f"{op} requires equal moment orders, got {mu.order} and {nu.order}")
-
-
-def boxplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
-    """Free additive convolution: free cumulants add."""
-    _check_orders(mu, nu, "boxplus")
-    ka = np.asarray(moments_to_free_cumulants(mu))
-    kb = np.asarray(moments_to_free_cumulants(nu))
-    return free_cumulants_to_moments(tuple(ka + kb))
-
-
-def _finite_power(result: MomentSeq, alpha: float, what: str) -> MomentSeq:
-    """``result`` of a power computed under ``np.errstate(all="ignore")``;
-    a large ``alpha`` overflows there to inf or nan, which is an error."""
+def _finite(result: MomentSeq, what: str) -> MomentSeq:
+    """``result`` of a convolution computed under ``np.errstate(all="ignore")``;
+    an overflow there leaves inf or nan in it, which is an error."""
     if not all(math.isfinite(v) for v in result.values):
-        raise NumericError(f"{what} alpha = {alpha:g} overflows: a moment is not finite")
+        raise NumericError(f"{what} overflows: a moment is not finite")
     return result
+
+
+def boxplus(mu: Measure, nu: Measure, order: int) -> MomentSeq:
+    """Moments ``m1..m_order`` of the free additive convolution of ``mu`` and
+    ``nu``: free cumulants add, and one reversion turns them into moments."""
+    require_order(order)
+    with np.errstate(all="ignore"):
+        k = np.add(mu.free_cumulants(order), nu.free_cumulants(order))
+        result = free_cumulants_to_moments(tuple(k))
+    return _finite(result, "free additive convolution")
 
 
 def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
@@ -141,18 +137,21 @@ def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
             FormalPowerWarning,
             stacklevel=2,
         )
-    k = np.asarray(nu.free_cumulants(order))
     with np.errstate(all="ignore"):
+        k = np.asarray(nu.free_cumulants(order))
         result = free_cumulants_to_moments(tuple(alpha * k))
-    return _finite_power(result, alpha, "free convolution power")
+    return _finite(result, f"free convolution power alpha = {alpha:g}")
 
 
-def uplus(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
-    """Boolean additive convolution: Boolean cumulants add."""
-    _check_orders(mu, nu, "uplus")
-    ba = np.asarray(moments_to_boolean_cumulants(mu))
-    bb = np.asarray(moments_to_boolean_cumulants(nu))
-    return boolean_cumulants_to_moments(tuple(ba + bb))
+def uplus(mu: Measure, nu: Measure, order: int) -> MomentSeq:
+    """Moments ``m1..m_order`` of the Boolean additive convolution of ``mu`` and
+    ``nu``: the Boolean cumulants of their moments add."""
+    require_order(order)
+    with np.errstate(all="ignore"):
+        b = np.add(moments_to_boolean_cumulants(mu.moments(order)),
+                   moments_to_boolean_cumulants(nu.moments(order)))
+        result = boolean_cumulants_to_moments(tuple(b))
+    return _finite(result, "Boolean additive convolution")
 
 
 def uplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
@@ -167,32 +166,31 @@ def uplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     """
     require_positive("alpha", alpha)
     require_order(order)
-    b = np.asarray(moments_to_boolean_cumulants(nu.moments(order)))
     with np.errstate(all="ignore"):
+        b = np.asarray(moments_to_boolean_cumulants(nu.moments(order)))
         result = boolean_cumulants_to_moments(tuple(alpha * b))
-    return _finite_power(result, alpha, "Boolean convolution power")
+    return _finite(result, f"Boolean convolution power alpha = {alpha:g}")
 
 
 # ---------------------------------------------------------------------------
 # multiplicative convolution
 
 
-def boxtimes(mu: MomentSeq, nu: MomentSeq) -> MomentSeq:
-    """Free multiplicative convolution: S-series multiply.
+def boxtimes(mu: Measure, nu: Measure, order: int) -> MomentSeq:
+    """Moments ``m1..m_order`` of the free multiplicative convolution of
+    ``mu`` and ``nu``: their S series (:meth:`.Measure.s_series`) multiply,
+    and one reversion turns the product into moments.
 
-    Both first moments must be nonzero.  Positivity of the underlying
-    measures cannot be verified from truncated moments and is the caller's
-    responsibility.
+    Both means must be nonzero: a zero-mean operand raises the S series'
+    :class:`DomainError` ("the S series needs a nonzero first moment").
+    Positivity cannot be verified from truncated moments and is the
+    caller's responsibility.
     """
-    _check_orders(mu, nu, "boxtimes")
-    if mu.values[0] == 0.0 or nu.values[0] == 0.0:
-        raise DomainError("boxtimes requires nonzero first moments")
-    product = ps_mul(s_series(mu), s_series(nu))
-    return s_series_to_moments(product, mu.order)
-
-
-def _is_integral(alpha: float) -> bool:
-    return abs(alpha - round(alpha)) <= 1e-12
+    require_order(order)
+    with np.errstate(all="ignore"):
+        product = ps_mul(mu.s_series(order), nu.s_series(order))
+        result = s_series_to_moments(product, order)
+    return _finite(result, "free multiplicative convolution")
 
 
 def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
@@ -210,16 +208,16 @@ def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     """
     require_positive("alpha", alpha)
     require_order(order)
-    s = nu.s_series(order)
-    if alpha < 1.0:
-        warnings.warn(
-            f"multiplicative power alpha = {alpha:g} < 1 is a formal moment "
-            "sequence; it may not be a probability measure",
-            FormalPowerWarning,
-            stacklevel=2,
-        )
     with np.errstate(all="ignore"):
-        if _is_integral(alpha):
+        s = nu.s_series(order)
+        if alpha < 1.0:
+            warnings.warn(
+                f"multiplicative power alpha = {alpha:g} < 1 is a formal moment "
+                "sequence; it may not be a probability measure",
+                FormalPowerWarning,
+                stacklevel=2,
+            )
+        if abs(alpha - round(alpha)) <= 1e-12:
             powered = ps_pow_int(s, int(round(alpha)))
         else:
             if s[0] <= 0.0:
@@ -229,7 +227,7 @@ def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
                 )
             powered = ps_pow_real(s, alpha)
         result = s_series_to_moments(powered, order)
-    return _finite_power(result, alpha, "multiplicative convolution power")
+    return _finite(result, f"multiplicative convolution power alpha = {alpha:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +236,16 @@ def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
 
 def dilate(nu: MomentSeq, r: float) -> MomentSeq:
     """Moments of the dilation ``x -> r*x``: ``m_n -> r**n * m_n``."""
-    if r == 0.0:
-        raise DomainError("dilation factor must be nonzero")
+    if not (r != 0.0 and math.isfinite(r)):
+        raise DomainError(f"dilation factor r = {r:g} must be nonzero and finite")
     scale = np.power(r, np.arange(1, nu.order + 1, dtype=float))
     return MomentSeq(tuple(scale * np.asarray(nu.values)))
 
 
 def affine_image(nu: MomentSeq, beta: float, lam: float) -> MomentSeq:
     """Moments of the image under ``x -> (x - lam) / beta``."""
-    if beta == 0.0:
-        raise DomainError("affine image requires beta != 0")
+    if not (beta != 0.0 and math.isfinite(beta) and math.isfinite(lam)):
+        raise DomainError(f"affine image needs finite lam and beta != 0, got {lam:g}, {beta:g}")
     k = nu.order
     m = [1.0] + list(nu.values)
     out = []

@@ -15,7 +15,7 @@ moment list does not fix (the support, integrals of arbitrary functions).
 It is also the value type of the moment-level calculus.  The numeric
 methods are called only through ``moments`` here, through the transforms
 of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
-``psi_transform``) and through the convolution powers of :mod:`.conv`
+``psi_transform``) and through the convolutions of :mod:`.conv`
 (``free_cumulants``, ``s_series``); ``integrate`` and ``theta_range`` are
 read directly.
 

@@ -25,7 +25,7 @@ from cskfam.conv import (
     uplus_power,
 )
 from cskfam import conv, transforms
-from cskfam.errors import DomainError, FormalPowerWarning, NumericError
+from cskfam.errors import DomainError, FormalPowerWarning, InsufficientDataError, NumericError
 from cskfam.measure import (
     AtomicMeasure,
     FreePoisson,
@@ -34,7 +34,8 @@ from cskfam.measure import (
     Semicircle,
     moments,
 )
-from cskfam.transforms import k_transform, r_transform, s_series
+from cskfam.series import ps_mul
+from cskfam.transforms import k_transform, r_transform, s_series, s_series_to_moments
 
 from oracles import (
     boolean_power_moments,
@@ -131,12 +132,12 @@ def test_partition_oracles_small_cases():
 
 
 def test_boxplus_translates_point_masses():
-    got = boxplus(delta_moments(1.2), delta_moments(-0.7))
+    got = boxplus(delta_moments(1.2), delta_moments(-0.7), 8)
     np.testing.assert_allclose(got.values, delta_moments(0.5).values, atol=1e-11)
 
 
 def test_boxplus_identity_element():
-    got = boxplus(FP_M, delta_moments(0.0))
+    got = boxplus(FP_M, delta_moments(0.0), 8)
     np.testing.assert_allclose(got.values, FP_M.values, atol=1e-12)
 
 
@@ -146,13 +147,17 @@ def test_boxplus_power_semicircle():
     np.testing.assert_allclose(got.values, [0.0, 2.0, 0.0, 8.0], atol=1e-12)
 
 
-def test_boxplus_requires_equal_orders():
-    with pytest.raises(DomainError):
-        boxplus(MomentSeq((1.0, 2.0)), MomentSeq((1.0, 2.0, 5.0)))
+@pytest.mark.parametrize("op", [boxplus, uplus, boxtimes], ids=lambda op: op.__name__)
+def test_pair_op_order_above_a_moment_sequence_is_refused(op):
+    # one order for both operands; a moment list cannot supply more than it stores
+    with pytest.raises(InsufficientDataError):
+        op(MomentSeq((1.0, 2.0)), MomentSeq((1.0, 2.0, 5.0)), 3)
+    with pytest.raises(InsufficientDataError):
+        op(FreePoisson(), MomentSeq((1.0, 2.0)), 3)
 
 
 def test_uplus_translates_point_masses():
-    got = uplus(delta_moments(1.2), delta_moments(-0.7))
+    got = uplus(delta_moments(1.2), delta_moments(-0.7), 8)
     np.testing.assert_allclose(got.values, delta_moments(0.5).values, atol=1e-12)
 
 
@@ -164,7 +169,7 @@ def test_uplus_symmetric_two_atom_power():
 
 
 def test_uplus_identity_element():
-    got = uplus(FP_M, delta_moments(0.0))
+    got = uplus(FP_M, delta_moments(0.0), 8)
     np.testing.assert_allclose(got.values, FP_M.values, atol=1e-12)
 
 
@@ -177,8 +182,8 @@ def test_additive_means():
     rng = np.random.default_rng(3)
     a = moments(AtomicMeasure(*random_atomic(rng)), 6)
     b = moments(AtomicMeasure(*random_atomic(rng)), 6)
-    assert abs(boxplus(a, b).values[0] - (a.values[0] + b.values[0])) <= 1e-12
-    assert abs(uplus(a, b).values[0] - (a.values[0] + b.values[0])) <= 1e-12
+    assert abs(boxplus(a, b, 6).values[0] - (a.values[0] + b.values[0])) <= 1e-12
+    assert abs(uplus(a, b, 6).values[0] - (a.values[0] + b.values[0])) <= 1e-12
 
 
 def test_additivity_against_transform_oracle():
@@ -189,13 +194,13 @@ def test_additivity_against_transform_oracle():
     order = 14
     ma, mb = moments(mu, order), moments(nu, order)
 
-    karr = np.asarray(moments_to_free_cumulants(boxplus(ma, mb)))
+    karr = np.asarray(moments_to_free_cumulants(boxplus(ma, mb, order)))
     for z in (0.04, -0.05, 0.08):
         r_series = sum(k * z**i for i, k in enumerate(karr))
         analytic = r_transform(mu, z) + r_transform(nu, z)
         assert abs(r_series - analytic) <= 1e-8
 
-    barr = np.asarray(moments_to_boolean_cumulants(uplus(ma, mb)))
+    barr = np.asarray(moments_to_boolean_cumulants(uplus(ma, mb, order)))
     for z in (15.0, -12.0, 20.0):
         k_series = sum(b / z ** (i - 1) for i, b in enumerate(barr, start=1))
         analytic = k_transform(mu, z).real + k_transform(nu, z).real
@@ -208,13 +213,13 @@ def test_additivity_against_transform_oracle():
 
 def test_boxtimes_dilates_by_point_mass():
     a = 1.5
-    got = boxtimes(FP_M, delta_moments(a))
+    got = boxtimes(FP_M, delta_moments(a), 8)
     want = [v * a**n for n, v in enumerate(FP_M.values, 1)]
     np.testing.assert_allclose(got.values, want, rtol=1e-11)
 
 
 def test_boxtimes_identity_element():
-    got = boxtimes(FP_M, delta_moments(1.0))
+    got = boxtimes(FP_M, delta_moments(1.0), 8)
     np.testing.assert_allclose(got.values, FP_M.values, rtol=1e-12)
 
 
@@ -238,14 +243,14 @@ def test_boxtimes_power_fuss_catalan_order_160():
 
 def test_boxtimes_power_integer_equals_repeated_boxtimes():
     got = boxtimes_power(FP_M, 2.0, 8)
-    alt = boxtimes(FP_M, FP_M)
+    alt = boxtimes(FP_M, FP_M, 8)
     np.testing.assert_allclose(got.values, alt.values, rtol=1e-10)
 
 
 def test_boxtimes_zero_mean_rejected():
     sym = MomentSeq((0.0, 1.0, 0.0, 2.0))
     with pytest.raises(DomainError):
-        boxtimes(sym, MomentSeq(FP_M.values[:4]))
+        boxtimes(sym, MomentSeq(FP_M.values[:4]), 4)
     with pytest.raises(DomainError):
         boxtimes_power(sym, 2.0, 4)
 
@@ -257,10 +262,10 @@ def test_boxtimes_commutative_associative():
         b = moments(AtomicMeasure(*random_atomic(rng, positive=True)), 8)
         c = moments(AtomicMeasure(*random_atomic(rng, positive=True)), 8)
         np.testing.assert_allclose(
-            boxtimes(a, b).values, boxtimes(b, a).values, atol=1e-10, rtol=1e-10
+            boxtimes(a, b, 8).values, boxtimes(b, a, 8).values, atol=1e-10, rtol=1e-10
         )
-        lhs = boxtimes(boxtimes(a, b), c)
-        rhs = boxtimes(a, boxtimes(b, c))
+        lhs = boxtimes(boxtimes(a, b, 8), c, 8)
+        rhs = boxtimes(a, boxtimes(b, c, 8), 8)
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-10, rtol=1e-9)
 
 
@@ -268,7 +273,7 @@ def test_multiplicative_means():
     rng = np.random.default_rng(23)
     a = moments(AtomicMeasure(*random_atomic(rng, positive=True)), 6)
     b = moments(AtomicMeasure(*random_atomic(rng, positive=True)), 6)
-    assert abs(boxtimes(a, b).values[0] - a.values[0] * b.values[0]) <= 1e-12
+    assert abs(boxtimes(a, b, 6).values[0] - a.values[0] * b.values[0]) <= 1e-12
     for alpha in (2.0, 2.5):
         got = boxtimes_power(a, alpha, 6)
         assert abs(got.values[0] - a.values[0] ** alpha) <= 1e-12
@@ -310,6 +315,56 @@ def test_powers_reject_an_overflowing_result(fn):
     with pytest.raises(NumericError, match="overflows"):
         fn(moments(FreePoisson(), 6), 1e300, 6)
     assert all(math.isfinite(v) for v in fn(moments(FreePoisson(), 6), 1e10, 6).values)
+
+
+# ---------------------------------------------------------------------------
+# pair operations on measures: the protocol read once per operand
+
+# The pair operations as they were written when they took two moment
+# sequences of one order and read each through the dictionaries.
+_MOMENT_PAIR_FORMULAS = {
+    boxplus: lambda a, b: free_cumulants_to_moments(tuple(
+        np.asarray(moments_to_free_cumulants(a)) + np.asarray(moments_to_free_cumulants(b)))),
+    uplus: lambda a, b: boolean_cumulants_to_moments(tuple(
+        np.asarray(moments_to_boolean_cumulants(a)) + np.asarray(moments_to_boolean_cumulants(b)))),
+    boxtimes: lambda a, b: s_series_to_moments(ps_mul(s_series(a), s_series(b)), a.order),
+}
+
+
+@pytest.mark.parametrize("order", [8, 40, 160])
+@pytest.mark.parametrize("op", [boxplus, uplus, boxtimes], ids=lambda op: op.__name__)
+def test_pair_ops_of_atomic_and_moment_operands_keep_the_moment_formula(op, order):
+    # the base protocol is the dictionaries applied to moments(order), so
+    # these operands take the same arithmetic, bit for bit; the moment
+    # sequence stores more moments than asked for
+    atomic = AtomicMeasure((0.5, 1.25), (0.25, 0.75))
+    stored = moments(AtomicMeasure((0.75, 1.5, 2.0), (0.5, 0.25, 0.25)), 200)
+    for mu, nu in ((atomic, stored), (stored, atomic), (stored, stored)):
+        want = _MOMENT_PAIR_FORMULAS[op](moments(mu, order), moments(nu, order)).values
+        assert np.array_equal(op(mu, nu, order).values, want)
+
+
+def test_pair_ops_of_densities_at_order_160():
+    # exact free cumulants: 2 for free Poisson with itself, and S = (1 + w)**-2;
+    # through 160 rounded moments boxtimes was 7.9e-10 off
+    got = boxplus(FreePoisson(), FreePoisson(), 160).values
+    want = [float(v) for v in free_poisson_moments(160, 2)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    got = boxtimes(FreePoisson(), FreePoisson(), 160).values
+    want = [fuss_catalan(2, n) for n in range(1, 161)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("op, top_atom", [(boxplus, 30.0), (boxtimes, 30.0), (uplus, 100.0)],
+                         ids=["boxplus", "boxtimes", "uplus"])
+def test_pair_ops_reject_an_overflowing_result(op, top_atom):
+    # with free Poisson at order 160, boxplus and boxtimes of the atoms
+    # (0.5, 30) once answered nan in every row with no error; uplus of them
+    # is finite, and overflows only when the atom's own moments do
+    law = AtomicMeasure((0.5, top_atom), (0.5, 0.5))
+    with pytest.raises(NumericError, match="overflows"):
+        op(law, FreePoisson(), 160)
+    assert all(math.isfinite(v) for v in op(law, FreePoisson(), 40).values)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +465,18 @@ def test_dilate_round_trip():
 def test_dilate_rejects_zero():
     with pytest.raises(DomainError):
         dilate(FP_M, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pushforwards_reject_nonfinite_parameters(value):
+    # guards written r == 0 and beta == 0 let these through: dilate(m, nan)
+    # answered nan moments and affine_image(m, 1, inf) (-inf, nan, nan)
+    with pytest.raises(DomainError):
+        dilate(FP_M, value)
+    with pytest.raises(DomainError):
+        affine_image(FP_M, value, 0.0)
+    with pytest.raises(DomainError):
+        affine_image(FP_M, 1.0, value)
 
 
 def test_affine_identity():
