@@ -91,12 +91,19 @@ def _emit(out: str | None, comment_rows: list[str], header: list[str],
             fh.write(text)
 
 
-def _fail(exc: Exception) -> SystemExit:
-    click.echo(f"error: {exc}", err=True)
-    return SystemExit(1)
+class _Main(click.Group):
+    """The command group: a :class:`CskfamError` from any subcommand prints
+    one ``error:`` line on stderr and exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CskfamError as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(1) from exc
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Numerical Cauchy-Stieltjes kernel family toolkit."""
 
@@ -128,20 +135,17 @@ def _as_real(value) -> float:
 @click.option("--out", default=None, type=click.Path(), help="Output CSV (default stdout).")
 def transform(spec, which, grid, out):
     """Evaluate one transform on a grid of real arguments."""
-    try:
-        nu = _load_measure(spec)
-        points = _parse_grid(grid)
-        fn = _TRANSFORMS[which]
-        rows = []
-        for x in points:
-            try:
-                rows.append([_fmt(x), _fmt(_as_real(fn(nu, x))), ""])
-            except CskfamError as exc:
-                rows.append([_fmt(x), "", str(exc).replace(",", ";")])
-        _emit(out, [f"transform,{which}", f"spec,{nu.describe()}", f"grid,{grid}"],
-              ["argument", "value", "error"], rows)
-    except CskfamError as exc:
-        raise _fail(exc)
+    nu = _load_measure(spec)
+    points = _parse_grid(grid)
+    fn = _TRANSFORMS[which]
+    rows = []
+    for x in points:
+        try:
+            rows.append([_fmt(x), _fmt(_as_real(fn(nu, x))), ""])
+        except CskfamError as exc:
+            rows.append([_fmt(x), "", str(exc).replace(",", ";")])
+    _emit(out, [f"transform,{which}", f"spec,{nu.describe()}", f"grid,{grid}"],
+          ["argument", "value", "error"], rows)
 
 
 _PAIR_OPS = {"boxplus": conv.boxplus, "uplus": conv.uplus, "boxtimes": conv.boxtimes}
@@ -173,20 +177,16 @@ def convolve(spec, spec2, power, op, order, out):
         raise click.UsageError("provide exactly one of --spec2 or --power")
     if spec2 is not None and op not in _PAIR_OPS:
         raise click.UsageError("op=bt takes --power (the parameter t), not --spec2")
-    try:
-        nu = _operand(spec, op)
-        if spec2 is not None:
-            other = _operand(spec2, op)
-            result = _PAIR_OPS[op](nu, other, order)
-            config = f"specs,{nu.describe()},{other.describe()}"
-        else:
-            result = _POWER_OPS[op](nu, power, order)
-            config = f"spec,{nu.describe()},power,{_fmt(power)}"
-        rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
-        _emit(out, [f"convolve,{op}", config, f"order,{order}"],
-              ["order", "moment"], rows)
-    except CskfamError as exc:
-        raise _fail(exc)
+    nu = _operand(spec, op)
+    if spec2 is not None:
+        other = _operand(spec2, op)
+        result = _PAIR_OPS[op](nu, other, order)
+        config = f"specs,{nu.describe()},{other.describe()}"
+    else:
+        result = _POWER_OPS[op](nu, power, order)
+        config = f"spec,{nu.describe()},power,{_fmt(power)}"
+    rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
+    _emit(out, [f"convolve,{op}", config, f"order,{order}"], ["order", "moment"], rows)
 
 
 @main.command(name="csk")
@@ -195,25 +195,22 @@ def convolve(spec, spec2, power, op, order, out):
 @click.option("--out", default=None, type=click.Path())
 def csk_cmd(spec, at_grid, out):
     """Tabulate theta, pseudo-variance and variance over a grid of means."""
+    nu = _load_measure(spec)
+    points = _parse_grid(at_grid)
     try:
-        nu = _load_measure(spec)
-        points = _parse_grid(at_grid)
+        lo, hi = csk.mean_domain(nu)
+        domain = f"mean_domain,{_fmt(lo)},{_fmt(hi)}"
+    except CskfamError:
+        domain = "mean_domain,unknown,unknown"
+    rows = []
+    for m in points:
         try:
-            lo, hi = csk.mean_domain(nu)
-            domain = f"mean_domain,{_fmt(lo)},{_fmt(hi)}"
-        except CskfamError:
-            domain = "mean_domain,unknown,unknown"
-        rows = []
-        for m in points:
-            try:
-                theta, pv, v = csk.family_row(nu, m)
-                rows.append([_fmt(m), _fmt(theta), _fmt(pv), _fmt(v), ""])
-            except CskfamError as exc:
-                rows.append([_fmt(m), "", "", "", str(exc).replace(",", ";")])
-        _emit(out, [f"spec,{nu.describe()}", domain, f"grid,{at_grid}"],
-              ["m", "theta", "pseudo_variance", "variance", "error"], rows)
-    except CskfamError as exc:
-        raise _fail(exc)
+            theta, pv, v = csk.family_row(nu, m)
+            rows.append([_fmt(m), _fmt(theta), _fmt(pv), _fmt(v), ""])
+        except CskfamError as exc:
+            rows.append([_fmt(m), "", "", "", str(exc).replace(",", ";")])
+    _emit(out, [f"spec,{nu.describe()}", domain, f"grid,{at_grid}"],
+          ["m", "theta", "pseudo_variance", "variance", "error"], rows)
 
 
 @main.command()
@@ -226,28 +223,25 @@ def csk_cmd(spec, at_grid, out):
 @click.option("--out", default=None, type=click.Path())
 def limit(spec, kind, n_schedule, moment_order, out):
     """Run the scaled-convolution limit experiment and report errors."""
-    try:
-        nu = _load_measure(spec)
-        schedule = _parse_schedule(n_schedule)
-        report = limits.convergence_report(nu, kind, schedule, moment_order)
-        rows = []
-        for r in report.rows:
-            rows.append(["moment", str(r.n), _fmt(r.order), _fmt(r.value),
-                         _fmt(r.limit), _fmt(r.error), ""])
-        for r in report.variance_rows:
-            rows.append(["variance", str(r.n), _fmt(r.m),
-                         "" if r.value is None else _fmt(r.value),
-                         _fmt(r.limit),
-                         "" if r.error is None else _fmt(r.error),
-                         r.note.replace(",", ";")])
-        _emit(out,
-              [f"spec,{report.measure}", f"kind,{report.kind}",
-               f"limit,{report.limit_kind}", f"gamma,{_fmt(report.gamma)}",
-               f"moment_order,{report.moment_order}",
-               f"n_schedule,{'|'.join(str(n) for n in report.n_values)}"],
-              ["row", "n", "index", "value", "limit", "error", "note"], rows)
-    except CskfamError as exc:
-        raise _fail(exc)
+    nu = _load_measure(spec)
+    schedule = _parse_schedule(n_schedule)
+    report = limits.convergence_report(nu, kind, schedule, moment_order)
+    rows = []
+    for r in report.rows:
+        rows.append(["moment", str(r.n), _fmt(r.order), _fmt(r.value),
+                     _fmt(r.limit), _fmt(r.error), ""])
+    for r in report.variance_rows:
+        rows.append(["variance", str(r.n), _fmt(r.m),
+                     "" if r.value is None else _fmt(r.value),
+                     _fmt(r.limit),
+                     "" if r.error is None else _fmt(r.error),
+                     r.note.replace(",", ";")])
+    _emit(out,
+          [f"spec,{report.measure}", f"kind,{report.kind}",
+           f"limit,{report.limit_kind}", f"gamma,{_fmt(report.gamma)}",
+           f"moment_order,{report.moment_order}",
+           f"n_schedule,{'|'.join(str(n) for n in report.n_values)}"],
+          ["row", "n", "index", "value", "limit", "error", "note"], rows)
 
 
 @main.command()

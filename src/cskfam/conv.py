@@ -238,21 +238,27 @@ def dilate(nu: MomentSeq, r: float) -> MomentSeq:
     """Moments of the dilation ``x -> r*x``: ``m_n -> r**n * m_n``."""
     if not (r != 0.0 and math.isfinite(r)):
         raise DomainError(f"dilation factor r = {r:g} must be nonzero and finite")
-    scale = np.power(r, np.arange(1, nu.order + 1, dtype=float))
-    return MomentSeq(tuple(scale * np.asarray(nu.values)))
+    with np.errstate(all="ignore"):
+        scale = np.power(r, np.arange(1, nu.order + 1, dtype=float))
+        result = MomentSeq(tuple(scale * np.asarray(nu.values)))
+    return _finite(result, f"dilation by r = {r:g}")
 
 
 def affine_image(nu: MomentSeq, beta: float, lam: float) -> MomentSeq:
-    """Moments of the image under ``x -> (x - lam) / beta``."""
+    """Moments of the image under ``x -> (x - lam) / beta``; a moment out of
+    floating-point range raises :class:`NumericError`."""
     if not (beta != 0.0 and math.isfinite(beta) and math.isfinite(lam)):
         raise DomainError(f"affine image needs finite lam and beta != 0, got {lam:g}, {beta:g}")
-    k = nu.order
+    what = f"affine image with lam = {lam:g}, beta = {beta:g}"
     m = [1.0] + list(nu.values)
     out = []
-    for n in range(1, k + 1):
-        acc = sum(math.comb(n, j) * m[j] * (-lam) ** (n - j) for j in range(n + 1))
-        out.append(acc / beta**n)
-    return MomentSeq(tuple(out))
+    try:
+        for n in range(1, nu.order + 1):
+            acc = sum(math.comb(n, j) * m[j] * (-lam) ** (n - j) for j in range(n + 1))
+            out.append(acc / beta**n)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericError(f"{what} overflows: a term is out of floating-point range") from exc
+    return _finite(MomentSeq(tuple(out)), what)
 
 
 def bp_transform(nu: Measure, t: float, order: int) -> MomentSeq:

@@ -5,19 +5,20 @@ Every generating measure is a :class:`Measure` and implements one protocol:
 (G), ``psi_integral``, ``support``, ``theta_range`` and the flags
 ``lower_edge_singular`` and ``upper_edge_singular``, which say where G
 diverges at an end of the support (the mean-domain formula needs it
-there).  Atomic measures answer with exact weighted sums; the named
-densities (semicircle, centered Marchenko-Pastur, free Poisson) with
-quadrature, and take their moments and S series from their exact free
-cumulants.  A :class:`MomentSeq` is known
-only through ``m1..mK``: it answers with truncated series that warn outside
-their trust radius, and raises :class:`InsufficientDataError` for what a
-moment list does not fix (the support, integrals of arbitrary functions).
-It is also the value type of the moment-level calculus.  The numeric
-methods are called only through ``moments`` here, through the transforms
-of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
-``psi_transform``) and through the convolutions of :mod:`.conv`
-(``free_cumulants``, ``s_series``); ``integrate`` and ``theta_range`` are
-read directly.
+there).  The base class gives ``is_positive`` (read off the support) and
+``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
+exact weighted sums; the named densities (semicircle, centered
+Marchenko-Pastur, free Poisson) with quadrature, and take their moments
+and S series from their exact free cumulants.  A :class:`MomentSeq` is
+known only through ``m1..mK``: its G is its Psi power sum, both truncated
+and warning outside their trust radius, and it raises :class:`InsufficientDataError` for what a moment list does
+not fix (the support, integrals of arbitrary functions).  It is also the
+value type of the moment-level calculus.  The numeric methods are called
+only through ``moments`` here, through the transforms of :mod:`.transforms`
+(``cauchy_transform``, ``psi_integral``, ``psi_transform``) and through the
+convolutions of :mod:`.conv` (``free_cumulants``, ``s_series``);
+``theta_range`` is read by :mod:`.transforms` and :mod:`.csk`, and
+``integrate`` only by the tests.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -100,23 +101,22 @@ class QuadPiece:
 
 
 class Measure:
-    """Base class of the measure representations: the measure protocol."""
+    """Base class of the measure representations: the measure protocol, with
+    defaults for ``is_positive`` (read off the support) and ``zero_mass``."""
 
     #: True when the Cauchy transform is infinite at the lowest support
     #: point: an atom there, or an inverse-square-root density edge.
     lower_edge_singular: bool = False
     #: The same at the highest support point.
     upper_edge_singular: bool = False
+    #: The mass of the single point 0: none, unless an atom sits there.
+    zero_mass: float = 0.0
 
     @property
     def is_positive(self) -> bool:
-        """True when the support is certified to lie in ``[0, inf)``."""
-        raise NotImplementedError
-
-    @property
-    def zero_mass(self) -> float:
-        """The mass of the single point 0."""
-        raise NotImplementedError
+        """True when the support is certified to lie in ``[0, inf)``: its
+        lowest point, from :meth:`support`, is not negative."""
+        return self.support()[0] >= 0.0
 
     def support(self) -> tuple[float, float]:
         """The (closed) convex hull of the support."""
@@ -202,10 +202,6 @@ class AtomicMeasure(Measure):
         object.__setattr__(self, "weights", tuple(weights[i] for i in order))
 
     @property
-    def is_positive(self) -> bool:
-        return self.atoms[0] >= 0.0
-
-    @property
     def zero_mass(self) -> float:
         for a, w in zip(self.atoms, self.weights):
             if a == 0.0:
@@ -240,10 +236,6 @@ class AtomicMeasure(Measure):
 
 class DensityMeasure(Measure):
     """Base for the named absolutely continuous laws."""
-
-    @property
-    def zero_mass(self) -> float:
-        return 0.0
 
     def density(self, x: float) -> float:
         raise NotImplementedError
@@ -327,10 +319,6 @@ class Semicircle(DensityMeasure):
     def radius(self) -> float:
         return 2.0 * math.sqrt(self.variance)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.center - self.radius >= 0.0
-
     def support(self) -> tuple[float, float]:
         return self.center - self.radius, self.center + self.radius
 
@@ -383,10 +371,6 @@ class MarchenkoPasturCentered(DensityMeasure):
     @property
     def upper_edge_singular(self) -> bool:
         return self.a == -1.0
-
-    @property
-    def is_positive(self) -> bool:
-        return False  # support (a-2, a+2) always reaches below 0
 
     def support(self) -> tuple[float, float]:
         return self.a - 2.0, self.a + 2.0
@@ -443,10 +427,6 @@ class FreePoisson(DensityMeasure):
 
     lower_edge_singular = True  # inverse-square-root edge at 0
 
-    @property
-    def is_positive(self) -> bool:
-        return True
-
     def support(self) -> tuple[float, float]:
         return 0.0, 4.0
 
@@ -475,10 +455,12 @@ class FreePoisson(DensityMeasure):
 class MomentSeq(Measure):
     """Raw moments ``m1..mK`` of a probability measure (``m0 = 1`` implicit).
 
-    As a measure it is known only through these moments: G and Psi are
-    truncated sums trusted outside :func:`laurent_trust_radius`, and
-    positivity cannot be certified.  Values are kept as given, non-finite
-    ones included; the routes that need finite moments check them.
+    As a measure it is known only through these moments: Psi is their
+    truncated power sum, trusted outside :func:`laurent_trust_radius`, and G
+    is the same sum, ``G(z) = theta*(1 + Psi(theta))`` at ``theta = 1/z``.
+    Positivity cannot be certified, so ``is_positive`` is False where the
+    base would read a support.  Values are kept as given, non-finite ones
+    included; the routes that need finite moments check them.
     """
 
     values: tuple[float, ...]
@@ -502,10 +484,6 @@ class MomentSeq(Measure):
     def is_positive(self) -> bool:
         return False  # positivity is not certifiable from a truncated list
 
-    @property
-    def zero_mass(self) -> float:
-        return 0.0
-
     def support(self) -> tuple[float, float]:
         raise InsufficientDataError("support of a moment-sequence measure is unknown")
 
@@ -526,20 +504,8 @@ class MomentSeq(Measure):
     def cauchy(self, z: complex) -> complex:
         if z == 0:
             raise SingularityError("z = 0 is the pole of the truncated Laurent series of G")
-        radius = laurent_trust_radius(self)
-        if abs(z) <= radius:
-            warnings.warn(
-                f"|z| = {abs(z):.3g} inside the Laurent trust radius "
-                f"{radius:.3g}; truncated G is unreliable here",
-                TruncationAccuracyWarning,
-                stacklevel=3,
-            )
-        theta = 1.0 / z
-        coeffs = (1.0,) + self.values  # m0..mK
-        acc = 0.0 + 0.0j
-        for c in reversed(coeffs):
-            acc = acc * theta + c
-        return theta * acc
+        theta = 1.0 / z  # Psi's warning |theta| >= 1/radius is |z| <= radius, up to rounding
+        return theta * (1.0 + self.psi_integral(theta))
 
     def psi_integral(self, theta: float) -> float:
         radius = laurent_trust_radius(self)

@@ -350,6 +350,22 @@ def test_grid_point_bound_is_inclusive(monkeypatch):
     assert cli._parse_grid("0,1,2,3,4,5,6,7,8,9,10")[-1] == 10.0  # lists are not ranges
 
 
+def test_verify_suite_raising_a_cskfam_error_exits_1(monkeypatch):
+    # once printed a traceback: verify was the one command without the handler
+    from cskfam import verify_suites
+    from cskfam.errors import NumericError
+
+    def raising():
+        raise NumericError("a suite overflowed")
+
+    monkeypatch.setitem(verify_suites.SUITES, "series", raising)
+    result = _invoke(["verify", "--suite", "series"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "error: a suite overflowed\n"
+    assert result.stdout == ""
+
+
 def test_verify_all_passes():
     result = _invoke(["verify", "--suite", "all"])
     assert result.exit_code == 0, result.output

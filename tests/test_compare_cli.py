@@ -75,3 +75,34 @@ def test_source_lines_counts_the_package_modules_only(tmp_path):
     (package / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
     (tmp_path / "src" / "other.py").write_text("w = 4\n", encoding="utf-8")
     assert compare_cli.source_lines(tmp_path) == 2
+
+
+def test_golden_spec_jobs_cover_every_spec_and_command():
+    from cskfam import cli
+
+    assert compare_cli.TRANSFORMS == tuple(sorted(cli._TRANSFORMS))
+    assert compare_cli.POWER_OPS == tuple(cli._POWER_OPS)
+    assert compare_cli.PAIR_OPS == tuple(cli._PAIR_OPS)
+    specs = sorted(compare_cli.GOLDEN_DIR.glob("*.json"))
+    jobs = compare_cli.golden_spec_jobs()
+    assert len(jobs) == len(specs) * 17 and len({label for label, _ in jobs}) == len(jobs)
+    free_poisson = str(compare_cli.GOLDEN_DIR / "free_poisson.json")
+    for spec in specs:
+        runs = [args for _, args in jobs if args[args.index("--spec") + 1] == str(spec)]
+        assert sorted(a[a.index("--which") + 1] for a in runs if a[0] == "transform") == sorted(
+            cli._TRANSFORMS)
+        assert [a for a in runs if a[0] == "csk"] != []
+        assert sorted(a[a.index("--op") + 1] for a in runs if "--power" in a) == sorted(
+            cli._POWER_OPS)
+        pairs = [a for a in runs if "--spec2" in a]
+        assert sorted(a[a.index("--op") + 1] for a in pairs) == sorted(cli._PAIR_OPS)
+        assert all(a[a.index("--spec2") + 1] == free_poisson for a in pairs)
+        assert sorted(a[a.index("--kind") + 1] for a in runs if a[0] == "limit") == [
+            "boxplus", "uplus"]
+    assert {args[0] for _, args in jobs} == {"transform", "csk", "convolve", "limit"}
+
+
+def test_golden_specs_is_a_default_workload_and_reads_ungraded():
+    assert compare_cli.WORKLOADS == (*compare_cli.J.WORKLOADS, "golden_specs")
+    assert compare_cli.grade(None, 0, b"order,moment\n1,1\n") == "ungraded"
+    assert compare_cli.grade(None, 1, b"") == "ungraded"

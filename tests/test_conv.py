@@ -479,6 +479,38 @@ def test_pushforwards_reject_nonfinite_parameters(value):
         affine_image(FP_M, 1.0, value)
 
 
+@pytest.mark.parametrize(
+    "push",
+    [
+        # once (1e200, inf, inf) with only a numpy RuntimeWarning
+        lambda m: dilate(m, 1e200),
+        lambda m: dilate(m, -1e200),
+        # once a raw ZeroDivisionError: beta**n underflows to 0
+        lambda m: affine_image(m, 1e-200, 0.0),
+        # once a raw OverflowError from float **
+        lambda m: affine_image(m, 1.0, 1e200),
+        # a product that reaches inf without raising: 3*m2 in m3 of x + 1
+        lambda m: affine_image(MomentSeq((1.0, 1e308, 1e308)), 1.0, -1.0),
+    ],
+    ids=["dilate_large_r", "dilate_large_negative_r", "affine_small_beta",
+         "affine_large_lam", "affine_sum_to_inf"],
+)
+def test_pushforwards_reject_an_overflowing_result(push):
+    with pytest.raises(NumericError, match="overflows"):
+        push(MomentSeq((1.0, 2.0, 5.0)))
+
+
+def test_pushforwards_keep_the_bits_of_a_finite_result():
+    m = MomentSeq((1.0, 2.0, 5.0, 14.0, 42.0))
+    for r in (1e-200, 0.3, -7.5, 1e50):  # 1e-200 underflows to 0 and stays finite
+        want = np.power(r, np.arange(1, 6, dtype=float)) * np.asarray(m.values)
+        assert dilate(m, r).values == tuple(want)
+    for beta, lam in ((2.0, 1.0), (-0.3, 0.7), (1e-50, 3.0)):
+        want = [sum(math.comb(n, j) * ([1.0, *m.values])[j] * (-lam) ** (n - j)
+                    for j in range(n + 1)) / beta**n for n in range(1, 6)]
+        assert affine_image(m, beta, lam).values == tuple(want)
+
+
 def test_affine_identity():
     got = affine_image(FP_M, 1.0, 0.0)
     np.testing.assert_allclose(got.values, FP_M.values, atol=0)

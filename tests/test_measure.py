@@ -1,6 +1,7 @@
 """Measure representations, moments, quadrature, and spec parsing."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from cskfam.errors import (
     InsufficientDataError,
     MeasureSpecError,
     SingularityError,
+    TruncationAccuracyWarning,
 )
 from cskfam.measure import (
     AtomicMeasure,
@@ -23,6 +25,7 @@ from cskfam.measure import (
     MomentSeq,
     Semicircle,
     integrate_pieces,
+    laurent_trust_radius,
     mean,
     moments,
     parse_measure_spec,
@@ -446,6 +449,7 @@ def test_positivity_flags():
     assert AtomicMeasure((0.0, 1.0), (0.5, 0.5)).is_positive
     assert not AtomicMeasure((-0.5, 1.0), (0.5, 0.5)).is_positive
     assert Semicircle(3.0, 1.0).is_positive
+    assert Semicircle(2.0, 1.0).support()[0] == 0.0 and Semicircle(2.0, 1.0).is_positive
     assert not Semicircle(0.0, 1.0).is_positive
     assert not MarchenkoPasturCentered(1.0).is_positive
     assert not MomentSeq((1.0, 2.0)).is_positive
@@ -454,7 +458,9 @@ def test_positivity_flags():
 def test_zero_mass():
     assert AtomicMeasure((0.0, 2.0), (0.3, 0.7)).zero_mass == 0.3
     assert AtomicMeasure((1.0, 2.0), (0.3, 0.7)).zero_mass == 0.0
-    assert FreePoisson().zero_mass == 0.0
+    assert AtomicMeasure((-1.0, 0.0, 1.5), (0.5, 0.125, 0.375)).zero_mass == 0.125
+    for nu in [*ALL_DENSITIES, MomentSeq((1.0, 2.0))]:  # every density class, a moment list
+        assert nu.zero_mass == 0.0
 
 
 def test_atomic_validation():
@@ -622,3 +628,74 @@ def test_protocol_entry_points_answer_or_raise_typed_errors(nu, entry):
         assert isinstance(nu, MomentSeq)  # only a moment list lacks information
         return
     assert value is not None
+
+
+# ---------------------------------------------------------------------------
+# facts the Measure base derives (positivity from the support) and a moment
+# list's G from its Psi power sum
+
+SUPPORTED_MEASURES = [
+    *PROTOCOL_MEASURES[:-1],
+    *ALL_DENSITIES,
+    Semicircle(2.0, 1.0),  # lower edge exactly 0
+    AtomicMeasure((0.0, 1.5), (0.25, 0.75)),  # an atom at 0
+    AtomicMeasure((-0.5, 1.0), (0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("nu", SUPPORTED_MEASURES, ids=lambda nu: nu.describe())
+def test_is_positive_reads_the_lowest_support_point(nu):
+    assert nu.is_positive == (nu.support()[0] >= 0.0)
+
+
+def _laurent_g_by_horner(nu: MomentSeq, z: complex) -> complex:
+    # MomentSeq.cauchy before it read G off the Psi power sum: one Horner
+    # loop over m0..mK in theta = 1/z from a complex zero
+    theta = 1.0 / z
+    acc = 0.0 + 0.0j
+    for c in reversed((1.0,) + nu.values):
+        acc = acc * theta + c
+    return theta * acc
+
+
+LAURENT_SEQUENCES = [
+    PROTOCOL_MEASURES[-1],
+    MomentSeq((0.0, 1.0, 0.0, 2.0)),
+    MomentSeq((-1.5, 3.0, -7.0, 20.0, -50.0, 1e3)),
+    MomentSeq((2.0, -0.0, 1e100)),
+]
+
+
+def _laurent_points(radius: float) -> list[complex]:
+    rng = np.random.default_rng(17)
+    scale = radius * 10.0 ** rng.uniform(-2.0, 2.0, 300)
+    angle = rng.uniform(-math.pi, math.pi, 300)
+    points = [complex(r * math.cos(a), r * math.sin(a)) for r, a in zip(scale, angle)]
+    for r in (0.5 * radius, 2.0 * radius):  # the axes, with signed zeros
+        points += [complex(r, 0.0), complex(-r, 0.0), complex(r, -0.0), complex(-r, -0.0),
+                   complex(0.0, r), complex(-0.0, r), complex(0.0, -r), complex(-0.0, -r)]
+    return points
+
+
+@pytest.mark.parametrize("nu", LAURENT_SEQUENCES, ids=lambda nu: str(nu.values))
+def test_moment_seq_cauchy_matches_the_horner_loop_bit_for_bit(nu):
+    radius = laurent_trust_radius(nu)
+    for z in _laurent_points(radius):
+        want = _laurent_g_by_horner(nu, z)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = cauchy_transform(nu, z)
+        assert (repr(got.real), repr(got.imag)) == (repr(want.real), repr(want.imag)), z
+        assert len(caught) == (abs(z) <= radius), z  # points lie off the circle
+
+
+@pytest.mark.parametrize("nu", LAURENT_SEQUENCES, ids=lambda nu: str(nu.values))
+def test_moment_seq_cauchy_warns_on_the_trust_circle_at_the_caller(nu):
+    radius = laurent_trust_radius(nu)
+    for z in (radius, -radius):
+        with pytest.warns(TruncationAccuracyWarning) as caught:
+            cauchy_transform(nu, z)
+        assert len(caught) == 1 and caught[0].filename == __file__
+    with pytest.warns(TruncationAccuracyWarning) as caught:
+        m_transform(nu, 1.0 / radius)
+    assert len(caught) == 1 and caught[0].filename == __file__

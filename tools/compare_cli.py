@@ -4,7 +4,11 @@
 
 For each seed, the jobs of each workload are generated with ``bench/jobs.py``
 of this checkout, exactly as ``bench/run.py`` generates them (same spec
-files, same arguments).  Each checkout then runs every job through
+files, same arguments).  The ``golden_specs`` workload is the tool's own
+and does not depend on the seed: it runs every ``cskfam`` command that
+takes a spec on each ``tests/golden/*.json`` of this checkout, including
+paths the benchmark never takes (see :func:`golden_spec_jobs`), once per
+comparison.  Each checkout then runs every job through
 ``cskfam.cli.main`` in one fresh interpreter whose ``sys.path`` starts with
 that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
 code differ, followed by each differing line of its CSV (``-`` parent, then
@@ -14,13 +18,14 @@ change: the largest relative change ``|change - parent| / |parent|`` of each
 column over the numeric cells that differ (see :func:`largest_changes`),
 and by the grade of each side: the rows within tolerance of the job's own
 ``check`` over the rows attempted, as ``bench/run.py`` grades them (see
-:func:`grade`), so a moved cell reads as a fix or as a regression.
+:func:`grade`), so a moved cell reads as a fix or as a regression; a
+``golden_specs`` job has no check and reads ``ungraded``.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
 checkout (see :func:`source_lines`), so that a comparison also shows
 whether the same output now comes from less code.  It exits 1 on any
 difference, 0 when all agree.  The default workload list is every workload
-of ``bench/jobs.py``.
+of ``bench/jobs.py``, then ``golden_specs``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import jobs as J  # noqa: E402
+
+GOLDEN_WORKLOAD = "golden_specs"
+#: Every workload the tool knows, its default list.
+WORKLOADS = (*J.WORKLOADS, GOLDEN_WORKLOAD)
+GOLDEN_DIR = ROOT / "tests" / "golden"
+#: ``transform --which`` choices, ``convolve --op`` choices with ``--power``
+#: and with ``--spec2``, as ``cskfam.cli`` offers them.
+TRANSFORMS = ("G", "K", "M", "Psi", "R", "S", "Sigma")
+POWER_OPS = ("boxplus", "uplus", "boxtimes", "bt")
+PAIR_OPS = ("boxplus", "uplus", "boxtimes")
+#: Fixed inputs of the ``golden_specs`` jobs.  The grid crosses 0 and every
+#: golden support, so interior points give error rows; the power 2.5 is
+#: not an integer, and the order is above what a 10-moment spec stores.
+GOLDEN_GRID = "-3,-1.5,-0.5,-0.1,0,0.1,0.5,1,2,3.5,5"
+GOLDEN_MEANS = "-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,3"
+GOLDEN_POWER = "2.5"
+GOLDEN_ORDER = "40"
+GOLDEN_SCHEDULE = "1,2,4"
 
 # Runs in the fresh interpreter: argv is SRC JOBS RESULT.  A job that raises
 # is exit code 1, as in the benchmark worker; its traceback goes to stderr.
@@ -63,6 +86,32 @@ for job in jobs:
 with open(sys.argv[3], "w", encoding="utf-8") as fh:
     json.dump(codes, fh)
 """
+
+
+def golden_spec_jobs(golden: Path = GOLDEN_DIR) -> list[tuple[str, list[str]]]:
+    """``(label, args)`` of the ``golden_specs`` workload: on every
+    ``*.json`` spec under ``golden``, each ``transform --which`` on
+    :data:`GOLDEN_GRID`, ``csk`` on :data:`GOLDEN_MEANS`, each power op at
+    order 40, each pair op against ``free_poisson.json`` and ``limit`` of
+    both kinds on the schedule 1, 2, 4."""
+    out = []
+    for spec in sorted(golden.glob("*.json")):
+        s = ["--spec", str(spec)]
+        out += [(f"{spec.stem} transform {which}",
+                 ["transform", *s, "--which", which, "--grid", GOLDEN_GRID])
+                for which in TRANSFORMS]
+        out.append((f"{spec.stem} csk", ["csk", *s, "--at", GOLDEN_MEANS]))
+        out += [(f"{spec.stem} convolve {op} power",
+                 ["convolve", *s, "--op", op, "--power", GOLDEN_POWER, "--order", GOLDEN_ORDER])
+                for op in POWER_OPS]
+        out += [(f"{spec.stem} convolve {op} free_poisson",
+                 ["convolve", *s, "--spec2", str(golden / "free_poisson.json"), "--op", op,
+                  "--order", GOLDEN_ORDER])
+                for op in PAIR_OPS]
+        out += [(f"{spec.stem} limit {kind}",
+                 ["limit", *s, "--kind", kind, "--n-schedule", GOLDEN_SCHEDULE])
+                for kind in ("boxplus", "uplus")]
+    return out
 
 
 def run_checkout(checkout: Path, jobs: list[dict], outdir: Path) -> list[tuple[int, bytes]]:
@@ -139,9 +188,12 @@ def source_lines(checkout: Path) -> int:
                for path in (checkout / "src" / "cskfam").glob("*.py"))
 
 
-def grade(job: J.Job, code: int, out: bytes) -> str:
+def grade(job: J.Job | None, code: int, out: bytes) -> str:
     """``ok/attempted`` of one side's output under the job's own check; a
-    nonzero exit code fails every row, as in ``bench/run.py``."""
+    nonzero exit code fails every row, as in ``bench/run.py``.  A job
+    without a check (``None``) reads ``ungraded``."""
+    if job is None:
+        return "ungraded"
     tally = J.failed_job_tally(job) if code else job.check(out.decode("utf-8"))
     problems = f", {len(tally.problems)} problems" if tally.problems else ""
     return f"{tally.ok}/{tally.attempted} ok{problems}"
@@ -151,13 +203,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", default=",".join(J.WORKLOADS))
+    parser.add_argument("--workload", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="201,7919")
     args = parser.parse_args(argv)
     workloads = args.workload.split(",")
-    unknown = [w for w in workloads if w not in J.WORKLOADS]
+    unknown = [w for w in workloads if w not in WORKLOADS]
     if unknown:
-        parser.error(f"unknown workload {unknown}; choose from {sorted(J.WORKLOADS)}")
+        parser.error(f"unknown workload {unknown}; choose from {sorted(WORKLOADS)}")
     for checkout in (args.parent, args.change):
         if not (checkout / "src" / "cskfam" / "cli.py").is_file():
             parser.error(f"no cskfam sources under {checkout / 'src'}")
@@ -168,13 +220,18 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         jobs, labels, checked = [], [], []
         for seed in (int(s) for s in args.seeds.split(",")):
-            for name in workloads:
+            for name in (w for w in workloads if w != GOLDEN_WORKLOAD):
                 workdir = tmp / f"{name}-{seed}"
                 workdir.mkdir()
                 for i, job in enumerate(J.WORKLOADS[name](random.Random(seed), workdir)):
                     jobs.append({"args": job.args})
                     labels.append(f"{name} seed {seed} job {i} ({job.kind})")
                     checked.append(job)
+        if GOLDEN_WORKLOAD in workloads:
+            for i, (label, job_args) in enumerate(golden_spec_jobs()):
+                jobs.append({"args": job_args})
+                labels.append(f"{GOLDEN_WORKLOAD} job {i} ({label})")
+                checked.append(None)
         parent = run_checkout(args.parent.resolve(), jobs, tmp / "parent")
         change = run_checkout(args.change.resolve(), jobs, tmp / "change")
         for label, job, (pcode, pout), (ccode, cout) in zip(labels, checked, parent, change):
