@@ -108,14 +108,16 @@ def main():
     """Numerical Cauchy-Stieltjes kernel family toolkit."""
 
 
+#: The :mod:`.transforms` function of each ``--which``, by name: it is looked
+#: up when the command runs, so a wrapper installed on the module sees the call.
 _TRANSFORMS = {
-    "G": lambda nu, x: transforms.cauchy_transform(nu, x),
-    "M": lambda nu, x: transforms.m_transform(nu, x),
-    "Psi": lambda nu, x: transforms.psi_transform(nu, x),
-    "S": lambda nu, x: transforms.s_transform(nu, x),
-    "Sigma": lambda nu, x: transforms.sigma_transform(nu, x),
-    "R": lambda nu, x: transforms.r_transform(nu, x),
-    "K": lambda nu, x: transforms.k_transform(nu, x),
+    "G": "cauchy_transform",
+    "M": "m_transform",
+    "Psi": "psi_transform",
+    "S": "s_transform",
+    "Sigma": "sigma_transform",
+    "R": "r_transform",
+    "K": "k_transform",
 }
 
 
@@ -137,7 +139,7 @@ def transform(spec, which, grid, out):
     """Evaluate one transform on a grid of real arguments."""
     nu = _load_measure(spec)
     points = _parse_grid(grid)
-    fn = _TRANSFORMS[which]
+    fn = getattr(transforms, _TRANSFORMS[which])
     rows = []
     for x in points:
         try:
@@ -148,9 +150,10 @@ def transform(spec, which, grid, out):
           ["argument", "value", "error"], rows)
 
 
-_PAIR_OPS = {"boxplus": conv.boxplus, "uplus": conv.uplus, "boxtimes": conv.boxtimes}
-_POWER_OPS = {"boxplus": conv.boxplus_power, "uplus": conv.uplus_power,
-              "boxtimes": conv.boxtimes_power, "bt": conv.bp_transform}
+#: The :mod:`.conv` function of each ``--op``, by name, looked up the same way.
+_PAIR_OPS = ("boxplus", "uplus", "boxtimes")
+_POWER_OPS = {"boxplus": "boxplus_power", "uplus": "uplus_power",
+              "boxtimes": "boxtimes_power", "bt": "bp_transform"}
 
 
 def _operand(path: str, op: str) -> Measure:
@@ -180,10 +183,10 @@ def convolve(spec, spec2, power, op, order, out):
     nu = _operand(spec, op)
     if spec2 is not None:
         other = _operand(spec2, op)
-        result = _PAIR_OPS[op](nu, other, order)
+        result = getattr(conv, op)(nu, other, order)
         config = f"specs,{nu.describe()},{other.describe()}"
     else:
-        result = _POWER_OPS[op](nu, power, order)
+        result = getattr(conv, _POWER_OPS[op])(nu, power, order)
         config = f"spec,{nu.describe()},power,{_fmt(power)}"
     rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
     _emit(out, [f"convolve,{op}", config, f"order,{order}"], ["order", "moment"], rows)

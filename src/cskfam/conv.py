@@ -11,10 +11,12 @@ protocol: free cumulants for the free convolution and the Boolean-to-free
 map, the S series for the multiplicative one, moments for the Boolean
 one.  A named density answers the first two from its exact free
 cumulants, skipping the moment/cumulant round trip; atomic measures and
-moment sequences go through the dictionaries here.  The dictionaries are
-triangular, so results are exact in the stored orders up to roundoff;
-there is no truncation error beyond the order cut itself.  A moment that
-overflows to inf or nan raises :class:`NumericError`.
+moment sequences go through the dictionaries here.  Cumulant series are
+float64 arrays, as S series are: a convolution adds them and a power
+scales them.  The dictionaries are triangular, so results are exact in
+the stored orders up to roundoff; there is no truncation error beyond
+the order cut itself.  A moment that overflows to inf or nan raises
+:class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .transforms import s_series_to_moments
 # moment <-> cumulant dictionaries
 
 
-def moments_to_free_cumulants(m: MomentSeq) -> tuple[float, ...]:
+def moments_to_free_cumulants(m: MomentSeq) -> np.ndarray:
     """Free cumulants ``k1..kK``, the coefficients of the R-transform series,
     by reverting the Cauchy-transform series.
 
@@ -62,40 +64,36 @@ def moments_to_free_cumulants(m: MomentSeq) -> tuple[float, ...]:
     the named densities answer :meth:`.Measure.free_cumulants` exactly, and
     neither their powers nor the pair operations on them come here.
     """
-    k = m.order
     g_hat = np.array((0.0, 1.0) + m.values)  # order K+1
     theta_of_w = ps_revert(g_hat)
     h = theta_of_w[1:]  # theta(w)/w, constant term 1
     r = ps_reciprocal(h)  # 1/h = w * G^{-1}(w) = 1 + k1*w + k2*w^2 + ...
-    return tuple(r[1 : k + 1].tolist())
+    return r[1:]
 
 
-def free_cumulants_to_moments(k: tuple[float, ...]) -> MomentSeq:
+def free_cumulants_to_moments(k: np.ndarray) -> MomentSeq:
     """Inverse of :func:`moments_to_free_cumulants`: moments from the free
-    cumulants ``k1..kK``."""
-    n = len(k)
-    r = np.array((1.0, *k), dtype=float)
+    cumulants ``k1..kK``, any 1-D sequence of floats."""
+    r = np.concatenate(((1.0,), k))
     theta_of_w = np.concatenate(((0.0,), ps_reciprocal(r)))  # w/r(w), order K+1
     g_hat = ps_revert(theta_of_w)
-    return MomentSeq(g_hat[2 : n + 2].tolist())
+    return MomentSeq(g_hat[2:].tolist())
 
 
-def moments_to_boolean_cumulants(m: MomentSeq) -> tuple[float, ...]:
+def moments_to_boolean_cumulants(m: MomentSeq) -> np.ndarray:
     """Boolean cumulants ``b1..bK``, the coefficients of the self-energy
     series, via series division: ``(M - 1) / M`` in ``theta``."""
-    k = m.order
     big_m = np.array((1.0,) + m.values)
     numer = np.array((0.0,) + m.values)
     e = ps_mul(numer, ps_reciprocal(big_m))
-    return tuple(e[1 : k + 1].tolist())
+    return e[1:]
 
 
-def boolean_cumulants_to_moments(b: tuple[float, ...]) -> MomentSeq:
-    """Inverse map, from the Boolean cumulants ``b1..bK``: ``M = 1 / (1 - E)``."""
-    n = len(b)
-    one_minus_e = np.array((1.0, *(-v for v in b)), dtype=float)
+def boolean_cumulants_to_moments(b: np.ndarray) -> MomentSeq:
+    """Inverse map, from Boolean cumulants ``b1..bK`` (any sequence): ``M = 1 / (1 - E)``."""
+    one_minus_e = np.concatenate(((1.0,), np.negative(b)))
     big_m = ps_reciprocal(one_minus_e)
-    return MomentSeq(big_m[1 : n + 1].tolist())
+    return MomentSeq(big_m[1:].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +113,8 @@ def boxplus(mu: Measure, nu: Measure, order: int) -> MomentSeq:
     ``nu``: free cumulants add, and one reversion turns them into moments."""
     require_order(order)
     with np.errstate(all="ignore"):
-        k = np.add(mu.free_cumulants(order), nu.free_cumulants(order))
-        result = free_cumulants_to_moments(tuple(k))
+        k = mu.free_cumulants(order) + nu.free_cumulants(order)
+        result = free_cumulants_to_moments(k)
     return _finite(result, "free additive convolution")
 
 
@@ -138,8 +136,7 @@ def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
             stacklevel=2,
         )
     with np.errstate(all="ignore"):
-        k = np.asarray(nu.free_cumulants(order))
-        result = free_cumulants_to_moments(tuple(alpha * k))
+        result = free_cumulants_to_moments(alpha * nu.free_cumulants(order))
     return _finite(result, f"free convolution power alpha = {alpha:g}")
 
 
@@ -148,9 +145,9 @@ def uplus(mu: Measure, nu: Measure, order: int) -> MomentSeq:
     ``nu``: the Boolean cumulants of their moments add."""
     require_order(order)
     with np.errstate(all="ignore"):
-        b = np.add(moments_to_boolean_cumulants(mu.moments(order)),
-                   moments_to_boolean_cumulants(nu.moments(order)))
-        result = boolean_cumulants_to_moments(tuple(b))
+        b = (moments_to_boolean_cumulants(mu.moments(order))
+             + moments_to_boolean_cumulants(nu.moments(order)))
+        result = boolean_cumulants_to_moments(b)
     return _finite(result, "Boolean additive convolution")
 
 
@@ -167,8 +164,8 @@ def uplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     require_positive("alpha", alpha)
     require_order(order)
     with np.errstate(all="ignore"):
-        b = np.asarray(moments_to_boolean_cumulants(nu.moments(order)))
-        result = boolean_cumulants_to_moments(tuple(alpha * b))
+        b = moments_to_boolean_cumulants(nu.moments(order))
+        result = boolean_cumulants_to_moments(alpha * b)
     return _finite(result, f"Boolean convolution power alpha = {alpha:g}")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .transforms import (
     psi_integral,
     s_series,
 )
-
-Side = Literal["plus", "minus", "two_sided"]
 
 _MEAN_MATCH_TOL = 1e-12
 
@@ -151,20 +149,15 @@ def _mean_endpoint(nu: Measure, upper: bool) -> float:
     return edge - 1.0 / cauchy_transform(nu, edge).real
 
 
-def mean_domain(nu: Measure, side: Side = "two_sided") -> tuple[float, float]:
-    """Open interval of attainable means on the requested side.
+def mean_domain(nu: Measure) -> tuple[float, float]:
+    """Open interval of attainable means.
 
     Each end is ``m = edge - 1/G(edge)`` at the matching end of
     :func:`support_bounds` (Bryc & Hassairi, "One-sided Cauchy-Stieltjes
     kernel families", 2011), and ``edge`` itself where G diverges.  Needs
     the support, so a moment sequence raises InsufficientDataError.
     """
-    if side not in ("plus", "minus", "two_sided"):
-        raise DomainError(f"unknown side {side!r}")
-    m0 = mean(nu)
-    lo = m0 if side == "plus" else _mean_endpoint(nu, upper=False)
-    hi = m0 if side == "minus" else _mean_endpoint(nu, upper=True)
-    return lo, hi
+    return _mean_endpoint(nu, upper=False), _mean_endpoint(nu, upper=True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ not fix (the support, integrals of arbitrary functions).  It is also the
 value type of the moment-level calculus.  The numeric methods are called
 only through ``moments`` here, through the transforms of :mod:`.transforms`
 (``cauchy_transform``, ``psi_integral``, ``psi_transform``) and through the
-convolutions of :mod:`.conv` (``free_cumulants``, ``s_series``);
+convolutions of :mod:`.conv` (``free_cumulants``, ``s_series``: float64 arrays);
 ``theta_range`` is read by :mod:`.transforms` and :mod:`.csk`, and
 ``integrate`` only by the tests.
 
@@ -134,9 +134,9 @@ class Measure:
         """Raw moments ``m1..m_order`` (``order >= 1``)."""
         raise NotImplementedError
 
-    def free_cumulants(self, order: int) -> tuple[float, ...]:
+    def free_cumulants(self, order: int) -> np.ndarray:
         """Free cumulants ``k1..k_order``, the coefficients of
-        ``R~(z) = sum_n k_n z**n``.  Here from :meth:`moments` through the
+        ``R~(z) = sum_n k_n z**n``, an array.  Here from :meth:`moments` through the
         dictionary :func:`.conv.moments_to_free_cumulants` (one reversion);
         the named densities know theirs exactly."""
         from .conv import moments_to_free_cumulants
@@ -214,7 +214,8 @@ class AtomicMeasure(Measure):
     def moments(self, order: int) -> "MomentSeq":
         a = np.asarray(self.atoms)
         w = np.asarray(self.weights)
-        return MomentSeq(tuple(float(np.dot(w, a**n)) for n in range(1, order + 1)))
+        with np.errstate(all="ignore"):  # an overflow leaves inf, which callers refuse
+            return MomentSeq(tuple(float(np.dot(w, a**n)) for n in range(1, order + 1)))
 
     def integrate(self, f) -> float | complex:
         return sum(w * f(a) for a, w in zip(self.atoms, self.weights))
@@ -257,7 +258,7 @@ class DensityMeasure(Measure):
         piece weight, row ``P + i`` the fine rule's (``P`` pieces)."""
         return _fixed_rule(self.pieces)
 
-    def free_cumulants(self, order: int) -> tuple[float, ...]:
+    def free_cumulants(self, order: int) -> np.ndarray:
         """Exact free cumulants ``k1..k_order``: the source of the moments and
         of the S series."""
         raise NotImplementedError
@@ -338,12 +339,12 @@ class Semicircle(DensityMeasure):
         lo, hi = self.support()
         return [QuadPiece(lo, +1, umax, w), QuadPiece(hi, -1, umax, w)]
 
-    def free_cumulants(self, order: int) -> tuple[float, ...]:
-        out = [0.0] * order
+    def free_cumulants(self, order: int) -> np.ndarray:
+        out = np.zeros(order)
         out[0] = self.center
         if order >= 2:
             out[1] = self.variance
-        return tuple(out)
+        return out
 
     def describe(self) -> str:
         return f"semicircle(center={self.center:g},variance={self.variance:g})"
@@ -410,12 +411,13 @@ class MarchenkoPasturCentered(DensityMeasure):
             QuadPiece(hi, -1, _SQRT2, w_hi, breaks(c_hi) if a < 0.0 else ()),
         ]
 
-    def free_cumulants(self, order: int) -> tuple[float, ...]:
-        # centered free Poisson type: k1 = 0, k2 = 1, k_n = a**(n-2)
-        out = [0.0] * order
+    def free_cumulants(self, order: int) -> np.ndarray:
+        # centered free Poisson type: k1 = 0, k2 = 1, k_n = a**(n-2); Python's
+        # float power, since numpy's array power differs in the last bit
+        out = np.zeros(order)
         for n in range(2, order + 1):
             out[n - 1] = self.a ** (n - 2)
-        return tuple(out)
+        return out
 
     def describe(self) -> str:
         return f"marchenko_pastur_centered(a={self.a:g})"
@@ -444,8 +446,8 @@ class FreePoisson(DensityMeasure):
 
         return [QuadPiece(0.0, +1, _SQRT2, w_lo), QuadPiece(4.0, -1, _SQRT2, w_hi)]
 
-    def free_cumulants(self, order: int) -> tuple[float, ...]:
-        return (1.0,) * order
+    def free_cumulants(self, order: int) -> np.ndarray:
+        return np.ones(order)
 
     def describe(self) -> str:
         return "free_poisson"

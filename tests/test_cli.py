@@ -342,6 +342,34 @@ def test_convolve_pair_of_densities_reverts_few_series(op, reversions, monkeypat
     assert len(orders) == reversions and min(orders) >= 160
 
 
+def test_commands_look_up_library_functions_when_they_run(monkeypatch):
+    # the command tables once held the conv functions bound at import, so a
+    # wrapper installed on the module attribute never saw the entry call
+    calls = []
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((conv, "boxplus_power"), (conv, "uplus"),
+                         (transforms, "cauchy_transform")):
+        counting(module, name)
+    fp, atom = GOLDEN / "free_poisson.json", GOLDEN / "two_atom.json"
+    for args, name in (
+            (["convolve", "--spec", fp, "--op", "boxplus", "--power", "2"], "boxplus_power"),
+            (["convolve", "--spec", fp, "--spec2", atom, "--op", "uplus"], "uplus"),
+            (["transform", "--spec", fp, "--which", "G", "--grid=5"], "cauchy_transform")):
+        calls.clear()
+        result = _invoke(args)
+        assert result.exit_code == 0, result.output
+        assert calls == [name]
+
+
 def test_grid_point_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
     assert len(cli._parse_grid("0:9:1")) == 10

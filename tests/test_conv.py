@@ -34,7 +34,7 @@ from cskfam.measure import (
     Semicircle,
     moments,
 )
-from cskfam.series import ps_mul
+from cskfam.series import ps_mul, ps_reciprocal, ps_revert
 from cskfam.transforms import k_transform, r_transform, s_series, s_series_to_moments
 
 from oracles import (
@@ -373,8 +373,51 @@ def test_pair_ops_reject_an_overflowing_result(op, top_atom):
 
 def test_base_protocol_goes_through_the_moment_dictionaries():
     for nu in (AtomicMeasure((0.5, 2.0), (0.25, 0.75)), FP_M):
-        assert nu.free_cumulants(8) == moments_to_free_cumulants(moments(nu, 8))
+        assert np.array_equal(nu.free_cumulants(8), moments_to_free_cumulants(moments(nu, 8)))
         assert np.array_equal(nu.s_series(8), s_series(moments(nu, 8)))
+
+
+def _parent_free_cumulants(nu, order):
+    """``nu.free_cumulants(order)`` as it was built when it was a tuple."""
+    if isinstance(nu, FreePoisson):
+        return (1.0,) * order
+    if isinstance(nu, Semicircle):
+        out = [0.0] * order
+        out[0] = nu.center
+        if order >= 2:
+            out[1] = nu.variance
+        return tuple(out)
+    if isinstance(nu, MarchenkoPasturCentered):
+        return tuple(0.0 if n < 2 else nu.a ** (n - 2) for n in range(1, order + 1))
+    g_hat = np.array((0.0, 1.0) + moments(nu, order).values)
+    r = ps_reciprocal(ps_revert(g_hat)[1:])
+    return tuple(r[1 : order + 1].tolist())
+
+
+@pytest.mark.parametrize("order", [1, 2, 160])
+@pytest.mark.parametrize("nu", [
+    AtomicMeasure((0.5, 1.25), (0.25, 0.75)),
+    FreePoisson(),
+    Semicircle(1.5, 0.5),
+    *(MarchenkoPasturCentered(a) for a in (1.0, -1.0, 0.25, 15 / 16, -0.3, 0.7)),
+    moments(AtomicMeasure((0.75, 1.5, 2.0), (0.5, 0.25, 0.25)), 200),
+], ids=lambda nu: nu.describe())
+def test_free_cumulants_are_the_tuples_bits_in_an_array(nu, order):
+    got = nu.free_cumulants(order)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (order,)
+    assert got.tobytes() == np.array(_parent_free_cumulants(nu, order)).tobytes()
+
+
+@pytest.mark.parametrize("dictionary", [
+    free_cumulants_to_moments, boolean_cumulants_to_moments,
+    transforms.free_cumulants_to_s_series])
+def test_dictionaries_take_tuples_and_arrays_alike(dictionary):
+    m = moments(AtomicMeasure((0.5, 1.25, 2.0), (0.25, 0.5, 0.25)), 40)
+    for k in (moments_to_free_cumulants(m), moments_to_boolean_cumulants(m)):
+        from_array, from_tuple = dictionary(k), dictionary(tuple(k.tolist()))
+        if isinstance(from_array, MomentSeq):
+            from_array, from_tuple = np.array(from_array.values), np.array(from_tuple.values)
+        assert from_array.tobytes() == from_tuple.tobytes()
 
 
 def test_density_s_series_reverts_its_exact_cumulants():

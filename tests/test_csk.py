@@ -31,6 +31,7 @@ from cskfam.measure import (
     MarchenkoPasturCentered,
     MomentSeq,
     Semicircle,
+    mean,
     moments,
 )
 from cskfam.transforms import bracketed_root, cauchy_transform, psi_transform, s_transform
@@ -207,9 +208,9 @@ def test_semicircle_mean_domain(center, var):
 
 
 def test_one_sided_domains():
-    lo, hi = mean_domain(FP, "plus")
+    lo, hi = mean(FP), mean_domain(FP)[1]
     assert lo == 1.0 and abs(hi - 2.0) <= 1e-13
-    lo, hi = mean_domain(FP, "minus")
+    lo, hi = mean_domain(FP)[0], mean(FP)
     assert lo == 0.0 and hi == 1.0
 
 
@@ -233,7 +234,7 @@ def test_mean_domain_rejects_moment_sequences():
 
 def test_free_poisson_theta_range_and_lower_mean_domain():
     assert FP.theta_range() == (-math.inf, 0.25)
-    assert mean_domain(FP, "minus") == (0.0, 1.0)
+    assert (mean_domain(FP)[0], mean(FP)) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_pseudo_variance_diverges_at_nonzero_mean():
 
 
 def test_w_map_strictly_increasing():
-    lo, m0 = mean_domain(FP, "minus")
+    lo, m0 = mean_domain(FP)[0], mean(FP)
     grid = np.linspace(lo + 0.1, m0 - 0.1, 9)
     w = [m * m / pseudo_variance(FP, float(m)) for m in grid]
     assert all(b > a for a, b in zip(w, w[1:]))
@@ -300,7 +301,7 @@ def test_s_transform_identities_on_mean_grid():
     # S(m^2/PV(m)) * m = 1 and Psi(psi(m)) = m^2/PV(m) in (delta-1, 0)
     for nu in (FP, TWO_ATOM):
         delta = nu.zero_mass
-        lo, m0 = mean_domain(nu, "minus")
+        lo, m0 = mean_domain(nu)[0], mean(nu)
         for m in np.linspace(lo + 0.15 * (m0 - lo), m0 - 0.15 * (m0 - lo), 5):
             pv = pseudo_variance(nu, float(m))
             w = m * m / pv

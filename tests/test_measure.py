@@ -68,6 +68,13 @@ def test_atomic_moments_exact_power_sums():
         assert abs(m_n - want) <= 1e-14
 
 
+def test_atomic_moments_overflow_to_inf_without_a_warning():
+    # numpy once warned "overflow encountered in square" and "in power" on
+    # stderr before the caller's error line; the tests turn warnings into errors
+    got = moments(AtomicMeasure((0.0, 1e200), (0.5, 0.5)), 3).values
+    assert got[0] == 5e199 and got[1:] == (math.inf, math.inf)
+
+
 def test_free_poisson_moments_catalan():
     got = moments(FreePoisson(), 8).values
     # oracle: all free cumulants equal 1, summed over non-crossing partitions
