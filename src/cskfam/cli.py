@@ -197,7 +197,10 @@ def convolve(spec, spec2, power, op, order, out):
 @click.option("--at", "at_grid", required=True, help="Mean grid: a:b:step or comma list.")
 @click.option("--out", default=None, type=click.Path())
 def csk_cmd(spec, at_grid, out):
-    """Tabulate theta, pseudo-variance and variance over a grid of means."""
+    """Tabulate theta, pseudo-variance and variance over a grid of means.
+
+    The means are solved together; a mean that fails has its message in the
+    error column."""
     nu = _load_measure(spec)
     points = _parse_grid(at_grid)
     try:
@@ -206,12 +209,11 @@ def csk_cmd(spec, at_grid, out):
     except CskfamError:
         domain = "mean_domain,unknown,unknown"
     rows = []
-    for m in points:
-        try:
-            theta, pv, v = csk.family_row(nu, m)
-            rows.append([_fmt(m), _fmt(theta), _fmt(pv), _fmt(v), ""])
-        except CskfamError as exc:
-            rows.append([_fmt(m), "", "", "", str(exc).replace(",", ";")])
+    for m, row in zip(points, csk.family_rows(nu, points)):
+        if isinstance(row, CskfamError):
+            rows.append([_fmt(m), "", "", "", str(row).replace(",", ";")])
+        else:
+            rows.append([_fmt(m), *map(_fmt, row), ""])
     _emit(out, [f"spec,{nu.describe()}", domain, f"grid,{at_grid}"],
           ["m", "theta", "pseudo_variance", "variance", "error"], rows)
 

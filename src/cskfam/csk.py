@@ -7,33 +7,45 @@ computes the mean map and its inverse, domains of means, pseudo-variance
 and variance functions, member densities, and the transformation laws of
 the variance function under affine images, convolution powers and the
 Boolean-to-free map.  ``family_row`` gives theta, the pseudo-variance and
-the variance at one mean from a single inversion of the mean map; it is
-what ``cskfam csk`` tabulates.
+the variance at one mean from a single inversion of the mean map;
+``family_rows`` gives the same rows over a grid of means, which it solves
+in lockstep, and is what ``cskfam csk`` tabulates.
 
 Everything here reads the generator through the measure protocol (mean,
 support, G and Psi), and each quantity has one formula for every
 representation: both ends of the domain of means are ``edge - 1/G(edge)``,
 and the pseudo-variance and variance are read off the mean-map root
-``theta``.  Only ``psi_mean_inverse`` picks a route by representation: it
-inverts the mean map by monotone root-finding in ``theta``, except for a
-moment sequence, whose truncated power series of Psi diverges at the
-relevant ``theta``; that root comes from the reverted S-series, which
-converges regardless of the unknown support radius.
+``theta``.  Only the inversion of the mean map (``_inversion``, behind
+``psi_mean_inverse`` and ``family_rows``) picks a route by representation:
+it is monotone root-finding in ``theta``, except for a moment sequence,
+whose truncated power series of Psi diverges at the relevant ``theta``;
+that root comes from the reverted S-series, which converges regardless of
+the unknown support radius.  The inversion is a generator that asks for
+one ``theta`` at a time, so a grid of means can share one batched Psi per
+round.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, require_nonnegative, require_positive
+from .errors import (
+    CskfamError,
+    DomainError,
+    NumericError,
+    require_nonnegative,
+    require_positive,
+    value_or_error,
+)
 from .measure import Measure, MomentSeq, mean, support_bounds, variance_of
 from .transforms import (
     _check_theta,
     bracketed_root,
+    brent_steps,
     cauchy_transform,
     psi_integral,
     s_series,
@@ -44,6 +56,10 @@ _MEAN_MATCH_TOL = 1e-12
 #: Floor on ``1 + psi_integral`` below which ``k_mean`` declares the mean
 #: lost: under it the sum has cancelled to fewer than half its digits.
 _MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
+
+#: Means that ``family_rows`` solves in lockstep at a time, which bounds the
+#: (theta x nodes) array of one batched Psi.
+_GRID_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -67,72 +83,94 @@ def k_mean(nu: Measure, theta: float) -> float:
     if theta == 0.0:
         return mean(nu)
     _check_theta(nu, theta)
-    p = psi_integral(nu, theta)
+    return _mean_from_psi(theta, psi_integral(nu, theta))
+
+
+def _mean_from_psi(theta: float, p: float) -> float:
     if not 1.0 + p > _MEAN_MAP_FLOOR:
         raise NumericError(f"the mean map is lost to cancellation at theta = {theta:g}")
     return p / (theta * (1.0 + p))
 
 
-def _bracket_theta(nu: Measure, mean_map: Callable[[float], float], m: float,
-                   m0: float) -> tuple[float, float]:
-    """Sign-change bracket for ``mean_map(theta) = m``, ``mean_map`` being
-    ``k_mean`` of ``nu``.
-
-    theta walks from 0 toward the admissible endpoint on the side of ``m``:
-    doubling when that endpoint is infinite, halving the remaining distance
-    when it is finite.  A doubling walk also ends where the mean map loses the
-    mean to cancellation, since no mean it resolves reaches ``m``.
-    """
-    t_lo, t_hi = nu.theta_range()
-    sign, end = (1.0, t_hi) if m > m0 else (-1.0, t_lo)
-    if math.isinf(end):
-        walk = (sign * 2.0**k for k in range(80))
-    else:
-        walk = (end * (1.0 - 2.0**-k) for k in range(1, 41))
-    prev = 0.0
-    for t in walk:
-        try:
-            gap = sign * (mean_map(t) - m)
-        except NumericError:  # lost to cancellation
-            break
-        if gap > 0.0:
-            inner = prev if prev != 0.0 else sign * 1e-300
-            return (inner, t) if sign > 0.0 else (t, inner)
-        prev = t
-    side = "above" if sign > 0.0 else "below"
-    if math.isinf(end):
-        raise DomainError(f"m = {m:g} {side} the attainable means")
-    edge = "upper" if sign > 0.0 else "lower"
-    raise DomainError(f"m = {m:g} at or {side} the {edge} mean endpoint")
+def _k_means(nu: Measure, thetas: list[float]) -> list:
+    """:func:`k_mean` at nonzero admissible ``thetas``, bit for bit, from one
+    ``nu.psi_integrals``: each the mean or the CskfamError raised there."""
+    return [p if isinstance(p, CskfamError) else value_or_error(_mean_from_psi, theta, p)
+            for theta, p in zip(thetas, nu.psi_integrals(thetas))]
 
 
-def psi_mean_inverse(nu: Measure, m: float) -> float:
-    """The kernel parameter whose family member has mean ``m``.
+def _inversion(nu: Measure, m: float, m0: float):
+    """Generator of the mean-map root at mean ``m`` (``m0`` the generator
+    mean): it yields each theta at which it needs ``k_mean``, once, and is
+    sent the mean or has the CskfamError that ``k_mean`` raised thrown in.
 
     The one place that picks a route by representation.  A moment
-    sequence's truncated series of Psi diverges at the relevant ``theta``,
-    so its root comes from the reverted S-series: ``theta = 1/(m + PV/m)``
-    with the pseudo-variance read off the S-series root.  Every other
-    measure is inverted by a bracket walk and Brent on ``k_mean``.
+    sequence's truncated Psi series diverges at the relevant ``theta``, so
+    its root ``1/(m + PV/m)`` comes from the reverted S-series, with no
+    mean-map values.  Other measures walk theta from 0 toward the
+    admissible endpoint on the side of ``m``, doubling it when that
+    endpoint is infinite and halving the remaining distance when it is
+    finite; a doubling walk also ends where the mean map is lost to
+    cancellation, since no mean it resolves reaches ``m``.  Then
+    :func:`.transforms.brent_steps` on the bracket, whose ends reuse the
+    walk's values.
     """
-    m0 = mean(nu)
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return 0.0
     if isinstance(nu, MomentSeq):
         if m == 0.0:
             raise DomainError("moment-sequence inversion needs a nonzero target mean")
         return 1.0 / (m + _pseudo_variance_from_moments(nu, m) / m)
-    # The walk and Brent share one memo, so Brent's first two evaluations,
-    # at the bracket ends, reuse the walk's values.
+    t_lo, t_hi = nu.theta_range()
+    sign, end = (1.0, t_hi) if m > m0 else (-1.0, t_lo)
+    if math.isinf(end):
+        walk = (sign * 2.0**k for k in range(80))
+    else:
+        walk = (end * (1.0 - 2.0**-k) for k in range(1, 41))
     memo: dict[float, float] = {}
+    prev, bracket = 0.0, None
+    for t in walk:
+        try:
+            memo[t] = yield t
+        except NumericError:  # lost to cancellation
+            break
+        if sign * (memo[t] - m) > 0.0:
+            inner = prev if prev != 0.0 else sign * 1e-300
+            bracket = (inner, t) if sign > 0.0 else (t, inner)
+            break
+        prev = t
+    if bracket is None:
+        side = "above" if sign > 0.0 else "below"
+        if math.isinf(end):
+            raise DomainError(f"m = {m:g} {side} the attainable means")
+        edge = "upper" if sign > 0.0 else "lower"
+        raise DomainError(f"m = {m:g} at or {side} the {edge} mean endpoint")
+    steps = brent_steps(*bracket)
+    try:
+        t = next(steps)
+        while True:
+            if t not in memo:
+                memo[t] = yield t
+            t = steps.send(memo[t] - m)
+    except StopIteration as done:
+        return done.value
 
-    def k(t: float) -> float:
-        if t not in memo:
-            memo[t] = k_mean(nu, t)
-        return memo[t]
 
-    lo, hi = _bracket_theta(nu, k, m, m0)
-    return bracketed_root(lambda t: k(t) - m, lo, hi)
+def psi_mean_inverse(nu: Measure, m: float) -> float:
+    """The kernel parameter whose family member has mean ``m``:
+    :func:`_inversion`, which picks the route by representation, answered
+    by one :func:`k_mean` call per theta it asks for."""
+    steps = _inversion(nu, m, mean(nu))
+    try:
+        theta = next(steps)
+        while True:
+            try:
+                k = k_mean(nu, theta)
+            except CskfamError as exc:
+                k = exc  # thrown in outside this handler, so it chains no context
+            theta = steps.throw(k) if isinstance(k, CskfamError) else steps.send(k)
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +312,49 @@ def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
     read that root.
     """
     theta = psi_mean_inverse(nu, m)
+    return _row(nu, m, mean(nu), theta)
+
+
+def family_rows(nu: Measure, means: Sequence[float]) -> list:
+    """:func:`family_row` at each mean of a grid, bit for bit: the
+    ``(theta, pseudo_variance, variance)`` tuple or the CskfamError raised.
+
+    One :func:`_inversion` per mean, solved in lockstep ``_GRID_CHUNK``
+    means at a time: each round answers the theta that every unfinished
+    inversion asks for with one :func:`_k_means`.  The inversions take the
+    steps of :func:`psi_mean_inverse`, so no row depends on its neighbours.
+    """
     m0 = mean(nu)
+    rows = []
+    for start in range(0, len(means), _GRID_CHUNK):
+        chunk = means[start:start + _GRID_CHUNK]
+        roots = _lockstep(nu, [_inversion(nu, m, m0) for m in chunk])
+        rows += [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
+                 for m, root in zip(chunk, roots)]
+    return rows
+
+
+def _lockstep(nu: Measure, inversions: list) -> list:
+    """The root of each :func:`_inversion`, or the CskfamError it raised:
+    each round sends every live one its answer (``None`` to start it)."""
+    roots = [None] * len(inversions)
+    live, answers = list(enumerate(inversions)), [None] * len(inversions)
+    while live:
+        asked, thetas = [], []
+        for (i, steps), answer in zip(live, answers):
+            try:
+                thetas.append(steps.throw(answer) if isinstance(answer, CskfamError)
+                              else steps.send(answer))
+                asked.append((i, steps))
+            except StopIteration as done:
+                roots[i] = done.value
+            except CskfamError as exc:
+                roots[i] = exc.with_traceback(None)  # as value_or_error does
+        live, answers = asked, _k_means(nu, thetas) if thetas else []
+    return roots
+
+
+def _row(nu: Measure, m: float, m0: float, theta: float) -> tuple[float, float, float]:
     root = lambda: theta
     return theta, _pseudo_variance(nu, m, m0, root), _variance(nu, m, m0, root)
 

@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the argument
-checks that raise them."""
+"""Exception and warning types shared across the package, the argument
+checks that raise them, and :func:`value_or_error` for batched answers."""
 
 import math
 
@@ -79,3 +79,13 @@ def require_order(order: int):
     """Raise :class:`DomainError` unless ``order``, a number of moments, is at least 1."""
     if order < 1:
         raise DomainError("moment order must be at least 1")
+
+
+def value_or_error(fn, *args):
+    """``fn(*args)``, or the :class:`CskfamError` it raises, returned without
+    its traceback: the answer at one point of a batch, which must neither
+    stop the others nor keep the frames it was raised in alive."""
+    try:
+        return fn(*args)
+    except CskfamError as exc:
+        return exc.with_traceback(None)

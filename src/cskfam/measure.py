@@ -2,7 +2,9 @@
 
 Every generating measure is a :class:`Measure` and implements one protocol:
 ``moments``, ``free_cumulants``, ``s_series``, ``integrate``, ``cauchy``
-(G), ``psi_integral``, ``support``, ``theta_range`` and the flags
+(G), ``psi_integral`` and its batched form ``psi_integrals`` (one call per
+theta in the base class, one matrix product for the named densities),
+``support``, ``theta_range`` and the flags
 ``lower_edge_singular`` and ``upper_edge_singular``, which say where G
 diverges at an end of the support (the mean-domain formula needs it
 there).  The base class gives ``is_positive`` (read off the support) and
@@ -59,6 +61,7 @@ from .errors import (
     SingularityError,
     TruncationAccuracyWarning,
     require_order,
+    value_or_error,
 )
 
 #: Nodes per sub-interval of the fixed Gauss-Legendre pair (coarse, fine).
@@ -169,6 +172,11 @@ class Measure:
         SingularityError.
         """
         raise NotImplementedError
+
+    def psi_integrals(self, thetas: list[float]) -> list:
+        """:meth:`psi_integral` at each real ``theta`` of a list: the value
+        or the CskfamError raised.  Here one call per theta."""
+        return [value_or_error(self.psi_integral, theta) for theta in thetas]
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -286,11 +294,12 @@ class DensityMeasure(Measure):
             z = pole = z.real
         return integrate_pieces(self, lambda a, d: 1.0 / ((z - a) - d), pole=pole)
 
-    def psi_integral(self, theta: float | complex) -> float | complex:
+    def psi_integral(self, theta: float | complex, sums=None) -> float | complex:
         """One kernel for real and complex ``theta``: ``theta*x/(1 - theta*x)
         = x / ((r - anchor) - offset)`` with ``r = 1/theta``, stable at the
         edges and free of the cancellation of ``-1 + r*G(r)`` at small
-        ``|theta|``.  Only a real ``r`` can meet the support."""
+        ``|theta|``.  Only a real ``r`` can meet the support.  ``sums`` is
+        passed on to :func:`integrate_pieces`."""
         r = 1.0 / theta
         pole = None
         if r.imag == 0.0:
@@ -300,7 +309,23 @@ class DensityMeasure(Measure):
                 raise SingularityError(
                     f"the pole 1/theta = {pole:g} lies in the support [{lo:g}, {hi:g}]"
                 )
-        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), pole=pole)
+        return integrate_pieces(self, _psi_kernel(r), pole, sums)
+
+    def psi_integrals(self, thetas: list[float]) -> list:
+        """The same answers, bit for bit, from one kernel evaluation on a
+        (theta x nodes) array and one stacked ``matmul``, which takes the
+        scalar ``matrix @ x`` per theta (a 2-D product sums in another
+        order); each theta's sums then go through :func:`integrate_pieces`."""
+        anchor, offset, matrix = self.fixed_rule
+        with np.errstate(all="ignore"):
+            nodes = _psi_kernel(1.0 / np.array(thetas)[:, None])(anchor, offset)
+            sums = np.matmul(matrix, nodes[:, :, None])[:, :, 0].tolist()
+        return [value_or_error(self.psi_integral, t, s) for t, s in zip(thetas, sums)]
+
+
+def _psi_kernel(r):
+    """The :func:`integrate_pieces` integrand of Psi at ``theta = 1/r``."""
+    return lambda a, d: (a + d) / ((r - a) - d)
 
 
 @dataclass(frozen=True)
@@ -595,8 +620,8 @@ def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchor, offset, matrix
 
 
-def integrate_pieces(nu: DensityMeasure, integrand: Callable,
-                     pole: float | None = None) -> float | complex:
+def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None = None,
+                     sums: list | None = None) -> float | complex:
     """Sum over the density pieces of ``nu`` of the integral of ``weight * integrand``.
 
     ``integrand(a, d)`` is the function integrated against the density at
@@ -622,11 +647,13 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable,
     The fallback raises :class:`SingularityError` when the integrand is not
     finite where it bisects and :class:`AccuracyError` (with
     ``best_estimate``) when bisection stops short of the tolerance.  This
-    is the edge-stable entry point of every density method.
+    is the edge-stable entry point of every density method.  A batched
+    caller passes each integrand's matrix product in as ``sums``.
     """
-    anchor, offset, matrix = nu.fixed_rule
-    with np.errstate(all="ignore"):
-        sums = (matrix @ integrand(anchor, offset)).tolist()
+    if sums is None:
+        anchor, offset, matrix = nu.fixed_rule
+        with np.errstate(all="ignore"):
+            sums = (matrix @ integrand(anchor, offset)).tolist()
     pieces = nu.pieces
     total = 0.0
     for piece, coarse, fine in zip(pieces, sums, sums[len(pieces):]):

@@ -89,10 +89,24 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 # that the older tables do not reach.
 # The two R tables were written when r_transform still had one walk per
 # side of the support; they pin the folded walk that replaced them.
+# The two ladder tables were written before cskfam csk solved its grid of
+# means in lockstep: 32 means at the shares of the benchmark's family_table
+# ladder between the generator mean and each end of the domain, plus the
+# generator mean, 0, both ends and a mean beyond each.  They pin the batched
+# mean map and its error rows: below the attainable means once the walk
+# breaks on cancellation (free Poisson at m = 0), at or beyond a finite mean
+# endpoint, and the pseudo-variance diverging at a nonzero generator mean.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
 # defect: they lie outside the domain of means (0, 2) of free Poisson, yet
 # the moment route answers there.  They are expected to become error rows
 # when that route checks its domain.
+_FP_LADDER = ("-0.5,0,0.14,0.1933,0.2467,0.3,0.3533,0.4067,0.46,0.5133,0.5667,0.62,0.6733,"
+              "0.7267,0.78,0.8333,0.8867,0.94,1,1.06,1.1133,1.1667,1.22,1.2733,1.3267,1.38,"
+              "1.4333,1.4867,1.54,1.5933,1.6467,1.7,1.7533,1.8067,1.86,2,2.5")  # domain (0, 2)
+_MP_LADDER = ("-1.5,-1,-0.86,-0.8067,-0.7533,-0.7,-0.6467,-0.5933,-0.54,-0.4867,-0.4333,"
+              "-0.38,-0.3267,-0.2733,-0.22,-0.1667,-0.1133,-0.06,0,0.06,0.1133,0.1667,0.22,"
+              "0.2733,0.3267,0.38,0.4333,0.4867,0.54,0.5933,0.6467,0.7,0.7533,0.8067,0.86,"
+              "1,1.5")  # domain (-1, 1)
 GOLDEN_CASES = {
     "csk_free_poisson.csv": ["csk", "--spec", GOLDEN / "free_poisson.json",
                              "--at", "0.25:2.5:0.25"],
@@ -111,6 +125,10 @@ GOLDEN_CASES = {
     "csk_mp_a1.csv": ["csk", "--spec", GOLDEN / "mp_a1.json", f"--at={_MP_MEANS}"],
     "csk_mp_a025.csv": ["csk", "--spec", GOLDEN / "mp_a025.json", f"--at={_MP_MEANS}"],
     "csk_mp_a15_16.csv": ["csk", "--spec", GOLDEN / "mp_a15_16.json", f"--at={_MP_MEANS}"],
+    "csk_free_poisson_ladder.csv": ["csk", "--spec", GOLDEN / "free_poisson.json",
+                                    f"--at={_FP_LADDER}"],
+    "csk_mp_a15_16_ladder.csv": ["csk", "--spec", GOLDEN / "mp_a15_16.json",
+                                 f"--at={_MP_LADDER}"],
     "csk_semicircle.csv": ["csk", "--spec", GOLDEN / "semicircle.json",
                            "--at", "0,0.3,0.5,0.9,1,1.2,1.5,1.7,2"],
     "transform_m_mp.csv": ["transform", "--spec", GOLDEN / "mp_a1.json", "--which", "M",

@@ -17,6 +17,7 @@ from cskfam.csk import (
     bt_variance,
     csk_density_weight,
     family_row,
+    family_rows,
     k_mean,
     mean_domain,
     pseudo_variance,
@@ -158,21 +159,27 @@ def test_k_mean_floor_on_one_plus_psi():
     ],
     ids=lambda v: v.describe() if hasattr(v, "describe") else None,
 )
-def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, monkeypatch):
+@pytest.mark.parametrize("route", ["psi_mean_inverse", "family_rows"])
+def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, route, monkeypatch):
+    # psi_mean_inverse calls k_mean once per theta; family_rows, on a grid
+    # of one mean, asks the batched mean map for one theta per round
     thetas = []
-    original = csk_module.k_mean
-
-    def recorded(nu_, theta):
-        thetas.append(theta)
-        return original(nu_, theta)
-
-    monkeypatch.setattr(csk_module, "k_mean", recorded)
+    if route == "psi_mean_inverse":
+        original = csk_module.k_mean
+        monkeypatch.setattr(csk_module, "k_mean",
+                            lambda nu_, theta: thetas.append(theta) or original(nu_, theta))
+        invert = psi_mean_inverse
+    else:
+        batched = csk_module._k_means
+        monkeypatch.setattr(csk_module, "_k_means",
+                            lambda nu_, ts: thetas.extend(ts) or batched(nu_, ts))
+        invert = lambda nu_, m: family_rows(nu_, [m])[0][0]
     for m in means:
         thetas.clear()
-        theta = psi_mean_inverse(nu, m)
+        theta = invert(nu, m)
         assert len(thetas) == len(set(thetas)), f"repeated theta at m = {m}"
         assert theta in thetas  # Brent's answer is a point it evaluated
-        assert abs(original(nu, theta) - m) <= 1e-10
+        assert abs(k_mean(nu, theta) - m) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -552,36 +559,68 @@ def _bits(result):
     return tuple(x.hex() if isinstance(x, float) else x for x in result)
 
 
-@pytest.mark.parametrize(
-    "nu, grid",
-    [
-        # m = 0, m0 +- within the match tolerance, below and above the domain
-        (TWO_ATOM, (-1.0, 0.0, 0.5, 1.0, 1.5, 1.7, 1.7 + 5e-13, 2.0, 2.4, 2.6)),
-        (AtomicMeasure((-1.0, 0.0, 2.0), (0.25, 0.25, 0.5)), (-1.0, -0.3, 0.0, 0.5, 1.0, 3.0)),
-        (FP, (-0.5, 0.0, 0.25, 0.5, 1.0, 1.0 - 5e-13, 1.5, 1.9, 2.5)),
-        (Semicircle(), (-1.5, -0.7, -1e-13, 0.0, 1e-13, 0.7, 1.5)),
-        (Semicircle(3.0, 0.5), (-1.5, 2.9, 3.0, 3.5, 4.0)),
-        (MarchenkoPasturCentered(0.5), (-1.5, -0.5, 0.0, 0.4, 1.5, 4.0)),
-        (MarchenkoPasturCentered(1.0), (-1.2, -0.5, 0.0, 1.0, 3.0)),
-        (MomentSeq(moments(FP, 10).values), (-0.5, 0.0, 0.1, 0.5, 1.0, 1.0 + 5e-13, 1.5, 10.0)),
-        (MomentSeq((0.0, 1.0, 0.0, 2.0, 0.0, 5.0)), (-1.0, 0.0, 1e-13, 0.5)),
-        (MomentSeq((1.0,)), (0.5, 1.0)),
-    ],
-)
+FAMILY_ROW_CASES = [
+    # m = 0, m0 +- within the match tolerance, below and above the domain
+    (TWO_ATOM, (-1.0, 0.0, 0.5, 1.0, 1.5, 1.7, 1.7 + 5e-13, 2.0, 2.4, 2.6)),
+    (AtomicMeasure((-1.0, 0.0, 2.0), (0.25, 0.25, 0.5)), (-1.0, -0.3, 0.0, 0.5, 1.0, 3.0)),
+    (FP, (-0.5, 0.0, 0.25, 0.5, 1.0, 1.0 - 5e-13, 1.5, 1.9, 2.5)),
+    (Semicircle(), (-1.5, -0.7, -1e-13, 0.0, 1e-13, 0.7, 1.5)),
+    (Semicircle(3.0, 0.5), (-1.5, 2.9, 3.0, 3.5, 4.0)),
+    (MarchenkoPasturCentered(0.5), (-1.5, -0.5, 0.0, 0.4, 1.5, 4.0)),
+    (MarchenkoPasturCentered(1.0), (-1.2, -0.5, 0.0, 1.0, 3.0)),
+    (MomentSeq(moments(FP, 10).values), (-0.5, 0.0, 0.1, 0.5, 1.0, 1.0 + 5e-13, 1.5, 10.0)),
+    (MomentSeq((0.0, 1.0, 0.0, 2.0, 0.0, 5.0)), (-1.0, 0.0, 1e-13, 0.5)),
+    (MomentSeq((1.0,)), (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("nu, grid", FAMILY_ROW_CASES)
 def test_family_row_is_bitwise_the_three_calls(nu, grid):
     for m in grid:
         assert _bits(_row(nu, m)) == _bits(_separately(nu, m)), m
 
 
+def _outcome(row):
+    return (type(row), str(row)) if isinstance(row, CskfamError) else row
+
+
+@pytest.mark.parametrize("nu, grid", FAMILY_ROW_CASES)
+def test_family_rows_is_bitwise_family_row_at_each_mean(nu, grid):
+    # the grid reversed as well: no row depends on its neighbours
+    for means in (grid, grid[::-1]):
+        got = [_bits(_outcome(row)) for row in family_rows(nu, means)]
+        assert got == [_bits(_row(nu, m)) for m in means]
+
+
+@pytest.mark.parametrize(
+    "nu", [FP, MarchenkoPasturCentered(1.0), Semicircle(1.0, 0.5), TWO_ATOM],
+    ids=lambda nu: nu.describe(),
+)
+def test_family_rows_on_a_grid_of_several_chunks(nu, monkeypatch):
+    widths = []
+    batched = csk_module._k_means
+    monkeypatch.setattr(csk_module, "_k_means",
+                        lambda nu_, thetas: widths.append(len(thetas)) or batched(nu_, thetas))
+    lo, hi = nu.support()
+    means = np.linspace(lo - 0.5, hi + 0.5, 2 * csk_module._GRID_CHUNK + 3).tolist()
+    rows = family_rows(nu, means)
+    assert [_bits(_outcome(row)) for row in rows] == [_bits(_row(nu, m)) for m in means]
+    # no round asks for more theta than a chunk has means
+    assert max(widths) <= csk_module._GRID_CHUNK < len(means)
+    # an error row keeps no traceback, so the frames of its solve can go
+    errors = [row for row in rows if isinstance(row, CskfamError)]
+    assert errors and all(exc.__traceback__ is None for exc in errors)
+
+
 def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path):
     calls = []
-    original = csk_module.psi_mean_inverse
+    original = csk_module._inversion
 
-    def counted(nu, m):
+    def counted(nu, m, m0):
         calls.append(m)
-        return original(nu, m)
+        return original(nu, m, m0)
 
-    monkeypatch.setattr(csk_module, "psi_mean_inverse", counted)
+    monkeypatch.setattr(csk_module, "_inversion", counted)
     spec = tmp_path / "mp.json"
     spec.write_text('{"type":"named","name":"marchenko_pastur_centered","params":{"a":0.5}}')
     result = CliRunner().invoke(main, ["csk", "--spec", str(spec), "--at=-0.75:1.5:0.25"])
