@@ -9,20 +9,22 @@ the variance function under affine images, convolution powers and the
 Boolean-to-free map.  ``family_row`` gives theta, the pseudo-variance and
 the variance at one mean from a single inversion of the mean map;
 ``family_rows`` gives the same rows over a grid of means, which it solves
-in lockstep, and is what ``cskfam csk`` tabulates.
+in lockstep, and is what ``cskfam csk`` tabulates.  ``variances`` solves
+a grid for the variance alone, as ``cskfam limit`` needs it.
 
 Everything here reads the generator through the measure protocol (mean,
 support, G and Psi), and each quantity has one formula for every
 representation: both ends of the domain of means are ``edge - 1/G(edge)``,
 and the pseudo-variance and variance are read off the mean-map root
-``theta``.  Only the inversion of the mean map (``_inversion``, behind
-``psi_mean_inverse`` and ``family_rows``) picks a route by representation:
-it is monotone root-finding in ``theta``, except for a moment sequence,
-whose truncated power series of Psi diverges at the relevant ``theta``;
-that root comes from the reverted S-series, which converges regardless of
-the unknown support radius.  The inversion is a generator that asks for
-one ``theta`` at a time, so a grid of means can share one batched Psi per
-round.
+``theta``.  Only the inversion of the mean map (``_inversion``) picks a
+route by representation: it is monotone root-finding in ``theta``, except
+for a moment sequence, whose truncated power series of Psi diverges at the
+relevant ``theta``; that root comes from the reverted S-series, which
+converges regardless of the unknown support radius.  The inversion is a
+generator that asks for one ``theta`` at a time, and one driver,
+``_lockstep``, runs it for every caller (``psi_mean_inverse`` on one mean,
+``family_rows`` and ``variances`` on a grid), so the means of a grid share
+one batched Psi per round.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .transforms import (
     bracketed_root,
     brent_steps,
     cauchy_transform,
-    psi_integral,
     s_series,
 )
 
@@ -57,7 +58,7 @@ _MEAN_MATCH_TOL = 1e-12
 #: lost: under it the sum has cancelled to fewer than half its digits.
 _MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
 
-#: Means that ``family_rows`` solves in lockstep at a time, which bounds the
+#: Means that ``_lockstep`` solves together at a time, which bounds the
 #: (theta x nodes) array of one batched Psi.
 _GRID_CHUNK = 64
 
@@ -83,20 +84,23 @@ def k_mean(nu: Measure, theta: float) -> float:
     if theta == 0.0:
         return mean(nu)
     _check_theta(nu, theta)
-    return _mean_from_psi(theta, psi_integral(nu, theta))
-
-
-def _mean_from_psi(theta: float, p: float) -> float:
-    if not 1.0 + p > _MEAN_MAP_FLOOR:
-        raise NumericError(f"the mean map is lost to cancellation at theta = {theta:g}")
-    return p / (theta * (1.0 + p))
+    k, = _k_means(nu, [theta])
+    if isinstance(k, CskfamError):
+        raise k
+    return k
 
 
 def _k_means(nu: Measure, thetas: list[float]) -> list:
-    """:func:`k_mean` at nonzero admissible ``thetas``, bit for bit, from one
-    ``nu.psi_integrals``: each the mean or the CskfamError raised there."""
-    return [p if isinstance(p, CskfamError) else value_or_error(_mean_from_psi, theta, p)
-            for theta, p in zip(thetas, nu.psi_integrals(thetas))]
+    """:func:`k_mean` at nonzero admissible ``thetas`` from one
+    ``nu.psi_integrals``: each the mean or the CskfamError raised there.
+    A plain loop: most calls come from a one-mean inversion, with one theta."""
+    means = []
+    for theta, p in zip(thetas, nu.psi_integrals(thetas)):
+        if not isinstance(p, CskfamError):
+            p = (p / (theta * (1.0 + p)) if 1.0 + p > _MEAN_MAP_FLOOR else
+                 NumericError(f"the mean map is lost to cancellation at theta = {theta:g}"))
+        means.append(p)
+    return means
 
 
 def _inversion(nu: Measure, m: float, m0: float):
@@ -157,20 +161,45 @@ def _inversion(nu: Measure, m: float, m0: float):
 
 
 def psi_mean_inverse(nu: Measure, m: float) -> float:
-    """The kernel parameter whose family member has mean ``m``:
-    :func:`_inversion`, which picks the route by representation, answered
-    by one :func:`k_mean` call per theta it asks for."""
-    steps = _inversion(nu, m, mean(nu))
-    try:
-        theta = next(steps)
-        while True:
-            try:
-                k = k_mean(nu, theta)
-            except CskfamError as exc:
-                k = exc  # thrown in outside this handler, so it chains no context
-            theta = steps.throw(k) if isinstance(k, CskfamError) else steps.send(k)
-    except StopIteration as done:
-        return done.value
+    """The kernel parameter whose family member has mean ``m``."""
+    return _root(nu, m, mean(nu))
+
+
+def _root(nu: Measure, m: float, m0: float) -> float:
+    """The mean-map root at ``m`` (``m0`` the generator mean): a one-mean
+    :func:`_lockstep`, whose CskfamError is raised here."""
+    root, = _lockstep(nu, m0, [m])
+    if isinstance(root, CskfamError):
+        raise root
+    return root
+
+
+def _lockstep(nu: Measure, m0: float, means: Sequence[float]) -> list:
+    """The mean-map root at each mean, or the CskfamError raised: one
+    :func:`_inversion` per mean, solved ``_GRID_CHUNK`` means at a time.
+    Each round sends every live inversion of a chunk its answer (``None``
+    to start it) and answers the theta they ask for with one
+    :func:`_k_means`.  The inversions take the same steps alone or
+    together, so no root depends on its neighbours."""
+    roots = []
+    for start in range(0, len(means), _GRID_CHUNK):
+        live = [(i, _inversion(nu, m, m0))
+                for i, m in enumerate(means[start:start + _GRID_CHUNK])]
+        chunk, answers = [None] * len(live), [None] * len(live)
+        while live:
+            asked, thetas = [], []
+            for (i, steps), answer in zip(live, answers):
+                try:
+                    thetas.append(steps.throw(answer) if isinstance(answer, CskfamError)
+                                  else steps.send(answer))
+                    asked.append((i, steps))
+                except StopIteration as done:
+                    chunk[i] = done.value
+                except CskfamError as exc:
+                    chunk[i] = exc.with_traceback(None)  # as value_or_error does
+            live, answers = asked, _k_means(nu, thetas) if thetas else []
+        roots += chunk
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +319,8 @@ def pseudo_variance(nu: Measure, m: float) -> float:
     generator variance when the generator mean is 0, and 0 otherwise.
     Diverges at the generator mean when that mean is nonzero.
     """
-    return _pseudo_variance(nu, m, mean(nu), lambda: psi_mean_inverse(nu, m))
+    m0 = mean(nu)
+    return _pseudo_variance(nu, m, m0, lambda: _root(nu, m, m0))
 
 
 def variance(nu: Measure, m: float) -> float:
@@ -299,7 +329,8 @@ def variance(nu: Measure, m: float) -> float:
     Evaluated as ``(1/psi(m) - m) * (m - m0)``, which stays regular at
     ``m = 0``; at the generator mean it returns the generator variance.
     """
-    return _variance(nu, m, mean(nu), lambda: psi_mean_inverse(nu, m))
+    m0 = mean(nu)
+    return _variance(nu, m, m0, lambda: _root(nu, m, m0))
 
 
 def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
@@ -311,47 +342,28 @@ def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
     ``psi_mean_inverse`` takes for the representation, and both variances
     read that root.
     """
-    theta = psi_mean_inverse(nu, m)
-    return _row(nu, m, mean(nu), theta)
+    m0 = mean(nu)
+    return _row(nu, m, m0, _root(nu, m, m0))
 
 
 def family_rows(nu: Measure, means: Sequence[float]) -> list:
     """:func:`family_row` at each mean of a grid, bit for bit: the
     ``(theta, pseudo_variance, variance)`` tuple or the CskfamError raised.
-
-    One :func:`_inversion` per mean, solved in lockstep ``_GRID_CHUNK``
-    means at a time: each round answers the theta that every unfinished
-    inversion asks for with one :func:`_k_means`.  The inversions take the
-    steps of :func:`psi_mean_inverse`, so no row depends on its neighbours.
-    """
+    The roots come from one :func:`_lockstep` solve of the grid."""
     m0 = mean(nu)
-    rows = []
-    for start in range(0, len(means), _GRID_CHUNK):
-        chunk = means[start:start + _GRID_CHUNK]
-        roots = _lockstep(nu, [_inversion(nu, m, m0) for m in chunk])
-        rows += [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
-                 for m, root in zip(chunk, roots)]
-    return rows
+    return [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
+            for m, root in zip(means, _lockstep(nu, m0, means))]
 
 
-def _lockstep(nu: Measure, inversions: list) -> list:
-    """The root of each :func:`_inversion`, or the CskfamError it raised:
-    each round sends every live one its answer (``None`` to start it)."""
-    roots = [None] * len(inversions)
-    live, answers = list(enumerate(inversions)), [None] * len(inversions)
-    while live:
-        asked, thetas = [], []
-        for (i, steps), answer in zip(live, answers):
-            try:
-                thetas.append(steps.throw(answer) if isinstance(answer, CskfamError)
-                              else steps.send(answer))
-                asked.append((i, steps))
-            except StopIteration as done:
-                roots[i] = done.value
-            except CskfamError as exc:
-                roots[i] = exc.with_traceback(None)  # as value_or_error does
-        live, answers = asked, _k_means(nu, thetas) if thetas else []
-    return roots
+def variances(nu: Measure, means: Sequence[float]) -> list:
+    """:func:`variance` at each mean of a grid, bit for bit: the value or the
+    CskfamError raised, from one :func:`_lockstep` solve.  Variance only:
+    the pseudo-variance that :func:`family_rows` adds diverges near a
+    nonzero generator mean, where the variance stays regular."""
+    m0 = mean(nu)
+    return [root if isinstance(root, CskfamError)
+            else value_or_error(_variance, nu, m, m0, lambda: root)
+            for m, root in zip(means, _lockstep(nu, m0, means))]
 
 
 def _row(nu: Measure, m: float, m0: float, theta: float) -> tuple[float, float, float]:

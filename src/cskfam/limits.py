@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from . import conv, csk
-from .errors import CskfamError, DomainError, require_order, require_positive
+from .errors import CskfamError, DomainError, require_order, require_positive, value_or_error
 from .measure import Measure, MomentSeq, mean, moments
 from .series import ps_pow_int
 from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
@@ -202,21 +202,45 @@ def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> 
     return _scaled_moments(unit, s1, n, kind)
 
 
-def _scaled_law_variance(nu: Measure, m0: float, n: int, kind: ConvKind, m: float) -> float:
+def _scaled_law_variance(vfun: Callable[[float], float], m0: float, n: int, kind: ConvKind,
+                         m: float) -> float:
     """Variance function of the scaled law of step ``n`` at mean ``m``.
 
-    The chain of :mod:`.csk` laws on the generator's own variance function:
-    ``boxtimes_power_variance`` for ``nu ** boxtimes n``, then
+    The chain of :mod:`.csk` laws on the generator's own variance function
+    ``vfun``: ``boxtimes_power_variance`` for ``nu ** boxtimes n``, then
     ``boxplus_power_variance`` (``uplus_power_variance``) for the additive
     power, then the dilation ``V_c(m) = c**2 * V(m/c)``.  As for the
     moments, the generator is dilated to unit mean first, so
-    ``c = 1/n`` and no power of ``m0`` appears; ``nu`` is read at the mean
-    ``m0 * m**(1/n)``, and a mean outside its domain raises there.
+    ``c = 1/n`` and no power of ``m0``, the generator mean, appears.
+    ``vfun`` is read once, at the pulled-back mean ``m0 * m**(1/n)``;
+    :func:`_scaled_law_variances` runs the chain twice, first to collect
+    those means and then with their variances, solved as one grid.
     """
-    unit = lambda x: csk.variance(nu, m0 * x) / (m0 * m0)  # V of nu dilated to unit mean
+    unit = lambda x: vfun(m0 * x) / (m0 * m0)  # V of nu dilated to unit mean
     powered = lambda y: csk.boxtimes_power_variance(unit, 1.0, n, y)
     additive = csk.boxplus_power_variance if kind == "boxplus" else csk.uplus_power_variance
     return additive(powered, 1.0, n, n * m) / (n * n)
+
+
+def _scaled_law_variances(nu: Measure, m0: float, kind: ConvKind, cells: list) -> list:
+    """:func:`_scaled_law_variance` of ``csk.variance(nu, .)`` at each step
+    and mean ``(n, m)`` of ``cells``, bit for bit: the value or the
+    CskfamError raised.  A first pass of the chain records the pulled-back
+    means it asks for, in order; ``csk.variances`` solves them as one grid,
+    and a second pass reads each answer back in the same order, raising a
+    stored error where ``csk.variance`` would have raised it."""
+    asked: list[float] = []
+    for n, m in cells:
+        value_or_error(_scaled_law_variance, lambda x: asked.append(x) or 1.0, m0, n, kind, m)
+    answers = iter(csk.variances(nu, asked))
+
+    def stored(_):
+        answer = next(answers)
+        if isinstance(answer, CskfamError):
+            raise answer
+        return answer
+
+    return [value_or_error(_scaled_law_variance, stored, m0, n, kind, m) for n, m in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +306,9 @@ def convergence_report(
     (``W = V_nu`` at ``n = 1``).  A row whose pulled-back mean
     ``m0 * m**(1/n)`` leaves the generator's domain of means, or that
     raises any other ``CskfamError``, carries a note instead of a value.
+    The pulled-back means of all rows are solved as one grid
+    (``csk.variances``), with the values and notes of ``csk.variance``
+    row by row.
 
     Accuracy envelope: on seeds 201 and 7919 of the ``limit_report``
     benchmark every variance row agrees with the exact-arithmetic
@@ -303,22 +330,21 @@ def convergence_report(
     lim_variance = limit_variance_eta if limit_kind == "eta" else limit_variance_sigma
 
     rows: list[MomentRow] = []
-    vrows: list[VarianceRow] = []
     for n in ns:
         scaled = _scaled_moments(unit, s1, n, kind)
         for order in range(1, moment_order + 1):
             value = scaled.values[order - 1]
             target = lim.values[order - 1]
             rows.append(MomentRow(n, order, value, target, abs(value - target)))
-        for m in VARIANCE_GRID:
-            target = lim_variance(gamma, m)
-            try:
-                value = _scaled_law_variance(nu, m0, n, kind, m)
-            except CskfamError as exc:  # e.g. m0 * m**(1/n) outside the domain of means
-                vrows.append(VarianceRow(n, m, None, target, None,
-                                         f"{type(exc).__name__}: {exc}"))
-            else:
-                vrows.append(VarianceRow(n, m, value, target, abs(value - target)))
+    cells = [(n, m) for n in ns for m in VARIANCE_GRID]
+    vrows: list[VarianceRow] = []
+    for (n, m), value in zip(cells, _scaled_law_variances(nu, m0, kind, cells)):
+        target = lim_variance(gamma, m)
+        if isinstance(value, CskfamError):  # e.g. m0 * m**(1/n) outside the domain of means
+            vrows.append(VarianceRow(n, m, None, target, None,
+                                     f"{type(value).__name__}: {value}"))
+        else:
+            vrows.append(VarianceRow(n, m, value, target, abs(value - target)))
     return ConvergenceReport(
         measure=nu.describe(),
         kind=kind,

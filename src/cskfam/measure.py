@@ -315,7 +315,10 @@ class DensityMeasure(Measure):
         """The same answers, bit for bit, from one kernel evaluation on a
         (theta x nodes) array and one stacked ``matmul``, which takes the
         scalar ``matrix @ x`` per theta (a 2-D product sums in another
-        order); each theta's sums then go through :func:`integrate_pieces`."""
+        order); each theta's sums then go through :func:`integrate_pieces`.
+        One theta takes the scalar call, which is cheaper."""
+        if len(thetas) == 1:
+            return [value_or_error(self.psi_integral, thetas[0])]
         anchor, offset, matrix = self.fixed_rule
         with np.errstate(all="ignore"):
             nodes = _psi_kernel(1.0 / np.array(thetas)[:, None])(anchor, offset)

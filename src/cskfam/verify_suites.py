@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import conv, csk, limits, transforms
+from .errors import CskfamError
 from .measure import AtomicMeasure, FreePoisson, mean
 from .series import identity_series, ps_compose, ps_mul, ps_pow_real, ps_revert
 
@@ -63,8 +64,10 @@ def s_identity_suite() -> list[Check]:
         err_psi = err_s = 0.0
         ws = []
         ok_interval = True
-        for m in grid:
-            theta, pv, _ = csk.family_row(nu, float(m))
+        for m, row in zip(grid, csk.family_rows(nu, grid.tolist())):
+            if isinstance(row, CskfamError):
+                raise row
+            theta, pv, _ = row
             w = m * m / pv
             ws.append(w)
             ok_interval &= delta - 1.0 < w < 0.0

@@ -34,6 +34,7 @@ from cskfam.measure import (
     Semicircle,
     mean,
     moments,
+    variance_of,
 )
 from cskfam.transforms import bracketed_root, cauchy_transform, psi_transform, s_transform
 
@@ -161,18 +162,15 @@ def test_k_mean_floor_on_one_plus_psi():
 )
 @pytest.mark.parametrize("route", ["psi_mean_inverse", "family_rows"])
 def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, route, monkeypatch):
-    # psi_mean_inverse calls k_mean once per theta; family_rows, on a grid
-    # of one mean, asks the batched mean map for one theta per round
+    # both routes drive one inversion through _lockstep, which asks the
+    # batched mean map for one theta per round
     thetas = []
+    batched = csk_module._k_means
+    monkeypatch.setattr(csk_module, "_k_means",
+                        lambda nu_, ts: thetas.extend(ts) or batched(nu_, ts))
     if route == "psi_mean_inverse":
-        original = csk_module.k_mean
-        monkeypatch.setattr(csk_module, "k_mean",
-                            lambda nu_, theta: thetas.append(theta) or original(nu_, theta))
         invert = psi_mean_inverse
     else:
-        batched = csk_module._k_means
-        monkeypatch.setattr(csk_module, "_k_means",
-                            lambda nu_, ts: thetas.extend(ts) or batched(nu_, ts))
         invert = lambda nu_, m: family_rows(nu_, [m])[0][0]
     for m in means:
         thetas.clear()
@@ -590,6 +588,60 @@ def test_family_rows_is_bitwise_family_row_at_each_mean(nu, grid):
     for means in (grid, grid[::-1]):
         got = [_bits(_outcome(row)) for row in family_rows(nu, means)]
         assert got == [_bits(_row(nu, m)) for m in means]
+
+
+def _variance(nu, m):
+    try:
+        return (variance(nu, m),)
+    except CskfamError as exc:
+        return type(exc), str(exc)
+
+
+def _pulled_back(m0, n, m):
+    """The mean ``cskfam limit`` asks of a generator of mean ``m0`` at step
+    ``n`` and mean ``m``, in the float expressions of its law chain."""
+    return m0 * ((n * m) / n) ** (1.0 / n)
+
+
+_MATCH = csk_module._MEAN_MATCH_TOL
+VARIANCES_CASES = [
+    # around m0 = 1.7: within the match tolerance, pulled back from n = 1e12
+    # and 1e13, and outside the domain (0.5, 2.5) on both sides
+    (TWO_ATOM, (1.7 - 0.9 * _MATCH, 1.7 + 0.9 * _MATCH, 1.7 + 2 * _MATCH,
+                *(_pulled_back(1.7, n, m) for n in (10**12, 10**13) for m in (0.6, 0.8, 0.9)),
+                -1.0, 0.5, 0.75, 2.2, 2.5, 3.0)),
+    (FP, (1.0 - 0.5 * _MATCH, *(_pulled_back(1.0, 10**13, m) for m in (0.6, 0.9)),
+          -0.5, 0.0, 0.3, 1.9, 2.0, 2.5)),
+    (MarchenkoPasturCentered(0.5), (-1.5, -0.5, 0.0, 0.5 * _MATCH, 0.4, 4.0)),
+    (MomentSeq(moments(FP, 10).values), (-0.5, 0.0, 0.5, 1.0 + 0.5 * _MATCH,
+                                         _pulled_back(1.0, 10**13, 0.6), 1.5, 10.0)),
+]
+
+
+@pytest.mark.parametrize("nu, grid", VARIANCES_CASES)
+def test_variances_are_bitwise_variance(nu, grid, monkeypatch):
+    asked = []
+    batched = csk_module._k_means
+    monkeypatch.setattr(csk_module, "_k_means",
+                        lambda nu_, thetas: asked.extend(thetas) or batched(nu_, thetas))
+    for means in (grid, grid[::-1]):
+        got = [_bits(_outcome(v) if isinstance(v, CskfamError) else (v,))
+               for v in csk_module.variances(nu, means)]
+        assert got == [_bits(_variance(nu, m)) for m in means]
+    # a moment sequence asks for no theta
+    assert not asked if isinstance(nu, MomentSeq) else asked
+
+
+def test_variances_answer_where_the_pseudo_variance_diverges():
+    # family_rows would add the pseudo-variance, which raises next to a
+    # nonzero generator mean; the pulled-back means of n = 1e13 lie there
+    means = [_pulled_back(1.7, 10**13, m) for m in (0.6, 0.8, 0.9)]
+    for m in means:
+        assert 0.0 < 1.7 - m <= _MATCH
+        with pytest.raises(DomainError, match="diverges at a nonzero generator mean"):
+            pseudo_variance(TWO_ATOM, m)
+    assert all(isinstance(row, DomainError) for row in family_rows(TWO_ATOM, means))
+    assert csk_module.variances(TWO_ATOM, means) == [variance_of(TWO_ATOM)] * 3
 
 
 @pytest.mark.parametrize(

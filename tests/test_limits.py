@@ -4,13 +4,14 @@ Boolean-to-free identity between the two limits."""
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cskfam import conv, csk, limits, series, transforms
 from cskfam.conv import bp_transform
-from cskfam.errors import DomainError
+from cskfam.errors import CskfamError, DomainError
 from cskfam.limits import (
     convergence_report,
     limit_law_moments,
@@ -21,7 +22,15 @@ from cskfam.limits import (
     scaled_sequence_moments,
     verify_bp_identity,
 )
-from cskfam.measure import AtomicMeasure, FreePoisson, MarchenkoPasturCentered, moments
+from cskfam.measure import (
+    AtomicMeasure,
+    FreePoisson,
+    MarchenkoPasturCentered,
+    MomentSeq,
+    mean,
+    moments,
+    parse_measure_spec,
+)
 from cskfam.transforms import s_series
 
 from oracles import catalan, exact_scaled_sequence, lagrange_revert, mp_scaled_law_variance
@@ -328,6 +337,75 @@ def test_report_variance_rows_against_mpmath_s_route(name, kind):
     for row in rows:
         want = mp_scaled_law_variance(EXACT_MOMENTS[name], row.n, kind, row.m, dps=50)
         assert abs(row.value - want) <= 1e-10, (row, want)
+
+
+def _cell(value=None, note=""):
+    return None if value is None else value.hex(), note
+
+
+def _per_row_chain(nu, kind, ns):
+    """The variance rows' values and notes with each row's mean solved on its
+    own by ``csk.variance``."""
+    out = []
+    for n in ns:
+        for m in limits.VARIANCE_GRID:
+            try:
+                out.append(_cell(limits._scaled_law_variance(lambda x: csk.variance(nu, x),
+                                                             mean(nu), n, kind, m)))
+            except CskfamError as exc:
+                out.append(_cell(note=f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+CHAIN_GENERATORS = {
+    "free_poisson": FP,
+    **{name: parse_measure_spec((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+       for name in ("two_atom", "catalan_moments")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+@pytest.mark.parametrize("ns", [limits.DEFAULT_SCHEDULE, (1, 64, 10**12, 10**13), (9,)],
+                         ids=["default", "to_1e13", "n9"])
+def test_report_variance_rows_are_the_per_row_chain(name, kind, ns, monkeypatch):
+    # at n = 10**12 and 10**13 the pulled-back means lie within 1e-12 of m0,
+    # where the pseudo-variance raises; at n = 9, (9*0.9)/9 is not 0.9, so
+    # the means must come from the chain's own expressions
+    nu = CHAIN_GENERATORS[name]
+    want = _per_row_chain(nu, kind, ns)
+    # the rows solve every mean in one grid: no scalar inversion, one
+    # _lockstep over all the means, one batched mean map per round
+    solves, widths = [], []
+    lockstep, batched = csk._lockstep, csk._k_means
+    monkeypatch.setattr(csk, "_lockstep",
+                        lambda nu_, m0, means: solves.append(list(means)) or lockstep(nu_, m0, means))
+    monkeypatch.setattr(csk, "_k_means",
+                        lambda nu_, thetas: widths.append(len(thetas)) or batched(nu_, thetas))
+    for scalar in ("psi_mean_inverse", "k_mean"):
+        monkeypatch.setattr(csk, scalar, lambda *args, which=scalar: pytest.fail(f"{which} called"))
+    if nu.is_positive:
+        got = [_cell(r.value, r.note) for r in convergence_report(nu, kind, ns).variance_rows]
+    else:  # the report refuses a moment sequence, so run its rows' chain alone
+        with pytest.raises(DomainError, match="positive generator measure"):
+            convergence_report(nu, kind, ns)
+        assert not solves
+        cells = [(n, m) for n in ns for m in limits.VARIANCE_GRID]
+        got = [_cell(note=f"{type(v).__name__}: {v}") if isinstance(v, CskfamError) else _cell(v)
+               for v in limits._scaled_law_variances(nu, mean(nu), kind, cells)]
+    assert got == want
+    [means] = solves
+    assert len(means) == 3 * len(ns)
+    # as many rounds as the longest inversion takes alone
+    rounds = len(widths)
+    alone = []
+    for m in means:
+        widths.clear()
+        lockstep(nu, mean(nu), [m])
+        alone.append(len(widths))
+    assert rounds == max(alone)
+    assert (rounds == 0) == isinstance(nu, MomentSeq)
 
 
 @pytest.mark.parametrize("moment_order", [0, -1])
