@@ -42,7 +42,7 @@ import numpy as np
 
 from . import conv, csk
 from .errors import CskfamError, DomainError, require_order, require_positive, value_or_error
-from .measure import Measure, MomentSeq, mean, moments
+from .measure import Measure, MomentSeq, moments
 from .series import ps_pow_int
 from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
 
@@ -141,10 +141,10 @@ def _check_step(n) -> int:
     return int(n)
 
 
-def _unit_generator(nu: Measure, order: int) -> tuple[float, MomentSeq, np.ndarray]:
-    """``gamma = Var(nu)/m0**2``, the first ``order`` moments of ``nu``
-    dilated to unit mean, and their S-series (order ``order - 1``), all
-    from one moment sequence of ``nu``.
+def _unit_generator(nu: Measure, order: int) -> tuple[float, float, MomentSeq, np.ndarray]:
+    """``gamma = Var(nu)/m0**2``, the mean ``m0``, the first ``order``
+    moments of ``nu`` dilated to unit mean, and their S-series (order
+    ``order - 1``), all from one moment sequence of ``nu``.
 
     Dilating first keeps every later series at unit scale: the scaled law
     of step ``n`` needs no power of ``m0``, where the raw moments of the
@@ -161,7 +161,7 @@ def _unit_generator(nu: Measure, order: int) -> tuple[float, MomentSeq, np.ndarr
     # The rounded 1/m0 leaves a mean 1 + O(eps), which S1**n would carry
     # into moment k of step n as an error of about n*k*eps; dividing by
     # S(0) = 1/mean sets the mean to exactly 1.
-    return m.variance / m0**2, unit, s / s[0]
+    return m.variance / m0**2, m0, unit, s / s[0]
 
 
 def _scaled_moments(unit: MomentSeq, s1: np.ndarray, n: int, kind: ConvKind) -> MomentSeq:
@@ -198,7 +198,7 @@ def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> 
     """
     n = _check_step(n)
     _check_kind(kind)
-    _, unit, s1 = _unit_generator(nu, order)
+    _, _, unit, s1 = _unit_generator(nu, order)
     return _scaled_moments(unit, s1, n, kind)
 
 
@@ -323,8 +323,7 @@ def convergence_report(
         raise DomainError("the n schedule must be strictly increasing")
     require_order(moment_order)
     _check_kind(kind)
-    gamma, unit, s1 = _unit_generator(nu, moment_order)
-    m0 = mean(nu)
+    gamma, m0, unit, s1 = _unit_generator(nu, moment_order)
     limit_kind = LIMIT_OF_KIND[kind]
     lim = limit_law_moments(limit_kind, gamma, moment_order)
     lim_variance = limit_variance_eta if limit_kind == "eta" else limit_variance_sigma

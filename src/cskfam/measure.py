@@ -11,7 +11,12 @@ there).  The base class gives ``is_positive`` (read off the support) and
 ``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
 exact weighted sums; the named densities (semicircle, centered
 Marchenko-Pastur, free Poisson) with quadrature, and take their moments
-and S series from their exact free cumulants.  A :class:`MomentSeq` is
+and S series from their exact free cumulants.  The three are images
+``center + sqrt(variance)*y`` of one centered Marchenko-Pastur law ``y``
+with parameter ``a`` (the semicircle at ``a = 0``, free Poisson at ``a = 1``
+moved to mean 1) and share its support, density, pieces, cumulants and
+spec parsing; free Poisson keeps its own pieces, whose weights cancel the
+``u**2`` of the shared ones by hand.  A :class:`MomentSeq` is
 known only through ``m1..mK``: its G is its Psi power sum, both truncated
 and warning outside their trust radius, and it raises :class:`InsufficientDataError` for what a moment list does
 not fix (the support, integrals of arbitrary functions).  It is also the
@@ -47,7 +52,7 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -78,9 +83,6 @@ FIXED_RULE_TOL = 1e-13
 #: fallback of :func:`integrate_pieces` before it gives up.
 FALLBACK_MAX_DEPTH = 40
 FALLBACK_MAX_INTERVALS = 400
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class QuadPiece:
@@ -331,67 +333,12 @@ def _psi_kernel(r):
     return lambda a, d: (a + d) / ((r - a) - d)
 
 
-@dataclass(frozen=True)
-class Semicircle(DensityMeasure):
-    """Semicircle law with the given center and variance (radius ``2*sqrt(v)``)."""
-
-    center: float = 0.0
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.center):
-            raise DomainError("semicircle center must be finite")
-        if not 0.0 < self.variance < math.inf:
-            raise DomainError("semicircle variance must be positive and finite")
-
-    @property
-    def radius(self) -> float:
-        return 2.0 * math.sqrt(self.variance)
-
-    def support(self) -> tuple[float, float]:
-        return self.center - self.radius, self.center + self.radius
-
-    def density(self, x: float) -> float:
-        r = self.radius
-        d = r * r - (x - self.center) ** 2
-        return math.sqrt(d) / (2.0 * math.pi * self.variance) if d > 0.0 else 0.0
-
-    def _pieces(self) -> list[QuadPiece]:
-        r, v = self.radius, self.variance
-        umax = math.sqrt(r)
-        two_r, pi_v = 2.0 * r, math.pi * v
-
-        def w(u):
-            return u * u * np.sqrt(two_r - u * u) / pi_v
-
-        lo, hi = self.support()
-        return [QuadPiece(lo, +1, umax, w), QuadPiece(hi, -1, umax, w)]
-
-    def free_cumulants(self, order: int) -> np.ndarray:
-        out = np.zeros(order)
-        out[0] = self.center
-        if order >= 2:
-            out[1] = self.variance
-        return out
-
-    def describe(self) -> str:
-        return f"semicircle(center={self.center:g},variance={self.variance:g})"
-
-
-@dataclass(frozen=True)
-class MarchenkoPasturCentered(DensityMeasure):
-    """Centered Marchenko-Pastur law with parameter ``a``, ``0 < a**2 <= 1``.
-
-    Density ``sqrt(4 - (x-a)**2) / (2*pi*(1+a*x))`` on ``(a-2, a+2)``; mean 0,
-    unit variance.  At ``|a| = 1`` one support edge carries an integrable
-    inverse-square-root singularity.
-    """
-
-    a: float
-
-    def __post_init__(self):
-        if not 0.0 < self.a * self.a <= 1.0:
-            raise DomainError("marchenko_pastur_centered requires 0 < a**2 <= 1")
+class _MarchenkoPasturImage(DensityMeasure):
+    """The image ``center + s*y``, ``s = sqrt(variance)``, of the centered
+    Marchenko-Pastur law ``y`` with parameter ``a``: the free Meixner laws
+    with ``b = 0``.  A subclass fixes ``a``, ``center`` and ``variance``,
+    each as a dataclass field or as a class attribute, and names its spec
+    ``name``; the fields are its spec parameters."""
 
     @property
     def lower_edge_singular(self) -> bool:
@@ -401,69 +348,106 @@ class MarchenkoPasturCentered(DensityMeasure):
     def upper_edge_singular(self) -> bool:
         return self.a == -1.0
 
+    @cached_property
+    def _support(self) -> tuple[float, float]:
+        s = math.sqrt(self.variance)
+        return self.center + s * (self.a - 2.0), self.center + s * (self.a + 2.0)
+
     def support(self) -> tuple[float, float]:
-        return self.a - 2.0, self.a + 2.0
+        return self._support  # read once per theta by psi_integral
 
     def density(self, x: float) -> float:
         lo, hi = self.support()
         if not lo < x < hi:
             return 0.0
-        return math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi * (1.0 + self.a * x))
+        y = (x - self.center) / math.sqrt(self.variance)
+        return math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi * self.variance * (1.0 + self.a * y))
 
     def _pieces(self) -> list[QuadPiece]:
-        a = self.a
+        a, s = self.a, math.sqrt(self.variance)
+        four_s, pi_v, umax = 4.0 * s, math.pi * self.variance, math.sqrt(2.0 * s)
         lo, hi = self.support()
-        # 1 + a*x at x = lo + u**2 is (1-a)**2 + a*u**2; at x = hi - u**2 it is
-        # (1+a)**2 - a*u**2.  Both forms are exact where the naive expression
-        # cancels catastrophically (|a| = 1 near the singular edge).
+        # 1 + a*y at x = lo + u**2 is (1-a)**2 + a*u**2/s; at x = hi - u**2 it
+        # is (1+a)**2 - a*u**2/s.  Both forms are exact where the naive
+        # expression cancels catastrophically (|a| = 1 near the singular edge).
         c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
 
         def w_lo(u):
-            return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_lo + a * u * u))
+            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_lo + a * u * u / s))
 
         def w_hi(u):
-            return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_hi - a * u * u))
+            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_hi - a * u * u / s))
 
-        # For |a| near 1, 1 + a*x vanishes just outside the support, at
-        # u = i*r with r = sqrt(c/|a|) on the piece whose c is small: break
+        # For |a| near 1, 1 + a*y vanishes just outside the support, at
+        # u = i*r with r = sqrt(s*c/|a|) on the piece whose c is small: break
         # that piece at 4r, 16r, 64r, ... below umax.
         def breaks(c):
-            out, b = [], 4.0 * math.sqrt(c / abs(a))
-            while 0.0 < b < _SQRT2:
+            out, b = [], 4.0 * math.sqrt(s * c / abs(a))
+            while 0.0 < b < umax:
                 out.append(b)
                 b *= 4.0
             return tuple(out)
 
         return [
-            QuadPiece(lo, +1, _SQRT2, w_lo, breaks(c_lo) if a > 0.0 else ()),
-            QuadPiece(hi, -1, _SQRT2, w_hi, breaks(c_hi) if a < 0.0 else ()),
+            QuadPiece(lo, +1, umax, w_lo, breaks(c_lo) if a > 0.0 else ()),
+            QuadPiece(hi, -1, umax, w_hi, breaks(c_hi) if a < 0.0 else ()),
         ]
 
     def free_cumulants(self, order: int) -> np.ndarray:
-        # centered free Poisson type: k1 = 0, k2 = 1, k_n = a**(n-2); Python's
-        # float power, since numpy's array power differs in the last bit
-        out = np.zeros(order)
-        for n in range(2, order + 1):
-            out[n - 1] = self.a ** (n - 2)
-        return out
+        # k1 = center, k_n = variance * (s*a)**(n-2); Python's float power,
+        # since numpy's array power differs in the last bit
+        scaled_a = math.sqrt(self.variance) * self.a
+        return np.array([self.center, *(self.variance * scaled_a**k for k in range(order - 1))],
+                        dtype=float)
 
     def describe(self) -> str:
-        return f"marchenko_pastur_centered(a={self.a:g})"
+        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{self.name}({params})" if params else self.name
 
 
 @dataclass(frozen=True)
-class FreePoisson(DensityMeasure):
-    """Free Poisson law: density ``sqrt((4-x)/x) / (2*pi)`` on ``(0, 4)``."""
+class Semicircle(_MarchenkoPasturImage):
+    """Semicircle law with the given center and variance (radius ``2*sqrt(v)``)."""
 
-    lower_edge_singular = True  # inverse-square-root edge at 0
+    center: float = 0.0
+    variance: float = 1.0
+    a = 0.0
+    name = "semicircle"
 
-    def support(self) -> tuple[float, float]:
-        return 0.0, 4.0
+    def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise DomainError("semicircle center must be finite")
+        if not 0.0 < self.variance < math.inf:
+            raise DomainError("semicircle variance must be positive and finite")
 
-    def density(self, x: float) -> float:
-        if not 0.0 < x < 4.0:
-            return 0.0
-        return math.sqrt((4.0 - x) / x) / (2.0 * math.pi)
+
+@dataclass(frozen=True)
+class MarchenkoPasturCentered(_MarchenkoPasturImage):
+    """Centered Marchenko-Pastur law with parameter ``a``, ``0 < a**2 <= 1``.
+
+    Density ``sqrt(4 - (x-a)**2) / (2*pi*(1+a*x))`` on ``(a-2, a+2)``; mean 0,
+    unit variance.  At ``|a| = 1`` one support edge carries an integrable
+    inverse-square-root singularity.
+    """
+
+    a: float
+    center = 0.0
+    variance = 1.0
+    name = "marchenko_pastur_centered"
+
+    def __post_init__(self):
+        if not 0.0 < self.a * self.a <= 1.0:
+            raise DomainError("marchenko_pastur_centered requires 0 < a**2 <= 1")
+
+
+@dataclass(frozen=True)
+class FreePoisson(_MarchenkoPasturImage):
+    """Free Poisson law: density ``sqrt((4-x)/x) / (2*pi)`` on ``(0, 4)``, the
+    Marchenko-Pastur law at ``a = 1`` moved to mean 1.  Its weights cancel
+    the ``u**2`` of the shared ones by hand, which the golden tables pin."""
+
+    a = center = variance = 1.0
+    name = "free_poisson"
 
     def _pieces(self) -> list[QuadPiece]:
         def w_lo(u):
@@ -472,13 +456,8 @@ class FreePoisson(DensityMeasure):
         def w_hi(u):
             return u * u / (math.pi * np.sqrt(4.0 - u * u))
 
-        return [QuadPiece(0.0, +1, _SQRT2, w_lo), QuadPiece(4.0, -1, _SQRT2, w_hi)]
-
-    def free_cumulants(self, order: int) -> np.ndarray:
-        return np.ones(order)
-
-    def describe(self) -> str:
-        return "free_poisson"
+        umax = math.sqrt(2.0)
+        return [QuadPiece(0.0, +1, umax, w_lo), QuadPiece(4.0, -1, umax, w_hi)]
 
 
 @dataclass(frozen=True)
@@ -817,6 +796,10 @@ def _construct(cls, location: str, *args) -> Measure:
         raise MeasureSpecError(str(exc), location) from exc
 
 
+#: The named densities by spec name; each reads its parameters from its fields.
+_NAMED_LAWS = {cls.name: cls for cls in (Semicircle, MarchenkoPasturCentered, FreePoisson)}
+
+
 def parse_measure_spec(text: str) -> Measure:
     """Parse a measure-spec document (JSON object notation, UTF-8).
 
@@ -849,20 +832,16 @@ def parse_measure_spec(text: str) -> Measure:
         return MomentSeq(_number_list(doc.get("values"), "$.values"))
 
     name = doc.get("name")
-    _require(name in ("semicircle", "marchenko_pastur_centered", "free_poisson"),
-             f"unknown density name {name!r}", "$.name")
+    cls = _NAMED_LAWS.get(name) if isinstance(name, str) else None
+    _require(cls is not None, f"unknown density name {name!r}", "$.name")
     params = doc.get("params", {})
     _require(isinstance(params, dict), "params must be an object", "$.params")
-    if name == "free_poisson":
-        _require(not params, "free_poisson takes no parameters", "$.params")
-        return FreePoisson()
-    if name == "semicircle":
-        extra = set(params) - {"center", "variance"}
-        _require(not extra, f"unknown parameters {sorted(extra)}", "$.params")
-        center = _number(params.get("center", 0.0), "$.params.center")
-        var = _number(params.get("variance", 1.0), "$.params.variance")
-        return _construct(Semicircle, "$.params", center, var)
-    extra = set(params) - {"a"}
+    extra = set(params) - {f.name for f in fields(cls)}
     _require(not extra, f"unknown parameters {sorted(extra)}", "$.params")
-    _require("a" in params, "marchenko_pastur_centered requires parameter a", "$.params.a")
-    return _construct(MarchenkoPasturCentered, "$.params", _number(params["a"], "$.params.a"))
+    args = []
+    for f in fields(cls):
+        location = f"$.params.{f.name}"
+        _require(f.name in params or f.default is not MISSING,
+                 f"{cls.name} requires parameter {f.name}", location)
+        args.append(_number(params.get(f.name, f.default), location))
+    return _construct(cls, "$.params", *args)

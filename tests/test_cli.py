@@ -96,6 +96,9 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 # mean map and its error rows: below the attainable means once the walk
 # breaks on cancellation (free Poisson at m = 0), at or beyond a finite mean
 # endpoint, and the pseudo-variance diverging at a nonzero generator mean.
+# csk_mp_a_neg15_16 was written before the three named densities became
+# images of one centered Marchenko-Pastur class; it pins the upper-edge break
+# points that only a < 0 takes.
 # The rows at m = 2.5 and m = 10 of csk_catalan_moments.csv pin a known
 # defect: they lie outside the domain of means (0, 2) of free Poisson, yet
 # the moment route answers there.  They are expected to become error rows
@@ -125,6 +128,9 @@ GOLDEN_CASES = {
     "csk_mp_a1.csv": ["csk", "--spec", GOLDEN / "mp_a1.json", f"--at={_MP_MEANS}"],
     "csk_mp_a025.csv": ["csk", "--spec", GOLDEN / "mp_a025.json", f"--at={_MP_MEANS}"],
     "csk_mp_a15_16.csv": ["csk", "--spec", GOLDEN / "mp_a15_16.json", f"--at={_MP_MEANS}"],
+    # a < 0 takes the break points of the upper piece of the density
+    "csk_mp_a_neg15_16.csv": ["csk", "--spec", GOLDEN / "mp_a_neg15_16.json",
+                              f"--at={_MP_MEANS}"],
     "csk_free_poisson_ladder.csv": ["csk", "--spec", GOLDEN / "free_poisson.json",
                                     f"--at={_FP_LADDER}"],
     "csk_mp_a15_16_ladder.csv": ["csk", "--spec", GOLDEN / "mp_a15_16.json",

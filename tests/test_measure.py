@@ -553,6 +553,76 @@ def test_mp_density_pointwise_consistent():
     assert abs(riemann - 1.0) < 1e-3
 
 
+def _parent_rule(nu):
+    """The pieces, support, edge flags and free cumulants (order 160) of a
+    named density as its own class wrote them before the three shared one
+    Marchenko-Pastur image class."""
+    if isinstance(nu, FreePoisson):
+        def fp_lo(u):
+            return np.sqrt(4.0 - u * u) / math.pi
+
+        def fp_hi(u):
+            return u * u / (math.pi * np.sqrt(4.0 - u * u))
+
+        pieces = [measure_module.QuadPiece(0.0, +1, math.sqrt(2.0), fp_lo),
+                  measure_module.QuadPiece(4.0, -1, math.sqrt(2.0), fp_hi)]
+        return pieces, (0.0, 4.0), (True, False), np.ones(160)
+    if isinstance(nu, Semicircle):
+        r, v = 2.0 * math.sqrt(nu.variance), nu.variance
+        umax, two_r, pi_v = math.sqrt(r), 2.0 * r, math.pi * v
+
+        def w(u):
+            return u * u * np.sqrt(two_r - u * u) / pi_v
+
+        lo, hi = nu.center - r, nu.center + r
+        cumulants = np.zeros(160)
+        cumulants[:2] = nu.center, v
+        pieces = [measure_module.QuadPiece(lo, +1, umax, w),
+                  measure_module.QuadPiece(hi, -1, umax, w)]
+        return pieces, (lo, hi), (False, False), cumulants
+    a = nu.a
+    lo, hi = a - 2.0, a + 2.0
+    c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
+
+    def w_lo(u):
+        return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_lo + a * u * u))
+
+    def w_hi(u):
+        return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_hi - a * u * u))
+
+    def breaks(c):
+        out, b = [], 4.0 * math.sqrt(c / abs(a))
+        while 0.0 < b < math.sqrt(2.0):
+            out.append(b)
+            b *= 4.0
+        return tuple(out)
+
+    pieces = [
+        measure_module.QuadPiece(lo, +1, math.sqrt(2.0), w_lo, breaks(c_lo) if a > 0.0 else ()),
+        measure_module.QuadPiece(hi, -1, math.sqrt(2.0), w_hi, breaks(c_hi) if a < 0.0 else ()),
+    ]
+    cumulants = np.array([0.0 if n < 2 else a ** (n - 2) for n in range(1, 161)])
+    return pieces, (lo, hi), (a == 1.0, a == -1.0), cumulants
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [FreePoisson(),
+     *(MarchenkoPasturCentered(a) for a in (-1.0, -0.9375, -0.6, 0.25, 0.9375, 1.0)),
+     Semicircle(-4.0, 0.5), Semicircle(0.3, 1.7), Semicircle(3.0, 0.1)],
+    ids=lambda nu: nu.describe(),
+)
+def test_shared_rule_is_the_parents_rule(nu):
+    pieces, support, flags, cumulants = _parent_rule(nu)
+    for got, want in zip(nu.fixed_rule, measure_module._fixed_rule(pieces), strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert ([(p.anchor, p.sign, p.umax, p.breaks) for p in nu.pieces]
+            == [(p.anchor, p.sign, p.umax, p.breaks) for p in pieces])
+    assert nu.support() == support
+    assert (nu.lower_edge_singular, nu.upper_edge_singular) == flags
+    assert nu.free_cumulants(160).tobytes() == cumulants.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -578,6 +648,7 @@ def test_parse_named_with_params():
         '{"type":"named","name":"marchenko_pastur_centered","params":{"a":0.5}}'
     )
     assert nu == MarchenkoPasturCentered(0.5)
+    assert parse_measure_spec('{"type":"named","name":"semicircle"}') == Semicircle()
 
 
 def test_parse_moments_passthrough():
@@ -608,6 +679,9 @@ def test_parse_syntax_error_is_position_annotated():
         ('{"type":"atomic","atoms":[1,1],"weights":[0.5,0.5]}', "distinct"),
         ('{"type":"named","name":"marchenko_pastur_centered","params":{"a":2.0}}', "a**2"),
         ('{"type":"named","name":"marchenko_pastur_centered"}', "requires parameter"),
+        ('{"type":"named","name":"free_poisson","params":{"a":1}}', "unknown parameters"),
+        # a fixed parameter of a law is no spec parameter
+        ('{"type":"named","name":"semicircle","params":{"a":0.5}}', "unknown parameters"),
         ('{"type":"moments","values":[]}', "nonempty"),
         ('[1,2,3]', "object"),
         ('{"type":["atomic"]}', "unknown type"),
