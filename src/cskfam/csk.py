@@ -6,11 +6,12 @@ sweeping ``theta`` produces a family of measures parametrized either by
 computes the mean map and its inverse, domains of means, pseudo-variance
 and variance functions, member densities, and the transformation laws of
 the variance function under affine images, convolution powers and the
-Boolean-to-free map.  ``family_row`` gives theta, the pseudo-variance and
-the variance at one mean from a single inversion of the mean map;
-``family_rows`` gives the same rows over a grid of means, which it solves
-in lockstep, and is what ``cskfam csk`` tabulates.  ``variances`` solves
-a grid for the variance alone, as ``cskfam limit`` needs it.
+Boolean-to-free map.  ``family_rows`` gives theta, the pseudo-variance and
+the variance at each mean of a grid, which it solves in lockstep, and is
+what ``cskfam csk`` tabulates; ``variances`` solves a grid for the variance
+alone, as ``cskfam limit`` needs it.  The scalar calls (``family_row``,
+``variance``, ``pseudo_variance``, ``psi_mean_inverse``) are one-mean
+grids whose error is raised, so each quantity has one code path.
 
 Everything here reads the generator through the measure protocol (mean,
 support, G and Psi), and each quantity has one formula for every
@@ -39,6 +40,7 @@ from .errors import (
     CskfamError,
     DomainError,
     NumericError,
+    raise_error,
     require_nonnegative,
     require_positive,
     value_or_error,
@@ -84,16 +86,14 @@ def k_mean(nu: Measure, theta: float) -> float:
     if theta == 0.0:
         return mean(nu)
     _check_theta(nu, theta)
-    k, = _k_means(nu, [theta])
-    if isinstance(k, CskfamError):
-        raise k
-    return k
+    return raise_error(_k_means(nu, [theta])[0])
 
 
 def _k_means(nu: Measure, thetas: list[float]) -> list:
     """:func:`k_mean` at nonzero admissible ``thetas`` from one
     ``nu.psi_integrals``: each the mean or the CskfamError raised there.
-    A plain loop: most calls come from a one-mean inversion, with one theta."""
+    A plain loop: the integrals come batched, and each mean is two float
+    operations on its own."""
     means = []
     for theta, p in zip(thetas, nu.psi_integrals(thetas)):
         if not isinstance(p, CskfamError):
@@ -161,17 +161,9 @@ def _inversion(nu: Measure, m: float, m0: float):
 
 
 def psi_mean_inverse(nu: Measure, m: float) -> float:
-    """The kernel parameter whose family member has mean ``m``."""
-    return _root(nu, m, mean(nu))
-
-
-def _root(nu: Measure, m: float, m0: float) -> float:
-    """The mean-map root at ``m`` (``m0`` the generator mean): a one-mean
+    """The kernel parameter whose family member has mean ``m``: a one-mean
     :func:`_lockstep`, whose CskfamError is raised here."""
-    root, = _lockstep(nu, m0, [m])
-    if isinstance(root, CskfamError):
-        raise root
-    return root
+    return raise_error(_lockstep(nu, mean(nu), [m])[0])
 
 
 def _lockstep(nu: Measure, m0: float, means: Sequence[float]) -> list:
@@ -291,25 +283,20 @@ def _pseudo_variance_from_moments(mseq: MomentSeq, m: float) -> float:
     return m * m / root
 
 
-# Each formula below takes the mean-map root as a callable and asks for it
-# only off its special cases, so the public functions solve only when their
-# value needs the root, and family_row solves once for all three columns.
-
-
-def _pseudo_variance(nu: Measure, m: float, m0: float, theta: Callable[[], float]) -> float:
+def _pseudo_variance(nu: Measure, m: float, m0: float, theta: float) -> float:
     if m == 0.0:
         return variance_of(nu) if abs(m0) <= _MEAN_MATCH_TOL else 0.0
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         if abs(m0) <= _MEAN_MATCH_TOL:
             return variance_of(nu)
         raise DomainError("pseudo-variance diverges at a nonzero generator mean")
-    return m * (1.0 / theta() - m)
+    return m * (1.0 / theta - m)
 
 
-def _variance(nu: Measure, m: float, m0: float, theta: Callable[[], float]) -> float:
+def _variance(nu: Measure, m: float, m0: float, theta: float) -> float:
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return variance_of(nu)
-    return (1.0 / theta() - m) * (m - m0)
+    return (1.0 / theta - m) * (m - m0)
 
 
 def pseudo_variance(nu: Measure, m: float) -> float:
@@ -317,10 +304,13 @@ def pseudo_variance(nu: Measure, m: float) -> float:
 
     At ``m = 0`` the continuous-limit convention applies: the value is the
     generator variance when the generator mean is 0, and 0 otherwise.
-    Diverges at the generator mean when that mean is nonzero.
+    Diverges at the generator mean when that mean is nonzero.  Elsewhere
+    the middle column of :func:`family_row`.  The convention needs no
+    root, and free Poisson has none at 0.
     """
-    m0 = mean(nu)
-    return _pseudo_variance(nu, m, m0, lambda: _root(nu, m, m0))
+    if m == 0.0:
+        return _pseudo_variance(nu, m, mean(nu), math.nan)  # theta is not read at 0
+    return family_row(nu, m)[1]
 
 
 def variance(nu: Measure, m: float) -> float:
@@ -328,47 +318,39 @@ def variance(nu: Measure, m: float) -> float:
 
     Evaluated as ``(1/psi(m) - m) * (m - m0)``, which stays regular at
     ``m = 0``; at the generator mean it returns the generator variance.
+    A one-mean :func:`variances`, whose CskfamError is raised here.
     """
-    m0 = mean(nu)
-    return _variance(nu, m, m0, lambda: _root(nu, m, m0))
+    return raise_error(variances(nu, [m])[0])
 
 
 def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
-    """``(theta, pseudo_variance, variance)`` at mean ``m`` from one root solve.
-
-    The same values, bit for bit, and the same first error as
-    ``psi_mean_inverse``, ``pseudo_variance`` and ``variance`` called in
-    turn: the mean map is inverted once, by whichever route
-    ``psi_mean_inverse`` takes for the representation, and both variances
-    read that root.
-    """
-    m0 = mean(nu)
-    return _row(nu, m, m0, _root(nu, m, m0))
+    """``(theta, pseudo_variance, variance)`` at mean ``m`` from one root
+    solve, which both variances read: a one-mean :func:`family_rows`, whose
+    CskfamError is raised here."""
+    return raise_error(family_rows(nu, [m])[0])
 
 
 def family_rows(nu: Measure, means: Sequence[float]) -> list:
-    """:func:`family_row` at each mean of a grid, bit for bit: the
-    ``(theta, pseudo_variance, variance)`` tuple or the CskfamError raised.
-    The roots come from one :func:`_lockstep` solve of the grid."""
+    """The ``(theta, pseudo_variance, variance)`` row at each mean of a grid,
+    or the CskfamError raised there.  The roots come from one
+    :func:`_lockstep` solve of the grid, and both variances read them."""
     m0 = mean(nu)
     return [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
             for m, root in zip(means, _lockstep(nu, m0, means))]
 
 
 def variances(nu: Measure, means: Sequence[float]) -> list:
-    """:func:`variance` at each mean of a grid, bit for bit: the value or the
-    CskfamError raised, from one :func:`_lockstep` solve.  Variance only:
-    the pseudo-variance that :func:`family_rows` adds diverges near a
-    nonzero generator mean, where the variance stays regular."""
+    """The variance at each mean of a grid, or the CskfamError raised there,
+    from one :func:`_lockstep` solve.  Variance only: the pseudo-variance
+    that :func:`family_rows` adds diverges near a nonzero generator mean,
+    where the variance stays regular."""
     m0 = mean(nu)
-    return [root if isinstance(root, CskfamError)
-            else value_or_error(_variance, nu, m, m0, lambda: root)
+    return [root if isinstance(root, CskfamError) else value_or_error(_variance, nu, m, m0, root)
             for m, root in zip(means, _lockstep(nu, m0, means))]
 
 
 def _row(nu: Measure, m: float, m0: float, theta: float) -> tuple[float, float, float]:
-    root = lambda: theta
-    return theta, _pseudo_variance(nu, m, m0, root), _variance(nu, m, m0, root)
+    return theta, _pseudo_variance(nu, m, m0, theta), _variance(nu, m, m0, theta)
 
 
 def _pseudo_variance_slope_at_zero(nu: Measure) -> float:

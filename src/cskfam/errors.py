@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, the argument
-checks that raise them, and :func:`value_or_error` for batched answers."""
+checks that raise them, and :func:`value_or_error` for batched answers
+with its inverse :func:`raise_error`."""
 
 import math
 
@@ -89,3 +90,11 @@ def value_or_error(fn, *args):
         return fn(*args)
     except CskfamError as exc:
         return exc.with_traceback(None)
+
+
+def raise_error(answer):
+    """The inverse of :func:`value_or_error`: ``answer``, raised when it is a
+    stored :class:`CskfamError` and returned otherwise."""
+    if isinstance(answer, CskfamError):
+        raise answer
+    return answer

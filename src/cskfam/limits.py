@@ -41,7 +41,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import conv, csk
-from .errors import CskfamError, DomainError, require_order, require_positive, value_or_error
+from .errors import (CskfamError, DomainError, raise_error, require_order, require_positive,
+                     value_or_error)
 from .measure import Measure, MomentSeq, moments
 from .series import ps_pow_int
 from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
@@ -233,13 +234,7 @@ def _scaled_law_variances(nu: Measure, m0: float, kind: ConvKind, cells: list) -
     for n, m in cells:
         value_or_error(_scaled_law_variance, lambda x: asked.append(x) or 1.0, m0, n, kind, m)
     answers = iter(csk.variances(nu, asked))
-
-    def stored(_):
-        answer = next(answers)
-        if isinstance(answer, CskfamError):
-            raise answer
-        return answer
-
+    stored = lambda _: raise_error(next(answers))
     return [value_or_error(_scaled_law_variance, stored, m0, n, kind, m) for n, m in cells]
 
 

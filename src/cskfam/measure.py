@@ -11,21 +11,22 @@ there).  The base class gives ``is_positive`` (read off the support) and
 ``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
 exact weighted sums; the named densities (semicircle, centered
 Marchenko-Pastur, free Poisson) with quadrature, and take their moments
-and S series from their exact free cumulants.  The three are images
-``center + sqrt(variance)*y`` of one centered Marchenko-Pastur law ``y``
-with parameter ``a`` (the semicircle at ``a = 0``, free Poisson at ``a = 1``
-moved to mean 1) and share its support, density, pieces, cumulants and
-spec parsing; free Poisson keeps its own pieces, whose weights cancel the
-``u**2`` of the shared ones by hand.  A :class:`MomentSeq` is
-known only through ``m1..mK``: its G is its Psi power sum, both truncated
-and warning outside their trust radius, and it raises :class:`InsufficientDataError` for what a moment list does
-not fix (the support, integrals of arbitrary functions).  It is also the
-value type of the moment-level calculus.  The numeric methods are called
-only through ``moments`` here, through the transforms of :mod:`.transforms`
-(``cauchy_transform``, ``psi_integral``, ``psi_transform``) and through the
-convolutions of :mod:`.conv` (``free_cumulants``, ``s_series``: float64 arrays);
-``theta_range`` is read by :mod:`.transforms` and :mod:`.csk`, and
-``integrate`` only by the tests.
+and S series from their exact free cumulants.  One class,
+:class:`DensityMeasure`, is the image ``center + sqrt(variance)*y`` of the
+centered Marchenko-Pastur law ``y`` with parameter ``a``; the three
+subclass it and set only those parameters and their spec name (the
+semicircle at ``a = 0``, free Poisson at ``a = 1`` moved to mean 1), except
+that free Poisson keeps its own pieces, whose weights cancel the ``u**2``
+of the shared ones by hand.  A :class:`MomentSeq` is known only through
+``m1..mK``: its G is its Psi power sum, both truncated and warning outside
+their trust radius, and it raises :class:`InsufficientDataError` for what
+a moment list does not fix (the support, integrals of arbitrary
+functions).  It is also the value type of the moment-level calculus.  The
+numeric methods are called only through ``moments`` here, through the
+transforms of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
+``psi_transform``) and through the convolutions of :mod:`.conv`
+(``free_cumulants``, ``s_series``: float64 arrays); ``theta_range`` is read
+by :mod:`.transforms` and :mod:`.csk`, and ``integrate`` only by the tests.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -246,18 +247,67 @@ class AtomicMeasure(Measure):
 
 
 class DensityMeasure(Measure):
-    """Base for the named absolutely continuous laws."""
+    """The named absolutely continuous laws: the image ``center + s*y``,
+    ``s = sqrt(variance)``, of the centered Marchenko-Pastur law ``y`` with
+    parameter ``a``, the free Meixner laws with ``b = 0``.  A subclass fixes
+    ``a``, ``center`` and ``variance``, each as a dataclass field or as a
+    class attribute, and names its spec ``name``; the fields are its spec
+    parameters."""
+
+    @property
+    def lower_edge_singular(self) -> bool:
+        return self.a == 1.0
+
+    @property
+    def upper_edge_singular(self) -> bool:
+        return self.a == -1.0
+
+    @cached_property
+    def _support(self) -> tuple[float, float]:
+        s = math.sqrt(self.variance)
+        return self.center + s * (self.a - 2.0), self.center + s * (self.a + 2.0)
+
+    def support(self) -> tuple[float, float]:
+        return self._support  # read once per theta by psi_integral
 
     def density(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _pieces(self) -> list[QuadPiece]:
-        raise NotImplementedError
+        lo, hi = self.support()
+        if not lo < x < hi:
+            return 0.0
+        y = (x - self.center) / math.sqrt(self.variance)
+        return math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi * self.variance * (1.0 + self.a * y))
 
     @cached_property
     def pieces(self) -> tuple[QuadPiece, ...]:
         """The edge-regularized integration pieces, built once per measure."""
-        return tuple(self._pieces())
+        a, s = self.a, math.sqrt(self.variance)
+        four_s, pi_v, umax = 4.0 * s, math.pi * self.variance, math.sqrt(2.0 * s)
+        lo, hi = self.support()
+        # 1 + a*y at x = lo + u**2 is (1-a)**2 + a*u**2/s; at x = hi - u**2 it
+        # is (1+a)**2 - a*u**2/s.  Both forms are exact where the naive
+        # expression cancels catastrophically (|a| = 1 near the singular edge).
+        c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
+
+        def w_lo(u):
+            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_lo + a * u * u / s))
+
+        def w_hi(u):
+            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_hi - a * u * u / s))
+
+        # For |a| near 1, 1 + a*y vanishes just outside the support, at
+        # u = i*r with r = sqrt(s*c/|a|) on the piece whose c is small: break
+        # that piece at 4r, 16r, 64r, ... below umax.
+        def breaks(c):
+            out, b = [], 4.0 * math.sqrt(s * c / abs(a))
+            while 0.0 < b < umax:
+                out.append(b)
+                b *= 4.0
+            return tuple(out)
+
+        return (
+            QuadPiece(lo, +1, umax, w_lo, breaks(c_lo) if a > 0.0 else ()),
+            QuadPiece(hi, -1, umax, w_hi, breaks(c_hi) if a < 0.0 else ()),
+        )
 
     @cached_property
     def fixed_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,7 +321,11 @@ class DensityMeasure(Measure):
     def free_cumulants(self, order: int) -> np.ndarray:
         """Exact free cumulants ``k1..k_order``: the source of the moments and
         of the S series."""
-        raise NotImplementedError
+        # k1 = center, k_n = variance * (s*a)**(n-2); Python's float power,
+        # since numpy's array power differs in the last bit
+        scaled_a = math.sqrt(self.variance) * self.a
+        return np.array([self.center, *(self.variance * scaled_a**k for k in range(order - 1))],
+                        dtype=float)
 
     def s_series(self, order: int) -> np.ndarray:
         from .transforms import free_cumulants_to_s_series
@@ -327,86 +381,18 @@ class DensityMeasure(Measure):
             sums = np.matmul(matrix, nodes[:, :, None])[:, :, 0].tolist()
         return [value_or_error(self.psi_integral, t, s) for t, s in zip(thetas, sums)]
 
+    def describe(self) -> str:
+        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{self.name}({params})" if params else self.name
+
 
 def _psi_kernel(r):
     """The :func:`integrate_pieces` integrand of Psi at ``theta = 1/r``."""
     return lambda a, d: (a + d) / ((r - a) - d)
 
 
-class _MarchenkoPasturImage(DensityMeasure):
-    """The image ``center + s*y``, ``s = sqrt(variance)``, of the centered
-    Marchenko-Pastur law ``y`` with parameter ``a``: the free Meixner laws
-    with ``b = 0``.  A subclass fixes ``a``, ``center`` and ``variance``,
-    each as a dataclass field or as a class attribute, and names its spec
-    ``name``; the fields are its spec parameters."""
-
-    @property
-    def lower_edge_singular(self) -> bool:
-        return self.a == 1.0
-
-    @property
-    def upper_edge_singular(self) -> bool:
-        return self.a == -1.0
-
-    @cached_property
-    def _support(self) -> tuple[float, float]:
-        s = math.sqrt(self.variance)
-        return self.center + s * (self.a - 2.0), self.center + s * (self.a + 2.0)
-
-    def support(self) -> tuple[float, float]:
-        return self._support  # read once per theta by psi_integral
-
-    def density(self, x: float) -> float:
-        lo, hi = self.support()
-        if not lo < x < hi:
-            return 0.0
-        y = (x - self.center) / math.sqrt(self.variance)
-        return math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi * self.variance * (1.0 + self.a * y))
-
-    def _pieces(self) -> list[QuadPiece]:
-        a, s = self.a, math.sqrt(self.variance)
-        four_s, pi_v, umax = 4.0 * s, math.pi * self.variance, math.sqrt(2.0 * s)
-        lo, hi = self.support()
-        # 1 + a*y at x = lo + u**2 is (1-a)**2 + a*u**2/s; at x = hi - u**2 it
-        # is (1+a)**2 - a*u**2/s.  Both forms are exact where the naive
-        # expression cancels catastrophically (|a| = 1 near the singular edge).
-        c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
-
-        def w_lo(u):
-            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_lo + a * u * u / s))
-
-        def w_hi(u):
-            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_hi - a * u * u / s))
-
-        # For |a| near 1, 1 + a*y vanishes just outside the support, at
-        # u = i*r with r = sqrt(s*c/|a|) on the piece whose c is small: break
-        # that piece at 4r, 16r, 64r, ... below umax.
-        def breaks(c):
-            out, b = [], 4.0 * math.sqrt(s * c / abs(a))
-            while 0.0 < b < umax:
-                out.append(b)
-                b *= 4.0
-            return tuple(out)
-
-        return [
-            QuadPiece(lo, +1, umax, w_lo, breaks(c_lo) if a > 0.0 else ()),
-            QuadPiece(hi, -1, umax, w_hi, breaks(c_hi) if a < 0.0 else ()),
-        ]
-
-    def free_cumulants(self, order: int) -> np.ndarray:
-        # k1 = center, k_n = variance * (s*a)**(n-2); Python's float power,
-        # since numpy's array power differs in the last bit
-        scaled_a = math.sqrt(self.variance) * self.a
-        return np.array([self.center, *(self.variance * scaled_a**k for k in range(order - 1))],
-                        dtype=float)
-
-    def describe(self) -> str:
-        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
-        return f"{self.name}({params})" if params else self.name
-
-
 @dataclass(frozen=True)
-class Semicircle(_MarchenkoPasturImage):
+class Semicircle(DensityMeasure):
     """Semicircle law with the given center and variance (radius ``2*sqrt(v)``)."""
 
     center: float = 0.0
@@ -422,7 +408,7 @@ class Semicircle(_MarchenkoPasturImage):
 
 
 @dataclass(frozen=True)
-class MarchenkoPasturCentered(_MarchenkoPasturImage):
+class MarchenkoPasturCentered(DensityMeasure):
     """Centered Marchenko-Pastur law with parameter ``a``, ``0 < a**2 <= 1``.
 
     Density ``sqrt(4 - (x-a)**2) / (2*pi*(1+a*x))`` on ``(a-2, a+2)``; mean 0,
@@ -441,7 +427,7 @@ class MarchenkoPasturCentered(_MarchenkoPasturImage):
 
 
 @dataclass(frozen=True)
-class FreePoisson(_MarchenkoPasturImage):
+class FreePoisson(DensityMeasure):
     """Free Poisson law: density ``sqrt((4-x)/x) / (2*pi)`` on ``(0, 4)``, the
     Marchenko-Pastur law at ``a = 1`` moved to mean 1.  Its weights cancel
     the ``u**2`` of the shared ones by hand, which the golden tables pin."""
@@ -449,7 +435,8 @@ class FreePoisson(_MarchenkoPasturImage):
     a = center = variance = 1.0
     name = "free_poisson"
 
-    def _pieces(self) -> list[QuadPiece]:
+    @cached_property
+    def pieces(self) -> tuple[QuadPiece, ...]:
         def w_lo(u):
             return np.sqrt(4.0 - u * u) / math.pi
 
@@ -457,7 +444,7 @@ class FreePoisson(_MarchenkoPasturImage):
             return u * u / (math.pi * np.sqrt(4.0 - u * u))
 
         umax = math.sqrt(2.0)
-        return [QuadPiece(0.0, +1, umax, w_lo), QuadPiece(4.0, -1, umax, w_hi)]
+        return QuadPiece(0.0, +1, umax, w_lo), QuadPiece(4.0, -1, umax, w_hi)
 
 
 @dataclass(frozen=True)

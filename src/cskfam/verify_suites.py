@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import conv, csk, limits, transforms
-from .errors import CskfamError
+from .errors import raise_error
 from .measure import AtomicMeasure, FreePoisson, mean
 from .series import identity_series, ps_compose, ps_mul, ps_pow_real, ps_revert
 
@@ -65,9 +65,7 @@ def s_identity_suite() -> list[Check]:
         ws = []
         ok_interval = True
         for m, row in zip(grid, csk.family_rows(nu, grid.tolist())):
-            if isinstance(row, CskfamError):
-                raise row
-            theta, pv, _ = row
+            theta, pv, _ = raise_error(row)
             w = m * m / pv
             ws.append(w)
             ok_interval &= delta - 1.0 < w < 0.0

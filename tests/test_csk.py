@@ -25,7 +25,14 @@ from cskfam.csk import (
     uplus_power_variance,
     variance,
 )
-from cskfam.errors import CskfamError, DomainError, InsufficientDataError, NumericError
+from cskfam.errors import (
+    CskfamError,
+    DomainError,
+    InsufficientDataError,
+    NumericError,
+    raise_error,
+    value_or_error,
+)
 from cskfam.measure import (
     AtomicMeasure,
     FreePoisson,
@@ -293,6 +300,20 @@ def test_variance_mp_at_spec_point():
 def test_pseudo_variance_diverges_at_nonzero_mean():
     with pytest.raises(DomainError):
         pseudo_variance(FP, 1.0)
+
+
+@pytest.mark.parametrize("nu, want", [(FP, 0.0), (MarchenkoPasturCentered(0.5), 1.0)])
+def test_pseudo_variance_at_zero_mean_starts_no_inversion(nu, want, monkeypatch):
+    # the convention at m = 0 needs no root, and free Poisson has none there
+    calls = []
+    original = csk_module._inversion
+    monkeypatch.setattr(csk_module, "_inversion",
+                        lambda nu_, m, m0: calls.append(m) or original(nu_, m, m0))
+    assert pseudo_variance(nu, 0.0) == want
+    assert calls == []
+    if nu is FP:
+        with pytest.raises(DomainError, match="below the attainable means"):
+            family_row(nu, 0.0)
 
 
 def test_w_map_strictly_increasing():
@@ -588,6 +609,22 @@ def test_family_rows_is_bitwise_family_row_at_each_mean(nu, grid):
     for means in (grid, grid[::-1]):
         got = [_bits(_outcome(row)) for row in family_rows(nu, means)]
         assert got == [_bits(_row(nu, m)) for m in means]
+
+
+@pytest.mark.parametrize("answer", [(0.5, 1.25, 1.0), DomainError("m = 3 above the attainable means")])
+def test_raise_error_undoes_value_or_error(answer):
+    def solve():
+        if isinstance(answer, CskfamError):
+            raise answer
+        return answer
+
+    stored = value_or_error(solve)
+    if not isinstance(answer, CskfamError):
+        assert raise_error(stored) is answer
+        return
+    with pytest.raises(DomainError, match="^m = 3 above the attainable means$") as info:
+        raise_error(stored)
+    assert type(info.value) is DomainError
 
 
 def _variance(nu, m):
