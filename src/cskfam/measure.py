@@ -4,7 +4,9 @@ Every generating measure is a :class:`Measure` and implements one protocol:
 ``moments``, ``free_cumulants``, ``s_series``, ``integrate``, ``cauchy``
 (G), ``psi_integral`` and its batched form ``psi_integrals`` (one call per
 theta in the base class, one matrix product for the named densities),
-``support``, ``theta_range`` and the flags
+``support``, ``theta_range``, ``known_variance`` (the variance function
+of the CSK family in closed form, None unless known; the named densities
+know theirs, and :mod:`.csk` starts its mean-map root there) and the flags
 ``lower_edge_singular`` and ``upper_edge_singular``, which say where G
 diverges at an end of the support (the mean-domain formula needs it
 there).  The base class gives ``is_positive`` (read off the support) and
@@ -180,6 +182,12 @@ class Measure:
         """:meth:`psi_integral` at each real ``theta`` of a list: the value
         or the CskfamError raised.  Here one call per theta."""
         return [value_or_error(self.psi_integral, theta) for theta in thetas]
+
+    def known_variance(self, m: float) -> float | None:
+        """The variance function at mean ``m`` in closed form, or None where
+        none is known, as here.  Only a start: :mod:`.csk` still certifies
+        the mean-map root it gives with the quadrature mean map."""
+        return None
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -380,6 +388,12 @@ class DensityMeasure(Measure):
             nodes = _psi_kernel(1.0 / np.array(thetas)[:, None])(anchor, offset)
             sums = np.matmul(matrix, nodes[:, :, None])[:, :, 0].tolist()
         return [value_or_error(self.psi_integral, t, s) for t, s in zip(thetas, sums)]
+
+    def known_variance(self, m: float) -> float:
+        """``variance + a*sqrt(variance)*(m - center)``, the free Meixner
+        variance function with ``b = 0`` (Bryc & Ismail, arXiv
+        math/0512224), exact at every mean of the domain."""
+        return self.variance + self.a * math.sqrt(self.variance) * (m - self.center)
 
     def describe(self) -> str:
         params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))

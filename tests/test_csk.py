@@ -701,6 +701,93 @@ def test_family_rows_on_a_grid_of_several_chunks(nu, monkeypatch):
     assert errors and all(exc.__traceback__ is None for exc in errors)
 
 
+#: Named densities with their closed-form variance functions (Bryc & Ismail,
+#: arXiv math/0512224): V(m) = m, 1 + a*m and the variance.
+NAMED_V = [pytest.param(nu, vfun, id=nu.describe()) for nu, vfun in [
+    (FP, lambda m: m),
+    (MarchenkoPasturCentered(1.0), lambda m: 1.0 + m),
+    (MarchenkoPasturCentered(0.25), lambda m: 1.0 + 0.25 * m),
+    (MarchenkoPasturCentered(0.9375), lambda m: 1.0 + 0.9375 * m),
+    (Semicircle(-0.375, 1.375), lambda m: 1.375),
+]]
+#: The family_table ladder: shares of the way from the generator mean to
+#: each end of the domain of means.
+LADDER = tuple(s * (0.06 + 0.8 * k / 15) for s in (-1, 1) for k in range(16))
+
+
+def _ladder(nu):
+    m0, (lo, hi) = mean(nu), mean_domain(nu)
+    return [m0 + f * ((hi - m0) if f > 0 else (m0 - lo)) for f in LADDER]
+
+
+def _closed_form_row(m0, vfun, m):
+    v = vfun(m)
+    return (m - m0) / (m * (m - m0) + v), m * v / (m - m0), v
+
+
+@pytest.mark.parametrize("nu, vfun", NAMED_V)
+def test_named_density_ladder_is_within_the_closed_form_envelope(nu, vfun):
+    m0, grid = mean(nu), _ladder(nu)
+    for m, row in zip(grid, family_rows(nu, grid)):
+        for got, want in zip(row, _closed_form_row(m0, vfun, m)):
+            assert abs(got - want) <= 1.5e-14 * abs(want), (m, row)
+
+
+@pytest.mark.parametrize("nu, vfun", NAMED_V)
+def test_named_density_ladder_asks_few_theta_per_mean(nu, vfun, monkeypatch):
+    # the walk and Brent asked about 9 theta per mean; the closed-form
+    # start asks for its two bracket ends and Brent one or two more
+    asked = []
+    batched = csk_module._k_means
+    monkeypatch.setattr(csk_module, "_k_means",
+                        lambda nu_, thetas: asked.extend(thetas) or batched(nu_, thetas))
+    grid = _ladder(nu)
+    family_rows(nu, grid)
+    assert len(asked) <= 5 * len(grid)
+
+
+def _start_off(factor):
+    return lambda theta, nu, m: theta * factor
+
+
+def _start_beyond(theta, nu, m):
+    lo, hi = nu.theta_range()
+    end = hi if theta > 0.0 else lo
+    return 2.0 * (end if math.isfinite(end) else hi)
+
+
+@pytest.mark.parametrize("start", [
+    _start_off(1.0 + 1e-6),
+    lambda theta, nu, m: math.nan,
+    lambda theta, nu, m: math.inf,
+    _start_beyond,
+    _start_off(-1.0),  # the wrong side of 0
+], ids=["off_1e-6", "nan", "inf", "beyond_theta_range", "wrong_sign"])
+@pytest.mark.parametrize("nu", [FP, MarchenkoPasturCentered(1.0), MarchenkoPasturCentered(0.9375),
+                                Semicircle(1.0, 0.5)], ids=lambda nu: nu.describe())
+def test_a_wrong_start_cannot_change_a_row(nu, start, monkeypatch):
+    # a start the mean map does not certify falls back to the walk, with
+    # the same bits and the same error rows as no start at all
+    m0, (lo, hi) = mean(nu), mean_domain(nu)
+    grid = [lo - 0.5, lo, *_ladder(nu), hi, hi + 0.5, 0.0]
+    true_v = type(nu).known_variance
+
+    def wrong_v(self, m):
+        # the V whose closed-form root (m - m0)/(m*(m - m0) + V) is the start
+        den = m * (m - m0) + true_v(self, m)
+        if den == 0.0:  # free Poisson at m = 0 has no start
+            return true_v(self, m)
+        return (m - m0) / start((m - m0) / den, self, m) - m * (m - m0)
+
+    certified = [_bits(_outcome(row)) for row in family_rows(nu, grid)]
+    monkeypatch.setattr(type(nu), "known_variance", lambda self, m: None)
+    want = [_bits(_outcome(row)) for row in family_rows(nu, grid)]
+    assert certified != want  # the right start moves bits
+    assert any(isinstance(row[0], type) for row in want)  # error rows too
+    monkeypatch.setattr(type(nu), "known_variance", wrong_v)
+    assert [_bits(_outcome(row)) for row in family_rows(nu, grid)] == want
+
+
 def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path):
     calls = []
     original = csk_module._inversion

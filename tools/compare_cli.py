@@ -19,7 +19,10 @@ column over the numeric cells that differ (see :func:`largest_changes`),
 and by the grade of each side: the rows within tolerance of the job's own
 ``check`` over the rows attempted, as ``bench/run.py`` grades them (see
 :func:`grade`), so a moved cell reads as a fix or as a regression; a
-``golden_specs`` job has no check and reads ``ungraded``.
+``golden_specs`` job has no check and reads ``ungraded``.  A ``csk`` job on
+a named density also prints each side's largest relative error against
+the closed form (see :func:`named_csk_error`), so that bits moved within
+the tolerance read as closer or farther.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
 checkout (see :func:`source_lines`), so that a comparison also shows
@@ -203,6 +206,29 @@ def grade(job: J.Job | None, code: int, out: bytes) -> str:
     return f"{tally.ok}/{tally.attempted} ok{problems}"
 
 
+def named_csk_error(args: list[str], out: bytes) -> float | None:
+    """Largest relative error of a ``cskfam csk`` output on a named density
+    against its closed form, ``reference.named_row``, over the answered rows
+    away from the generator mean (where the closed form divides by 0); a
+    cell whose reference is 0 counts its absolute error.  None for any
+    other job and for an output without such a row."""
+    if args[0] != "csk":
+        return None
+    doc = json.loads(Path(args[args.index("--spec") + 1]).read_text(encoding="utf-8"))
+    if doc.get("type") != "named":
+        return None
+    params = doc.get("params", {})
+    m0 = J.ref.named_family(doc["name"], params)[0]
+    errors = []
+    for row in J._parse(out.decode("utf-8"))[2]:
+        m = float(row[0])
+        if row[4] or m == m0:
+            continue
+        for got, want in zip(row[1:4], J.ref.named_row(doc["name"], params, m)):
+            errors.append(abs(float(got) - want) / (abs(want) if want else 1.0))
+    return max(errors, default=None)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -238,7 +264,8 @@ def main(argv=None) -> int:
                 checked.append(None)
         parent = run_checkout(args.parent.resolve(), jobs, tmp / "parent")
         change = run_checkout(args.change.resolve(), jobs, tmp / "change")
-        for label, job, (pcode, pout), (ccode, cout) in zip(labels, checked, parent, change):
+        for label, job, run, (pcode, pout), (ccode, cout) in zip(labels, checked, jobs, parent,
+                                                                  change):
             compared += 1
             if pcode != ccode:
                 print(f"DIFFER {label}: exit code {pcode} -> {ccode}")
@@ -257,6 +284,9 @@ def main(argv=None) -> int:
                 key, rel = max(changes.items(), key=lambda item: item[1])
                 if rel > worst[0]:
                     worst = (rel, f"{key} of {label}")
+            named = [named_csk_error(run["args"], out) for out in (pout, cout)]
+            if None not in named:
+                print(f"  closed-form error: parent {named[0]:.2g}, change {named[1]:.2g}")
             print(f"  graded: parent {grade(job, pcode, pout)}, "
                   f"change {grade(job, ccode, cout)}")
     print(f"{compared} jobs compared, {differ} differ")
