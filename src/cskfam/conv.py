@@ -11,7 +11,15 @@ protocol: free cumulants for the free convolution and the Boolean-to-free
 map, the S series for the multiplicative one, moments for the Boolean
 one.  A named density answers the first two from its exact free
 cumulants, skipping the moment/cumulant round trip; atomic measures and
-moment sequences go through the dictionaries here.  Cumulant series are
+moment sequences go through the dictionaries here.  The additive powers
+read :meth:`.Measure.jacobi` first: ``uplus_power`` scales the first
+Jacobi parameters of any measure that has them (the named densities and
+atomic laws), and ``boxplus_power`` and ``bp_transform`` map those of a
+free Meixner law (a named density, or a law of one or two atoms); the
+moments then come from :func:`.series.jacobi_moments`, with no reversion.
+A measure without them (a moment sequence) or with three or more atoms
+under the free power keeps the series route, as do the pair operations
+and both multiplicative ones.  Cumulant series are
 float64 arrays, as S series are: a convolution adds them and a power
 scales them.  The dictionaries are triangular, so results are exact in
 the stored orders up to roundoff; there is no truncation error beyond
@@ -35,7 +43,7 @@ from .errors import (
     require_positive,
 )
 from .measure import Measure, MomentSeq, moments
-from .series import ps_mul, ps_pow_int, ps_pow_real, ps_reciprocal, ps_revert
+from .series import jacobi_moments, ps_mul, ps_pow_int, ps_pow_real, ps_reciprocal, ps_revert
 from .transforms import s_series_to_moments
 
 
@@ -59,10 +67,11 @@ def moments_to_free_cumulants(m: MomentSeq) -> np.ndarray:
     80.  Mapped back by :func:`free_cumulants_to_moments` the errors mostly
     cancel, but not at every order: the order-160 round trip of free
     Poisson misses its moments by up to 1.05e-3 on the ``rho**n`` scale,
-    and :func:`boxplus_power` of a two-atom law (atoms 0.75 and 1.625) by
+    and the free power 2.5 of a two-atom law (atoms 0.75 and 1.625) by
     1.2e-2 at order 80.  Scaling to unit growth does not help.  This is why
     the named densities answer :meth:`.Measure.free_cumulants` exactly, and
-    neither their powers nor the pair operations on them come here.
+    why the additive powers of the named densities and of two-atom laws
+    map Jacobi parameters instead; none of them comes here.
     """
     g_hat = np.array((0.0, 1.0) + m.values)  # order K+1
     theta_of_w = ps_revert(g_hat)
@@ -119,9 +128,13 @@ def boxplus(mu: Measure, nu: Measure, order: int) -> MomentSeq:
 
 
 def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
-    """Moments ``m1..m_order`` of the free convolution power ``nu**boxplus(alpha)``:
-    the free cumulants of ``nu`` scale by ``alpha``, and one reversion turns
-    them into moments.
+    """Moments ``m1..m_order`` of the free convolution power ``nu**boxplus(alpha)``.
+
+    A free Meixner law (:meth:`.Measure.jacobi` of length at most 2: the
+    named densities and the laws of one or two atoms) stays one, and its
+    Jacobi parameters map in closed form (:func:`_free_power_jacobi`).
+    Every other law goes through its free cumulants, which scale by
+    ``alpha``, and one reversion back to moments.
 
     Defined for ``alpha >= 1``; values in (0, 1) are computed formally and
     flagged with :class:`FormalPowerWarning`.
@@ -135,8 +148,12 @@ def boxplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
             FormalPowerWarning,
             stacklevel=2,
         )
+    jacobi = _free_power_jacobi(nu.jacobi(), alpha)
     with np.errstate(all="ignore"):
-        result = free_cumulants_to_moments(alpha * nu.free_cumulants(order))
+        if jacobi is None:
+            result = free_cumulants_to_moments(alpha * nu.free_cumulants(order))
+        else:
+            result = MomentSeq(jacobi_moments(*jacobi, order).tolist())
     return _finite(result, f"free convolution power alpha = {alpha:g}")
 
 
@@ -153,20 +170,54 @@ def uplus(mu: Measure, nu: Measure, order: int) -> MomentSeq:
 
 def uplus_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
     """Moments ``m1..m_order`` of the Boolean convolution power
-    ``nu**uplus(alpha)``, defined for every ``alpha > 0``: the Boolean
-    cumulants of ``nu`` scale by ``alpha``.
+    ``nu**uplus(alpha)``, defined for every ``alpha > 0``.
 
-    Two series reciprocals.  Envelope, relative on the ``rho**n`` scale of
-    the moments' growth: ``alpha >= 1`` at order 160 within 1e-9 (2.5e-14
-    measured on atomic laws); ``alpha < 1`` is not covered, and at order
-    160 with ``alpha = 0.25`` atomic laws miss by up to 1e52 with no error.
+    A law with Jacobi parameters (:meth:`.Measure.jacobi`: the named
+    densities and atomic laws) has them scaled in their first entries
+    (:func:`_boolean_power_jacobi`), and the three-term recurrence gives
+    the moments.  Envelope, relative on the ``rho**n`` scale of the
+    moments' growth, at order 160 against exact moments: the named
+    densities within 1e-14 and atomic laws within 1e-12 at every
+    ``alpha``, below 1 too.  A moment sequence goes through its Boolean
+    cumulants, which scale by ``alpha``: two series reciprocals, within
+    1e-9 at ``alpha >= 1`` (2.5e-14 measured on the moments of atomic
+    laws) but off by up to 1e52 at ``alpha = 0.25``, with no error.
     """
     require_positive("alpha", alpha)
     require_order(order)
+    jacobi = nu.jacobi()
     with np.errstate(all="ignore"):
-        b = moments_to_boolean_cumulants(nu.moments(order))
-        result = boolean_cumulants_to_moments(alpha * b)
+        if jacobi is None:
+            b = moments_to_boolean_cumulants(nu.moments(order))
+            result = boolean_cumulants_to_moments(alpha * b)
+        else:
+            powered = _boolean_power_jacobi(jacobi, alpha)
+            result = MomentSeq(jacobi_moments(*powered, order).tolist())
     return _finite(result, f"Boolean convolution power alpha = {alpha:g}")
+
+
+def _boolean_power_jacobi(jacobi, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi parameters of the Boolean power ``t``: ``alpha_0`` and
+    ``omega_1`` scale by ``t`` and the rest stay, for every Jacobi matrix.
+    ``K(z) = z - 1/G(z) = alpha_0 + omega_1/(z - alpha_1 - ...)`` is the
+    continued fraction, and the power scales ``K``."""
+    alpha, omega = (np.append(x, x[-1]) for x in jacobi)  # entry 0 apart from the tail
+    alpha[0] *= t
+    omega[0] *= t
+    return alpha, omega
+
+
+def _free_power_jacobi(jacobi, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Jacobi parameters of the free power ``t`` of a free Meixner law, or
+    None unless ``jacobi`` is one (length at most 2).  A constant tail
+    after the first entry stays constant: ``(t*alpha_0, alpha_1 +
+    (t-1)*alpha_0)`` and ``(t*omega_1, omega_2 + (t-1)*omega_1)``, which is
+    ``nu**boxplus(t) = D_sqrt(t) FM(a/sqrt(t), b/t)`` of the standard free
+    Meixner law ``FM(a, b)`` (Saitoh & Yoshida 2001)."""
+    if jacobi is None or max(len(x) for x in jacobi) > 2:
+        return None
+    (a0, a1), (w1, w2) = (np.append(x, x[-1])[:2] for x in jacobi)
+    return np.array((t * a0, a1 + (t - 1.0) * a0)), np.array((t * w1, w2 + (t - 1.0) * w1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +311,10 @@ def affine_image(nu: MomentSeq, beta: float, lam: float) -> MomentSeq:
 
 def bp_transform(nu: Measure, t: float, order: int) -> MomentSeq:
     """Moments ``m1..m_order`` of the Boolean-to-free interpolation: free power
-    ``1+t`` then Boolean power ``1/(1+t)``.  The Boolean power needs no
-    reversion, so the map costs what :func:`boxplus_power` costs.
+    ``1+t`` then Boolean power ``1/(1+t)``.  A free Meixner law takes both
+    as maps of its Jacobi parameters, one recurrence and no reversion;
+    every other law takes the free power's reversion
+    (:func:`boxplus_power`), then the Boolean power of the moments.
 
     Forms a semigroup in ``t``; ``t = 0`` is the identity and ``t = 1`` is the
     Boolean Bercovici-Pata bijection.
@@ -269,4 +322,10 @@ def bp_transform(nu: Measure, t: float, order: int) -> MomentSeq:
     require_nonnegative("t", t)
     if t == 0.0:
         return moments(nu, order)
-    return uplus_power(boxplus_power(nu, 1.0 + t, order), 1.0 / (1.0 + t), order)
+    jacobi = _free_power_jacobi(nu.jacobi(), 1.0 + t)
+    if jacobi is None:
+        return uplus_power(boxplus_power(nu, 1.0 + t, order), 1.0 / (1.0 + t), order)
+    with np.errstate(all="ignore"):
+        result = MomentSeq(jacobi_moments(*_boolean_power_jacobi(jacobi, 1.0 / (1.0 + t)),
+                                          order).tolist())
+    return _finite(result, f"Boolean-to-free map t = {t:g}")

@@ -6,14 +6,18 @@ Every generating measure is a :class:`Measure` and implements one protocol:
 theta in the base class, one matrix product for the named densities),
 ``support``, ``theta_range``, ``known_variance`` (the variance function
 of the CSK family in closed form, None unless known; the named densities
-know theirs, and :mod:`.csk` starts its mean-map root there) and the flags
+know theirs, and :mod:`.csk` starts its mean-map root there), ``jacobi``
+(the recurrence coefficients of the orthogonal polynomials, None unless
+known: closed forms for the named densities, Lanczos for atomic laws; the
+additive powers of :mod:`.conv` map them) and the flags
 ``lower_edge_singular`` and ``upper_edge_singular``, which say where G
 diverges at an end of the support (the mean-domain formula needs it
 there).  The base class gives ``is_positive`` (read off the support) and
 ``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
 exact weighted sums; the named densities (semicircle, centered
 Marchenko-Pastur, free Poisson) with quadrature, and take their moments
-and S series from their exact free cumulants.  One class,
+from their Jacobi parameters and their S series from their exact free
+cumulants.  One class,
 :class:`DensityMeasure`, is the image ``center + sqrt(variance)*y`` of the
 centered Marchenko-Pastur law ``y`` with parameter ``a``; the three
 subclass it and set only those parameters and their spec name (the
@@ -71,6 +75,7 @@ from .errors import (
     require_order,
     value_or_error,
 )
+from .series import jacobi_moments
 
 #: Nodes per sub-interval of the fixed Gauss-Legendre pair (coarse, fine).
 #: Both are odd, so both have a node at the middle of each sub-interval: a
@@ -189,6 +194,23 @@ class Measure:
         the mean-map root it gives with the quadrature mean map."""
         return None
 
+    def jacobi(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The Jacobi parameters ``(alpha, omega)`` of the measure, or None
+        where they are not known, as here.
+
+        ``alpha = (alpha_0, alpha_1, ...)`` and ``omega = (omega_1, omega_2,
+        ...)`` are the coefficients of the three-term recurrence ``x P_k =
+        P_(k+1) + alpha_k P_k + omega_k P_(k-1)`` of the monic orthogonal
+        polynomials: nonempty float64 arrays whose last entry repeats
+        forever.  A law with ``n`` atoms ends in ``omega_n = 0``, from the
+        Lanczos algorithm (Gautschi, *Orthogonal Polynomials: Computation
+        and Approximation*, 2004); a pair of length at most 2 is a free
+        Meixner law.  :func:`.series.jacobi_moments` turns them into
+        moments, and the additive powers of :mod:`.conv` map them without
+        any reversion.
+        """
+        return None
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -238,6 +260,26 @@ class AtomicMeasure(Measure):
 
     def integrate(self, f) -> float | complex:
         return sum(w * f(a) for a, w in zip(self.atoms, self.weights))
+
+    def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lanczos on ``diag(atoms)`` from the unit vector ``sqrt(weights)``,
+        with full reorthogonalisation, twice per step: ``n`` atoms give
+        ``alpha_0..alpha_(n-1)`` and ``omega_1..omega_(n-1)``, then
+        ``omega_n = 0``."""
+        x = np.asarray(self.atoms)
+        n = x.size
+        basis = np.zeros((n, n))
+        basis[0] = np.sqrt(self.weights) / math.sqrt(math.fsum(self.weights))
+        alpha, omega = np.zeros(n), np.zeros(n)
+        for k in range(n):
+            v = x * basis[k]
+            alpha[k] = basis[k] @ v
+            if k + 1 < n:
+                for _ in range(2):
+                    v -= basis[:k + 1].T @ (basis[:k + 1] @ v)
+                omega[k] = v @ v
+                basis[k + 1] = v / math.sqrt(omega[k])
+        return alpha, omega
 
     def cauchy(self, z: complex) -> complex:
         if any(z == complex(a) for a in self.atoms):
@@ -388,6 +430,13 @@ class DensityMeasure(Measure):
             nodes = _psi_kernel(1.0 / np.array(thetas)[:, None])(anchor, offset)
             sums = np.matmul(matrix, nodes[:, :, None])[:, :, 0].tolist()
         return [value_or_error(self.psi_integral, t, s) for t, s in zip(thetas, sums)]
+
+    def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
+        """``alpha = (center, center + sqrt(variance)*a)`` and ``omega =
+        (variance, variance)``: the free Meixner law with ``b = 0``, whose
+        recursion is constant past the first step (Saitoh & Yoshida 2001)."""
+        return (np.array((self.center, self.center + math.sqrt(self.variance) * self.a)),
+                np.array((self.variance, self.variance)))
 
     def known_variance(self, m: float) -> float:
         """``variance + a*sqrt(variance)*(m - center)``, the free Meixner
@@ -739,20 +788,18 @@ def _pullback(f) -> Callable:
 
 @lru_cache(maxsize=256)
 def _density_moments(nu: DensityMeasure, order: int) -> tuple[float, ...]:
-    # The named densities have exact closed-form free cumulants, so their
-    # moments come from the cumulant dictionary; quadrature of x**n is the
+    # The named densities have exact closed-form Jacobi parameters, so their
+    # moments come from the three-term recurrence; quadrature of x**n is the
     # independent cross-check exercised by the test suite.
-    from .conv import free_cumulants_to_moments
-
-    return free_cumulants_to_moments(nu.free_cumulants(order)).values
+    return tuple(jacobi_moments(*nu.jacobi(), order).tolist())
 
 
 def moments(nu: Measure, order: int) -> MomentSeq:
     """First ``order`` raw moments of ``nu``.
 
-    Exact power sums for atomic measures, the free-cumulant dictionary for
-    the named densities.  A moment sequence must already store at least
-    ``order`` moments.
+    Exact power sums for atomic measures, the three-term recurrence on
+    their Jacobi parameters for the named densities.  A moment sequence
+    must already store at least ``order`` moments.
     """
     require_order(order)
     return nu.moments(order)

@@ -15,6 +15,11 @@ is one Lagrange-inversion pass followed by one Newton step built from
 :func:`ps_compose`, :func:`ps_reciprocal` and :func:`ps_derivative`; the
 Newton step removes the roundoff that the Lagrange powers accumulate (see
 :func:`ps_revert`).  Each kernel exists once.
+
+One kernel is not a series operation: :func:`jacobi_moments` reads the
+moments of a law off its Jacobi parameters by the three-term recurrence,
+in ``O(K**2)`` with no reversion.  The named densities' moments and the
+additive powers that keep a Jacobi matrix (:mod:`.conv`) go through it.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ def ps_revert(a: np.ndarray) -> np.ndarray:
     Lagrange products, one composition and two reciprocals.
     Accuracy envelope after the step: residual ``a(g) - z`` within 1e-12
     for order-20 inputs with unit-scale coefficients; order-160
-    Fuss-Catalan moments within 1e-9 relative (7.9e-10 measured for
+    Fuss-Catalan moments within 1e-9 relative (8.2e-10 measured for
     ``boxtimes_power(moments(FreePoisson(), 160), 2, 160)``).
     Inputs whose coefficients grow like ``4**k`` lose all accuracy past
     order about 30, with or without the step: scale them to unit growth
@@ -119,6 +124,42 @@ def ps_revert(a: np.ndarray) -> np.ndarray:
     g -= np.convolve(composed, slope)[:n]
     g[0] = 0.0
     return g
+
+
+def jacobi_moments(alpha: np.ndarray, omega: np.ndarray, order: int) -> np.ndarray:
+    """Moments ``m1..m_order`` of the probability measure with Jacobi
+    parameters ``alpha`` (``alpha_0, alpha_1, ...``) and ``omega``
+    (``omega_1, omega_2, ...``), each a nonempty sequence whose last entry
+    repeats forever (see :meth:`.Measure.jacobi`).
+
+    With the monic orthogonal polynomials ``x P_k = P_(k+1) + alpha_k P_k +
+    omega_k P_(k-1)``, write ``x**j = sum_k c[j, k] P_k``, so that
+    ``c[j+1, k] = c[j, k-1] + alpha_k c[j, k] + omega_(k+1) c[j, k+1]``.
+    Orthogonality gives ``m_(i+j) = sum_k c[i, k] c[j, k] h_k`` with ``h_k =
+    omega_1 ... omega_k``, so the rows ``j <= (order + 1)//2``, each one
+    vector step from the last, give every moment by two matrix-vector
+    products: ``O(K**2)`` and no reversion.  The arithmetic runs in
+    ``np.longdouble`` (a 64-bit significand on x86-64), so the moments are
+    rounded once, to about one ulp: the Catalan numbers of free Poisson
+    come out correctly rounded through order 160.  Where ``longdouble`` is
+    plain double, the error of ``m_n`` is within a few ``n*eps*rho**n``,
+    ``rho`` the largest ``|x|`` on the support.
+    """
+    top = (order + 1) // 2
+    a, w = (np.full(top + 1, x[-1], dtype=np.longdouble) for x in (alpha, omega))
+    a[:min(top + 1, len(alpha))] = alpha[:top + 1]
+    w[:min(top + 1, len(omega))] = omega[:top + 1]
+    c = np.zeros((top + 1, top + 1), dtype=np.longdouble)
+    c[0, 0] = 1.0
+    for row, following in zip(c, c[1:]):  # x**j has degree j <= top
+        following[:] = a * row
+        following[:-1] += w[:-1] * row[1:]
+        following[1:] += row[:-1]
+    h = np.cumprod(np.concatenate(((1.0,), w[:-1])))
+    m = np.empty(2 * top + 1, dtype=np.longdouble)
+    m[0::2] = (c * c) @ h
+    m[1::2] = (c[:-1] * c[1:]) @ h
+    return m[1:order + 1].astype(float)
 
 
 def ps_log(c: np.ndarray) -> np.ndarray:

@@ -223,6 +223,19 @@ def boolean_power_moments(moments_, alpha) -> list:
     return series_reciprocal([1 - alpha + alpha * r[0]] + [alpha * c for c in r[1:]], k)[1:]
 
 
+def free_power_moments(moments_, alpha) -> list:
+    """Moments of the free power ``alpha`` of the law with moments ``m1..mK``,
+    through the reverted Cauchy series as in ``conv``: the free cumulants
+    scale by ``alpha``.  Exact in exact arithmetic; the reversions make it
+    cubic in ``K``, so keep ``K`` to a few dozen."""
+    k = len(moments_)
+    one = moments_[0] ** 0
+    h = series_revert([0 * one, one] + list(moments_), k + 2)[1:]  # theta(w)/w
+    cumulants = series_reciprocal(h, k + 1)[1:]
+    r = series_reciprocal([one] + [alpha * c for c in cumulants], k + 1)
+    return series_revert([0 * one] + r, k + 2)[2:]
+
+
 def s_of_moments(moments_) -> list:
     """S-series ``s0..s(K-1)`` of the moments ``m1..mK``: ``chi(w) (1 + w) / w``."""
     k = len(moments_)
@@ -296,6 +309,29 @@ def free_poisson_moments(n: int, rate) -> list:
     equal ``rate``: Narayana polynomials, exact for a rational ``rate``."""
     return [sum(Fraction(math.comb(k, j) * math.comb(k, j - 1), k) * rate**j
                 for j in range(1, k + 1)) for k in range(1, n + 1)]
+
+
+def shifted_moments(moments_, c) -> list:
+    """Moments ``m1..mK`` of the law moved by ``c``, by the binomial sums."""
+    m = [moments_[0] ** 0] + list(moments_)
+    return [sum(math.comb(n, j) * m[j] * c ** (n - j) for j in range(n + 1))
+            for n in range(1, len(m))]
+
+
+def semicircle_moments(n: int, center, variance) -> list:
+    """Moments ``m1..mn`` of the semicircle law: ``variance**k * C_k`` at
+    even order ``2k`` about its center, moved to ``center``."""
+    centered = [variance ** (k // 2) * (0 if k % 2 else catalan(k // 2)) for k in range(1, n + 1)]
+    return shifted_moments(centered, center)
+
+
+def mp_centered_moments(n: int, a, alpha) -> list:
+    """Moments ``m1..mn`` of the free power ``alpha`` of the centered
+    Marchenko-Pastur law ``a``: free cumulants ``alpha * a**(k-2)`` past
+    ``k = 1``, the free Poisson law of rate ``alpha/a**2`` and jump ``a``
+    moved by ``-alpha/a``."""
+    jumped = [v * a**k for k, v in enumerate(free_poisson_moments(n, alpha / a**2), start=1)]
+    return shifted_moments(jumped, -alpha / a)
 
 
 def fuss_catalan(p: int, n: int) -> float:

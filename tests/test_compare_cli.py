@@ -41,6 +41,14 @@ def test_largest_changes_without_row_kinds():
     assert compare_cli.largest_changes(parent, parent) == {}
 
 
+def test_largest_changes_reads_a_signed_zero_as_no_change():
+    # -0 to 0 was once reported as an infinite change
+    parent = b"order,moment\n1,-0\n2,1\n3,-0\n"
+    change = b"order,moment\n1,0\n2,1\n3,-1e-300\n"
+    assert compare_cli.largest_changes(parent, change) == {"moment": math.inf}
+    assert compare_cli.largest_changes(parent, parent.replace(b"-0", b"0")) == {"moment": 0.0}
+
+
 def test_differing_lines_aligns_a_removed_comment_line():
     # position-by-position pairing once listed every later line as changed
     parent = (b"# spec,x\n# series_order,40\n# moment_order,6\nrow,n,value\n"

@@ -2,6 +2,7 @@
 real powers, pushforwards, and the Boolean-to-free map."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,18 +35,21 @@ from cskfam.measure import (
     Semicircle,
     moments,
 )
-from cskfam.series import ps_mul, ps_reciprocal, ps_revert
+from cskfam.series import jacobi_moments, ps_mul, ps_reciprocal, ps_revert
 from cskfam.transforms import k_transform, r_transform, s_series, s_series_to_moments
 
 from oracles import (
     boolean_power_moments,
     free_poisson_moments,
+    free_power_moments,
     fuss_catalan,
     interval_boolean_cumulants_from_moments,
     interval_moments_from_boolean_cumulants,
     nc_free_cumulants_from_moments,
+    mp_centered_moments,
     nc_moments_from_free_cumulants,
     random_atomic,
+    semicircle_moments,
     series_revert,
 )
 
@@ -455,6 +459,40 @@ def test_bp_transform_of_a_density_at_order_160():
     assert _rho_scale_error(got, want) <= 1e-13
 
 
+# Each named density with the exact moments of its free power t, dyadic
+# parameters throughout.
+NAMED_FREE_POWERS = {
+    "free_poisson": (FreePoisson(), lambda t, n: free_poisson_moments(n, t)),
+    "semicircle": (Semicircle(0.75, 0.6875),
+                   lambda t, n: semicircle_moments(n, t * Fraction(3, 4), t * Fraction(11, 16))),
+    "centered_semicircle": (Semicircle(0.0, 2.5),
+                            lambda t, n: semicircle_moments(n, 0, t * Fraction(5, 2))),
+    "mp": (MarchenkoPasturCentered(0.1875),
+           lambda t, n: mp_centered_moments(n, Fraction(3, 16), t)),
+    "mp_negative": (MarchenkoPasturCentered(-1.0),
+                    lambda t, n: mp_centered_moments(n, Fraction(-1), t)),
+}
+
+
+@pytest.mark.parametrize("op, t", [("boxplus", 2.5), ("uplus", 0.25), ("uplus", 3.0),
+                                   ("bt", 0.5)])
+@pytest.mark.parametrize("law", sorted(NAMED_FREE_POWERS))
+def test_additive_power_of_a_density_reads_its_jacobi_parameters(law, op, t):
+    # the map of the Jacobi parameters and one recurrence, no reversion:
+    # at most 6.1e-18 measured; the series route gave up to 2.0e-14 (the
+    # free power of the off-center semicircle)
+    nu, free_power = NAMED_FREE_POWERS[law]
+    tf = Fraction(t)
+    if op == "boxplus":
+        got, want = boxplus_power(nu, t, 160), free_power(tf, 160)
+    elif op == "uplus":
+        got, want = uplus_power(nu, t, 160), boolean_power_moments(free_power(1, 160), tf)
+    else:
+        got, want = bp_transform(nu, t, 160), boolean_power_moments(free_power(1 + tf, 160),
+                                                                    1 / (1 + tf))
+    assert _rho_scale_error(got.values, want) <= 1e-14
+
+
 ATOMIC_LAWS = {
     "two_atoms_straddling_0": ((-1.375, 0.875), (0.28125, 0.71875)),
     "two_positive_atoms": ((0.0625, 1.875), (0.15625, 0.84375)),
@@ -462,16 +500,64 @@ ATOMIC_LAWS = {
 }
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 4])
+def _exact_atomic_moments(law, order):
+    atoms, weights = ATOMIC_LAWS[law]
+    return [sum(Fraction(w) * Fraction(a) ** n for a, w in zip(atoms, weights))
+            for n in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1, 2, 4])
 @pytest.mark.parametrize("law", sorted(ATOMIC_LAWS))
 def test_uplus_power_of_an_atomic_law_at_order_160(law, alpha):
-    # the Boolean route is two series reciprocals; dyadic atoms and weights
-    # give exact moments
-    atoms, weights = ATOMIC_LAWS[law]
-    exact = [sum(Fraction(w) * Fraction(a) ** n for a, w in zip(atoms, weights))
-             for n in range(1, 161)]
-    got = uplus_power(AtomicMeasure(atoms, weights), float(alpha), 160).values
-    assert _rho_scale_error(got, boolean_power_moments(exact, Fraction(alpha))) <= 1e-9
+    # Lanczos gives the Jacobi parameters, the power scales alpha_0 and
+    # omega_1: at most 2.1e-14 measured.  The two series reciprocals this
+    # replaced were off by up to 1e52 at alpha = 0.25, and 1.5e15 on the
+    # three atoms; dyadic atoms and weights give exact moments
+    exact = _exact_atomic_moments(law, 160)
+    got = uplus_power(AtomicMeasure(*ATOMIC_LAWS[law]), float(alpha), 160).values
+    assert _rho_scale_error(got, boolean_power_moments(exact, Fraction(alpha))) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("law", ["two_atoms_straddling_0", "two_positive_atoms"])
+def test_boxplus_power_of_a_two_atom_law_is_a_free_meixner_map(law, t):
+    # a two-atom law has omega_2 = 0, a free Meixner law with b = -1, so
+    # its free power maps its Jacobi parameters; through the free
+    # cumulants of its moments it was off by up to 2.4e-4 at order 30
+    exact = _exact_atomic_moments(law, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FormalPowerWarning)  # t = 0.5
+        got = boxplus_power(AtomicMeasure(*ATOMIC_LAWS[law]), t, 30).values
+    assert _rho_scale_error(got, free_power_moments(exact, Fraction(t))) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", [
+    FreePoisson(), Semicircle(-0.375, 1.375), MarchenkoPasturCentered(-0.3),
+    AtomicMeasure(*ATOMIC_LAWS["three_atoms"]), AtomicMeasure((-1.5,), (1.0,)),
+    AtomicMeasure(*ATOMIC_LAWS["two_positive_atoms"]),
+], ids=lambda nu: nu.describe())
+def test_jacobi_parameters_give_the_moments(nu):
+    alpha, omega = nu.jacobi()
+    assert alpha.dtype == omega.dtype == np.float64 and min(len(alpha), len(omega)) >= 1
+    got = jacobi_moments(alpha, omega, 40)
+    np.testing.assert_allclose(got, moments(nu, 40).values, rtol=1e-13, atol=1e-13)
+
+
+def test_powers_without_a_free_meixner_jacobi_matrix_keep_the_series():
+    # three atoms and a moment sequence keep the free cumulants (and the
+    # moment sequence its Boolean cumulants) bit for bit
+    three = AtomicMeasure(*ATOMIC_LAWS["three_atoms"])
+    stored = moments(three, 40)
+    assert stored.jacobi() is None
+    for nu in (three, stored):
+        want = free_cumulants_to_moments(2.5 * moments_to_free_cumulants(moments(nu, 40)))
+        assert boxplus_power(nu, 2.5, 40).values == want.values
+        want = boolean_cumulants_to_moments(
+            0.8 * moments_to_boolean_cumulants(free_cumulants_to_moments(
+                1.25 * moments_to_free_cumulants(moments(nu, 40)))))
+        assert bp_transform(nu, 0.25, 40).values == want.values
+    want = boolean_cumulants_to_moments(0.5 * moments_to_boolean_cumulants(stored))
+    assert uplus_power(stored, 0.5, 40).values == want.values
 
 
 @pytest.mark.parametrize("p", [2, 3])

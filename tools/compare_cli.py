@@ -166,7 +166,8 @@ def largest_changes(parent: bytes, change: bytes) -> dict[str, float]:
     skipped and the parent's first other line names the columns.  Where a row's first cell is a word, as the row kinds
     ``moment`` and ``variance`` of ``cskfam limit``, the column is keyed by
     it too (``moment.value``).  Cells that are not numbers on both sides are
-    skipped; a change away from 0 is ``inf``.
+    skipped; cells whose numbers compare equal (``-0`` and ``0``) change by
+    0, and any other change away from 0 is ``inf``.
     """
     def table(text: bytes) -> list[list[str]]:
         return [line.split(",") for line in text.decode("utf-8").splitlines()
@@ -182,7 +183,10 @@ def largest_changes(parent: bytes, change: bytes) -> dict[str, float]:
             pv, cv = _number(p), _number(c)
             if p == c or pv is None or cv is None:
                 continue
-            rel = abs(cv - pv) / abs(pv) if pv != 0.0 else math.inf
+            if cv == pv:
+                rel = 0.0
+            else:
+                rel = abs(cv - pv) / abs(pv) if pv != 0.0 else math.inf
             key = kind + (header[i] if i < len(header) else f"column{i + 1}")
             out[key] = max(out.get(key, 0.0), rel)
     return out
