@@ -9,22 +9,22 @@ Every convolution, of two measures or a power of one, takes measures and
 an order, and reads what it needs of each operand through the measure
 protocol: free cumulants for the free convolution and the Boolean-to-free
 map, the S series for the multiplicative one, moments for the Boolean
-one.  A named density answers the first two from its exact free
-cumulants, skipping the moment/cumulant round trip; atomic measures and
-moment sequences go through the dictionaries here.  The additive powers
+one.  A named density answers the first from its exact free cumulants and
+the second from its Jacobi parameters, with no reversion; atomic measures
+and moment sequences go through the dictionaries here.  The additive powers
 read :meth:`.Measure.jacobi` first: ``uplus_power`` scales the first
 Jacobi parameters of any measure that has them (the named densities and
 atomic laws), and ``boxplus_power`` and ``bp_transform`` map those of a
 free Meixner law (a named density, or a law of one or two atoms); the
 moments then come from :func:`.series.jacobi_moments`, with no reversion.
 A measure without them (a moment sequence) or with three or more atoms
-under the free power keeps the series route, as do the pair operations
-and both multiplicative ones.  Cumulant series are
-float64 arrays, as S series are: a convolution adds them and a power
-scales them.  The dictionaries are triangular, so results are exact in
-the stored orders up to roundoff; there is no truncation error beyond
-the order cut itself.  A moment that overflows to inf or nan raises
-:class:`NumericError`.
+under the free power keeps the series route, as do the pair operations;
+both multiplicative ones revert their S series once, back to moments.
+Cumulant series are float64 arrays, as S series are: a convolution adds
+them and a power scales them.  The dictionaries are triangular, so results
+are exact in the stored orders up to roundoff; there is no truncation
+error beyond the order cut itself.  A moment that overflows to inf or nan
+raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -249,10 +249,13 @@ def boxtimes_power(nu: Measure, alpha: float, order: int) -> MomentSeq:
 
     ``alpha >= 1`` is the guaranteed regime; (0, 1) computes formally with a
     :class:`FormalPowerWarning`.  The first moment must be nonzero; the
-    S series checks it (a named density reads its ``k1``).  Non-integer
+    S series checks it (a named density reads its ``alpha_0``).  Non-integer
     powers need a positive first moment so the S-series power stays on the
     real branch; integer powers fall back to repeated multiplication and
-    carry no sign restriction.
+    carry no sign restriction.  Envelope, ``rho**n`` scale: free Poisson
+    1.7-2.3e-15 at order 160, ``alpha = 2..5``.  A semicircle loses digits
+    on the way back from S, with no error: ``Semicircle(3, 0.5)`` squared is
+    6.5e-11 off at order 40, past 1e-9 from 55, 1.9e-5 at 160 (``(4, 2)``: 5.2e-6).
     """
     require_positive("alpha", alpha)
     require_order(order)

@@ -10,7 +10,7 @@ order is ``len(a) - 1``.  Binary operations truncate the result to the
 shorter operand; nothing silently extends a series.  No function writes
 to its arguments, so values can be shared freely between threads.
 
-Reversion, which every S-transform and cumulant dictionary goes through,
+Reversion, which the moment dictionaries (free cumulants and S) go through,
 is one Lagrange-inversion pass followed by one Newton step built from
 :func:`ps_compose`, :func:`ps_reciprocal` and :func:`ps_derivative`; the
 Newton step removes the roundoff that the Lagrange powers accumulate (see

@@ -251,7 +251,7 @@ def k_transform(nu: Measure, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# series dictionary: moments and free cumulants <-> S
+# series dictionary: moments <-> S
 
 
 def s_series(m: MomentSeq) -> np.ndarray:
@@ -264,19 +264,6 @@ def s_series(m: MomentSeq) -> np.ndarray:
         raise DomainError("the S series needs a nonzero first moment")
     chi = ps_revert(np.array((0.0,) + m.values))
     return chi[1:] + chi[:-1]  # coefficient k of (1 + w)*chi/w, chi0 = 0
-
-
-def free_cumulants_to_s_series(kappa: np.ndarray) -> np.ndarray:
-    """S-transform power series at order ``K - 1`` from free cumulants ``k1..kK``.
-
-    ``w*S(w)`` is the compositional inverse of ``R~(z) = sum_n k_n z**n``
-    (Nica & Speicher, *Lectures on the Combinatorics of Free Probability*,
-    2006, Lecture 18), so one reversion gives S.  Requires ``k1 != 0``,
-    which is checked before reverting.  ``kappa`` may be any 1-D sequence.
-    """
-    if kappa[0] == 0.0:
-        raise DomainError("the S series needs a nonzero first moment")
-    return ps_revert(np.concatenate(((0.0,), kappa)))[1:]
 
 
 def s_series_to_moments(s: np.ndarray, order: int) -> MomentSeq:

@@ -250,6 +250,30 @@ def moments_of_s(s) -> list:
     return series_revert([0] + ratio, k + 1)[1:]
 
 
+def boxtimes_power_moments(moments_, p: int) -> list:
+    """Moments ``m1..mK`` of the free multiplicative power ``p`` (an integer)
+    of the law with moments ``m1..mK``: ``S**p`` and back.  Exact in exact
+    arithmetic; cubic in ``K``."""
+    k = len(moments_)
+    return moments_of_s(series_power(s_of_moments(moments_), p, k))
+
+
+def jacobi_path_moments(alpha, omega, n: int) -> list:
+    """Moments ``m1..mn`` from Jacobi parameters whose last entries repeat,
+    as weighted Motzkin paths from level 0 back to 0 (Flajolet 1980): a
+    step up weighs 1, a level step at level ``j`` weighs ``alpha_j`` and a
+    step down from level ``j`` weighs ``omega_j``."""
+    def at(seq, j):
+        return seq[min(j, len(seq) - 1)]
+
+    paths, out = [1] + [0] * n, []
+    for _ in range(n):
+        paths = [(paths[j - 1] if j else 0) + at(alpha, j) * paths[j]
+                 + (at(omega, j) * paths[j + 1] if j < n else 0) for j in range(n + 1)]
+        out.append(paths[0])
+    return out
+
+
 def exact_scaled_sequence(moments_, n: int, kind: str) -> list[Fraction]:
     """Moments of ``D_{1/(n m0**n)}((nu ** boxtimes n) ** kind n)`` from exact
     moments, one operation at a time: the multiplicative power through

@@ -4,6 +4,7 @@ real powers, pushforwards, and the Boolean-to-free map."""
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from cskfam import conv, transforms
 from cskfam.errors import DomainError, FormalPowerWarning, InsufficientDataError, NumericError
 from cskfam.measure import (
     AtomicMeasure,
+    DensityMeasure,
     FreePoisson,
     MarchenkoPasturCentered,
     MomentSeq,
@@ -40,6 +42,8 @@ from cskfam.transforms import k_transform, r_transform, s_series, s_series_to_mo
 
 from oracles import (
     boolean_power_moments,
+    boxtimes_power_moments,
+    catalan,
     free_poisson_moments,
     free_power_moments,
     fuss_catalan,
@@ -47,8 +51,10 @@ from oracles import (
     interval_moments_from_boolean_cumulants,
     nc_free_cumulants_from_moments,
     mp_centered_moments,
+    jacobi_path_moments,
     nc_moments_from_free_cumulants,
     random_atomic,
+    s_of_moments,
     semicircle_moments,
     series_revert,
 )
@@ -349,8 +355,8 @@ def test_pair_ops_of_atomic_and_moment_operands_keep_the_moment_formula(op, orde
 
 
 def test_pair_ops_of_densities_at_order_160():
-    # exact free cumulants: 2 for free Poisson with itself, and S = (1 + w)**-2;
-    # through 160 rounded moments boxtimes was 7.9e-10 off
+    # exact free cumulants 2 for free Poisson with itself, and its exact S
+    # squared, (1 + w)**-2; through 160 rounded moments boxtimes was 7.9e-10 off
     got = boxplus(FreePoisson(), FreePoisson(), 160).values
     want = [float(v) for v in free_poisson_moments(160, 2)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -412,9 +418,7 @@ def test_free_cumulants_are_the_tuples_bits_in_an_array(nu, order):
     assert got.tobytes() == np.array(_parent_free_cumulants(nu, order)).tobytes()
 
 
-@pytest.mark.parametrize("dictionary", [
-    free_cumulants_to_moments, boolean_cumulants_to_moments,
-    transforms.free_cumulants_to_s_series])
+@pytest.mark.parametrize("dictionary", [free_cumulants_to_moments, boolean_cumulants_to_moments])
 def test_dictionaries_take_tuples_and_arrays_alike(dictionary):
     m = moments(AtomicMeasure((0.5, 1.25, 2.0), (0.25, 0.5, 0.25)), 40)
     for k in (moments_to_free_cumulants(m), moments_to_boolean_cumulants(m)):
@@ -424,14 +428,33 @@ def test_dictionaries_take_tuples_and_arrays_alike(dictionary):
         assert from_array.tobytes() == from_tuple.tobytes()
 
 
-def test_density_s_series_reverts_its_exact_cumulants():
-    # S of free Poisson is 1/(1 + w)
-    got = FreePoisson().s_series(12)
-    np.testing.assert_allclose(got, [(-1.0) ** k for k in range(12)], rtol=0.0, atol=1e-15)
-    # the semicircle's R~(z) = 1.5 z + 0.5 z**2, reverted exactly
-    want = series_revert([0, Fraction(3, 2), Fraction(1, 2)], 13)[1:]
-    got = Semicircle(1.5, 0.5).s_series(12)
-    np.testing.assert_allclose(got, [float(v) for v in want], rtol=1e-14, atol=0.0)
+def _semicircle_s(center: Fraction, variance: Fraction, order: int) -> list[Fraction]:
+    """The exact reversion of ``R~(z) = center*z + variance*z**2``, divided
+    by ``w``: ``s_k = C_k * (-variance)**k / center**(2k + 1)``, Catalan."""
+    return [catalan(k) * (-variance) ** k / center ** (2 * k + 1) for k in range(order)]
+
+
+def test_density_s_series_solves_its_jacobi_quadratic():
+    # S of free Poisson is 1/(1 + w), bit for bit as the reversion gave it
+    assert FreePoisson().s_series(160).tobytes() == ((-1.0) ** np.arange(160)).tobytes()
+    # the closed form is the reversion of R~, which the recurrence never runs
+    half = Fraction(1, 2)
+    assert _semicircle_s(3 * half, half, 20) == series_revert([0, 3 * half, half], 21)[1:]
+    # at most 7.0e-15 relative measured; the reversion of R~ gave 1.1e-14
+    for center, variance in ((1.5, 0.5), (3.0, 0.5), (2.0, 1.0)):
+        want = [float(v) for v in _semicircle_s(Fraction(center), Fraction(variance), 160)]
+        got = Semicircle(center, variance).s_series(160)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_density_s_series_keeps_the_b_of_a_free_meixner_law():
+    # omega_2 != omega_1, which no named density has yet: the recurrence
+    # against S reverted from the exact moments of the Jacobi parameters,
+    # 1.0e-14 relative measured (0.92 with b dropped)
+    params = (np.array((1.3, 0.7)), np.array((0.5, 0.8)))
+    got = DensityMeasure.s_series(SimpleNamespace(jacobi=lambda: params), 20)
+    exact = jacobi_path_moments(*(tuple(Fraction(v) for v in p) for p in params), 20)
+    np.testing.assert_allclose(got, [float(v) for v in s_of_moments(exact)], rtol=1e-13, atol=0.0)
 
 
 def _rho_scale_error(got, want) -> float:
@@ -567,13 +590,24 @@ def test_boxtimes_power_of_a_density_at_order_160(p):
     assert _rho_scale_error(got, [fuss_catalan(p, n) for n in range(1, 161)]) <= 1e-13
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_boxtimes_power_of_a_semicircle_at_order_40(p):
+    # the spec tests/golden/semicircle_positive.json: 6.5e-11 (p = 2) and
+    # 1.9e-12 (p = 3) measured; the way back from S**p to moments loses
+    # digits as the order grows, past 1e-9 from order 55 at p = 2 (see
+    # boxtimes_power)
+    exact = semicircle_moments(40, 3, Fraction(1, 2))
+    got = boxtimes_power(Semicircle(3.0, 0.5), float(p), 40).values
+    assert _rho_scale_error(got, boxtimes_power_moments(exact, p)) <= 1e-9
+
+
 def test_boxtimes_power_of_a_zero_mean_density_reverts_nothing(monkeypatch):
     reverted = []
     for module in (conv, transforms):
         monkeypatch.setattr(module, "ps_revert", reverted.append)
     with pytest.raises(DomainError, match="nonzero first moment"):
         boxtimes_power(MarchenkoPasturCentered(0.5), 2.0, 160)
-    assert reverted == []  # the mean check reads k1
+    assert reverted == []  # the mean check reads alpha_0
 
 
 # ---------------------------------------------------------------------------
