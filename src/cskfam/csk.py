@@ -18,18 +18,19 @@ support, G and Psi), and each quantity has one formula for every
 representation: both ends of the domain of means are ``edge - 1/G(edge)``,
 and the pseudo-variance and variance are read off the mean-map root
 ``theta``.  Only the inversion of the mean map (``_inversion``) picks a
-route by representation: it is monotone root-finding in ``theta``, except
-for a moment sequence, whose truncated power series of Psi diverges at the
-relevant ``theta``; that root comes from the reverted S-series, which
-converges regardless of the unknown support radius.  A named density's
-root is known in closed form (a free Meixner law with ``b = 0``), so the
-inversion first tries a bracket a few Brent tolerances wide around it, kept
-only where the mean map crosses the mean on it; the walk in ``theta`` from
-0 is the fallback and the only route for atomic laws.  The inversion is a
-generator that asks for one ``theta`` at a time, and one driver,
-``_lockstep``, runs it for every caller (``psi_mean_inverse`` on one mean,
-``family_rows`` and ``variances`` on a grid), so the means of a grid share
-one batched Psi per round.
+route by representation.  A moment sequence's truncated power series of
+Psi diverges at the relevant ``theta``, so its root comes from the
+reverted S-series, which converges regardless of the unknown support
+radius.  Every other law has Jacobi parameters, which give the exact root
+(``_starts``: the free Meixner continued fraction for a constant tail, an
+extreme eigenvalue for a finite Jacobi matrix); the inversion asks the
+quadrature mean map at the two ends of a bracket a few Brent tolerances
+wide around it and returns it where the map crosses the mean there.  Only
+where a start is not certified does it walk in ``theta`` from 0 and end
+with Brent.  The inversion is a generator that asks for one ``theta`` at a
+time, and one driver, ``_lockstep``, runs it for every caller
+(``psi_mean_inverse`` on one mean, ``family_rows`` and ``variances`` on a
+grid), so the means of a grid share one batched Psi per round.
 """
 
 from __future__ import annotations
@@ -70,11 +71,12 @@ _MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
 #: (theta x nodes) array of one batched Psi.
 _GRID_CHUNK = 64
 
-#: Half-width of the bracket around a closed-form mean-map root, in units of
-#: Brent's tolerance there.  It must hold the quadrature mean map's own root:
-#: half this width refuses free Poisson means near the lower end of the
-#: domain, where the mean map moves by a few ulps across the bracket.  Brent
-#: still ends on the bracket in one or two steps.
+#: Half-width of the bracket that certifies an exact mean-map root, in units
+#: of Brent's tolerance there: the start is returned where the quadrature
+#: mean map crosses the mean on it, so it is as close to the quadrature
+#: root as Brent would have come.  The bracket must hold that root: half
+#: this width refuses free Poisson means near the lower end of the domain,
+#: where the mean map moves by a few ulps across the bracket.
 _START_WIDTH = 8.0
 
 
@@ -116,22 +118,61 @@ def _k_means(nu: Measure, thetas: list[float]) -> list:
     return means
 
 
-def _inversion(nu: Measure, m: float, m0: float):
+def _starts(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
+    """The exact mean-map root ``theta = 1/p`` at each mean, from one read of
+    :meth:`.Measure.jacobi`: nan where ``nu`` has no Jacobi parameters (a
+    moment sequence) or the mean gives no root.
+
+    The mean map is ``m = K(p)`` with ``K(z) = z - 1/G(z)``, and the
+    continued fraction of G gives ``K(p) = alpha_0 + omega_1*G'(p)``, with
+    ``G'`` the Cauchy transform of the Jacobi matrix ``J'`` that is ``J``
+    without its first row and column.  With ``d = m - alpha_0``, where
+    ``alpha_0`` is the generator mean ``m0``:
+
+    * a constant tail (length at most 2: the named densities, laws of one
+      or two atoms) gives ``p = alpha_1 + omega_1/d + omega_2*d/omega_1``,
+      the free Meixner root (Bryc & Ismail, arXiv math/0512224);
+    * a finite matrix (three atoms or more, ``omega_n = 0``) gives ``p`` as
+      the eigenvalue of ``J' + (omega_1/d)*e1*e1^T`` beyond the spectrum of
+      ``J'`` on the side of ``d``: the largest for ``m > m0`` and the
+      smallest below, from one batched ``eigvalsh`` for all the means.
+    """
+    jacobi = nu.jacobi()
+    if jacobi is None:
+        return [math.nan] * len(means)
+    alpha, omega = jacobi
+    d = np.asarray(means, dtype=float) - m0
+    with np.errstate(all="ignore"):
+        if max(alpha.size, omega.size) <= 2:
+            # theta = d/(p*d) with p*d a quadratic in d: fewer roundings than
+            # 1/p, whose three terms cancel next to an end of the domain
+            (_, a1), (w1, w2) = (np.append(x, x[-1])[:2] for x in jacobi)
+            return (d / ((w1 + a1 * d) + w2 * d * (d / w1))).tolist()
+        k = alpha.size - 1
+        off = np.diag(np.sqrt(omega[1:k]), 1)
+        tail = np.broadcast_to(np.diag(alpha[1:]) + off + off.T, (d.size, k, k)).copy()
+        c = omega[0] / d
+        finite = np.isfinite(c)
+        tail[:, 0, 0] += np.where(finite, c, 0.0)
+        eig = np.linalg.eigvalsh(tail)
+        return (1.0 / np.where(finite, np.where(d > 0.0, eig[:, -1], eig[:, 0]), math.nan)).tolist()
+
+
+def _inversion(nu: Measure, m: float, m0: float, start: float):
     """Generator of the mean-map root at mean ``m`` (``m0`` the generator
-    mean): it yields each theta at which it needs ``k_mean``, once, and is
-    sent the mean or has the CskfamError that ``k_mean`` raised thrown in.
+    mean, ``start`` its exact root from :func:`_starts`): it yields each
+    theta at which it needs ``k_mean``, once, and is sent the mean or has
+    the CskfamError that ``k_mean`` raised thrown in.
 
     The one place that picks a route by representation.  A moment
     sequence's truncated Psi series diverges at the relevant ``theta``, so
     its root ``1/(m + PV/m)`` comes from the reverted S-series, with no
-    mean-map values.  Other measures need a bracket of the root.  Where the
-    measure knows its variance function in closed form (the named
-    densities), :func:`_start_bracket` tries a tolerance-wide one around
-    the closed-form root; otherwise, and wherever the quadrature mean map
-    does not certify that bracket, :func:`_walk` finds one, so atomic laws
-    only ever walk.  Then :func:`.transforms.brent_steps` on the bracket,
-    whose ends reuse the values already asked for: the root is always one
-    that the mean map of ``nu`` brackets, within Brent's tolerance.
+    mean-map values.  Any other measure answers ``start`` where the
+    quadrature mean map certifies it (:func:`_start_bracket`).  Elsewhere
+    :func:`_walk` brackets the root and :func:`.transforms.brent_steps`
+    ends on the bracket, whose ends reuse the values already asked for.
+    Either way the root is one that the mean map of ``nu`` brackets,
+    within Brent's tolerance.
     """
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return 0.0
@@ -140,9 +181,9 @@ def _inversion(nu: Measure, m: float, m0: float):
             raise DomainError("moment-sequence inversion needs a nonzero target mean")
         return 1.0 / (m + _pseudo_variance_from_moments(nu, m) / m)
     memo: dict[float, float] = {}
-    bracket = yield from _start_bracket(nu, m, m0, memo)
-    if bracket is None:
-        bracket = yield from _walk(nu, m, m0, memo)
+    if (yield from _start_bracket(nu, m, m0, start, memo)):
+        return start
+    bracket = yield from _walk(nu, m, m0, memo)
     steps = brent_steps(*bracket)
     try:
         t = next(steps)
@@ -154,29 +195,28 @@ def _inversion(nu: Measure, m: float, m0: float):
         return done.value
 
 
-def _start_bracket(nu: Measure, m: float, m0: float, memo: dict):
-    """Generator of the bracket ``tg -/+ h`` of the mean-map root, its ends'
-    values in ``memo``: ``tg = (m - m0)/(m*(m - m0) + V(m))`` from
-    :meth:`.Measure.known_variance`, ``h`` :data:`_START_WIDTH` times Brent's
-    tolerance.  None where ``V`` is unknown or gives no finite ``tg``, the
-    bracket leaves ``theta_range`` or the side of 0 of ``m - m0``, an end
-    raises, or the mean map does not cross ``m`` on it (outside the domain)."""
-    v = nu.known_variance(m)
-    den = math.nan if v is None else m * (m - m0) + v
-    if den == 0.0 or not math.isfinite(den):
-        return None
-    tg = (m - m0) / den
-    h = _START_WIDTH * (ROOT_XTOL + ROOT_RTOL * abs(tg))
-    lo, hi = tg - h, tg + h
+def _start_bracket(nu: Measure, m: float, m0: float, start: float, memo: dict):
+    """Generator of the certificate of ``start``: True where the quadrature
+    mean map crosses ``m`` between ``start -/+ h``, ``h`` :data:`_START_WIDTH`
+    times Brent's tolerance, so that ``start`` is as close to the quadrature
+    root as Brent would have come.  It asks for the two ends, whose values
+    stay in ``memo``.  False where ``start`` is not finite, the bracket
+    leaves ``theta_range`` or the side of 0 of ``m - m0``, an end raises,
+    or the mean map does not cross ``m`` on it (outside the domain, or
+    where the map moves by less than its rounding across the bracket)."""
+    if not math.isfinite(start):
+        return False
+    h = _START_WIDTH * (ROOT_XTOL + ROOT_RTOL * abs(start))
+    lo, hi = start - h, start + h
     t_lo, t_hi = nu.theta_range()
     if not (t_lo < lo and hi < t_hi and (lo > 0.0 if m > m0 else hi < 0.0)):
-        return None
+        return False
     try:
         for t in (lo, hi):
             memo[t] = yield t
     except CskfamError:
-        return None
-    return (lo, hi) if memo[lo] < m < memo[hi] else None
+        return False
+    return memo[lo] < m < memo[hi]
 
 
 def _walk(nu: Measure, m: float, m0: float, memo: dict):
@@ -224,9 +264,10 @@ def _lockstep(nu: Measure, m0: float, means: Sequence[float]) -> list:
     :func:`_k_means`.  The inversions take the same steps alone or
     together, so no root depends on its neighbours."""
     roots = []
-    for start in range(0, len(means), _GRID_CHUNK):
-        live = [(i, _inversion(nu, m, m0))
-                for i, m in enumerate(means[start:start + _GRID_CHUNK])]
+    for first in range(0, len(means), _GRID_CHUNK):
+        part = means[first:first + _GRID_CHUNK]
+        live = [(i, _inversion(nu, m, m0, start))
+                for i, (m, start) in enumerate(zip(part, _starts(nu, m0, part)))]
         chunk, answers = [None] * len(live), [None] * len(live)
         while live:
             asked, thetas = [], []
@@ -385,13 +426,19 @@ def family_rows(nu: Measure, means: Sequence[float]) -> list:
     or the CskfamError raised there.  The roots come from one
     :func:`_lockstep` solve of the grid, and both variances read them.
 
-    Envelope on a named density: where the mean map certifies the
-    closed-form start, all three columns are within 1.5e-14 relative of the
-    closed form from 0.06 to 0.86 of the way from the generator mean to
-    either end of the domain (closer in, the absolute ``ROOT_XTOL`` on theta
-    dominates).  A row that falls back to the walk has the accuracy of the
-    quadrature root: up to 1e-11 in theta and 3e-14 in the variance on a
-    semicircle whose support ends at 0."""
+    Envelope where the mean map certifies the start, which is the exact
+    root: from 0.06 to 0.86 of the way from the generator mean to either
+    end of the domain, all three columns are within 2e-15 relative of the
+    closed form on the named densities (1.5e-15 measured) and within 1e-14
+    of the 50-digit family on atomic laws of two to four atoms (1.3e-15
+    measured), and closer to the generator mean no tolerance on theta
+    limits them.  Next to an end of the domain where ``V/(m - m0)`` is
+    small against ``m``, ``1/theta - m`` cancels whatever the root: 2.3e-14
+    at ``m = -0.999`` on the centered Marchenko-Pastur law ``a = 1``.  A
+    row that falls back to the walk has the accuracy of the quadrature
+    root: up to 1e-11 in theta and 3e-14 in the variance on a semicircle
+    whose support ends at 0, and up to 5.2e-12 on the atoms (3.625, 4),
+    whose domain ends 0.005 below the generator mean."""
     m0 = mean(nu)
     return [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
             for m, root in zip(means, _lockstep(nu, m0, means))]
@@ -491,15 +538,19 @@ def boxtimes_power_pseudo_variance(pvfun: Callable[[float], float], alpha: float
 
 def boxtimes_power_variance(vfun: Callable[[float], float], m0: float, alpha: float,
                             m: float) -> float:
-    """Variance law under the multiplicative convolution power."""
+    """Variance law under the multiplicative convolution power.
+
+    Its ratio ``(m - m0**alpha)/(m**(1/alpha) - m0)`` is taken as
+    ``m0**(alpha - 1) * expm1(L)/expm1(L/alpha)``, ``L = log(m) -
+    alpha*log(m0)``, which does not cancel at large ``alpha``; where
+    ``expm1(L/alpha)`` is 0 it is the limit ``alpha*m0**(alpha - 1)``."""
     require_positive("alpha", alpha)
     require_positive("m", m)
-    root = m ** (1.0 / alpha)
-    if abs(root - m0) <= 1e-13:
-        ratio = alpha * m0 ** (alpha - 1.0)  # removable singularity at the mean
-    else:
-        ratio = (m - m0**alpha) / (root - m0)
-    return ratio * m ** (1.0 - 1.0 / alpha) * vfun(root)
+    require_positive("m0", m0)
+    big_l = math.log(m) - alpha * math.log(m0)
+    small = math.expm1(big_l / alpha)
+    ratio = alpha if small == 0.0 else math.expm1(big_l) / small
+    return ratio * m0 ** (alpha - 1.0) * m ** (1.0 - 1.0 / alpha) * vfun(m ** (1.0 / alpha))
 
 
 def bt_pseudo_variance(pvfun: Callable[[float], float], t: float, m: float) -> float:

@@ -306,12 +306,13 @@ def convergence_report(
     row by row.
 
     Accuracy envelope: on seeds 201 and 7919 of the ``limit_report``
-    benchmark every variance row agrees with the exact-arithmetic
-    reference within 1.5e-12 (1.47e-12 measured), and moments 1-6 within
-    6e-15 relative.  The variance rows are limited by the generator's
-    mean-map root, known to about 1e-14 absolute in theta: at the
-    pulled-back means of large ``n``, close to ``m0``, theta is small and
-    ``V`` loses about ``1e-14/|theta|`` relative.
+    benchmark every variance row agrees with the same chain at 50 digits,
+    on the generator's exact variance function, within 1e-15 relative
+    (8.5e-16 measured), and moments 1-6 agree with the exact rational
+    values within 6e-15 relative.  The rows read the generator's exact
+    mean-map root (:func:`.csk.family_rows`), and the ``boxtimes`` law does
+    not cancel as ``n`` grows: free Poisson's rows stay within 1e-13 of
+    ``m(m - 1)/(n expm1(log(m)/n))`` up to ``n = 1e15``.
     """
     ns = tuple(_check_step(n) for n in n_values)
     if any(b <= a for a, b in zip(ns, ns[1:])):

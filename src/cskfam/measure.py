@@ -4,14 +4,12 @@ Every generating measure is a :class:`Measure` and implements one protocol:
 ``moments``, ``free_cumulants``, ``s_series``, ``integrate``, ``cauchy``
 (G), ``psi_integral`` and its batched form ``psi_integrals`` (one call per
 theta in the base class, one matrix product for the named densities),
-``support``, ``theta_range``, ``known_variance`` (the variance function
-of the CSK family in closed form, None unless known; the named densities
-know theirs, and :mod:`.csk` starts its mean-map root there), ``jacobi``
-(the recurrence coefficients of the orthogonal polynomials, None unless
-known: closed forms for the named densities, Lanczos for atomic laws; the
-additive powers of :mod:`.conv` map them) and the flags
-``lower_edge_singular`` and ``upper_edge_singular``, which say where G
-diverges at an end of the support (the mean-domain formula needs it
+``support``, ``theta_range``, ``jacobi`` (the recurrence coefficients of
+the orthogonal polynomials, None unless known: closed forms for the named
+densities, Lanczos for atomic laws; the additive powers of :mod:`.conv`
+map them, and :mod:`.csk` starts its mean-map roots from them) and the
+flags ``lower_edge_singular`` and ``upper_edge_singular``, which say where
+G diverges at an end of the support (the mean-domain formula needs it
 there).  The base class gives ``is_positive`` (read off the support) and
 ``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
 exact weighted sums; the named densities (semicircle, centered
@@ -186,12 +184,6 @@ class Measure:
         """:meth:`psi_integral` at each real ``theta`` of a list: the value
         or the CskfamError raised.  Here one call per theta."""
         return [value_or_error(self.psi_integral, theta) for theta in thetas]
-
-    def known_variance(self, m: float) -> float | None:
-        """The variance function at mean ``m`` in closed form, or None where
-        none is known, as here.  Only a start: :mod:`.csk` still certifies
-        the mean-map root it gives with the quadrature mean map."""
-        return None
 
     def jacobi(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The Jacobi parameters ``(alpha, omega)`` of the measure, or None
@@ -401,23 +393,22 @@ class DensityMeasure(Measure):
     def cauchy(self, z: complex) -> float | complex:
         # x = anchor + offset, so z - x = (z - anchor) - offset without
         # cancellation even when z sits on a support edge; a real z is
-        # integrated as a float, with its pole hint
-        pole = None
+        # integrated as a float.  z is the integrand's pole either way.
         if z.imag == 0.0:
             lo, hi = self.support()
             if lo < z.real < hi:
                 raise SingularityError(f"z = {z.real:g} lies inside the support ({lo:g}, {hi:g})")
-            z = pole = z.real
-        return integrate_pieces(self, lambda a, d: 1.0 / ((z - a) - d), pole=pole)
+            z = z.real
+        return integrate_pieces(self, lambda a, d: 1.0 / ((z - a) - d), pole=z)
 
     def psi_integral(self, theta: float | complex, sums=None) -> float | complex:
         """One kernel for real and complex ``theta``: ``theta*x/(1 - theta*x)
         = x / ((r - anchor) - offset)`` with ``r = 1/theta``, stable at the
         edges and free of the cancellation of ``-1 + r*G(r)`` at small
-        ``|theta|``.  Only a real ``r`` can meet the support.  ``sums`` is
-        passed on to :func:`integrate_pieces`."""
+        ``|theta|``.  ``r`` is the integrand's pole, and only a real one can
+        meet the support.  ``sums`` is passed on to :func:`integrate_pieces`."""
         r = 1.0 / theta
-        pole = None
+        pole = r
         if r.imag == 0.0:
             lo, hi = self.support()
             pole = r.real
@@ -447,12 +438,6 @@ class DensityMeasure(Measure):
         recursion is constant past the first step (Saitoh & Yoshida 2001)."""
         return (np.array((self.center, self.center + math.sqrt(self.variance) * self.a)),
                 np.array((self.variance, self.variance)))
-
-    def known_variance(self, m: float) -> float:
-        """``variance + a*sqrt(variance)*(m - center)``, the free Meixner
-        variance function with ``b = 0`` (Bryc & Ismail, arXiv
-        math/0512224), exact at every mean of the domain."""
-        return self.variance + self.a * math.sqrt(self.variance) * (m - self.center)
 
     def describe(self) -> str:
         params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
@@ -662,7 +647,8 @@ def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return anchor, offset, matrix
 
 
-def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None = None,
+def integrate_pieces(nu: DensityMeasure, integrand: Callable,
+                     pole: float | complex | None = None,
                      sums: list | None = None) -> float | complex:
     """Sum over the density pieces of ``nu`` of the integral of ``weight * integrand``.
 
@@ -682,10 +668,8 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None
     ``|I|`` the modulus of the fine sum.
     Otherwise the piece goes to the adaptive fallback,
     :func:`_bisect_piece`, which applies the same pair to sub-intervals of
-    ``(0, umax)`` split at the piece's ``breaks``.  When the integrand has a
-    real pole ``x = pole`` at a distance ``0 < q < 0.5`` from the piece's
-    anchor, the fallback also splits at ``u = sqrt(q)``, ``10*sqrt(q)`` and
-    ``100*sqrt(q)`` inside ``(0, umax)``, where the integrand turns steep.
+    ``(0, umax)`` split at the piece's ``breaks`` and at the
+    :func:`_pole_breaks` of the integrand's ``pole``, real or complex.
     The fallback raises :class:`SingularityError` when the integrand is not
     finite where it bisects and :class:`AccuracyError` (with
     ``best_estimate``) when bisection stops short of the tolerance.  This
@@ -702,27 +686,68 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable, pole: float | None
         if abs(fine - coarse) <= FIXED_RULE_TOL * max(1.0, abs(fine)) and cmath.isfinite(fine):
             total += fine
             continue
-        pts = list(piece.breaks)
-        q = math.inf if pole is None else abs(pole - piece.anchor)
-        if 0.0 < q < 0.5:
-            root = math.sqrt(q)
-            pts += [p for p in (root, 10.0 * root, 100.0 * root) if p < piece.umax]
-        total += _bisect_piece(piece, integrand, sorted(pts))
+        pts, centre = _pole_breaks(piece, pole)
+        total += _bisect_piece(piece, integrand, sorted([*piece.breaks, *pts]), centre)
     return total
 
 
-def _pair_sums(piece: QuadPiece, integrand: Callable, lo: float,
-               hi: float) -> tuple[float | complex, float | complex]:
+def _pole_breaks(piece: QuadPiece,
+                 pole: float | complex | None) -> tuple[list[float], float | None]:
+    """Where the fallback splits a piece near the integrand's pole, in
+    ``(0, umax)``, and the node its offsets are taken from (None: the
+    anchor; see :func:`_nodes`).
+
+    A complex pole over the piece, whose real part is ``x`` at the node
+    ``u*``, gives ``u*`` and ``u* -/+ f*|Im(pole)|/u*`` for ``f = 1, 10,
+    100``, since the peak of the integrand is about ``|Im(pole)|/u*`` wide
+    in ``u``; its offsets are taken from ``u*``.  A real pole, or a complex
+    one whose real part misses the piece, at a distance ``0 < q < 0.5``
+    from the anchor gives ``sqrt(q)``, ``10*sqrt(q)`` and ``100*sqrt(q)``,
+    where the integrand turns steep."""
+    if isinstance(pole, complex):
+        q = piece.sign * (pole.real - piece.anchor)
+        centre = float(np.float32(math.sqrt(q))) if q > 0.0 else 0.0  # 24 bits: exact squares
+        if 0.0 < centre < piece.umax:
+            step = abs(pole.imag) / centre
+            pts = [centre, *(centre + k * f * step for f in (1.0, 10.0, 100.0) for k in (-1.0, 1.0))]
+            return [p for p in pts if 0.0 < p < piece.umax], centre
+        pole = pole.real
+    q = math.inf if pole is None else abs(pole - piece.anchor)
+    if not 0.0 < q < 0.5:
+        return [], None
+    root = math.sqrt(q)
+    return [p for p in (root, 10.0 * root, 100.0 * root) if p < piece.umax], None
+
+
+def _nodes(piece: QuadPiece, lo: float, steps, centre: float | None):
+    """The nodes ``u = lo + steps`` of a piece with the integrand's ``(a,
+    d)`` there: ``(anchor, sign*u**2)``, or, about the node ``centre``,
+    ``a = anchor + sign*centre**2`` and ``d = x - a`` from ``t = (lo -
+    centre) + steps``.  Next to a complex pole whose real part is ``a``,
+    ``t`` and ``d`` keep their digits, which ``u`` and ``sign*u**2``
+    rounded at the scale of ``u`` lose."""
+    if centre is None:
+        u = lo + steps
+        return u, piece.anchor, piece.sign * u * u
+    t = (lo - centre) + steps
+    square = centre * centre  # exact: centre has 24 significant bits
+    a = piece.anchor + piece.sign * square
+    rest = math.fsum((piece.anchor, piece.sign * square, -a))
+    return centre + t, a, rest + piece.sign * t * (2.0 * centre + t)
+
+
+def _pair_sums(piece: QuadPiece, integrand: Callable, lo: float, hi: float,
+               centre: float | None) -> tuple[float | complex, float | complex]:
     """The coarse and the fine sum of the fixed pair on ``(lo, hi)`` of a piece,
-    from one evaluation on the nodes of both rules."""
+    from one evaluation on the nodes of both rules (:func:`_nodes`)."""
     (_, w_coarse), (_, w_fine) = _FIXED_RULES
-    u = lo + (hi - lo) * _PAIR_NODES
-    values = (hi - lo) * piece.weight(u) * integrand(piece.anchor, piece.sign * u * u)
+    u, a, d = _nodes(piece, lo, (hi - lo) * _PAIR_NODES, centre)
+    values = (hi - lo) * piece.weight(u) * integrand(a, d)
     return (w_coarse @ values[:w_coarse.size]).item(), (w_fine @ values[w_coarse.size:]).item()
 
 
-def _bisect_piece(piece: QuadPiece, integrand: Callable,
-                  points: list[float]) -> float | complex:
+def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float],
+                  centre: float | None) -> float | complex:
     """Adaptive fallback of :func:`integrate_pieces` on one piece.
 
     Starts from the sub-intervals of ``(0, umax)`` between the sorted
@@ -748,10 +773,10 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable,
         else:
             # the fixed pair has just failed on the whole piece, on these same
             # nodes: it counts as the first sub-interval, and its halves follow
-            stack, evaluated = _halves(piece, integrand, 0.0, piece.umax, 0), 1
+            stack, evaluated = _halves(piece, integrand, 0.0, piece.umax, 0, centre), 1
         while stack:  # leftmost sub-interval first: a fixed summation order
             lo, hi, depth = stack.pop()
-            coarse, fine = _pair_sums(piece, integrand, lo, hi)
+            coarse, fine = _pair_sums(piece, integrand, lo, hi, centre)
             evaluated += 1
             tol = FIXED_RULE_TOL * max((hi - lo) / piece.umax, abs(fine))
             if abs(fine - coarse) <= tol and cmath.isfinite(fine):
@@ -760,7 +785,7 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable,
                 total += fine
                 converged = False
             else:
-                stack += _halves(piece, integrand, lo, hi, depth)
+                stack += _halves(piece, integrand, lo, hi, depth, centre)
     if not converged:
         raise AccuracyError(
             f"adaptive quadrature did not reach its tolerance in {evaluated} sub-intervals",
@@ -769,8 +794,8 @@ def _bisect_piece(piece: QuadPiece, integrand: Callable,
     return total
 
 
-def _halves(piece: QuadPiece, integrand: Callable, lo: float, hi: float,
-            depth: int) -> list[tuple[float, float, int]]:
+def _halves(piece: QuadPiece, integrand: Callable, lo: float, hi: float, depth: int,
+            centre: float | None) -> list[tuple[float, float, int]]:
     """The halves of ``(lo, hi)`` at ``depth + 1``, the right one first for
     :func:`_bisect_piece`'s stack, once the integrand is finite at the split
     point: both odd rules had their middle node there, so a non-finite value
@@ -778,7 +803,8 @@ def _halves(piece: QuadPiece, integrand: Callable, lo: float, hi: float,
     :class:`SingularityError`."""
     mid = 0.5 * (lo + hi)
     try:
-        value = piece.weight(mid) * integrand(piece.anchor, piece.sign * mid * mid)
+        u, a, d = _nodes(piece, mid, 0.0, centre)
+        value = piece.weight(u) * integrand(a, d)
     except ZeroDivisionError:
         value = math.nan
     if not cmath.isfinite(value):

@@ -321,6 +321,52 @@ def mp_scaled_law_variance(moments_, n: int, kind: str, m: float, dps: int = 60)
 
 
 # ---------------------------------------------------------------------------
+# CSK families
+
+
+def atomic_family_row(atoms, weights, m: float, dps: int = 50) -> tuple[float, float, float]:
+    """``(theta, pseudo_variance, variance)`` of the member with mean ``m`` of
+    the CSK family of ``sum w_i delta(a_i)``, at ``dps`` digits.  The member
+    at ``theta`` is the law ``w_i/(1 - theta*a_i)``, normalized; its mean
+    increases with ``theta`` over ``(1/min(0, a), 1/max(0, a))``, so
+    ``theta`` is bisected there (an infinite end is first pushed out by
+    doubling until its mean passes ``m``), ``4*dps`` times.  The variance
+    is the member's own, and the pseudo-variance ``m*V/(m - m0)``."""
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(x) for x in atoms]
+        w = [mpmath.mpf(x) for x in weights]
+
+        def member(theta):
+            q = [wi / (1 - theta * ai) for ai, wi in zip(a, w)]
+            total = mpmath.fsum(q)
+            return [qi / total for qi in q]
+
+        def mean_at(theta):
+            return mpmath.fsum(p * ai for p, ai in zip(member(theta), a))
+
+        target, m0 = mpmath.mpf(m), mean_at(0)
+        if target > m0:
+            lo, hi = mpmath.mpf(0), (1 / max(a) if max(a) > 0 else mpmath.mpf(1))
+            while max(a) <= 0 and mean_at(hi) < target:
+                hi *= 2
+        else:
+            lo, hi = (1 / min(a) if min(a) < 0 else mpmath.mpf(-1)), mpmath.mpf(0)
+            while min(a) >= 0 and mean_at(lo) > target:
+                lo *= 2
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            if mean_at(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        theta = (lo + hi) / 2
+        p = member(theta)
+        mu = mpmath.fsum(pi * ai for pi, ai in zip(p, a))
+        v = mpmath.fsum(pi * (ai - mu) ** 2 for pi, ai in zip(p, a))
+        return float(theta), float(target * v / (target - m0)), float(v)
+
+
+# ---------------------------------------------------------------------------
 # miscellaneous closed forms
 
 

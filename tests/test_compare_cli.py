@@ -85,25 +85,34 @@ def test_source_lines_counts_the_package_modules_only(tmp_path):
     assert compare_cli.source_lines(tmp_path) == 2
 
 
-def test_named_csk_error_reads_the_closed_form(tmp_path):
+def test_csk_reference_error_reads_the_closed_form_and_the_atomic_family(tmp_path):
     named = tmp_path / "fp.json"
     named.write_text('{"type": "named", "name": "free_poisson"}', encoding="utf-8")
     atomic = tmp_path / "atoms.json"
     atomic.write_text('{"type": "atomic", "atoms": [1, 2], "weights": [0.5, 0.5]}',
                       encoding="utf-8")
+    moments = tmp_path / "moments.json"
+    moments.write_text('{"type": "moments", "values": [1, 2]}', encoding="utf-8")
+    error = compare_cli.csk_reference_error
     # V(m) = m: at m = 0.5 the row is theta = -2, PV = -0.5, V = 0.5; the row
     # at the generator mean and the error row are skipped
     out = (b"# spec,free_poisson\nm,theta,pseudo_variance,variance,error\n"
            b"0.5,-2,-0.5,0.50000000000000011,\n"
            b"1,0,1,1,\n"
            b"2.5,,,,m = 2.5 at or above the upper mean endpoint\n")
-    assert compare_cli.named_csk_error(["csk", "--spec", str(named)], out) == pytest.approx(
-        2.2e-16, rel=0.01)
-    assert compare_cli.named_csk_error(["csk", "--spec", str(named)], out.replace(
-        b"0.50000000000000011", b"0.5")) == 0.0
-    assert compare_cli.named_csk_error(["csk", "--spec", str(named)], b"") is None
-    assert compare_cli.named_csk_error(["csk", "--spec", str(atomic)], out) is None
-    assert compare_cli.named_csk_error(["limit", "--spec", str(named)], out) is None
+    assert error(["csk", "--spec", str(named)], out) == pytest.approx(2.2e-16, rel=0.01)
+    assert error(["csk", "--spec", str(named)], out.replace(b"0.50000000000000011", b"0.5")) == 0.0
+    assert error(["csk", "--spec", str(named)], b"") is None
+    # two atoms: V(m) = (m - 1)(2 - m), so at m = 1.75 theta = 0.4, PV = 1.3125
+    # and V = 0.1875, and the generator mean 1.5 is skipped
+    atoms = (b"# spec,atomic\nm,theta,pseudo_variance,variance,error\n"
+             b"1.75,0.4,1.3125,0.18750000000000003,\n"
+             b"1.5,0,,0.25,DomainError: pseudo-variance diverges at a nonzero generator mean\n")
+    assert error(["csk", "--spec", str(atomic)], atoms) == pytest.approx(1.5e-16, rel=0.01)
+    assert error(["csk", "--spec", str(atomic)], atoms.replace(b"0.18750000000000003",
+                                                               b"0.1875")) == 0.0
+    assert error(["csk", "--spec", str(moments)], out) is None
+    assert error(["limit", "--spec", str(named)], out) is None
 
 
 def test_golden_spec_jobs_cover_every_spec_and_command():

@@ -45,6 +45,8 @@ from cskfam.measure import (
 )
 from cskfam.transforms import bracketed_root, cauchy_transform, psi_transform, s_transform
 
+from oracles import atomic_family_row
+
 FP = FreePoisson()
 TWO_ATOM = AtomicMeasure((0.5, 2.5), (0.4, 0.6))
 
@@ -170,7 +172,9 @@ def test_k_mean_floor_on_one_plus_psi():
 @pytest.mark.parametrize("route", ["psi_mean_inverse", "family_rows"])
 def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, route, monkeypatch):
     # both routes drive one inversion through _lockstep, which asks the
-    # batched mean map for one theta per round
+    # batched mean map for one theta per round; the answer is a theta it
+    # asked for (Brent's), or the start at the centre of the two bracket
+    # ends that certified it
     thetas = []
     batched = csk_module._k_means
     monkeypatch.setattr(csk_module, "_k_means",
@@ -183,7 +187,10 @@ def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, route, m
         thetas.clear()
         theta = invert(nu, m)
         assert len(thetas) == len(set(thetas)), f"repeated theta at m = {m}"
-        assert theta in thetas  # Brent's answer is a point it evaluated
+        if theta not in thetas:
+            lo, hi = thetas
+            assert lo < theta < hi and math.isclose(theta - lo, hi - theta, rel_tol=1e-3)
+            assert k_mean(nu, lo) < m < k_mean(nu, hi)
         assert abs(k_mean(nu, theta) - m) <= 1e-10
 
 
@@ -284,6 +291,13 @@ def test_variance_free_poisson_is_identity_map():
         assert abs(variance(FP, float(m)) - m) <= 1e-8
 
 
+@pytest.mark.parametrize("m", [0.99835, 0.9999])
+def test_variance_near_the_generator_mean_is_the_exact_root(m):
+    # Brent stopped on the absolute ROOT_XTOL in theta, small next to the
+    # generator mean, and V(m) = m was 2.0e-13 and 3.3e-12 relative off
+    assert abs(variance(FP, m) - m) <= 1e-15 * m
+
+
 def test_variance_at_generator_mean_is_generator_variance():
     for nu in (FP, TWO_ATOM, MarchenkoPasturCentered(0.4)):
         m = moments(nu, 2)
@@ -308,7 +322,7 @@ def test_pseudo_variance_at_zero_mean_starts_no_inversion(nu, want, monkeypatch)
     calls = []
     original = csk_module._inversion
     monkeypatch.setattr(csk_module, "_inversion",
-                        lambda nu_, m, m0: calls.append(m) or original(nu_, m, m0))
+                        lambda nu_, m, *rest: calls.append(m) or original(nu_, m, *rest))
     assert pseudo_variance(nu, 0.0) == want
     assert calls == []
     if nu is FP:
@@ -444,6 +458,17 @@ def test_boxtimes_power_law_free_poisson():
     # removable singularity at the transformed mean
     near = boxtimes_power_variance(v, 1.0, 2.0, 1.0)
     assert abs(near - 2.0) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [64.0, 1e8, 1e11, 1e13, 1e15])
+def test_boxtimes_power_variance_does_not_cancel_at_large_alpha(alpha):
+    # with V(x) = x the law is m(m - 1)/expm1(log(m)/alpha); the quotient of
+    # differences was 7.4e-9 off at alpha = 1e8 and 0.28 at 1e13, where the
+    # absolute 1e-13 test for the removable singularity fired
+    for m in (0.6, 0.9, 1.0 + 1e-9, 1.5, 4.0):
+        want = m * (m - 1.0) / math.expm1(math.log(m) / alpha)
+        assert abs(boxtimes_power_variance(lambda x: x, 1.0, alpha, m) - want) <= 1e-14 * want
+    assert boxtimes_power_variance(lambda x: x, 1.0, alpha, 1.0) == alpha
 
 
 def test_bt_laws():
@@ -727,23 +752,46 @@ def _closed_form_row(m0, vfun, m):
 
 @pytest.mark.parametrize("nu, vfun", NAMED_V)
 def test_named_density_ladder_is_within_the_closed_form_envelope(nu, vfun):
+    # measured: 1.5e-15 (free Poisson's theta next to the lower end); the
+    # quadrature root of the walk was within 1.5e-14
     m0, grid = mean(nu), _ladder(nu)
     for m, row in zip(grid, family_rows(nu, grid)):
         for got, want in zip(row, _closed_form_row(m0, vfun, m)):
-            assert abs(got - want) <= 1.5e-14 * abs(want), (m, row)
+            assert abs(got - want) <= 2e-15 * abs(want), (m, row)
+
+
+#: Atomic laws, two to four atoms, with their atoms and weights.
+ATOMIC_LAWS = [pytest.param(atoms, weights, id=",".join(f"{a:g}" for a in atoms))
+               for atoms, weights in [
+                   ((0.5, 2.5), (0.4, 0.6)),
+                   ((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)),
+                   ((0.25, 0.75, 1.5, 2.75), (0.125, 0.375, 0.25, 0.25)),
+                   ((0.125, 1.0, 1.125), (0.25, 0.5, 0.25)),
+               ]]
+
+
+@pytest.mark.parametrize("atoms, weights", ATOMIC_LAWS)
+def test_atomic_ladder_is_within_1e_14_of_the_tilted_mean_oracle(atoms, weights):
+    # the rows once kept the error of the quadrature root, up to 2.4e-14
+    # relative; the start from the Jacobi parameters is the exact root
+    nu = AtomicMeasure(atoms, weights)
+    grid = _ladder(nu)
+    for m, row in zip(grid, family_rows(nu, grid)):
+        for got, want in zip(row, atomic_family_row(atoms, weights, m)):
+            assert abs(got - want) <= 1e-14 * abs(want), (m, row)
 
 
 @pytest.mark.parametrize("nu, vfun", NAMED_V)
 def test_named_density_ladder_asks_few_theta_per_mean(nu, vfun, monkeypatch):
-    # the walk and Brent asked about 9 theta per mean; the closed-form
-    # start asks for its two bracket ends and Brent one or two more
+    # the walk and Brent asked about 9 theta per mean; the start from the
+    # Jacobi parameters asks for the two ends of the bracket that certifies it
     asked = []
     batched = csk_module._k_means
     monkeypatch.setattr(csk_module, "_k_means",
                         lambda nu_, thetas: asked.extend(thetas) or batched(nu_, thetas))
     grid = _ladder(nu)
     family_rows(nu, grid)
-    assert len(asked) <= 5 * len(grid)
+    assert len(asked) == 2 * len(grid)
 
 
 def _start_off(factor):
@@ -764,27 +812,25 @@ def _start_beyond(theta, nu, m):
     _start_off(-1.0),  # the wrong side of 0
 ], ids=["off_1e-6", "nan", "inf", "beyond_theta_range", "wrong_sign"])
 @pytest.mark.parametrize("nu", [FP, MarchenkoPasturCentered(1.0), MarchenkoPasturCentered(0.9375),
-                                Semicircle(1.0, 0.5)], ids=lambda nu: nu.describe())
+                                Semicircle(1.0, 0.5), TWO_ATOM,
+                                AtomicMeasure((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125))],
+                         ids=lambda nu: nu.describe())
 def test_a_wrong_start_cannot_change_a_row(nu, start, monkeypatch):
     # a start the mean map does not certify falls back to the walk, with
     # the same bits and the same error rows as no start at all
     m0, (lo, hi) = mean(nu), mean_domain(nu)
     grid = [lo - 0.5, lo, *_ladder(nu), hi, hi + 0.5, 0.0]
-    true_v = type(nu).known_variance
+    true_starts = csk_module._starts
 
-    def wrong_v(self, m):
-        # the V whose closed-form root (m - m0)/(m*(m - m0) + V) is the start
-        den = m * (m - m0) + true_v(self, m)
-        if den == 0.0:  # free Poisson at m = 0 has no start
-            return true_v(self, m)
-        return (m - m0) / start((m - m0) / den, self, m) - m * (m - m0)
+    def wrong_starts(nu_, m0_, means):
+        return [start(t, nu_, m) for t, m in zip(true_starts(nu_, m0_, means), means)]
 
     certified = [_bits(_outcome(row)) for row in family_rows(nu, grid)]
-    monkeypatch.setattr(type(nu), "known_variance", lambda self, m: None)
+    monkeypatch.setattr(csk_module, "_starts", lambda nu_, m0_, means: [math.nan] * len(means))
     want = [_bits(_outcome(row)) for row in family_rows(nu, grid)]
     assert certified != want  # the right start moves bits
     assert any(isinstance(row[0], type) for row in want)  # error rows too
-    monkeypatch.setattr(type(nu), "known_variance", wrong_v)
+    monkeypatch.setattr(csk_module, "_starts", wrong_starts)
     assert [_bits(_outcome(row)) for row in family_rows(nu, grid)] == want
 
 
@@ -792,9 +838,9 @@ def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path)
     calls = []
     original = csk_module._inversion
 
-    def counted(nu, m, m0):
+    def counted(nu, m, *rest):
         calls.append(m)
-        return original(nu, m, m0)
+        return original(nu, m, *rest)
 
     monkeypatch.setattr(csk_module, "_inversion", counted)
     spec = tmp_path / "mp.json"

@@ -266,6 +266,18 @@ def test_report_variance_rows(fp_reports):
         assert r.error <= 5e-2
 
 
+def test_report_variance_rows_follow_the_exact_scaled_law_to_n_1e15():
+    # free Poisson's scaled law has V_n(m) = m(m - 1)/(n expm1(log(m)/n));
+    # the boxtimes law cancelled in m**(1/n) - 1 and printed 0.6000000000000306
+    # at n = 1e13, m = 0.6, where the limit is 0.46983
+    ns = (1, 2, 64, 10**8, 10**11, 10**13, 10**15)
+    rows = convergence_report(FP, "boxplus", ns).variance_rows
+    assert len(rows) == 3 * len(ns)
+    for r in rows:
+        want = r.m * (r.m - 1.0) / (r.n * math.expm1(math.log(r.m) / r.n))
+        assert abs(r.value - want) <= 1e-9 * want, r
+
+
 def test_report_errors_nonnegative(fp_reports):
     for rep in fp_reports.values():
         assert all(r.error >= 0.0 for r in rep.rows)

@@ -236,9 +236,9 @@ def _record_fallback(monkeypatch) -> list:
     calls = []
     fallback = measure_module._bisect_piece
 
-    def recorded(piece, integrand, points):
+    def recorded(piece, integrand, points, centre):
         calls.append(list(points))
-        return fallback(piece, integrand, points)
+        return fallback(piece, integrand, points, centre)
 
     monkeypatch.setattr(measure_module, "_bisect_piece", recorded)
     return calls
@@ -283,9 +283,9 @@ def test_fallback_without_break_points_starts_from_the_halves(monkeypatch):
     spans = []
     pair_sums = measure_module._pair_sums
 
-    def recorded(piece, integrand, lo, hi):
+    def recorded(piece, integrand, lo, hi, centre):
         spans.append((lo, hi))
-        return pair_sums(piece, integrand, lo, hi)
+        return pair_sums(piece, integrand, lo, hi, centre)
 
     monkeypatch.setattr(measure_module, "_pair_sums", recorded)
     nu, z = FreePoisson(), -1e-6
@@ -480,6 +480,25 @@ def test_complex_cauchy_close_to_the_support_against_mpmath(nu, z):
     # each missed the tolerance (AccuracyError); the complex sum meets it
     want = complex(mp_cauchy_complex(nu, z))
     assert abs(cauchy_transform(nu, z) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("nu, x", [(FreePoisson(), 0.3), (FreePoisson(), 1.0), (FreePoisson(), 3.9),
+                                   (Semicircle(1.0, 0.5), 1.3), (Semicircle(), -1.9),
+                                   (Semicircle(), 0.5)], ids=str)
+@pytest.mark.parametrize("y", [1e-3, 3e-5, 1e-6, -1e-6])
+def test_complex_g_and_psi_over_the_support_interior_against_mpmath(nu, x, y):
+    # the fallback once split a piece only at a real pole, and G raised
+    # AccuracyError from Im z = 3e-5 down (free Poisson at 1 + 3e-5j after
+    # 10 ms); measured now: within 8e-16 relative
+    z = complex(x, y)
+    want = complex(mp_cauchy_complex(nu, z))
+    assert abs(cauchy_transform(nu, z) - want) <= 1e-13 * abs(want)
+    if nu.is_positive:
+        theta = 1.0 / z
+        with mpmath.workdps(50):
+            r = 1 / mpmath.mpc(theta)
+            want = complex(-1 + r * mp_cauchy_complex(nu, r))
+        assert abs(psi_transform(nu, theta) - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("nu", [FreePoisson(), Semicircle(2.5, 1.0)], ids=lambda nu: nu.describe())

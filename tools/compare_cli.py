@@ -20,9 +20,10 @@ and by the grade of each side: the rows within tolerance of the job's own
 ``check`` over the rows attempted, as ``bench/run.py`` grades them (see
 :func:`grade`), so a moved cell reads as a fix or as a regression; a
 ``golden_specs`` job has no check and reads ``ungraded``.  A ``csk`` job on
-a named density also prints each side's largest relative error against
-the closed form (see :func:`named_csk_error`), so that bits moved within
-the tolerance read as closer or farther.
+a named density or an atomic law also prints each side's largest relative
+error against its reference, the closed form or the 50-digit atomic
+family (see :func:`csk_reference_error`), so that bits moved within the
+tolerance read as closer or farther.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
 checkout (see :func:`source_lines`), so that a comparison also shows
@@ -210,25 +211,32 @@ def grade(job: J.Job | None, code: int, out: bytes) -> str:
     return f"{tally.ok}/{tally.attempted} ok{problems}"
 
 
-def named_csk_error(args: list[str], out: bytes) -> float | None:
-    """Largest relative error of a ``cskfam csk`` output on a named density
-    against its closed form, ``reference.named_row``, over the answered rows
-    away from the generator mean (where the closed form divides by 0); a
-    cell whose reference is 0 counts its absolute error.  None for any
-    other job and for an output without such a row."""
+def csk_reference_error(args: list[str], out: bytes) -> float | None:
+    """Largest relative error of a ``cskfam csk`` output against its
+    reference: the closed form ``reference.named_row`` on a named density,
+    ``reference.AtomicFamily.row`` at 50 digits on an atomic law.  It reads
+    the answered rows more than 1e-12 away from the generator mean (where
+    the pseudo-variance divides by 0); a cell whose reference is 0 counts
+    its absolute error.  None for any other job and for an output without
+    such a row."""
     if args[0] != "csk":
         return None
     doc = json.loads(Path(args[args.index("--spec") + 1]).read_text(encoding="utf-8"))
-    if doc.get("type") != "named":
+    if doc.get("type") == "named":
+        params = doc.get("params", {})
+        m0 = J.ref.named_family(doc["name"], params)[0]
+        reference = lambda m: J.ref.named_row(doc["name"], params, m)
+    elif doc.get("type") == "atomic":
+        family = J.ref.AtomicFamily(doc["atoms"], doc["weights"])
+        m0, reference = float(family.m0), family.row
+    else:
         return None
-    params = doc.get("params", {})
-    m0 = J.ref.named_family(doc["name"], params)[0]
     errors = []
     for row in J._parse(out.decode("utf-8"))[2]:
         m = float(row[0])
-        if row[4] or m == m0:
+        if row[4] or abs(m - m0) <= 1e-12:
             continue
-        for got, want in zip(row[1:4], J.ref.named_row(doc["name"], params, m)):
+        for got, want in zip(row[1:4], reference(m)):
             errors.append(abs(float(got) - want) / (abs(want) if want else 1.0))
     return max(errors, default=None)
 
@@ -288,9 +296,9 @@ def main(argv=None) -> int:
                 key, rel = max(changes.items(), key=lambda item: item[1])
                 if rel > worst[0]:
                     worst = (rel, f"{key} of {label}")
-            named = [named_csk_error(run["args"], out) for out in (pout, cout)]
-            if None not in named:
-                print(f"  closed-form error: parent {named[0]:.2g}, change {named[1]:.2g}")
+            errors = [csk_reference_error(run["args"], out) for out in (pout, cout)]
+            if None not in errors:
+                print(f"  reference error: parent {errors[0]:.2g}, change {errors[1]:.2g}")
             print(f"  graded: parent {grade(job, pcode, pout)}, "
                   f"change {grade(job, ccode, cout)}")
     print(f"{compared} jobs compared, {differ} differ")
