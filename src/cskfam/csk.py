@@ -7,30 +7,25 @@ computes the mean map and its inverse, domains of means, pseudo-variance
 and variance functions, member densities, and the transformation laws of
 the variance function under affine images, convolution powers and the
 Boolean-to-free map.  ``family_rows`` gives theta, the pseudo-variance and
-the variance at each mean of a grid, which it solves in lockstep, and is
-what ``cskfam csk`` tabulates; ``variances`` solves a grid for the variance
-alone, as ``cskfam limit`` needs it.  The scalar calls (``family_row``,
-``variance``, ``pseudo_variance``, ``psi_mean_inverse``) are one-mean
-grids whose error is raised, so each quantity has one code path.
+the variance at each mean of a grid, and is what ``cskfam csk``
+tabulates; ``variances`` gives the variance alone, as ``cskfam limit``
+needs it.  The scalar calls (``family_row``, ``variance``,
+``pseudo_variance``, ``psi_mean_inverse``) are one-mean grids whose error
+is raised, so each quantity has one code path.
 
 Everything here reads the generator through the measure protocol (mean,
-support, G and Psi), and each quantity has one formula for every
-representation: both ends of the domain of means are ``edge - 1/G(edge)``,
-and the pseudo-variance and variance are read off the mean-map root
-``theta``.  Only the inversion of the mean map (``_inversion``) picks a
-route by representation.  A moment sequence's truncated power series of
-Psi diverges at the relevant ``theta``, so its root comes from the
-reverted S-series, which converges regardless of the unknown support
-radius.  Every other law has Jacobi parameters, which give the exact root
-(``_starts``: the free Meixner continued fraction for a constant tail, an
-extreme eigenvalue for a finite Jacobi matrix); the inversion asks the
-quadrature mean map at the two ends of a bracket a few Brent tolerances
-wide around it and returns it where the map crosses the mean there.  Only
-where a start is not certified does it walk in ``theta`` from 0 and end
-with Brent.  The inversion is a generator that asks for one ``theta`` at a
-time, and one driver, ``_lockstep``, runs it for every caller
-(``psi_mean_inverse`` on one mean, ``family_rows`` and ``variances`` on a
-grid), so the means of a grid share one batched Psi per round.
+support, G, Psi and the Jacobi parameters), and each quantity has one
+formula for every representation: both ends of the domain of means are
+``edge - 1/G(edge)``, and the pseudo-variance and variance are read off
+the mean-map root ``theta``.  Only that root (``_roots``) picks a route by
+representation.  A moment sequence's truncated power series of Psi
+diverges at the relevant ``theta``, so its root comes from the reverted
+S-series, which converges regardless of the unknown support radius.
+Every other law has Jacobi parameters, which give the exact root in
+closed form (``_jacobi_roots``: the free Meixner continued fraction for a
+constant tail, an extreme eigenvalue for a finite Jacobi matrix), and a
+mean whose root is not admissible is refused.  ``k_mean``, the mean map
+from one Psi integral, is what the tests check those roots against.
 """
 
 from __future__ import annotations
@@ -51,15 +46,7 @@ from .errors import (
     value_or_error,
 )
 from .measure import Measure, MomentSeq, mean, support_bounds, variance_of
-from .transforms import (
-    ROOT_RTOL,
-    ROOT_XTOL,
-    _check_theta,
-    bracketed_root,
-    brent_steps,
-    cauchy_transform,
-    s_series,
-)
+from .transforms import _check_theta, bracketed_root, cauchy_transform, psi_integral, s_series
 
 _MEAN_MATCH_TOL = 1e-12
 
@@ -67,17 +54,9 @@ _MEAN_MATCH_TOL = 1e-12
 #: lost: under it the sum has cancelled to fewer than half its digits.
 _MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
 
-#: Means that ``_lockstep`` solves together at a time, which bounds the
-#: (theta x nodes) array of one batched Psi.
+#: Means whose roots ``_roots`` reads at a time, which bounds the
+#: (means x k x k) array of the eigenvalue route.
 _GRID_CHUNK = 64
-
-#: Half-width of the bracket that certifies an exact mean-map root, in units
-#: of Brent's tolerance there: the start is returned where the quadrature
-#: mean map crosses the mean on it, so it is as close to the quadrature
-#: root as Brent would have come.  The bracket must hold that root: half
-#: this width refuses free Poisson means near the lower end of the domain,
-#: where the mean map moves by a few ulps across the bracket.
-_START_WIDTH = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +64,9 @@ _START_WIDTH = 8.0
 
 
 def k_mean(nu: Measure, theta: float) -> float:
-    """Mean of the family member at kernel parameter ``theta``.
+    """Mean of the family member at kernel parameter ``theta``, from one
+    Psi integral.  No root of this module is read off it: it is the mean
+    map that the tests hold those roots against.
 
     Strictly increasing in ``theta``; ``theta = 0`` returns the generator
     mean.  Computed as ``P/(theta*(1+P))`` with ``P = integral of
@@ -95,31 +76,19 @@ def k_mean(nu: Measure, theta: float) -> float:
     large unbounded ``theta`` it cancels in floating point: once it is at
     most ``sqrt(eps)`` (about 1.5e-8) fewer than half its digits are left,
     the computed mean can fall on the wrong side of a target, and
-    NumericError is raised.  Means within about 1e-8 of the end of the
-    domain on an unbounded side are lost with them.
+    NumericError is raised.
     """
     if theta == 0.0:
         return mean(nu)
     _check_theta(nu, theta)
-    return raise_error(_k_means(nu, [theta])[0])
+    p = psi_integral(nu, theta)
+    if not 1.0 + p > _MEAN_MAP_FLOOR:
+        raise NumericError(f"the mean map is lost to cancellation at theta = {theta:g}")
+    return p / (theta * (1.0 + p))
 
 
-def _k_means(nu: Measure, thetas: list[float]) -> list:
-    """:func:`k_mean` at nonzero admissible ``thetas`` from one
-    ``nu.psi_integrals``: each the mean or the CskfamError raised there.
-    A plain loop: the integrals come batched, and each mean is two float
-    operations on its own."""
-    means = []
-    for theta, p in zip(thetas, nu.psi_integrals(thetas)):
-        if not isinstance(p, CskfamError):
-            p = (p / (theta * (1.0 + p)) if 1.0 + p > _MEAN_MAP_FLOOR else
-                 NumericError(f"the mean map is lost to cancellation at theta = {theta:g}"))
-        means.append(p)
-    return means
-
-
-def _starts(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
-    """The exact mean-map root ``theta = 1/p`` at each mean, from one read of
+def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
+    """The mean-map root ``theta = 1/p`` at each mean, from one read of
     :meth:`.Measure.jacobi`: nan where ``nu`` has no Jacobi parameters (a
     moment sequence) or the mean gives no root.
 
@@ -131,7 +100,14 @@ def _starts(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
 
     * a constant tail (length at most 2: the named densities, laws of one
       or two atoms) gives ``p = alpha_1 + omega_1/d + omega_2*d/omega_1``,
-      the free Meixner root (Bryc & Ismail, arXiv math/0512224);
+      the free Meixner root (Bryc & Ismail, arXiv math/0512224).  It is
+      the root only where ``G'(p) = d/omega_1`` can hold, which is where
+      ``omega_2*d**2 < omega_1**2``; elsewhere it is the quadratic's other
+      root (free Poisson at ``m = 3`` would give ``theta = 2/9``), and nan.
+      Where ``alpha_1**2 = 4*omega_2`` the support ends at 0 (free Poisson,
+      a semicircle with ``center**2 = 4*variance``), and ``p*d`` is the
+      square ``(omega_2/omega_1)*(m - e)**2`` about the end ``e = m0 -
+      alpha_1*omega_1/(2*omega_2)`` of the domain of means;
     * a finite matrix (three atoms or more, ``omega_n = 0``) gives ``p`` as
       the eigenvalue of ``J' + (omega_1/d)*e1*e1^T`` beyond the spectrum of
       ``J'`` on the side of ``d``: the largest for ``m > m0`` and the
@@ -141,13 +117,20 @@ def _starts(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
     if jacobi is None:
         return [math.nan] * len(means)
     alpha, omega = jacobi
-    d = np.asarray(means, dtype=float) - m0
+    m = np.asarray(means, dtype=float)
+    d = m - m0
     with np.errstate(all="ignore"):
         if max(alpha.size, omega.size) <= 2:
             # theta = d/(p*d) with p*d a quadratic in d: fewer roundings than
-            # 1/p, whose three terms cancel next to an end of the domain
+            # 1/p, whose three terms cancel next to an end of the domain;
+            # a square is taken as one, since expanded it cancels next to e
             (_, a1), (w1, w2) = (np.append(x, x[-1])[:2] for x in jacobi)
-            return (d / ((w1 + a1 * d) + w2 * d * (d / w1))).tolist()
+            if w2 > 0.0 and a1 * a1 == 4.0 * w2:
+                r = m - (m0 - a1 * w1 / (2.0 * w2))
+                pd = (w2 / w1) * (r * r)
+            else:
+                pd = (w1 + a1 * d) + w2 * d * (d / w1)
+            return np.where(w2 * d * d < w1 * w1, d / pd, math.nan).tolist()
         k = alpha.size - 1
         off = np.diag(np.sqrt(omega[1:k]), 1)
         tail = np.broadcast_to(np.diag(alpha[1:]) + off + off.T, (d.size, k, k)).copy()
@@ -158,131 +141,62 @@ def _starts(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
         return (1.0 / np.where(finite, np.where(d > 0.0, eig[:, -1], eig[:, 0]), math.nan)).tolist()
 
 
-def _inversion(nu: Measure, m: float, m0: float, start: float):
-    """Generator of the mean-map root at mean ``m`` (``m0`` the generator
-    mean, ``start`` its exact root from :func:`_starts`): it yields each
-    theta at which it needs ``k_mean``, once, and is sent the mean or has
-    the CskfamError that ``k_mean`` raised thrown in.
+def _roots(nu: Measure, m0: float, means: Sequence[float]) -> list:
+    """The mean-map root at each mean (``m0`` the generator mean), or the
+    CskfamError raised there; 0 within ``_MEAN_MATCH_TOL`` of ``m0``.
 
     The one place that picks a route by representation.  A moment
     sequence's truncated Psi series diverges at the relevant ``theta``, so
-    its root ``1/(m + PV/m)`` comes from the reverted S-series, with no
-    mean-map values.  Any other measure answers ``start`` where the
-    quadrature mean map certifies it (:func:`_start_bracket`).  Elsewhere
-    :func:`_walk` brackets the root and :func:`.transforms.brent_steps`
-    ends on the bracket, whose ends reuse the values already asked for.
-    Either way the root is one that the mean map of ``nu`` brackets,
-    within Brent's tolerance.
+    its root ``1/(m + PV/m)`` comes from the reverted S-series.  Any other
+    law has Jacobi parameters, and its root is :func:`_jacobi_roots`, read
+    ``_GRID_CHUNK`` means at a time; no Psi is evaluated.  That root is
+    answered where it is admissible: ``m`` strictly inside the support
+    hull (at an atom on its end, rounding can put ``theta`` just inside
+    ``theta_range``) and ``theta`` inside ``theta_range`` on the side of 0
+    of ``m - m0``, which also refuses nan.  A refused mean is a
+    DomainError that names the end of the domain on its side: "m above
+    (below) the attainable means" where ``theta`` is unbounded on that
+    side, and "m at or above (below) the upper (lower) mean endpoint"
+    where it is not.
     """
+    if isinstance(nu, MomentSeq):
+        return [value_or_error(_moment_root, nu, m, m0) for m in means]
+    (lo, hi), (t_lo, t_hi) = nu.support(), nu.theta_range()
+    roots = []
+    for first in range(0, len(means), _GRID_CHUNK):
+        part = means[first:first + _GRID_CHUNK]
+        for m, theta in zip(part, _jacobi_roots(nu, m0, part)):
+            if abs(m - m0) <= _MEAN_MATCH_TOL:
+                roots.append(0.0)
+            elif m > m0:
+                roots.append(theta if lo < m < hi and 0.0 < theta < t_hi else
+                             _refusal(m, "above", "upper", t_hi))
+            else:
+                roots.append(theta if lo < m < hi and t_lo < theta < 0.0 else
+                             _refusal(m, "below", "lower", t_lo))
+    return roots
+
+
+def _refusal(m: float, side: str, edge: str, end: float) -> DomainError:
+    """The refusal of mean ``m``, on the side of the domain whose end of
+    ``theta_range`` is ``end``."""
+    if math.isinf(end):
+        return DomainError(f"m = {m:g} {side} the attainable means")
+    return DomainError(f"m = {m:g} at or {side} the {edge} mean endpoint")
+
+
+def _moment_root(mseq: MomentSeq, m: float, m0: float) -> float:
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return 0.0
-    if isinstance(nu, MomentSeq):
-        if m == 0.0:
-            raise DomainError("moment-sequence inversion needs a nonzero target mean")
-        return 1.0 / (m + _pseudo_variance_from_moments(nu, m) / m)
-    memo: dict[float, float] = {}
-    if (yield from _start_bracket(nu, m, m0, start, memo)):
-        return start
-    bracket = yield from _walk(nu, m, m0, memo)
-    steps = brent_steps(*bracket)
-    try:
-        t = next(steps)
-        while True:
-            if t not in memo:
-                memo[t] = yield t
-            t = steps.send(memo[t] - m)
-    except StopIteration as done:
-        return done.value
-
-
-def _start_bracket(nu: Measure, m: float, m0: float, start: float, memo: dict):
-    """Generator of the certificate of ``start``: True where the quadrature
-    mean map crosses ``m`` between ``start -/+ h``, ``h`` :data:`_START_WIDTH`
-    times Brent's tolerance, so that ``start`` is as close to the quadrature
-    root as Brent would have come.  It asks for the two ends, whose values
-    stay in ``memo``.  False where ``start`` is not finite, the bracket
-    leaves ``theta_range`` or the side of 0 of ``m - m0``, an end raises,
-    or the mean map does not cross ``m`` on it (outside the domain, or
-    where the map moves by less than its rounding across the bracket)."""
-    if not math.isfinite(start):
-        return False
-    h = _START_WIDTH * (ROOT_XTOL + ROOT_RTOL * abs(start))
-    lo, hi = start - h, start + h
-    t_lo, t_hi = nu.theta_range()
-    if not (t_lo < lo and hi < t_hi and (lo > 0.0 if m > m0 else hi < 0.0)):
-        return False
-    try:
-        for t in (lo, hi):
-            memo[t] = yield t
-    except CskfamError:
-        return False
-    return memo[lo] < m < memo[hi]
-
-
-def _walk(nu: Measure, m: float, m0: float, memo: dict):
-    """Generator of the bracket of the mean-map root from a walk in theta,
-    with its values in ``memo``.  The walk goes from 0 toward the
-    admissible endpoint on the side of ``m``, doubling theta when that
-    endpoint is infinite and halving the remaining distance when it is
-    finite; a doubling walk also ends where the mean map is lost to
-    cancellation, since no mean it resolves reaches ``m``.  DomainError
-    when no mean it reaches passes ``m``."""
-    t_lo, t_hi = nu.theta_range()
-    sign, end = (1.0, t_hi) if m > m0 else (-1.0, t_lo)
-    if math.isinf(end):
-        walk = (sign * 2.0**k for k in range(80))
-    else:
-        walk = (end * (1.0 - 2.0**-k) for k in range(1, 41))
-    prev = 0.0
-    for t in walk:
-        try:
-            memo[t] = yield t
-        except NumericError:  # lost to cancellation
-            break
-        if sign * (memo[t] - m) > 0.0:
-            inner = prev if prev != 0.0 else sign * 1e-300
-            return (inner, t) if sign > 0.0 else (t, inner)
-        prev = t
-    side = "above" if sign > 0.0 else "below"
-    if math.isinf(end):
-        raise DomainError(f"m = {m:g} {side} the attainable means")
-    edge = "upper" if sign > 0.0 else "lower"
-    raise DomainError(f"m = {m:g} at or {side} the {edge} mean endpoint")
+    if m == 0.0:
+        raise DomainError("moment-sequence inversion needs a nonzero target mean")
+    return 1.0 / (m + _pseudo_variance_from_moments(mseq, m) / m)
 
 
 def psi_mean_inverse(nu: Measure, m: float) -> float:
     """The kernel parameter whose family member has mean ``m``: a one-mean
-    :func:`_lockstep`, whose CskfamError is raised here."""
-    return raise_error(_lockstep(nu, mean(nu), [m])[0])
-
-
-def _lockstep(nu: Measure, m0: float, means: Sequence[float]) -> list:
-    """The mean-map root at each mean, or the CskfamError raised: one
-    :func:`_inversion` per mean, solved ``_GRID_CHUNK`` means at a time.
-    Each round sends every live inversion of a chunk its answer (``None``
-    to start it) and answers the theta they ask for with one
-    :func:`_k_means`.  The inversions take the same steps alone or
-    together, so no root depends on its neighbours."""
-    roots = []
-    for first in range(0, len(means), _GRID_CHUNK):
-        part = means[first:first + _GRID_CHUNK]
-        live = [(i, _inversion(nu, m, m0, start))
-                for i, (m, start) in enumerate(zip(part, _starts(nu, m0, part)))]
-        chunk, answers = [None] * len(live), [None] * len(live)
-        while live:
-            asked, thetas = [], []
-            for (i, steps), answer in zip(live, answers):
-                try:
-                    thetas.append(steps.throw(answer) if isinstance(answer, CskfamError)
-                                  else steps.send(answer))
-                    asked.append((i, steps))
-                except StopIteration as done:
-                    chunk[i] = done.value
-                except CskfamError as exc:
-                    chunk[i] = exc.with_traceback(None)  # as value_or_error does
-            live, answers = asked, _k_means(nu, thetas) if thetas else []
-        roots += chunk
-    return roots
+    :func:`_roots`, whose CskfamError is raised here."""
+    return raise_error(_roots(nu, mean(nu), [m])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,34 +338,35 @@ def family_row(nu: Measure, m: float) -> tuple[float, float, float]:
 def family_rows(nu: Measure, means: Sequence[float]) -> list:
     """The ``(theta, pseudo_variance, variance)`` row at each mean of a grid,
     or the CskfamError raised there.  The roots come from one
-    :func:`_lockstep` solve of the grid, and both variances read them.
+    :func:`_roots` of the grid, and both variances read them.
 
-    Envelope where the mean map certifies the start, which is the exact
-    root: from 0.06 to 0.86 of the way from the generator mean to either
-    end of the domain, all three columns are within 2e-15 relative of the
-    closed form on the named densities (1.5e-15 measured) and within 1e-14
-    of the 50-digit family on atomic laws of two to four atoms (1.3e-15
-    measured), and closer to the generator mean no tolerance on theta
-    limits them.  Next to an end of the domain where ``V/(m - m0)`` is
-    small against ``m``, ``1/theta - m`` cancels whatever the root: 2.3e-14
-    at ``m = -0.999`` on the centered Marchenko-Pastur law ``a = 1``.  A
-    row that falls back to the walk has the accuracy of the quadrature
-    root: up to 1e-11 in theta and 3e-14 in the variance on a semicircle
-    whose support ends at 0, and up to 5.2e-12 on the atoms (3.625, 4),
-    whose domain ends 0.005 below the generator mean."""
+    Envelope on laws with Jacobi parameters, whose root is exact up to its
+    last few roundings.  From 0.06 to 0.86 of the way from the generator
+    mean to either end of the domain, all three columns are within 2e-15
+    relative of the closed form on the named densities (4.8e-16
+    measured).  Against the 50-digit family, atomic laws of two atoms
+    are within 1e-14 (8.0e-15 measured, on atoms (3.625, 4), whose domain
+    ends 0.005 below the generator mean), and of three or four atoms, from
+    an eigenvalue, within 5e-14 (2.4e-14 measured on atoms (2.375, 2.9375,
+    3)).  Where the support ends at 0 (free Poisson, a semicircle with
+    ``center**2 = 4*variance``) theta and the variance stay within 1e-15
+    down to 1e-6 from that end of the domain (1.9e-16 measured).  Next to
+    an end of the domain where ``V/(m - m0)`` is small against ``m``,
+    ``1/theta - m`` cancels whatever the root: 2.3e-14 at ``m = -0.999``
+    on the centered Marchenko-Pastur law ``a = 1``."""
     m0 = mean(nu)
     return [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
-            for m, root in zip(means, _lockstep(nu, m0, means))]
+            for m, root in zip(means, _roots(nu, m0, means))]
 
 
 def variances(nu: Measure, means: Sequence[float]) -> list:
     """The variance at each mean of a grid, or the CskfamError raised there,
-    from one :func:`_lockstep` solve.  Variance only: the pseudo-variance
+    from one :func:`_roots` of the grid.  Variance only: the pseudo-variance
     that :func:`family_rows` adds diverges near a nonzero generator mean,
     where the variance stays regular."""
     m0 = mean(nu)
     return [root if isinstance(root, CskfamError) else value_or_error(_variance, nu, m, m0, root)
-            for m, root in zip(means, _lockstep(nu, m0, means))]
+            for m, root in zip(means, _roots(nu, m0, means))]
 
 
 def _row(nu: Measure, m: float, m0: float, theta: float) -> tuple[float, float, float]:

@@ -2,16 +2,15 @@
 
 Every generating measure is a :class:`Measure` and implements one protocol:
 ``moments``, ``free_cumulants``, ``s_series``, ``integrate``, ``cauchy``
-(G), ``psi_integral`` and its batched form ``psi_integrals`` (one call per
-theta in the base class, one matrix product for the named densities),
-``support``, ``theta_range``, ``jacobi`` (the recurrence coefficients of
-the orthogonal polynomials, None unless known: closed forms for the named
-densities, Lanczos for atomic laws; the additive powers of :mod:`.conv`
-map them, and :mod:`.csk` starts its mean-map roots from them) and the
-flags ``lower_edge_singular`` and ``upper_edge_singular``, which say where
-G diverges at an end of the support (the mean-domain formula needs it
-there).  The base class gives ``is_positive`` (read off the support) and
-``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
+(G), ``psi_integral``, ``support``, ``theta_range``, ``jacobi`` (the
+recurrence coefficients of the orthogonal polynomials, None unless known:
+closed forms for the named densities, Lanczos for atomic laws; the
+additive powers of :mod:`.conv` map them, and :mod:`.csk` reads its
+mean-map roots off them) and the flags ``lower_edge_singular`` and
+``upper_edge_singular``, which say where G diverges at an end of the
+support (the mean-domain formula needs it there).  The base class gives
+``is_positive`` (read off the support) and ``zero_mass`` (0 unless an atom
+sits at 0).  Atomic measures answer with
 exact weighted sums; the named densities (semicircle, centered
 Marchenko-Pastur, free Poisson) with quadrature, and take their moments
 and their S series from their Jacobi parameters.  One class,
@@ -28,8 +27,9 @@ functions).  It is also the value type of the moment-level calculus.  The
 numeric methods are called only through ``moments`` here, through the
 transforms of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
 ``psi_transform``) and through the convolutions of :mod:`.conv`
-(``free_cumulants``, ``s_series``: float64 arrays); ``theta_range`` is read
-by :mod:`.transforms` and :mod:`.csk`, and ``integrate`` only by the tests.
+(``free_cumulants``, ``s_series``: float64 arrays); ``theta_range`` is
+read by :mod:`.transforms` and :mod:`.csk`, ``jacobi`` by :mod:`.csk` and
+:mod:`.conv`, and ``integrate`` only by the tests.
 
 Densities with an inverse-square-root edge (free Poisson at 0, the
 centered Marchenko-Pastur law at |a| = 1) are integrated after the
@@ -70,7 +70,6 @@ from .errors import (
     SingularityError,
     TruncationAccuracyWarning,
     require_order,
-    value_or_error,
 )
 from .series import jacobi_moments
 
@@ -179,11 +178,6 @@ class Measure:
         SingularityError.
         """
         raise NotImplementedError
-
-    def psi_integrals(self, thetas: list[float]) -> list:
-        """:meth:`psi_integral` at each real ``theta`` of a list: the value
-        or the CskfamError raised.  Here one call per theta."""
-        return [value_or_error(self.psi_integral, theta) for theta in thetas]
 
     def jacobi(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The Jacobi parameters ``(alpha, omega)`` of the measure, or None
@@ -401,12 +395,12 @@ class DensityMeasure(Measure):
             z = z.real
         return integrate_pieces(self, lambda a, d: 1.0 / ((z - a) - d), pole=z)
 
-    def psi_integral(self, theta: float | complex, sums=None) -> float | complex:
+    def psi_integral(self, theta: float | complex) -> float | complex:
         """One kernel for real and complex ``theta``: ``theta*x/(1 - theta*x)
         = x / ((r - anchor) - offset)`` with ``r = 1/theta``, stable at the
         edges and free of the cancellation of ``-1 + r*G(r)`` at small
         ``|theta|``.  ``r`` is the integrand's pole, and only a real one can
-        meet the support.  ``sums`` is passed on to :func:`integrate_pieces`."""
+        meet the support."""
         r = 1.0 / theta
         pole = r
         if r.imag == 0.0:
@@ -416,21 +410,7 @@ class DensityMeasure(Measure):
                 raise SingularityError(
                     f"the pole 1/theta = {pole:g} lies in the support [{lo:g}, {hi:g}]"
                 )
-        return integrate_pieces(self, _psi_kernel(r), pole, sums)
-
-    def psi_integrals(self, thetas: list[float]) -> list:
-        """The same answers, bit for bit, from one kernel evaluation on a
-        (theta x nodes) array and one stacked ``matmul``, which takes the
-        scalar ``matrix @ x`` per theta (a 2-D product sums in another
-        order); each theta's sums then go through :func:`integrate_pieces`.
-        One theta takes the scalar call, which is cheaper."""
-        if len(thetas) == 1:
-            return [value_or_error(self.psi_integral, thetas[0])]
-        anchor, offset, matrix = self.fixed_rule
-        with np.errstate(all="ignore"):
-            nodes = _psi_kernel(1.0 / np.array(thetas)[:, None])(anchor, offset)
-            sums = np.matmul(matrix, nodes[:, :, None])[:, :, 0].tolist()
-        return [value_or_error(self.psi_integral, t, s) for t, s in zip(thetas, sums)]
+        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), pole)
 
     def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
         """``alpha = (center, center + sqrt(variance)*a)`` and ``omega =
@@ -442,11 +422,6 @@ class DensityMeasure(Measure):
     def describe(self) -> str:
         params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
         return f"{self.name}({params})" if params else self.name
-
-
-def _psi_kernel(r):
-    """The :func:`integrate_pieces` integrand of Psi at ``theta = 1/r``."""
-    return lambda a, d: (a + d) / ((r - a) - d)
 
 
 @dataclass(frozen=True)
@@ -648,8 +623,7 @@ def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def integrate_pieces(nu: DensityMeasure, integrand: Callable,
-                     pole: float | complex | None = None,
-                     sums: list | None = None) -> float | complex:
+                     pole: float | complex | None = None) -> float | complex:
     """Sum over the density pieces of ``nu`` of the integral of ``weight * integrand``.
 
     ``integrand(a, d)`` is the function integrated against the density at
@@ -673,13 +647,11 @@ def integrate_pieces(nu: DensityMeasure, integrand: Callable,
     The fallback raises :class:`SingularityError` when the integrand is not
     finite where it bisects and :class:`AccuracyError` (with
     ``best_estimate``) when bisection stops short of the tolerance.  This
-    is the edge-stable entry point of every density method.  A batched
-    caller passes each integrand's matrix product in as ``sums``.
+    is the edge-stable entry point of every density method.
     """
-    if sums is None:
-        anchor, offset, matrix = nu.fixed_rule
-        with np.errstate(all="ignore"):
-            sums = (matrix @ integrand(anchor, offset)).tolist()
+    anchor, offset, matrix = nu.fixed_rule
+    with np.errstate(all="ignore"):
+        sums = (matrix @ integrand(anchor, offset)).tolist()
     pieces = nu.pieces
     total = 0.0
     for piece, coarse, fine in zip(pieces, sums, sums[len(pieces):]):

@@ -30,34 +30,21 @@ ROOT_MAXITER = 200
 
 
 def bracketed_root(f, lo: float, hi: float) -> float:
-    """Brent root of ``f`` on a bracket with a sign change: :func:`brent_steps`
-    answered by one call of ``f`` per point it asks for."""
-    steps = brent_steps(lo, hi)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as done:
-        return done.value
-
-
-def brent_steps(lo: float, hi: float):
-    """Brent's method on ``[lo, hi]`` as a generator: it yields each ``x``
-    at which it needs ``f``, is sent ``f(x)``, and returns the root, so
-    that many roots can share one batched evaluation per step.
+    """Brent root of ``f`` on the bracket ``[lo, hi]``, with a sign change.
 
     Brent's method (Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 4) as written in scipy's ``brentq``: the same
-    steps in the same floating-point order, so it returns the same root.
-    It asks for ``lo``, then ``hi``, then one point per iteration, and stops
-    when half the bracket is below ``(ROOT_XTOL + ROOT_RTOL*|x|)/2``.
-    Raises :class:`NumericError` when ``f(lo)`` or ``f(hi)`` is not finite,
-    when they have the same sign, when a value is NaN, or after
+    steps in the same floating-point order, so it calls ``f`` at the same
+    points and returns the same root.  It calls ``f(lo)``, then ``f(hi)``,
+    then ``f`` at one point per iteration, and stops when half the bracket
+    is below ``(ROOT_XTOL + ROOT_RTOL*|x|)/2``.  Raises
+    :class:`NumericError` when ``f(lo)`` or ``f(hi)`` is not finite, when
+    they have the same sign, when a value is NaN, or after
     ``ROOT_MAXITER`` iterations without convergence.
     """
     xpre, xcur = float(lo), float(hi)
-    fpre = _root_value(xpre, (yield xpre))
-    fcur = _root_value(xcur, (yield xcur))
+    fpre = _root_value(xpre, f(xpre))
+    fcur = _root_value(xcur, f(xcur))
     if not (math.isfinite(fpre) and math.isfinite(fcur)):
         raise NumericError(f"f is not finite at the bracket ends: f({xpre:g}) = {fpre}, "
                            f"f({xcur:g}) = {fcur}")
@@ -95,7 +82,7 @@ def brent_steps(lo: float, hi: float):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _root_value(xcur, (yield xcur))
+        fcur = _root_value(xcur, f(xcur))
     raise NumericError(f"Brent did not converge in {ROOT_MAXITER} iterations near {xcur:g}")
 
 

@@ -440,8 +440,8 @@ def test_verify_all_passes():
     assert "FAIL" not in result.output
 
 
-# A fresh interpreter runs one job of each benchmark kind; the csk job's
-# means near 0 send free Poisson to the adaptive fallback.
+# A fresh interpreter runs one job of each benchmark kind and a transform
+# job, whose Psi at theta = -1000 sends free Poisson to the adaptive fallback.
 _NO_SCIPY_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -457,7 +457,8 @@ spec, out = sys.argv[2], sys.argv[3]
 for args in (["csk", "--spec", spec, "--at", "0.05,0.1,0.5"],
              ["limit", "--spec", spec, "--kind", "boxplus", "--n-schedule", "1,2,4"],
              ["convolve", "--spec", spec, "--op", "boxtimes", "--power", "2",
-              "--order", "8"]):
+              "--order", "8"],
+             ["transform", "--spec", spec, "--which", "Psi", "--grid", "-1000"]):
     main(args + ["--out", out], standalone_mode=False)
 print(len(fallbacks), sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

@@ -1,6 +1,7 @@
 """Kernel-family machinery: mean parametrization, domains, variance laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from cskfam.errors import (
 )
 from cskfam.measure import (
     AtomicMeasure,
+    DensityMeasure,
     FreePoisson,
     MarchenkoPasturCentered,
     MomentSeq,
@@ -49,6 +51,29 @@ from oracles import atomic_family_row
 
 FP = FreePoisson()
 TWO_ATOM = AtomicMeasure((0.5, 2.5), (0.4, 0.6))
+
+
+@pytest.fixture
+def psi_calls(monkeypatch):
+    """Every theta at which an atomic law or a named density evaluates Psi
+    from here on: the two classes whose roots come from Jacobi parameters."""
+    calls = []
+    for cls in (AtomicMeasure, DensityMeasure):
+        monkeypatch.setattr(cls, "psi_integral",
+                            lambda self, theta, psi=cls.psi_integral:
+                            calls.append(theta) or psi(self, theta))
+    return calls
+
+
+@pytest.fixture
+def jacobi_reads(monkeypatch):
+    """The means of each call of ``csk._jacobi_roots`` from here on."""
+    reads = []
+    jacobi_roots = csk_module._jacobi_roots
+    monkeypatch.setattr(csk_module, "_jacobi_roots",
+                        lambda nu, m0, means: reads.append(list(means))
+                        or jacobi_roots(nu, m0, means))
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +164,9 @@ def test_psi_mean_inverse_outside_domain():
     ],
 )
 def test_psi_mean_inverse_beyond_an_unbounded_walk(nu, m, side):
-    # The theta walk toward -inf (+inf) drives 1 + Psi below sqrt(eps) by
-    # cancellation before it can bracket a mean below (above) the domain.
+    # theta is unbounded on the side of m, so no end of theta_range names
+    # the refusal; a walk in theta toward -inf (+inf) once lost 1 + Psi to
+    # cancellation there before it could bracket the mean.
     with pytest.raises(DomainError, match=f"^m = {m:g} {side} the attainable means$"):
         psi_mean_inverse(nu, m)
 
@@ -170,27 +196,19 @@ def test_k_mean_floor_on_one_plus_psi():
     ids=lambda v: v.describe() if hasattr(v, "describe") else None,
 )
 @pytest.mark.parametrize("route", ["psi_mean_inverse", "family_rows"])
-def test_one_inversion_evaluates_the_mean_map_once_per_theta(nu, means, route, monkeypatch):
-    # both routes drive one inversion through _lockstep, which asks the
-    # batched mean map for one theta per round; the answer is a theta it
-    # asked for (Brent's), or the start at the centre of the two bracket
-    # ends that certified it
-    thetas = []
-    batched = csk_module._k_means
-    monkeypatch.setattr(csk_module, "_k_means",
-                        lambda nu_, ts: thetas.extend(ts) or batched(nu_, ts))
+def test_one_inversion_reads_the_jacobi_parameters_once_and_no_psi(nu, means, route,
+                                                                   psi_calls, jacobi_reads):
+    # both routes read the root off one _jacobi_roots, and evaluate no mean
+    # map; the quadrature mean map k_mean takes the root back to m
     if route == "psi_mean_inverse":
         invert = psi_mean_inverse
     else:
         invert = lambda nu_, m: family_rows(nu_, [m])[0][0]
     for m in means:
-        thetas.clear()
+        psi_calls.clear()
+        jacobi_reads.clear()
         theta = invert(nu, m)
-        assert len(thetas) == len(set(thetas)), f"repeated theta at m = {m}"
-        if theta not in thetas:
-            lo, hi = thetas
-            assert lo < theta < hi and math.isclose(theta - lo, hi - theta, rel_tol=1e-3)
-            assert k_mean(nu, lo) < m < k_mean(nu, hi)
+        assert jacobi_reads == [[m]] and psi_calls == []
         assert abs(k_mean(nu, theta) - m) <= 1e-10
 
 
@@ -320,9 +338,9 @@ def test_pseudo_variance_diverges_at_nonzero_mean():
 def test_pseudo_variance_at_zero_mean_starts_no_inversion(nu, want, monkeypatch):
     # the convention at m = 0 needs no root, and free Poisson has none there
     calls = []
-    original = csk_module._inversion
-    monkeypatch.setattr(csk_module, "_inversion",
-                        lambda nu_, m, *rest: calls.append(m) or original(nu_, m, *rest))
+    original = csk_module._roots
+    monkeypatch.setattr(csk_module, "_roots",
+                        lambda nu_, m0, means: calls.extend(means) or original(nu_, m0, means))
     assert pseudo_variance(nu, 0.0) == want
     assert calls == []
     if nu is FP:
@@ -681,17 +699,14 @@ VARIANCES_CASES = [
 
 
 @pytest.mark.parametrize("nu, grid", VARIANCES_CASES)
-def test_variances_are_bitwise_variance(nu, grid, monkeypatch):
-    asked = []
-    batched = csk_module._k_means
-    monkeypatch.setattr(csk_module, "_k_means",
-                        lambda nu_, thetas: asked.extend(thetas) or batched(nu_, thetas))
+def test_variances_are_bitwise_variance(nu, grid, psi_calls, jacobi_reads):
     for means in (grid, grid[::-1]):
         got = [_bits(_outcome(v) if isinstance(v, CskfamError) else (v,))
                for v in csk_module.variances(nu, means)]
         assert got == [_bits(_variance(nu, m)) for m in means]
-    # a moment sequence asks for no theta
-    assert not asked if isinstance(nu, MomentSeq) else asked
+    # no Psi; a moment sequence has no Jacobi parameters to read
+    assert psi_calls == []
+    assert (jacobi_reads == []) == isinstance(nu, MomentSeq)
 
 
 def test_variances_answer_where_the_pseudo_variance_diverges():
@@ -710,17 +725,15 @@ def test_variances_answer_where_the_pseudo_variance_diverges():
     "nu", [FP, MarchenkoPasturCentered(1.0), Semicircle(1.0, 0.5), TWO_ATOM],
     ids=lambda nu: nu.describe(),
 )
-def test_family_rows_on_a_grid_of_several_chunks(nu, monkeypatch):
-    widths = []
-    batched = csk_module._k_means
-    monkeypatch.setattr(csk_module, "_k_means",
-                        lambda nu_, thetas: widths.append(len(thetas)) or batched(nu_, thetas))
+def test_family_rows_on_a_grid_of_several_chunks(nu, jacobi_reads):
     lo, hi = nu.support()
     means = np.linspace(lo - 0.5, hi + 0.5, 2 * csk_module._GRID_CHUNK + 3).tolist()
     rows = family_rows(nu, means)
+    # the grid's means in order, no read wider than a chunk
+    assert sum(jacobi_reads, []) == means
+    assert max(map(len, jacobi_reads)) <= csk_module._GRID_CHUNK < len(means)
+    jacobi_reads.clear()
     assert [_bits(_outcome(row)) for row in rows] == [_bits(_row(nu, m)) for m in means]
-    # no round asks for more theta than a chunk has means
-    assert max(widths) <= csk_module._GRID_CHUNK < len(means)
     # an error row keeps no traceback, so the frames of its solve can go
     errors = [row for row in rows if isinstance(row, CskfamError)]
     assert errors and all(exc.__traceback__ is None for exc in errors)
@@ -752,103 +765,197 @@ def _closed_form_row(m0, vfun, m):
 
 @pytest.mark.parametrize("nu, vfun", NAMED_V)
 def test_named_density_ladder_is_within_the_closed_form_envelope(nu, vfun):
-    # measured: 1.5e-15 (free Poisson's theta next to the lower end); the
-    # quadrature root of the walk was within 1.5e-14
+    # measured: 4.8e-16 (free Poisson's theta next to the lower end was
+    # 1.5e-15 before its square); the quadrature root of a walk in theta
+    # was within 1.5e-14
     m0, grid = mean(nu), _ladder(nu)
     for m, row in zip(grid, family_rows(nu, grid)):
         for got, want in zip(row, _closed_form_row(m0, vfun, m)):
             assert abs(got - want) <= 2e-15 * abs(want), (m, row)
 
 
-#: Atomic laws, two to four atoms, with their atoms and weights.
-ATOMIC_LAWS = [pytest.param(atoms, weights, id=",".join(f"{a:g}" for a in atoms))
-               for atoms, weights in [
-                   ((0.5, 2.5), (0.4, 0.6)),
-                   ((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)),
-                   ((0.25, 0.75, 1.5, 2.75), (0.125, 0.375, 0.25, 0.25)),
-                   ((0.125, 1.0, 1.125), (0.25, 0.5, 0.25)),
+#: Atomic laws, two to four atoms, with their atoms, weights and the
+#: tolerance of their ladder.  The last three have a domain end within 0.08
+#: of the generator mean, where the quadrature root of a walk in theta was
+#: 6.7e-13, 2.0e-13 and 3.9e-13 off.
+ATOMIC_LAWS = [pytest.param(atoms, weights, tol, id=",".join(f"{a:g}" for a in atoms))
+               for atoms, weights, tol in [
+                   ((0.5, 2.5), (0.4, 0.6), 1e-14),
+                   ((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125), 1e-14),
+                   ((0.25, 0.75, 1.5, 2.75), (0.125, 0.375, 0.25, 0.25), 1e-14),
+                   ((0.125, 1.0, 1.125), (0.25, 0.5, 0.25), 1e-14),
+                   ((3.625, 4.0), (0.8125, 0.1875), 1e-14),
+                   ((2.5, 3.0), (0.734375, 0.265625), 1e-14),
+                   # the eigenvalue route, 2.4e-14 measured
+                   ((2.375, 2.9375, 3.0), (0.140625, 0.28125, 0.578125), 5e-14),
                ]]
 
 
-@pytest.mark.parametrize("atoms, weights", ATOMIC_LAWS)
-def test_atomic_ladder_is_within_1e_14_of_the_tilted_mean_oracle(atoms, weights):
+@pytest.mark.parametrize("atoms, weights, tol", ATOMIC_LAWS)
+def test_atomic_ladder_is_within_1e_14_of_the_tilted_mean_oracle(atoms, weights, tol):
     # the rows once kept the error of the quadrature root, up to 2.4e-14
-    # relative; the start from the Jacobi parameters is the exact root
+    # relative; the root from the Jacobi parameters is the exact root
     nu = AtomicMeasure(atoms, weights)
     grid = _ladder(nu)
     for m, row in zip(grid, family_rows(nu, grid)):
         for got, want in zip(row, atomic_family_row(atoms, weights, m)):
-            assert abs(got - want) <= 1e-14 * abs(want), (m, row)
+            assert abs(got - want) <= tol * abs(want), (m, row)
 
 
 @pytest.mark.parametrize("nu, vfun", NAMED_V)
-def test_named_density_ladder_asks_few_theta_per_mean(nu, vfun, monkeypatch):
-    # the walk and Brent asked about 9 theta per mean; the start from the
-    # Jacobi parameters asks for the two ends of the bracket that certifies it
-    asked = []
-    batched = csk_module._k_means
-    monkeypatch.setattr(csk_module, "_k_means",
-                        lambda nu_, thetas: asked.extend(thetas) or batched(nu_, thetas))
+def test_named_density_ladder_evaluates_no_psi(nu, vfun, psi_calls):
+    # the walk and Brent asked about 9 theta per mean, the certificate of
+    # the exact root 2; the root from the Jacobi parameters asks for none
     grid = _ladder(nu)
-    family_rows(nu, grid)
-    assert len(asked) == 2 * len(grid)
+    rows = family_rows(nu, grid)
+    assert psi_calls == []
+    assert not any(isinstance(row, CskfamError) for row in rows)
 
 
-def _start_off(factor):
+@pytest.mark.parametrize("nu, end, vfun", [
+    (FP, 0.0, lambda m: m),
+    (Semicircle(2.0, 1.0), 1.0, lambda m: 1),  # support [0, 4]
+], ids=["free_poisson", "semicircle(2,1)"])
+def test_roots_next_to_a_support_edge_at_0_are_exact(nu, end, vfun):
+    # alpha_1**2 = 4*omega_2: the domain of means ends at ``end``, where p*d
+    # has a double root and its expanded form cancels (free Poisson's theta
+    # was 6.1e-10 off, the semicircle's 1.2e-4 and its V 4.4e-12); the
+    # oracle is the closed-form row in exact rationals at the float mean
+    m0 = Fraction(mean(nu))
+    for m in (end + np.geomspace(1e-6, 0.1)).tolist():
+        theta, _, v = family_row(nu, m)
+        x = Fraction(m)
+        want_v = vfun(x)
+        want = (x - m0) / (x * (x - m0) + want_v)
+        assert abs(Fraction(theta) - want) <= 1e-15 * abs(want), m
+        assert abs(Fraction(v) - want_v) <= 1e-15 * want_v, m
+
+
+def _outside(lo, hi):
+    """32 means below ``lo`` and 32 above ``hi``, from 1e-9 to 4 away."""
+    gaps = np.geomspace(1e-9, 4.0, 32)
+    return [*(lo - gaps).tolist(), *(hi + gaps).tolist()]
+
+
+#: Laws, means outside their domain of means, and the refusal text below
+#: and above it: the texts of the walk in theta, named from theta_range.
+BELOW_UNBOUNDED, ABOVE_UNBOUNDED = "below the attainable means", "above the attainable means"
+BELOW_END, ABOVE_END = "at or below the lower mean endpoint", "at or above the upper mean endpoint"
+OUTSIDE = [
+    pytest.param(FP, [*_outside(0.0, 2.0), 0.0, 2.0, 2.5, 3.0], BELOW_UNBOUNDED, ABOVE_END,
+                 id="free_poisson"),
+    pytest.param(MarchenkoPasturCentered(0.9375), [*_outside(-1.0, 1.0), -1.0, 1.0],
+                 BELOW_END, ABOVE_END, id="mp_a15_16"),
+    pytest.param(TWO_ATOM, [*_outside(1.0 / 1.04, 2.5), 2.5], BELOW_UNBOUNDED, ABOVE_END,
+                 id="two_atom"),
+    pytest.param(AtomicMeasure((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)), [-2.0, -2.5, 1.5],
+                 BELOW_END, ABOVE_END, id="three_atom"),
+]
+
+
+@pytest.mark.parametrize("nu, means, below, above", OUTSIDE)
+def test_means_outside_the_domain_are_refused_without_psi(nu, means, below, above, psi_calls):
+    # a walk in theta took 30-140 times as long outside the domain as inside;
+    # free Poisson at 2.5 and 3 has the free Meixner quadratic's other root,
+    # admissible 0.24 and 2/9, and at the atom -2 eigvalsh rounds p past it
+    m0 = mean(nu)
+    rows = family_rows(nu, means)
+    assert psi_calls == []
+    for m, row in zip(means, rows):
+        assert type(row) is DomainError, (m, row)
+        assert str(row) == f"m = {m:g} {above if m > m0 else below}", m
+
+
+def _root_off(factor):
     return lambda theta, nu, m: theta * factor
 
 
-def _start_beyond(theta, nu, m):
+def _root_beyond(theta, nu, m):
     lo, hi = nu.theta_range()
     end = hi if theta > 0.0 else lo
     return 2.0 * (end if math.isfinite(end) else hi)
 
 
-@pytest.mark.parametrize("start", [
-    _start_off(1.0 + 1e-6),
+@pytest.mark.parametrize("root", [
     lambda theta, nu, m: math.nan,
     lambda theta, nu, m: math.inf,
-    _start_beyond,
-    _start_off(-1.0),  # the wrong side of 0
-], ids=["off_1e-6", "nan", "inf", "beyond_theta_range", "wrong_sign"])
+    _root_beyond,
+    _root_off(-1.0),  # the wrong side of 0
+], ids=["nan", "inf", "beyond_theta_range", "wrong_sign"])
 @pytest.mark.parametrize("nu", [FP, MarchenkoPasturCentered(1.0), MarchenkoPasturCentered(0.9375),
                                 Semicircle(1.0, 0.5), TWO_ATOM,
                                 AtomicMeasure((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125))],
                          ids=lambda nu: nu.describe())
-def test_a_wrong_start_cannot_change_a_row(nu, start, monkeypatch):
-    # a start the mean map does not certify falls back to the walk, with
-    # the same bits and the same error rows as no start at all
-    m0, (lo, hi) = mean(nu), mean_domain(nu)
-    grid = [lo - 0.5, lo, *_ladder(nu), hi, hi + 0.5, 0.0]
-    true_starts = csk_module._starts
+def test_an_inadmissible_root_is_refused(nu, root, monkeypatch):
+    # inside the domain of means, a root that is not finite or not in
+    # theta_range on the side of m - m0 is refused with the text of the
+    # domain end on that side; the generator mean needs no root, and its
+    # row keeps its bits
+    m0 = mean(nu)
+    t_lo, t_hi = nu.theta_range()
+    below = BELOW_UNBOUNDED if math.isinf(t_lo) else BELOW_END
+    above = ABOVE_UNBOUNDED if math.isinf(t_hi) else ABOVE_END
+    grid = [*_ladder(nu), m0]
+    want = _bits(_outcome(family_rows(nu, [m0])[0]))
+    true_roots = csk_module._jacobi_roots
 
-    def wrong_starts(nu_, m0_, means):
-        return [start(t, nu_, m) for t, m in zip(true_starts(nu_, m0_, means), means)]
+    def wrong_roots(nu_, m0_, means):
+        return [root(t, nu_, m) for t, m in zip(true_roots(nu_, m0_, means), means)]
 
-    certified = [_bits(_outcome(row)) for row in family_rows(nu, grid)]
-    monkeypatch.setattr(csk_module, "_starts", lambda nu_, m0_, means: [math.nan] * len(means))
-    want = [_bits(_outcome(row)) for row in family_rows(nu, grid)]
-    assert certified != want  # the right start moves bits
-    assert any(isinstance(row[0], type) for row in want)  # error rows too
-    monkeypatch.setattr(csk_module, "_starts", wrong_starts)
-    assert [_bits(_outcome(row)) for row in family_rows(nu, grid)] == want
+    monkeypatch.setattr(csk_module, "_jacobi_roots", wrong_roots)
+    rows = family_rows(nu, grid)
+    assert _bits(_outcome(rows.pop())) == want
+    for m, row in zip(grid, rows):
+        assert type(row) is DomainError, (m, row)
+        assert str(row) == f"m = {m:g} {above if m > m0 else below}", m
+
+
+#: Laws with Jacobi parameters: the constant tails of the named densities
+#: (semicircle(2, 1) with its square) and of two atoms, and finite
+#: matrices of three and four atoms, whose roots come from eigvalsh.
+JACOBI_LAWS = [
+    FP, Semicircle(0.0, 1.0), Semicircle(1.0, 2.0), Semicircle(2.0, 1.0),
+    MarchenkoPasturCentered(0.3), MarchenkoPasturCentered(1.0), MarchenkoPasturCentered(-1.0),
+    MarchenkoPasturCentered(-0.6), MarchenkoPasturCentered(0.9375), TWO_ATOM,
+    AtomicMeasure((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)),
+    AtomicMeasure((0.25, 0.75, 1.5, 2.75), (0.125, 0.375, 0.25, 0.25)),
+    AtomicMeasure((2.375, 2.9375, 3.0), (0.140625, 0.28125, 0.578125)),
+]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 32, 64])
+@pytest.mark.parametrize("nu", JACOBI_LAWS, ids=lambda nu: nu.describe())
+def test_jacobi_roots_of_a_chunk_are_bitwise_the_one_mean_roots(nu, width):
+    # family_rows and variances read a chunk of means at once, and a row
+    # must not depend on its neighbours: numpy's stacked eigvalsh solves
+    # each matrix of the stack as it solves it alone (a numpy or LAPACK
+    # that breaks it fails here), and the constant tails act elementwise;
+    # the grid spans both sides of the domain, with the generator mean
+    m0, (lo, hi) = mean(nu), nu.support()
+    means = np.linspace(lo - 0.5, hi + 0.5, width)
+    means[width // 2] = m0
+    means = means.tolist()
+    chunk = csk_module._jacobi_roots(nu, m0, means)
+    alone = [csk_module._jacobi_roots(nu, m0, [m])[0] for m in means]
+    assert [x.hex() for x in chunk] == [x.hex() for x in alone]
+    assert any(math.isfinite(x) for x in chunk) or width == 1
 
 
 def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path):
     calls = []
-    original = csk_module._inversion
+    original = csk_module._roots
 
-    def counted(nu, m, *rest):
-        calls.append(m)
-        return original(nu, m, *rest)
+    def counted(nu, m0, means):
+        calls.append(list(means))
+        return original(nu, m0, means)
 
-    monkeypatch.setattr(csk_module, "_inversion", counted)
+    monkeypatch.setattr(csk_module, "_roots", counted)
     spec = tmp_path / "mp.json"
     spec.write_text('{"type":"named","name":"marchenko_pastur_centered","params":{"a":0.5}}')
     result = CliRunner().invoke(main, ["csk", "--spec", str(spec), "--at=-0.75:1.5:0.25"])
     assert result.exit_code == 0, result.output
     means = [-0.75 + 0.25 * i for i in range(10)]
-    assert calls == means  # one inversion per row, the generator mean included
+    assert calls == [means]  # one root per row, the generator mean included
 
 
 def test_moments_spec_row_solves_the_s_series_root_once(monkeypatch, tmp_path):

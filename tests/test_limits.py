@@ -24,6 +24,7 @@ from cskfam.limits import (
 )
 from cskfam.measure import (
     AtomicMeasure,
+    DensityMeasure,
     FreePoisson,
     MarchenkoPasturCentered,
     MomentSeq,
@@ -388,15 +389,18 @@ def test_report_variance_rows_are_the_per_row_chain(name, kind, ns, monkeypatch)
     nu = CHAIN_GENERATORS[name]
     want = _per_row_chain(nu, kind, ns)
     # the rows solve every mean in one grid: no scalar inversion, one
-    # _lockstep over all the means, one batched mean map per round
-    solves, widths = [], []
-    lockstep, batched = csk._lockstep, csk._k_means
-    monkeypatch.setattr(csk, "_lockstep",
-                        lambda nu_, m0, means: solves.append(list(means)) or lockstep(nu_, m0, means))
-    monkeypatch.setattr(csk, "_k_means",
-                        lambda nu_, thetas: widths.append(len(thetas)) or batched(nu_, thetas))
+    # _roots over all the means, and no Psi
+    solves, reads = [], []
+    roots, jacobi_roots = csk._roots, csk._jacobi_roots
+    monkeypatch.setattr(csk, "_roots",
+                        lambda nu_, m0, means: solves.append(list(means)) or roots(nu_, m0, means))
+    monkeypatch.setattr(csk, "_jacobi_roots",
+                        lambda nu_, m0, means: reads.append(len(means))
+                        or jacobi_roots(nu_, m0, means))
     for scalar in ("psi_mean_inverse", "k_mean"):
         monkeypatch.setattr(csk, scalar, lambda *args, which=scalar: pytest.fail(f"{which} called"))
+    for cls in (AtomicMeasure, DensityMeasure):
+        monkeypatch.setattr(cls, "psi_integral", lambda *args: pytest.fail("Psi evaluated"))
     if nu.is_positive:
         got = [_cell(r.value, r.note) for r in convergence_report(nu, kind, ns).variance_rows]
     else:  # the report refuses a moment sequence, so run its rows' chain alone
@@ -409,15 +413,8 @@ def test_report_variance_rows_are_the_per_row_chain(name, kind, ns, monkeypatch)
     assert got == want
     [means] = solves
     assert len(means) == 3 * len(ns)
-    # as many rounds as the longest inversion takes alone
-    rounds = len(widths)
-    alone = []
-    for m in means:
-        widths.clear()
-        lockstep(nu, mean(nu), [m])
-        alone.append(len(widths))
-    assert rounds == max(alone)
-    assert (rounds == 0) == isinstance(nu, MomentSeq)
+    # the Jacobi parameters give every root but a moment sequence's
+    assert sum(reads) == (0 if isinstance(nu, MomentSeq) else len(means))
 
 
 @pytest.mark.parametrize("moment_order", [0, -1])

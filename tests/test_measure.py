@@ -367,52 +367,6 @@ def test_psi_integral_with_its_pole_on_the_support_is_a_singularity(nu, theta):
 
 
 # ---------------------------------------------------------------------------
-# Psi at a batch of theta
-
-
-@pytest.mark.parametrize("width", [1, 2, 7, 32, 64])
-@pytest.mark.parametrize("nu", [*ALL_DENSITIES, MarchenkoPasturCentered(15.0 / 16.0)],
-                         ids=lambda nu: nu.describe())
-def test_stacked_product_is_bitwise_the_scalar_product(nu, width):
-    # DensityMeasure.psi_integrals rests on this: numpy's stacked matmul
-    # sums each column as the scalar matrix @ column does (a plain 2-D
-    # product does not).  A numpy or BLAS that breaks it fails here.
-    anchor, offset, matrix = nu.fixed_rule
-    lo, hi = nu.support()
-    distance = np.geomspace(1e-6, 100.0, width)
-    poles = np.where(np.arange(width) % 2, hi + distance, lo - distance)
-    with np.errstate(all="ignore"):
-        columns = (anchor + offset) / ((poles[:, None] - anchor) - offset)
-        columns[-1, width] = (math.inf, math.nan)[width % 2]  # a non-finite column
-        stacked = np.matmul(matrix, columns[:, :, None])[:, :, 0]
-        scalar = np.array([matrix @ column for column in columns])
-    assert stacked.tobytes() == scalar.tobytes()
-
-
-def _answer(fn, *args):
-    try:
-        return fn(*args).hex()
-    except CskfamError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize(
-    "nu",
-    [*ALL_DENSITIES, MarchenkoPasturCentered(15.0 / 16.0), AtomicMeasure((0.5, 2.0), (0.5, 0.5))],
-    ids=lambda nu: nu.describe(),
-)
-def test_psi_integrals_are_bitwise_the_scalar_calls(nu):
-    # poles from 1e-6 to 100 outside each edge (the near ones fall back to
-    # bisection), poles inside the support and on its ends (SingularityError)
-    lo, hi = nu.support()
-    poles = [*_outside_edges(nu), *(z for z in (lo, hi) if z), 0.5 * (lo + hi) + 0.125]
-    thetas = [1.0 / z for z in poles]
-    got = [value.hex() if isinstance(value, float) else (type(value), str(value))
-           for value in nu.psi_integrals(thetas)]
-    assert got == [_answer(nu.psi_integral, theta) for theta in thetas]
-
-
-# ---------------------------------------------------------------------------
 # complex integrands: one pass of the same quadrature
 
 

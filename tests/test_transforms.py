@@ -26,7 +26,6 @@ from cskfam.transforms import (
     ROOT_RTOL,
     ROOT_XTOL,
     bracketed_root,
-    brent_steps,
     cauchy_transform,
     chi_inverse,
     k_transform,
@@ -410,16 +409,6 @@ def test_bracketed_root_matches_scipy_brentq(f, lo, hi):
                   xtol=ROOT_XTOL, rtol=ROOT_RTOL, maxiter=ROOT_MAXITER)
     assert got == want
     assert ours == theirs
-    # the generator itself, driven by hand, asks for the same points
-    asked, steps = [], brent_steps(lo, hi)
-    try:
-        x = next(steps)
-        while True:
-            asked.append(x)
-            x = steps.send(f(x))
-    except StopIteration as done:
-        assert done.value == want
-    assert asked == theirs
 
 
 @pytest.mark.parametrize(
