@@ -33,6 +33,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+#: The ``%``-template of each kind of data row, which formats the row in one
+#: pass: ``"%.17g" % x`` is the conversion of :func:`_fmt`, and ``"%d" % n``
+#: is ``str(n)``.
+TRANSFORM_ROW, TRANSFORM_ERROR_ROW = "%.17g,%.17g,", "%.17g,,%s"
+CONVOLVE_ROW = "%d,%.17g"
+CSK_ROW, CSK_ERROR_ROW = "%.17g,%.17g,%.17g,%.17g,", "%.17g,,,,%s"
+LIMIT_MOMENT_ROW = "moment,%d,%.17g,%.17g,%.17g,%.17g,"
+LIMIT_VARIANCE_ROW = "variance,%d,%.17g,%.17g,%.17g,%.17g,%s"
+LIMIT_VARIANCE_ERROR_ROW = "variance,%d,%.17g,,%.17g,,%s"
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Parse ``a:b:step`` (inclusive endpoints) or a comma-separated list of
     finite numbers."""
@@ -78,11 +89,10 @@ def _load_measure(path: str) -> Measure:
         raise click.UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(out: str | None, comment_rows: list[str], header: list[str],
-          rows: list[list[str]]):
+def _emit(out: str | None, comment_rows: list[str], header: list[str], rows: list[str]):
     lines = [f"# {c}" for c in comment_rows]
     lines.append(",".join(header))
-    lines.extend(",".join(r) for r in rows)
+    lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)
@@ -143,9 +153,9 @@ def transform(spec, which, grid, out):
     rows = []
     for x in points:
         try:
-            rows.append([_fmt(x), _fmt(_as_real(fn(nu, x))), ""])
+            rows.append(TRANSFORM_ROW % (x, _as_real(fn(nu, x))))
         except CskfamError as exc:
-            rows.append([_fmt(x), "", str(exc).replace(",", ";")])
+            rows.append(TRANSFORM_ERROR_ROW % (x, str(exc).replace(",", ";")))
     _emit(out, [f"transform,{which}", f"spec,{nu.describe()}", f"grid,{grid}"],
           ["argument", "value", "error"], rows)
 
@@ -188,7 +198,7 @@ def convolve(spec, spec2, power, op, order, out):
     else:
         result = getattr(conv, _POWER_OPS[op])(nu, power, order)
         config = f"spec,{nu.describe()},power,{_fmt(power)}"
-    rows = [[str(n), _fmt(v)] for n, v in enumerate(result.values, start=1)]
+    rows = [CONVOLVE_ROW % nv for nv in enumerate(result.values, start=1)]
     _emit(out, [f"convolve,{op}", config, f"order,{order}"], ["order", "moment"], rows)
 
 
@@ -211,9 +221,9 @@ def csk_cmd(spec, at_grid, out):
     rows = []
     for m, row in zip(points, csk.family_rows(nu, points)):
         if isinstance(row, CskfamError):
-            rows.append([_fmt(m), "", "", "", str(row).replace(",", ";")])
+            rows.append(CSK_ERROR_ROW % (m, str(row).replace(",", ";")))
         else:
-            rows.append([_fmt(m), *map(_fmt, row), ""])
+            rows.append(CSK_ROW % (m, *row))
     _emit(out, [f"spec,{nu.describe()}", domain, f"grid,{at_grid}"],
           ["m", "theta", "pseudo_variance", "variance", "error"], rows)
 
@@ -231,16 +241,13 @@ def limit(spec, kind, n_schedule, moment_order, out):
     nu = _load_measure(spec)
     schedule = _parse_schedule(n_schedule)
     report = limits.convergence_report(nu, kind, schedule, moment_order)
-    rows = []
-    for r in report.rows:
-        rows.append(["moment", str(r.n), _fmt(r.order), _fmt(r.value),
-                     _fmt(r.limit), _fmt(r.error), ""])
+    rows = [LIMIT_MOMENT_ROW % (r.n, r.order, r.value, r.limit, r.error) for r in report.rows]
     for r in report.variance_rows:
-        rows.append(["variance", str(r.n), _fmt(r.m),
-                     "" if r.value is None else _fmt(r.value),
-                     _fmt(r.limit),
-                     "" if r.error is None else _fmt(r.error),
-                     r.note.replace(",", ";")])
+        note = r.note.replace(",", ";")
+        if r.value is None:  # a failed row, whose error is None too
+            rows.append(LIMIT_VARIANCE_ERROR_ROW % (r.n, r.m, r.limit, note))
+        else:
+            rows.append(LIMIT_VARIANCE_ROW % (r.n, r.m, r.value, r.limit, r.error, note))
     _emit(out,
           [f"spec,{report.measure}", f"kind,{report.kind}",
            f"limit,{report.limit_kind}", f"gamma,{_fmt(report.gamma)}",

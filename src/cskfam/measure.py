@@ -1,16 +1,17 @@
 """Probability-measure representations, their moments, and ingestion.
 
 Every generating measure is a :class:`Measure` and implements one protocol:
-``moments``, ``free_cumulants``, ``s_series``, ``integrate``, ``cauchy``
-(G), ``psi_integral``, ``support``, ``theta_range``, ``jacobi`` (the
+``moments``, ``mean`` (a named density's is its ``center``),
+``free_cumulants``, ``s_series``, ``integrate``, ``cauchy`` (G),
+``psi_integral``, ``support``, ``theta_range``, ``jacobi`` (the
 recurrence coefficients of the orthogonal polynomials, None unless known:
-closed forms for the named densities, Lanczos for atomic laws; the
+closed forms for the named densities, Lanczos once per atomic law; the
 additive powers of :mod:`.conv` map them, and :mod:`.csk` reads its
-mean-map roots off them) and the flags ``lower_edge_singular`` and
-``upper_edge_singular``, which say where G diverges at an end of the
-support (the mean-domain formula needs it there).  The base class gives
-``is_positive`` (read off the support) and ``zero_mass`` (0 unless an atom
-sits at 0).  Atomic measures answer with
+mean-map roots and mean-domain ends off them) and the flags
+``lower_edge_singular`` and ``upper_edge_singular``, which say where G
+diverges at an end of the support (the mean-domain formula needs it
+there).  The base class gives ``is_positive`` (read off the support) and
+``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
 exact weighted sums; the named densities (semicircle, centered
 Marchenko-Pastur, free Poisson) with quadrature, and take their moments
 and their S series from their Jacobi parameters.  One class,
@@ -24,9 +25,9 @@ of the shared ones by hand.  A :class:`MomentSeq` is known only through
 their trust radius, and it raises :class:`InsufficientDataError` for what
 a moment list does not fix (the support, integrals of arbitrary
 functions).  It is also the value type of the moment-level calculus.  The
-numeric methods are called only through ``moments`` here, through the
-transforms of :mod:`.transforms` (``cauchy_transform``, ``psi_integral``,
-``psi_transform``) and through the convolutions of :mod:`.conv`
+numeric methods are called only through ``moments`` and ``mean`` here,
+through the transforms of :mod:`.transforms` (``cauchy_transform``,
+``psi_integral``, ``psi_transform``) and through the convolutions of :mod:`.conv`
 (``free_cumulants``, ``s_series``: float64 arrays); ``theta_range`` is
 read by :mod:`.transforms` and :mod:`.csk`, ``jacobi`` by :mod:`.csk` and
 :mod:`.conv`, and ``integrate`` only by the tests.
@@ -143,6 +144,10 @@ class Measure:
         """Raw moments ``m1..m_order`` (``order >= 1``)."""
         raise NotImplementedError
 
+    def mean(self) -> float:
+        """The first moment, here from :meth:`moments`."""
+        return self.moments(1).values[0]
+
     def free_cumulants(self, order: int) -> np.ndarray:
         """Free cumulants ``k1..k_order``, the coefficients of
         ``R~(z) = sum_n k_n z**n``, an array.  Here from :meth:`moments` through the
@@ -247,10 +252,14 @@ class AtomicMeasure(Measure):
         return sum(w * f(a) for a, w in zip(self.atoms, self.weights))
 
     def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._lanczos
+
+    @cached_property
+    def _lanczos(self) -> tuple[np.ndarray, np.ndarray]:
         """Lanczos on ``diag(atoms)`` from the unit vector ``sqrt(weights)``,
-        with full reorthogonalisation, twice per step: ``n`` atoms give
-        ``alpha_0..alpha_(n-1)`` and ``omega_1..omega_(n-1)``, then
-        ``omega_n = 0``."""
+        with full reorthogonalisation, twice per step, once per law: ``n``
+        atoms give ``alpha_0..alpha_(n-1)`` and ``omega_1..omega_(n-1)``,
+        then ``omega_n = 0``."""
         x = np.asarray(self.atoms)
         n = x.size
         basis = np.zeros((n, n))
@@ -264,6 +273,7 @@ class AtomicMeasure(Measure):
                     v -= basis[:k + 1].T @ (basis[:k + 1] @ v)
                 omega[k] = v @ v
                 basis[k + 1] = v / math.sqrt(omega[k])
+        alpha.flags.writeable = omega.flags.writeable = False  # shared by every caller
         return alpha, omega
 
     def cauchy(self, z: complex) -> complex:
@@ -380,6 +390,9 @@ class DensityMeasure(Measure):
 
     def moments(self, order: int) -> "MomentSeq":
         return MomentSeq(_density_moments(self, order))
+
+    def mean(self) -> float:
+        return float(self.center)  # alpha_0: bitwise the order-1 recurrence
 
     def integrate(self, f) -> float | complex:
         return integrate_pieces(self, _pullback(f))
@@ -814,7 +827,7 @@ def moments(nu: Measure, order: int) -> MomentSeq:
 
 
 def mean(nu: Measure) -> float:
-    return moments(nu, 1).values[0]
+    return nu.mean()
 
 
 def variance_of(nu: Measure) -> float:

@@ -5,8 +5,11 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cskfam import cli, conv, measure, series, transforms
 from cskfam.cli import main
@@ -88,6 +91,17 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   Catalan numbers are now correctly rounded.  Row 38 moved by 1.2e-16
 #   relative; its error against the exact Boolean convolution, the file's
 #   largest, went from 1.34e-15 to 1.22e-15.
+# - the "# mean_domain" line of the nine csk tables on named densities
+#   (csk_free_poisson, csk_free_poisson_edges, csk_free_poisson_ladder,
+#   csk_mp_a025, csk_mp_a1, csk_mp_a15_16, csk_mp_a15_16_ladder,
+#   csk_mp_a_neg15_16 and csk_semicircle), when the ends began to come from
+#   the Jacobi parameters, K(edge) = alpha_0 + omega_1 G'(edge), instead of
+#   a quadrature G: each moved to the exact end, center +/- sqrt(variance)
+#   rounded (free Poisson's upper end 2.0000000000000009 to 2, the
+#   Marchenko-Pastur ends to -1 and 1, the semicircle's lower end from
+#   1.6e-16 to 4.8e-17 off 1 - sqrt(1/2)).  No data row moved.
+#   csk_semicircle_positive was written then; it pins K(0), the lower end
+#   where 0 lies outside the support.
 # The pair convolutions (six convolve_* files with two specs), the Boolean
 # limit on two atoms and verify_all.txt (stdout of `verify --suite all`,
 # whose "max error" figures pin the series suite) were written before
@@ -143,6 +157,10 @@ GOLDEN_CASES = {
                                  f"--at={_MP_LADDER}"],
     "csk_semicircle.csv": ["csk", "--spec", GOLDEN / "semicircle.json",
                            "--at", "0,0.3,0.5,0.9,1,1.2,1.5,1.7,2"],
+    # 0 lies below the support [1.586, 4.414]: the lower end of the domain
+    # of means is K(0) = (3 + sqrt(7))/2, not an end of the support
+    "csk_semicircle_positive.csv": ["csk", "--spec", GOLDEN / "semicircle_positive.json",
+                                    "--at", "2.83,2.9,3.1,3.25,3.5,3.7"],
     "transform_m_mp.csv": ["transform", "--spec", GOLDEN / "mp_a1.json", "--which", "M",
                            "--grid=-1.5,-0.99,-0.5,-0.1,0,0.1,0.3,0.33,0.5"],
     "transform_psi_free_poisson.csv": ["transform", "--spec", GOLDEN / "free_poisson.json",
@@ -180,6 +198,35 @@ def test_golden_output(golden, tmp_path):
     result = _invoke(GOLDEN_CASES[golden] + ["--out", out])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+#: Values of a "%.17g" cell: every kind of float, as Python floats and as
+#: numpy float64, and the ints that the limit rows' index column holds.
+_FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1e16, 2.0**53 + 2.0]),
+    st.integers(-2**53, 2**53).map(float),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+_CELLS = {"%.17g": st.one_of(_FLOAT_CELLS, st.integers(-2**63, 2**63)),
+          "%d": st.integers(0, 10**15).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
+          "%s": st.text(alphabet=st.characters(blacklist_characters=",\n"))}
+_ROW_TEMPLATES = sorted(name for name in vars(cli) if name.endswith("_ROW"))
+
+
+@pytest.mark.parametrize("name", _ROW_TEMPLATES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_template_is_bitwise_the_joined_cells(name, data):
+    # a data row is formatted by one %-template; it must give the bytes of
+    # each cell formatted alone and joined, as the rows once were: _fmt for
+    # a float cell, str for the integer order column, the text of a note
+    template = getattr(cli, name)
+    cells = template.split(",")
+    values = [data.draw(_CELLS[cell]) if cell in _CELLS else None for cell in cells]
+    want = ",".join(cli._fmt(v) if cell == "%.17g" else str(v) if cell in _CELLS else cell
+                    for cell, v in zip(cells, values))
+    assert template % tuple(v for v in values if v is not None) == want
 
 
 def test_golden_output_on_stdout_matches_file():

@@ -93,26 +93,51 @@ def test_csk_reference_error_reads_the_closed_form_and_the_atomic_family(tmp_pat
                       encoding="utf-8")
     moments = tmp_path / "moments.json"
     moments.write_text('{"type": "moments", "values": [1, 2]}', encoding="utf-8")
-    error = compare_cli.csk_reference_error
+    error = lambda spec, out: compare_cli.csk_reference_error(["csk", "--spec", str(spec)], out)
     # V(m) = m: at m = 0.5 the row is theta = -2, PV = -0.5, V = 0.5; the row
     # at the generator mean and the error row are skipped
     out = (b"# spec,free_poisson\nm,theta,pseudo_variance,variance,error\n"
            b"0.5,-2,-0.5,0.50000000000000011,\n"
            b"1,0,1,1,\n"
            b"2.5,,,,m = 2.5 at or above the upper mean endpoint\n")
-    assert error(["csk", "--spec", str(named)], out) == pytest.approx(2.2e-16, rel=0.01)
-    assert error(["csk", "--spec", str(named)], out.replace(b"0.50000000000000011", b"0.5")) == 0.0
-    assert error(["csk", "--spec", str(named)], b"") is None
+    assert error(named, out) == {"rows": pytest.approx(2.2e-16, rel=0.01)}
+    assert error(named, out.replace(b"0.50000000000000011", b"0.5")) == {"rows": 0.0}
+    assert error(named, b"") == {}
     # two atoms: V(m) = (m - 1)(2 - m), so at m = 1.75 theta = 0.4, PV = 1.3125
     # and V = 0.1875, and the generator mean 1.5 is skipped
     atoms = (b"# spec,atomic\nm,theta,pseudo_variance,variance,error\n"
              b"1.75,0.4,1.3125,0.18750000000000003,\n"
              b"1.5,0,,0.25,DomainError: pseudo-variance diverges at a nonzero generator mean\n")
-    assert error(["csk", "--spec", str(atomic)], atoms) == pytest.approx(1.5e-16, rel=0.01)
-    assert error(["csk", "--spec", str(atomic)], atoms.replace(b"0.18750000000000003",
-                                                               b"0.1875")) == 0.0
-    assert error(["csk", "--spec", str(moments)], out) is None
-    assert error(["limit", "--spec", str(named)], out) is None
+    assert error(atomic, atoms) == {"rows": pytest.approx(1.5e-16, rel=0.01)}
+    assert error(atomic, atoms.replace(b"0.18750000000000003", b"0.1875")) == {"rows": 0.0}
+    assert error(moments, out) is None
+    assert compare_cli.csk_reference_error(["limit", "--spec", str(named)], out) is None
+
+
+def test_csk_reference_error_grades_the_mean_domain_ends(tmp_path):
+    # free Poisson's domain is (0, 2); the quadrature G once put the upper
+    # end at 2.0000000000000009, 4.4e-16 relative off
+    named = tmp_path / "fp.json"
+    named.write_text('{"type": "named", "name": "free_poisson"}', encoding="utf-8")
+    error = lambda spec, out: compare_cli.csk_reference_error(["csk", "--spec", str(spec)], out)
+    header = b"m,theta,pseudo_variance,variance,error\n"
+    assert error(named, b"# mean_domain,0,2.0000000000000009\n" + header) == {
+        "mean_domain": pytest.approx(4.4e-16, rel=0.01)}
+    assert error(named, b"# mean_domain,0,2\n" + header) == {"mean_domain": 0.0}
+    # the lower end 0 counts its absolute error
+    assert error(named, b"# mean_domain,1e-300,2\n" + header) == {"mean_domain": 1e-300}
+    # atoms 1 and 2 of equal weight: the domain is (4/3, 2), the lower end
+    # the harmonic mean -1/G(0); a moment list's unknown domain is skipped
+    atomic = tmp_path / "atoms.json"
+    atomic.write_text('{"type": "atomic", "atoms": [1, 2], "weights": [0.5, 0.5]}',
+                      encoding="utf-8")
+    assert error(atomic, b"# mean_domain,1.3333333333333333,2\n" + header) == {"mean_domain": 0.0}
+    assert error(atomic, b"# mean_domain,1.3333333333333335,2\n" + header) == {
+        "mean_domain": pytest.approx(1.7e-16, rel=0.01)}
+    assert error(named, b"# mean_domain,unknown,unknown\n" + header) == {}
+    out = b"# mean_domain,0,2\n" + header + b"0.5,-2,-0.5,0.50000000000000011,\n"
+    assert error(named, out) == {"mean_domain": 0.0,
+                                 "rows": pytest.approx(2.2e-16, rel=0.01)}
 
 
 def test_golden_spec_jobs_cover_every_spec_and_command():

@@ -1,13 +1,18 @@
 """Kernel-family machinery: mean parametrization, domains, variance laws."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
+
+import mpmath as mp
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from cskfam import csk as csk_module
+from cskfam import measure as measure_module
 from cskfam.cli import main
 from cskfam.csk import (
     affine_pseudo_variance,
@@ -272,6 +277,81 @@ def test_mean_domain_rejects_moment_sequences():
 def test_free_poisson_theta_range_and_lower_mean_domain():
     assert FP.theta_range() == (-math.inf, 0.25)
     assert (mean_domain(FP)[0], mean(FP)) == (0.0, 1.0)
+
+
+def _exact_end(nu, upper):
+    """The end of the domain of means of a named density at 50 digits, from
+    the float parameters, and whether it is ``center +/- sqrt(variance)``
+    with the two terms cancelling (``|end| < sqrt(variance)``): the
+    singular edge itself, that sum at a regular end of the support, and
+    ``K(0) = -1/G(0)`` where 0 lies outside the support.  Call it at 50
+    digits."""
+    center, var, a = (mp.mpf(x) for x in (nu.center, nu.variance, nu.a))
+    s = mp.sqrt(var)
+    lo, hi = center + s * (a - 2), center + s * (a + 2)
+    if upper and a == -1 or not upper and a == 1:
+        return (hi if upper else lo), False
+    if (hi if upper else -lo) >= 0:
+        end = center + s if upper else center - s
+        return end, abs(end) < s
+    d = -(center + s * a)  # 0 - alpha_1, with alpha_0 = center and omega = (var, var)
+    return center + 2 * var / (d + mp.sign(d) * mp.sqrt(d * d - 4 * var)), False
+
+
+NAMED_DOMAINS = [
+    FP, MarchenkoPasturCentered(0.25), MarchenkoPasturCentered(0.5), MarchenkoPasturCentered(1.0),
+    MarchenkoPasturCentered(-1.0), MarchenkoPasturCentered(15 / 16),
+    MarchenkoPasturCentered(-15 / 16), Semicircle(0.0, 1.0), Semicircle(1.0, 0.5),
+    Semicircle(-1.0, 2.0), Semicircle(0.5, 4.0), Semicircle(2.0, 1.0), Semicircle(-0.375, 1.25),
+    Semicircle(1.0, 1.1), Semicircle(3.0, 0.5), Semicircle(-3.0, 0.5), Semicircle(5.0, 0.75),
+]
+
+
+@pytest.mark.parametrize("nu", NAMED_DOMAINS, ids=lambda nu: nu.describe())
+def test_named_mean_domain_ends_are_within_1_ulp_of_the_exact_ends(nu):
+    # the quadrature G put free Poisson's upper end at 2.0000000000000009 and
+    # the semicircle(1, 0.5) lower end 3 ulp off; the Jacobi parameters give
+    # each end in closed form: an inverse-square-root edge is its own end
+    # (free Poisson at 0, a = +-1 at -+1), a regular end of the support is
+    # center +- sqrt(variance), and K(0) where 0 is outside the support
+    # (semicircle(3, 0.5) at (3 + sqrt(7))/2).  Where center and
+    # sqrt(variance) cancel (semicircle(-1, 2) above, at 1.7 ulp; (1, 1.1)
+    # below, at 6.0 ulp) the end is within half an ulp of each term
+    with mp.workdps(50):
+        for upper, got in enumerate(mean_domain(nu)):
+            want, cancels = _exact_end(nu, bool(upper))
+            bound = math.ulp(got)
+            if cancels:
+                bound = 0.5 * (math.ulp(math.sqrt(nu.variance)) + math.ulp(got))
+            assert abs(mp.mpf(got) - want) <= bound, (upper, got, want)
+
+
+def test_singular_and_zero_ends_are_exact():
+    assert mean_domain(FP) == (0.0, 2.0)
+    assert mean_domain(MarchenkoPasturCentered(1.0)) == (-1.0, 1.0)
+    assert mean_domain(MarchenkoPasturCentered(-1.0)) == (-1.0, 1.0)
+    assert mean_domain(Semicircle(3.0, 0.5))[0] == 2.8228756555322954
+
+
+ATOMIC_DOMAINS = [
+    TWO_ATOM, AtomicMeasure((-2.0, -0.5), (0.5, 0.5)), AtomicMeasure((0.75,), (1.0,)),
+    AtomicMeasure((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)),
+    AtomicMeasure((0.25, 0.75, 1.5, 2.75), (0.125, 0.375, 0.25, 0.25)),
+    AtomicMeasure((2.375, 2.9375, 3.0), (0.140625, 0.28125, 0.578125)),
+    AtomicMeasure((-3.0, -1.25, -0.5), (0.25, 0.5, 0.25)),
+]
+
+
+@pytest.mark.parametrize("nu", ATOMIC_DOMAINS, ids=lambda nu: nu.describe())
+def test_atomic_mean_domain_ends_are_the_exact_atomic_formula(nu):
+    # an atom on the end of the support is its own end, and 0 outside the
+    # support gives -1/G(0) from the finite sum of G, bit for bit; the
+    # mean-domain end and the roots read one Lanczos step of the law
+    lo, hi = nu.support()
+    want = (lo if lo <= 0.0 else -1.0 / cauchy_transform(nu, 0.0).real,
+            hi if hi >= 0.0 else -1.0 / cauchy_transform(nu, 0.0).real)
+    assert [x.hex() for x in mean_domain(nu)] == [x.hex() for x in want]
+    assert nu.jacobi() is nu.jacobi()
 
 
 # ---------------------------------------------------------------------------
@@ -973,3 +1053,29 @@ def test_moments_spec_row_solves_the_s_series_root_once(monkeypatch, tmp_path):
     assert result.exit_code == 0, result.output
     assert result.stdout.splitlines()[-1].split(",")[-1] == ""  # an answered row
     assert calls == [0.8]
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+NAMED_SPECS = sorted(path for path in _GOLDEN.glob("*.json")
+                     if json.loads(path.read_text(encoding="utf-8"))["type"] == "named")
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS, ids=lambda path: path.stem)
+def test_csk_command_on_a_named_density_integrates_nothing(spec, monkeypatch):
+    # the mean-domain ends once took a quadrature G at each edge; now the
+    # ends and the roots are read off the Jacobi parameters, so a csk job
+    # evaluates no G and no Psi: any quadrature fails the command
+    calls = []
+
+    def no_quadrature(nu, integrand, pole=None):
+        calls.append(pole)
+        raise AssertionError("quadrature in a csk job")
+
+    monkeypatch.setattr(measure_module, "integrate_pieces", no_quadrature)
+    result = CliRunner().invoke(main, ["csk", "--spec", str(spec),
+                                       "--at=-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,2.9,3.5"])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+    comments = [line for line in result.stdout.splitlines() if line.startswith("# mean_domain")]
+    assert len(comments) == 1 and "unknown" not in comments[0]
+    assert sum(line.endswith(",") for line in result.stdout.splitlines()) >= 2  # answered rows

@@ -89,6 +89,16 @@ def test_semicircle_moments():
     np.testing.assert_allclose(got, [0.0, 1.0, 0.0, 2.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [*ALL_DENSITIES, Semicircle(-0.375, 1.25), Semicircle(3, 0.5)],
+                         ids=lambda nu: nu.describe())
+def test_density_mean_is_bitwise_the_first_recurrence_moment(nu, monkeypatch):
+    # a named density's mean is its center, alpha_0, with no recurrence run
+    want = moments(nu, 1).values[0]
+    monkeypatch.setattr(measure_module, "_density_moments", None)
+    got = mean(nu)
+    assert type(got) is float and got.hex() == want.hex()
+
+
 @pytest.mark.parametrize("nu", ALL_DENSITIES, ids=lambda nu: nu.describe())
 def test_density_moments_agree_with_quadrature(nu):
     got = moments(nu, 8).values

@@ -22,7 +22,8 @@ and by the grade of each side: the rows within tolerance of the job's own
 ``golden_specs`` job has no check and reads ``ungraded``.  A ``csk`` job on
 a named density or an atomic law also prints each side's largest relative
 error against its reference, the closed form or the 50-digit atomic
-family (see :func:`csk_reference_error`), so that bits moved within the
+family, over its rows and over the two ends of its ``# mean_domain`` line
+(see :func:`csk_reference_error`), so that bits moved within the
 tolerance read as closer or farther.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
@@ -211,34 +212,39 @@ def grade(job: J.Job | None, code: int, out: bytes) -> str:
     return f"{tally.ok}/{tally.attempted} ok{problems}"
 
 
-def csk_reference_error(args: list[str], out: bytes) -> float | None:
+def csk_reference_error(args: list[str], out: bytes) -> dict[str, float] | None:
     """Largest relative error of a ``cskfam csk`` output against its
-    reference: the closed form ``reference.named_row`` on a named density,
-    ``reference.AtomicFamily.row`` at 50 digits on an atomic law.  It reads
-    the answered rows more than 1e-12 away from the generator mean (where
-    the pseudo-variance divides by 0); a cell whose reference is 0 counts
-    its absolute error.  None for any other job and for an output without
-    such a row."""
+    reference, by part: ``rows`` over the answered rows more than 1e-12
+    away from the generator mean (where the pseudo-variance divides by 0),
+    and ``mean_domain`` over the two ends of the ``# mean_domain`` line.
+    The reference is the closed form on a named density
+    (``reference.named_row`` and the domain of ``reference.named_family``)
+    and the 50-digit ``reference.AtomicFamily`` on an atomic law.  A value
+    whose reference is 0 counts its absolute error.  A part the output
+    lacks is left out; None for any other job."""
     if args[0] != "csk":
         return None
     doc = json.loads(Path(args[args.index("--spec") + 1]).read_text(encoding="utf-8"))
     if doc.get("type") == "named":
         params = doc.get("params", {})
-        m0 = J.ref.named_family(doc["name"], params)[0]
+        m0, _, domain = J.ref.named_family(doc["name"], params)
         reference = lambda m: J.ref.named_row(doc["name"], params, m)
     elif doc.get("type") == "atomic":
         family = J.ref.AtomicFamily(doc["atoms"], doc["weights"])
-        m0, reference = float(family.m0), family.row
+        m0, domain, reference = float(family.m0), family.domain, family.row
     else:
         return None
-    errors = []
-    for row in J._parse(out.decode("utf-8"))[2]:
-        m = float(row[0])
-        if row[4] or abs(m - m0) <= 1e-12:
-            continue
-        for got, want in zip(row[1:4], reference(m)):
-            errors.append(abs(float(got) - want) / (abs(want) if want else 1.0))
-    return max(errors, default=None)
+    relative = lambda got, want: abs(float(got) - want) / (abs(want) if want else 1.0)
+    comments, _, rows = J._parse(out.decode("utf-8"))
+    errors = {}
+    for line in comments:
+        if line[0] == "mean_domain" and "unknown" not in line:
+            errors["mean_domain"] = max(map(relative, line[1:3], map(float, domain)))
+    rows = [row for row in rows if not row[4] and abs(float(row[0]) - m0) > 1e-12]
+    if rows:
+        errors["rows"] = max(relative(got, want) for row in rows
+                             for got, want in zip(row[1:4], reference(float(row[0]))))
+    return errors
 
 
 def main(argv=None) -> int:
@@ -296,9 +302,11 @@ def main(argv=None) -> int:
                 key, rel = max(changes.items(), key=lambda item: item[1])
                 if rel > worst[0]:
                     worst = (rel, f"{key} of {label}")
-            errors = [csk_reference_error(run["args"], out) for out in (pout, cout)]
-            if None not in errors:
-                print(f"  reference error: parent {errors[0]:.2g}, change {errors[1]:.2g}")
+            parent_errors, change_errors = (csk_reference_error(run["args"], out)
+                                            for out in (pout, cout))
+            for part in sorted(set(parent_errors or ()) & set(change_errors or ())):
+                print(f"  reference error ({part}): parent {parent_errors[part]:.2g}, "
+                      f"change {change_errors[part]:.2g}")
             print(f"  graded: parent {grade(job, pcode, pout)}, "
                   f"change {grade(job, ccode, cout)}")
     print(f"{compared} jobs compared, {differ} differ")
