@@ -19,15 +19,16 @@ laws, never by rebuilding the law step by step:
   with ``Sigma(z) = S(z/(1 - z))``, because
   ``Sigma_{mu ** uplus t}(z) = Sigma_mu(z/t)/t`` (Belinschi & Nica, "On a
   remarkable semigroup of homomorphisms with respect to free multiplicative
-  convolution", 2008); in the S variable that is
-  ``S_n(w) = S1(w/(n + (n - 1)*w))**n``.
+  convolution", 2008).  Either way ``U_n = -log S_n`` (``-log Sigma_n``)
+  is ``n*U1(z/n)``, and one Lagrange-inversion pass reads the moments of
+  every step off those series, with no reversion (:func:`_lagrange_moments`).
 * variance functions, from the generator's own variance function through
   the multiplicative, additive and dilation laws of :mod:`.csk` (the
   "machinery of variance functions" of the paper's proofs).
 
 Every series of a report stops at the printed moment order ``K`` (``K - 1``
 for S): the dictionaries are triangular, so longer series would change
-moments ``1..K`` by roundoff only.  Moments 1-6 stay within 6e-15 relative
+moments ``1..K`` by roundoff only.  Moments 1-6 stay within 2e-15 relative
 of the exact values for n up to 64 (see :func:`scaled_sequence_moments`).
 """
 
@@ -44,8 +45,8 @@ from . import conv, csk
 from .errors import (CskfamError, DomainError, raise_error, require_order, require_positive,
                      value_or_error)
 from .measure import Measure, MomentSeq, moments
-from .series import ps_pow_int
-from .transforms import _compose_moebius, s_series, s_series_to_moments, sigma_series_to_s_series
+from .series import ps_log
+from .transforms import s_series
 
 LimitKind = Literal["eta", "sigma"]
 ConvKind = Literal["boxplus", "uplus"]
@@ -60,32 +61,47 @@ VARIANCE_GRID = (0.6, 0.8, 0.9)
 BP_IDENTITY_TOL = 1e-9
 
 
-def _exp_series(gamma: float, order: int) -> np.ndarray:
-    """Series of ``exp(-gamma*z)`` truncated at ``order``."""
-    coeffs = []
-    c = 1.0
-    for k in range(order + 1):
-        coeffs.append(c)
-        c *= -gamma / (k + 1)
-    return np.array(coeffs)
+def _lagrange_moments(u: np.ndarray, sigma: bool) -> np.ndarray:
+    """Moments ``m1..mK`` of the laws whose S series (Sigma series where
+    ``sigma``) are ``exp(-U)``, one law per row of the ``(rows, K)`` array
+    ``u`` of the coefficients ``u_0..u_(K-1)`` of ``U``.
+
+    Lagrange inversion of ``chi(w) = w*S(w)/(1 + w)`` gives
+    ``m_k = (1/k) [w**(k-1)] (1 + w)**k * exp(k*U(w))``, and in the variable
+    ``v = w/(1 + w)`` of ``Sigma(v) = S(w)``
+    ``m_k = (1/k) [v**(k-1)] exp(k*U(v))/(1 - v)**2``: the sum over ``j < k``
+    of ``[w**j] exp(k*U)`` with the positive weights ``C(k, j + 1)`` or
+    ``k - j``.  One recurrence ``j*e_j = k * sum_(i=1..j) i*u_i*e_(j-i)``
+    runs over every row and ``k`` at once in ``np.longdouble``, so each
+    moment is rounded to float once.  Sums run in increasing ``i`` (``j``):
+    moment ``k`` is the same at every ``K >= k``.
+    """
+    u = u.astype(np.longdouble)
+    order = u.shape[1]
+    k = np.arange(1, order + 1)
+    iu = u * np.arange(order)  # i*u_i
+    e = [np.exp(u[:, :1] * k)]  # e[j][row, k - 1] = [w**j] exp(k*U)
+    for j in range(1, order):
+        e.append(sum(iu[:, i:i + 1] * e[j - i] for i in range(1, j + 1)) * k / j)
+    weights = ([max(c - j, 0) if sigma else math.comb(c, j + 1) for c in range(1, order + 1)]
+               for j in range(order))
+    return (sum(w * ej for w, ej in zip(weights, e)) / k).astype(float)
 
 
 def limit_law_moments(kind: LimitKind, gamma: float, order: int) -> MomentSeq:
     """Moments of the limit law with parameter ``gamma``.
 
-    ``kind = "eta"``: S-transform series ``exp(-gamma*z)``;
-    ``kind = "sigma"``: Sigma-transform series ``exp(-gamma*z)``.
-    Both have first moment exactly 1.
+    ``kind = "eta"``: S-transform ``exp(-gamma*w)``; ``kind = "sigma"``:
+    Sigma-transform ``exp(-gamma*v)``.  Both have first moment exactly 1.
+    :func:`_lagrange_moments` of ``U = gamma*w`` sums positive terms only:
+    within an ulp of the exact moments of the float ``gamma`` through order
+    12 at ``gamma`` 0.129, 0.37, 1 and 2.5 (9.8e-17 relative measured).
     """
     require_positive("gamma", gamma)
     require_order(order)
-    if kind == "eta":
-        s = _exp_series(gamma, order - 1)
-    elif kind == "sigma":
-        s = sigma_series_to_s_series(_exp_series(gamma, order - 1))
-    else:
+    if kind not in ("eta", "sigma"):
         raise DomainError(f"unknown limit-law kind {kind!r}")
-    return s_series_to_moments(s, order)
+    return MomentSeq(_lagrange_moments(gamma * np.eye(1, order, 1), kind == "sigma")[0].tolist())
 
 
 def limit_variance_eta(gamma: float, m: float) -> float:
@@ -142,10 +158,12 @@ def _check_step(n) -> int:
     return int(n)
 
 
-def _unit_generator(nu: Measure, order: int) -> tuple[float, float, MomentSeq, np.ndarray]:
+def _unit_generator(nu: Measure, order: int,
+                    kind: ConvKind) -> tuple[float, float, MomentSeq, np.ndarray]:
     """``gamma = Var(nu)/m0**2``, the mean ``m0``, the first ``order``
-    moments of ``nu`` dilated to unit mean, and their S-series (order
-    ``order - 1``), all from one moment sequence of ``nu``.
+    moments of ``nu`` dilated to unit mean, and ``U1 = -log S1`` of their
+    S-series ``S1`` (order ``order - 1``) for ``boxplus``, ``-log Sigma1``
+    for ``uplus``, all from one moment sequence of ``nu``.
 
     Dilating first keeps every later series at unit scale: the scaled law
     of step ``n`` needs no power of ``m0``, where the raw moments of the
@@ -162,23 +180,24 @@ def _unit_generator(nu: Measure, order: int) -> tuple[float, float, MomentSeq, n
     # The rounded 1/m0 leaves a mean 1 + O(eps), which S1**n would carry
     # into moment k of step n as an error of about n*k*eps; dividing by
     # S(0) = 1/mean sets the mean to exactly 1.
-    return m.variance / m0**2, m0, unit, s / s[0]
+    u1 = -ps_log((s / s[0]).astype(np.longdouble))
+    if kind == "uplus":  # Sigma1(v) = S1(v/(1 - v)); [v**j] (v/(1 - v))**i = C(j-1, i-1)
+        u1 = np.array([[math.comb(j - 1, i - 1) if i and j else float(i == j)
+                        for i in range(order)] for j in range(order)]) @ u1
+    return m.variance / m0**2, m0, unit, u1
 
 
-def _scaled_moments(unit: MomentSeq, s1: np.ndarray, n: int, kind: ConvKind) -> MomentSeq:
-    """Moments of the scaled law of step ``n``, as many as ``unit`` holds.
-
-    ``S_n(w) = S1(phi(w))**n`` with ``phi(w) = w/n`` for ``boxplus`` and
-    ``w/(n + (n - 1)*w)`` for ``uplus`` (see the module docstring), then one
-    reversion back to moments.  At ``n = 1`` both laws are the unit-mean
-    generator, whose moments are at hand.
-    """
-    if n == 1:
-        return unit
-    s = np.array([c * (1.0 / n) ** k for k, c in enumerate(s1.tolist())])  # S1(w/n)
-    if kind == "uplus":  # then at w/(1 + r*w): S1(w/n) becomes S1(w/(n + (n - 1)*w))
-        s = _compose_moebius(s, 1.0 - 1.0 / n)
-    return s_series_to_moments(ps_pow_int(s, n), unit.order)
+def _scaled_moments(unit: MomentSeq, u1: np.ndarray, ns: Sequence[int],
+                    kind: ConvKind) -> list:
+    """Moments of the scaled law of each step ``n`` of ``ns``, as many as
+    ``unit`` holds: the unit-mean generator's own at ``n = 1`` (first, if
+    at all), then one :func:`_lagrange_moments` of ``U_n = n*U1(w/n)``."""
+    later = [n for n in ns if n > 1]
+    out = [unit.values] * (len(ns) - len(later))
+    if later:
+        u = u1 * np.power.outer(np.array(later, dtype=float), 1.0 - np.arange(len(u1)))
+        out += _lagrange_moments(u, kind == "uplus").tolist()
+    return out
 
 
 def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> MomentSeq:
@@ -189,18 +208,18 @@ def scaled_sequence_moments(nu: Measure, n: int, kind: ConvKind, order: int) -> 
     to roundoff.  It is built from the S-series ``S1`` of ``nu`` dilated to
     unit mean, never through the powers themselves: ``S_n(z) = S1(z/n)**n``
     for ``boxplus`` and ``Sigma_n(z) = Sigma1(z/n)**n`` for ``uplus`` (the
-    module docstring derives both), then one reversion to moments.
+    module docstring derives both), then read back by Lagrange inversion.
 
     Accuracy envelope: on free Poisson and on the atomic generators of the
     ``limit_report`` benchmark (seeds 201 and 7919), at order 6 as in
     :func:`convergence_report` and at order 40, moments 1-6 agree with the
-    exact rational values within 6e-15 relative for n up to 64 (5.7e-15
+    exact rational values within 2e-15 relative for n up to 64 (1.8e-15
     measured).
     """
     n = _check_step(n)
     _check_kind(kind)
-    _, _, unit, s1 = _unit_generator(nu, order)
-    return _scaled_moments(unit, s1, n, kind)
+    _, _, unit, u1 = _unit_generator(nu, order, kind)
+    return MomentSeq(_scaled_moments(unit, u1, (n,), kind)[0])
 
 
 def _scaled_law_variance(vfun: Callable[[float], float], m0: float, n: int, kind: ConvKind,
@@ -213,9 +232,7 @@ def _scaled_law_variance(vfun: Callable[[float], float], m0: float, n: int, kind
     power, then the dilation ``V_c(m) = c**2 * V(m/c)``.  As for the
     moments, the generator is dilated to unit mean first, so
     ``c = 1/n`` and no power of ``m0``, the generator mean, appears.
-    ``vfun`` is read once, at the pulled-back mean ``m0 * m**(1/n)``;
-    :func:`_scaled_law_variances` runs the chain twice, first to collect
-    those means and then with their variances, solved as one grid.
+    ``vfun`` is read once, at the pulled-back mean ``m0 * m**(1/n)``.
     """
     unit = lambda x: vfun(m0 * x) / (m0 * m0)  # V of nu dilated to unit mean
     powered = lambda y: csk.boxtimes_power_variance(unit, 1.0, n, y)
@@ -226,14 +243,14 @@ def _scaled_law_variance(vfun: Callable[[float], float], m0: float, n: int, kind
 def _scaled_law_variances(nu: Measure, m0: float, kind: ConvKind, cells: list) -> list:
     """:func:`_scaled_law_variance` of ``csk.variance(nu, .)`` at each step
     and mean ``(n, m)`` of ``cells``, bit for bit: the value or the
-    CskfamError raised.  A first pass of the chain records the pulled-back
-    means it asks for, in order; ``csk.variances`` solves them as one grid,
-    and a second pass reads each answer back in the same order, raising a
-    stored error where ``csk.variance`` would have raised it."""
-    asked: list[float] = []
-    for n, m in cells:
-        value_or_error(_scaled_law_variance, lambda x: asked.append(x) or 1.0, m0, n, kind, m)
-    answers = iter(csk.variances(nu, asked))
+    CskfamError raised.  The pulled-back mean of a cell is the chain's own
+    float expression ``m0 * ((n*m)/n)**(1/n)``, asked for only where the
+    chain's ``require_positive`` checks let it reach ``vfun``;
+    ``csk.variances`` solves them as one grid, and one pass of the chain
+    reads each answer in the same order, raising a stored error where
+    ``csk.variance`` would have raised it."""
+    means = [m0 * y ** (1.0 / n) for n, m in cells if 0.0 < (y := (n * m) / n) < math.inf]
+    answers = iter(csk.variances(nu, means))
     stored = lambda _: raise_error(next(answers))
     return [value_or_error(_scaled_law_variance, stored, m0, n, kind, m) for n, m in cells]
 
@@ -287,20 +304,19 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Run the scaled-sequence experiment and tabulate errors.
 
-    One generator S-series, of order ``moment_order - 1``, serves the whole
-    report, and no later series goes beyond ``moment_order``.  Moment rows
-    compare orders ``1..moment_order`` of each scaled law (computed through
-    ``S_n(z) = S1(z/n)**n``, or
-    ``Sigma_n(z) = Sigma1(z/n)**n`` for ``uplus``; see
-    :func:`scaled_sequence_moments`) with the limit law for
-    ``gamma = Var(nu)/mean(nu)**2``.  Variance rows evaluate each scaled
-    law's variance function through the paper's transformation laws: with
-    ``c = 1/(n*m0**n)`` and ``x = m/c``, ``V_n(m) = c**2 * W(x)``, where
-    ``W`` is the ``boxplus`` (``uplus``, mean ``m0**n``) power law applied
-    to the ``boxtimes`` power law of ``csk.variance`` of ``nu``
-    (``W = V_nu`` at ``n = 1``).  A row whose pulled-back mean
-    ``m0 * m**(1/n)`` leaves the generator's domain of means, or that
-    raises any other ``CskfamError``, carries a note instead of a value.
+    The generator's S-series, of order ``moment_order - 1``, is the one
+    series a report reverts.  Moment rows compare orders
+    ``1..moment_order`` of each scaled law (see
+    :func:`scaled_sequence_moments`; one :func:`_lagrange_moments` for all
+    steps) with the limit law for ``gamma = Var(nu)/mean(nu)**2``.
+    Variance rows evaluate each scaled law's variance function through the
+    paper's transformation laws: with ``c = 1/(n*m0**n)`` and ``x = m/c``,
+    ``V_n(m) = c**2 * W(x)``, where ``W`` is the ``boxplus`` (``uplus``,
+    mean ``m0**n``) power law applied to the ``boxtimes`` power law of
+    ``csk.variance`` of ``nu`` (``W = V_nu`` at ``n = 1``).  A row whose
+    pulled-back mean ``m0 * m**(1/n)`` leaves the generator's domain of
+    means, or that raises any other ``CskfamError``, carries a note instead
+    of a value.
     The pulled-back means of all rows are solved as one grid
     (``csk.variances``), with the values and notes of ``csk.variance``
     row by row.
@@ -309,7 +325,8 @@ def convergence_report(
     benchmark every variance row agrees with the same chain at 50 digits,
     on the generator's exact variance function, within 1e-15 relative
     (8.5e-16 measured), and moments 1-6 agree with the exact rational
-    values within 6e-15 relative.  The rows read the generator's exact
+    values within 2e-15 relative (1.8e-15 measured; 1.1e-16 for the limit
+    law's).  The rows read the generator's exact
     mean-map root (:func:`.csk.family_rows`), and the ``boxtimes`` law does
     not cancel as ``n`` grows: free Poisson's rows stay within 1e-13 of
     ``m(m - 1)/(n expm1(log(m)/n))`` up to ``n = 1e15``.
@@ -319,18 +336,14 @@ def convergence_report(
         raise DomainError("the n schedule must be strictly increasing")
     require_order(moment_order)
     _check_kind(kind)
-    gamma, m0, unit, s1 = _unit_generator(nu, moment_order)
+    gamma, m0, unit, u1 = _unit_generator(nu, moment_order, kind)
     limit_kind = LIMIT_OF_KIND[kind]
     lim = limit_law_moments(limit_kind, gamma, moment_order)
     lim_variance = limit_variance_eta if limit_kind == "eta" else limit_variance_sigma
 
-    rows: list[MomentRow] = []
-    for n in ns:
-        scaled = _scaled_moments(unit, s1, n, kind)
-        for order in range(1, moment_order + 1):
-            value = scaled.values[order - 1]
-            target = lim.values[order - 1]
-            rows.append(MomentRow(n, order, value, target, abs(value - target)))
+    rows = [MomentRow(n, order, value, target, abs(value - target))
+            for n, values in zip(ns, _scaled_moments(unit, u1, ns, kind))
+            for order, value, target in zip(range(1, moment_order + 1), values, lim.values)]
     cells = [(n, m) for n in ns for m in VARIANCE_GRID]
     vrows: list[VarianceRow] = []
     for (n, m), value in zip(cells, _scaled_law_variances(nu, m0, kind, cells)):
@@ -340,16 +353,8 @@ def convergence_report(
                                      f"{type(value).__name__}: {value}"))
         else:
             vrows.append(VarianceRow(n, m, value, target, abs(value - target)))
-    return ConvergenceReport(
-        measure=nu.describe(),
-        kind=kind,
-        limit_kind=limit_kind,
-        gamma=gamma,
-        moment_order=moment_order,
-        n_values=ns,
-        rows=tuple(rows),
-        variance_rows=tuple(vrows),
-    )
+    return ConvergenceReport(nu.describe(), kind, limit_kind, gamma, moment_order, ns,
+                             tuple(rows), tuple(vrows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Truncated formal power-series arithmetic.
 
 Every moment-level computation in this package (cumulant extraction,
-convolution powers, limit-law moments) reduces to arithmetic on truncated
-power series: Cauchy products, composition, compositional reversion and
-real powers via series exp/log.
+convolution powers, the generator of a limit report) reduces to arithmetic
+on truncated power series: Cauchy products, composition, compositional
+reversion and real powers via series exp/log.  The moments of the limit
+laws and scaled laws then come from a Lagrange formula on ``-log S``.
 
-A series is a 1-D float64 numpy array of its coefficients ``c0..cN``; its
-order is ``len(a) - 1``.  Binary operations truncate the result to the
-shorter operand; nothing silently extends a series.  No function writes
-to its arguments, so values can be shared freely between threads.
+A series is a 1-D float64 (or, for :func:`ps_log` in :mod:`.limits`,
+``np.longdouble``) array of its coefficients ``c0..cN``; its order is
+``len(a) - 1``.  Binary operations truncate the result to the shorter
+operand; nothing silently extends a series.  No function writes to its
+arguments, so values can be shared freely between threads.
 
 Reversion, which the moment dictionaries (free cumulants and S) go through,
 is one Lagrange-inversion pass followed by one Newton step built from

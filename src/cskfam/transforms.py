@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, NumericError, SingularityError
 from .measure import Measure, MomentSeq
-from .series import ps_compose, ps_mul, ps_revert
+from .series import ps_mul, ps_revert
 
 #: Brent tolerances for all monotone 1-D inversions in this module.
 ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -268,14 +268,3 @@ def s_series_to_moments(s: np.ndarray, order: int) -> MomentSeq:
     chi = np.concatenate(((0.0,), ratio))  # w*S/(1+w), order
     psi = ps_revert(chi)
     return MomentSeq(psi[1:].tolist())
-
-
-def _compose_moebius(s: np.ndarray, r: float) -> np.ndarray:
-    """``s(w/(1 + r*w))`` at the order of ``s``; the inner series is
-    ``sum_k (-r)**(k-1) * w**k``."""
-    return ps_compose(s, np.array((0.0,) + tuple((-r) ** k for k in range(len(s) - 1))))
-
-
-def sigma_series_to_s_series(sigma: np.ndarray) -> np.ndarray:
-    """Convert a Sigma series to an S series via ``S(w) = Sigma(w/(1+w))``."""
-    return _compose_moebius(sigma, 1.0)

@@ -102,6 +102,16 @@ _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 
 #   1.6e-16 to 4.8e-17 off 1 - sqrt(1/2)).  No data row moved.
 #   csk_semicircle_positive was written then; it pins K(0), the lower end
 #   where 0 lies outside the support.
+# - the moment rows of limit_free_poisson and limit_uplus_two_atom, and the
+#   two bp_identity lines of verify_all.txt, when every scaled law and both
+#   limit laws came from one Lagrange pass on -log S (-log Sigma for uplus)
+#   instead of one series reversion each.  Largest relative change, by
+#   tools/compare_cli.largest_changes: 1.2e-16 (limit) and 1.5e-15 (value).
+#   Against the exact rational values (bench/reference.scaled_sequence, and
+#   limit_law_moments at the printed float gamma) the limit cells went from
+#   up to 8.2 ulp to within 0.53 ulp, and the value cells from up to 10.8
+#   ulp to within 2.9 ulp; no cell moved away by more than 0.9 ulp.  The
+#   bp_identity errors fell: 6.3e-13 to 1.7e-13 and 4.1e-12 to 2.3e-12.
 # The pair convolutions (six convolve_* files with two specs), the Boolean
 # limit on two atoms and verify_all.txt (stdout of `verify --suite all`,
 # whose "max error" figures pin the series suite) were written before

@@ -169,3 +169,35 @@ def test_golden_specs_is_a_default_workload_and_reads_ungraded():
     assert compare_cli.WORKLOADS == (*compare_cli.J.WORKLOADS, "golden_specs")
     assert compare_cli.grade(None, 0, b"order,moment\n1,1\n") == "ungraded"
     assert compare_cli.grade(None, 1, b"") == "ungraded"
+
+
+def test_limit_reference_error_grades_scaled_and_limit_moments(tmp_path):
+    # free Poisson: the scaled laws at n = 1, 2 have m3 = 5 and 21/4 (boxplus)
+    # or 19/4 (uplus); the eta limit has m3 = 11/2 and the sigma limit 9/2
+    named = tmp_path / "fp.json"
+    named.write_text('{"type": "named", "name": "free_poisson"}', encoding="utf-8")
+    error = lambda kind, out: compare_cli.limit_reference_error(
+        ["limit", "--spec", str(named), "--kind", kind], out)
+    header = b"# spec,free_poisson\nrow,n,index,value,limit,error,note\n"
+    rows = (b"moment,1,1,1,1,0,\nmoment,1,2,2,2,0,\nmoment,1,3,5,5.5,0.5,\n"
+            b"moment,2,1,1,1,0,\nmoment,2,2,2,2,0,\nmoment,2,3,5.25,5.5,0.25,\n"
+            b"variance,1,0.6,0.47,0.47,0,\n")
+    assert error("boxplus", header + rows) == {"scaled moments": 0.0, "limit moments": 0.0}
+    # one ulp off 5.25 and 5.5; the other kind reads 5.25 against 19/4
+    moved = rows.replace(b"5.25,5.5", b"5.2500000000000009,5.5000000000000009")
+    assert error("boxplus", header + moved) == {
+        "scaled moments": pytest.approx(8.9e-16 / 5.25, rel=0.01),
+        "limit moments": pytest.approx(8.9e-16 / 5.5, rel=0.01)}
+    uplus = error("uplus", header + rows)
+    assert uplus == {"scaled moments": pytest.approx(0.5 / 4.75),
+                     "limit moments": pytest.approx(1.0 / 4.5)}
+    # steps past the largest graded one are skipped, as are outputs without
+    # moment rows, other commands and moment lists
+    late = b"moment,1000000000000,1,7,1,6,\n"
+    assert error("boxplus", header + rows + late) == error("boxplus", header + rows)
+    assert error("boxplus", b"") == {}
+    assert compare_cli.limit_reference_error(["csk", "--spec", str(named)], rows) is None
+    moments = tmp_path / "moments.json"
+    moments.write_text('{"type": "moments", "values": [1, 2, 5]}', encoding="utf-8")
+    assert compare_cli.limit_reference_error(
+        ["limit", "--spec", str(moments), "--kind", "boxplus"], header + rows) is None

@@ -333,6 +333,21 @@ def test_singular_and_zero_ends_are_exact():
     assert mean_domain(Semicircle(3.0, 0.5))[0] == 2.8228756555322954
 
 
+
+@pytest.mark.parametrize("gap", [4e-4, 1e-8])
+@pytest.mark.parametrize("var", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["lower", "upper"])
+def test_k0_next_to_a_semicircle_support_is_within_1_ulp(gap, var, side):
+    # 0 at gap support radii from the support: d*d - 4*omega_2 cancelled
+    # after d*d was rounded, 6.0 ulp off at 4e-4 and 2.1e3 ulp at 1e-8
+    center = side * 2.0 * math.sqrt(var) * (1.0 + gap)
+    nu = Semicircle(center, var)
+    with mp.workdps(50):
+        got = mean_domain(nu)[side < 0]
+        want, _ = _exact_end(nu, side < 0)
+        assert abs(mp.mpf(got) - want) <= math.ulp(got), (got, want)
+
+
 ATOMIC_DOMAINS = [
     TWO_ATOM, AtomicMeasure((-2.0, -0.5), (0.5, 0.5)), AtomicMeasure((0.75,), (1.0,)),
     AtomicMeasure((-2.0, 0.25, 1.3125), (0.4375, 0.4375, 0.125)),

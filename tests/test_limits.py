@@ -203,7 +203,8 @@ def test_scaled_sequence_rejections():
 @pytest.mark.parametrize("kind", ["boxplus", "uplus"])
 def test_scaled_sequence_against_exact_moments(name, kind):
     # exact rational chain, one convolution power at a time, against the
-    # one-S-series identities; 5.7e-15 relative was the worst measured
+    # one-S-series identities; 1.8e-15 relative was the worst measured on
+    # the benchmark generators
     for n in (1, 2, 3, 16, 64):
         want = exact_scaled_sequence(EXACT_MOMENTS[name][:6], n, kind)
         got = scaled_sequence_moments(GENERATORS[name], n, kind, 40)
@@ -311,9 +312,10 @@ def test_report_builds_one_generator_s_series(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 @pytest.mark.parametrize("kind", ["boxplus", "uplus"])
-def test_report_reverts_no_series_beyond_moment_order(name, kind, monkeypatch):
-    # the dictionaries are triangular, so moments 1..K need series of
-    # order K and no more; the report once reverted order-40 series
+def test_report_reverts_only_the_generator_s_series(name, kind, monkeypatch):
+    # every scaled law and the limit law come from -log S by Lagrange
+    # inversion; the report once reverted one S series per step and one
+    # more for the limit law, 8 in all
     orders = []
 
     def recording(a):
@@ -323,7 +325,43 @@ def test_report_reverts_no_series_beyond_moment_order(name, kind, monkeypatch):
     for module in (transforms, conv):
         monkeypatch.setattr(module, "ps_revert", recording)
     rep = convergence_report(GENERATORS[name], kind)
-    assert orders and max(orders) <= rep.moment_order + 1
+    assert orders == [rep.moment_order]  # the Psi series of the generator's 6 moments
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_moment_rows_against_exact_moments(name, kind):
+    # every (n, k) of the default schedule, against the exact rational
+    # chain, one convolution power at a time
+    rep = convergence_report(GENERATORS[name], kind)
+    assert rep.n_values == limits.DEFAULT_SCHEDULE and rep.moment_order == 6
+    for n in rep.n_values:
+        want = exact_scaled_sequence(EXACT_MOMENTS[name][:6], n, kind)
+        got = [r.value for r in rep.rows if r.n == n]
+        assert [r.order for r in rep.rows if r.n == n] == [1, 2, 3, 4, 5, 6]
+        np.testing.assert_allclose(got, [float(v) for v in want], rtol=2e-15, atol=0)
+
+
+def _limit_closed_form(kind, gamma, k):
+    """Moment ``k`` of the eta or sigma limit as a sum of positive terms:
+    ``(1/k) [w**(k-1)] (1 + w)**k exp(k*U(w))`` with ``U = gamma*w`` or
+    ``gamma*w/(1 + w)``, exact for a ``Fraction`` gamma."""
+    c = gamma * k
+    if kind == "eta":
+        terms = (math.comb(k, j) * c ** (k - 1 - j) / math.factorial(k - 1 - j) for j in range(k))
+    else:
+        terms = ((k - j) * c ** j / math.factorial(j) for j in range(k))
+    return sum(terms, Fraction(0)) / k
+
+
+@pytest.mark.parametrize("gamma", [0.129, 0.37, 1.0, 2.5])
+@pytest.mark.parametrize("kind", ["eta", "sigma"])
+def test_limit_laws_against_positive_term_closed_forms(kind, gamma):
+    got = limit_law_moments(kind, gamma, 12).values
+    want = [_limit_closed_form(kind, Fraction(gamma), k) for k in range(1, 13)]
+    assert got[0] == 1.0
+    for k, (g, w) in enumerate(zip(got, want), start=1):
+        assert abs(Fraction(g) - w) <= math.ulp(g), (k, g, float(w))
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
@@ -415,6 +453,31 @@ def test_report_variance_rows_are_the_per_row_chain(name, kind, ns, monkeypatch)
     assert len(means) == 3 * len(ns)
     # the Jacobi parameters give every root but a moment sequence's
     assert sum(reads) == (0 if isinstance(nu, MomentSeq) else len(means))
+
+
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_scaled_law_variances_keep_the_errors_raised_before_vfun(kind, monkeypatch):
+    # cells the chain refuses in require_positive before it reads the
+    # generator's variance function ask the grid for no mean, and keep the
+    # note of that refusal; the others read the grid in order
+    nu, m0 = TWO_ATOM, mean(TWO_ATOM)
+    cells = [(2, -0.5), (9, 0.9), (4, 0.0), (3, math.nan), (1, 0.6), (2, math.inf), (64, 0.8)]
+    want = []
+    for n, m in cells:
+        try:
+            want.append(_cell(limits._scaled_law_variance(lambda x: csk.variance(nu, x), m0, n,
+                                                          kind, m)))
+        except CskfamError as exc:
+            want.append(_cell(note=f"{type(exc).__name__}: {exc}"))
+    asked = []
+    grid = csk.variances
+    monkeypatch.setattr(csk, "variances", lambda nu_, means: asked.append(means) or grid(nu_, means))
+    got = [_cell(note=f"{type(v).__name__}: {v}") if isinstance(v, CskfamError) else _cell(v)
+           for v in limits._scaled_law_variances(nu, m0, kind, cells)]
+    assert got == want
+    assert sum(note.startswith("DomainError: m = ") for _, note in got) == 4
+    [means] = asked
+    assert means == [m0 * ((n * m) / n) ** (1.0 / n) for n, m in ((9, 0.9), (1, 0.6), (64, 0.8))]
 
 
 @pytest.mark.parametrize("moment_order", [0, -1])

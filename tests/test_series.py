@@ -21,7 +21,8 @@ from cskfam.series import (
     ps_revert,
 )
 
-from cskfam.transforms import s_series, s_series_to_moments, sigma_series_to_s_series
+from cskfam.limits import _lagrange_moments
+from cskfam.transforms import s_series, s_series_to_moments
 
 from oracles import catalan, compose_direct, lagrange_revert, substitution_revert
 
@@ -347,7 +348,7 @@ READ_ONLY_CALLS = {
     "ps_pow_int": lambda: ps_pow_int(_frozen(1.5, 0.3, -0.2, 0.1), 3),
     "ps_pow_int_negative": lambda: ps_pow_int(_frozen(1.5, 0.3, -0.2, 0.1), -2),
     "s_series_to_moments": lambda: s_series_to_moments(_frozen(1.0, -1.0, 1.0, -1.0), 4),
-    "sigma_series_to_s_series": lambda: sigma_series_to_s_series(_frozen(1.0, -1.0, 0.0, 0.0)),
+    "lagrange_moments": lambda: _lagrange_moments(_frozen(0.0, 1.0, -0.5, 1 / 3)[None], True),
 }
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cskfam import limits
 from cskfam.errors import (
     DomainError,
     InsufficientDataError,
@@ -35,11 +36,10 @@ from cskfam.transforms import (
     s_series,
     s_series_to_moments,
     s_transform,
-    sigma_series_to_s_series,
     sigma_transform,
 )
 
-from oracles import lagrange_revert
+from oracles import catalan, lagrange_revert
 
 FP = FreePoisson()
 TWO_ATOM = AtomicMeasure((0.0, 2.0), (0.5, 0.5))
@@ -362,11 +362,16 @@ def test_analytic_vs_series_s_transform():
 
 
 def test_sigma_series_conversion():
-    # Sigma series of the free Poisson law: S(w) = 1/(1+w) means
-    # Sigma(z) = S(z/(1-z)) = 1-z
-    s = np.array(tuple((-1.0) ** n for n in range(8)))
-    sigma = sigma_series_to_s_series(np.array((1.0, -1.0) + (0.0,) * 6))
-    np.testing.assert_allclose(sigma, s, atol=1e-12)
+    # free Poisson has S(w) = 1/(1+w) and Sigma(z) = S(z/(1-z)) = 1-z:
+    # Lagrange inversion in either variable gives its Catalan moments,
+    # from -log S = log(1+w) and from -log Sigma = -log(1-z)
+    order = 12
+    j = np.arange(1, order)
+    u_s = np.concatenate(((0.0,), (-1.0) ** (j + 1) / j))[None]
+    u_sigma = np.concatenate(((0.0,), 1.0 / j))[None]
+    want = [float(catalan(k)) for k in range(1, order + 1)]
+    np.testing.assert_allclose(limits._lagrange_moments(u_s, sigma=False)[0], want, rtol=1e-15)
+    np.testing.assert_allclose(limits._lagrange_moments(u_sigma, sigma=True)[0], want, rtol=1e-15)
 
 
 def test_lagrange_oracle_agrees_with_s_series():

@@ -23,8 +23,10 @@ and by the grade of each side: the rows within tolerance of the job's own
 a named density or an atomic law also prints each side's largest relative
 error against its reference, the closed form or the 50-digit atomic
 family, over its rows and over the two ends of its ``# mean_domain`` line
-(see :func:`csk_reference_error`), so that bits moved within the
-tolerance read as closer or farther.
+(see :func:`csk_reference_error`), and a ``limit`` job prints each side's
+largest relative error of its moment rows against the exact rational
+scaled laws and limit law (see :func:`limit_reference_error`), so that bits
+moved within the tolerance read as closer or farther.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
 checkout (see :func:`source_lines`), so that a comparison also shows
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import fractions
 import itertools
 import json
 import math
@@ -72,6 +75,9 @@ GOLDEN_MEANS = "-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,3"
 GOLDEN_POWER = "2.5"
 GOLDEN_ORDER = "40"
 GOLDEN_SCHEDULE = "1,2,4,9,64,1000000000000,10000000000000"
+#: Largest step whose moment rows :func:`limit_reference_error` grades: the
+#: exact chain multiplies ``n`` series, and the benchmark stops at 64.
+LIMIT_REFERENCE_MAX_N = 64
 
 # Runs in the fresh interpreter: argv is SRC JOBS RESULT.  A job that raises
 # is exit code 1, as in the benchmark worker; its traceback goes to stderr.
@@ -247,6 +253,56 @@ def csk_reference_error(args: list[str], out: bytes) -> dict[str, float] | None:
     return errors
 
 
+
+def _exact_moments(doc: dict, order: int) -> list | None:
+    """The exact moments ``m1..m_order`` of the law of a spec document, from
+    its float parameters as ``Fraction`` values; None for a moment list and
+    a centered Marchenko-Pastur law, whose mean 0 ``cskfam limit`` refuses."""
+    exact = lambda x: fractions.Fraction(float(x))
+    params = {key: exact(value) for key, value in doc.get("params", {}).items()}
+    if doc.get("type") == "atomic":
+        return J.ref.atomic_moments(list(map(exact, doc["atoms"])),
+                                    list(map(exact, doc["weights"])), order)
+    if doc.get("name") == "free_poisson":
+        return J.ref.free_poisson_moments(order)
+    if doc.get("name") == "semicircle":
+        centered = J.ref.semicircle_moments(order, params.get("variance", 1))
+        return J.ref.shift(centered, params.get("center", 0))
+    return None
+
+
+def limit_reference_error(args: list[str], out: bytes) -> dict[str, float] | None:
+    """Largest relative error of the moment rows of a ``cskfam limit``
+    output, by column: ``scaled moments`` (``value``) against
+    ``reference.scaled_sequence`` and ``limit moments`` (``limit``) against
+    ``reference.limit_law_moments`` at the exact ``gamma``, both from the
+    exact moments of the spec's law, as ``bench/jobs.py`` grades them.  A
+    value whose reference is 0 counts its absolute error.  Rows past
+    :data:`LIMIT_REFERENCE_MAX_N` are skipped, and so is a part the output
+    lacks; None for any other job and for a moment list."""
+    if args[0] != "limit":
+        return None
+    doc = json.loads(Path(args[args.index("--spec") + 1]).read_text(encoding="utf-8"))
+    kind = args[args.index("--kind") + 1]
+    rows = [row for row in J._parse(out.decode("utf-8"))[2]
+            if row[0] == "moment" and int(row[1]) <= LIMIT_REFERENCE_MAX_N]
+    m = _exact_moments(doc, max([2] + [int(row[2]) for row in rows]))
+    if m is None:
+        return None
+    gamma = (m[1] - m[0] ** 2) / m[0] ** 2
+    limit = J.ref.limit_law_moments("eta" if kind == "boxplus" else "sigma", gamma, len(m))
+    scaled = {n: J.ref.scaled_sequence(m, n, kind) for n in {int(row[1]) for row in rows}}
+    relative = lambda got, want: float(abs(fractions.Fraction(float(got)) - want)
+                                       / (abs(want) if want else 1))
+    errors = {}
+    for row in rows:
+        n, k = int(row[1]), int(row[2])
+        for part, got, want in (("scaled moments", row[3], scaled[n][k - 1]),
+                                ("limit moments", row[4], limit[k - 1])):
+            errors[part] = max(errors.get(part, 0.0), relative(got, want))
+    return errors
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -302,8 +358,9 @@ def main(argv=None) -> int:
                 key, rel = max(changes.items(), key=lambda item: item[1])
                 if rel > worst[0]:
                     worst = (rel, f"{key} of {label}")
-            parent_errors, change_errors = (csk_reference_error(run["args"], out)
-                                            for out in (pout, cout))
+            parent_errors, change_errors = (
+                csk_reference_error(run["args"], out) or limit_reference_error(run["args"], out)
+                for out in (pout, cout))
             for part in sorted(set(parent_errors or ()) & set(change_errors or ())):
                 print(f"  reference error ({part}): parent {parent_errors[part]:.2g}, "
                       f"change {change_errors[part]:.2g}")
