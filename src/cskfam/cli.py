@@ -4,7 +4,9 @@ Subcommands evaluate transforms on grids, convolve measures at moment
 level, tabulate kernel-family quantities, run the limit-theorem experiment
 and execute the built-in verification suites.  All tabular output is CSV
 with ``#``-prefixed comment lines carrying the resolved configuration, so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files.  ``--out`` rewrites its file
+in place, with no truncation to length 0 first, and truncates it to the new
+table's length (see :func:`_emit`); stdout is the default.
 
 Exit codes: 0 success, 1 numeric or domain failure, 2 usage error.
 """
@@ -12,6 +14,8 @@ Exit codes: 0 success, 1 numeric or domain failure, 2 usage error.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -90,15 +94,35 @@ def _load_measure(path: str) -> Measure:
 
 
 def _emit(out: str | None, comment_rows: list[str], header: list[str], rows: list[str]):
+    """Write the table to stdout, or to the file ``out`` in place.
+
+    The file is opened without ``O_TRUNC`` (created with mode ``0o666``
+    less the umask), written as UTF-8 with ``\\n`` line ends, and then,
+    where it is a regular file, truncated to the bytes written, so a longer
+    old table leaves no tail.  A device such as ``/dev/null``, a FIFO or a
+    terminal is written and not truncated.  Truncating a file that holds
+    data to length 0 makes ext4 (``auto_da_alloc``) start a writeback of
+    the new data when it is closed; a rewrite that shrinks the file to a
+    nonzero length, or keeps its length, does not.
+
+    The rewrite is not atomic, and nothing forces the data to disk: after a
+    power loss a rewritten table may still show its old bytes, or a mix of
+    old and new.  An error opening the path (a directory, no permission)
+    propagates as ``OSError``.
+    """
     lines = [f"# {c}" for c in comment_rows]
     lines.append(",".join(header))
     lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 class _Main(click.Group):

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,19 +73,24 @@ def _lagrange_moments(u: np.ndarray, sigma: bool) -> np.ndarray:
     of ``[w**j] exp(k*U)`` with the positive weights ``C(k, j + 1)`` or
     ``k - j``.  One recurrence ``j*e_j = k * sum_(i=1..j) i*u_i*e_(j-i)``
     runs over every row and ``k`` at once in ``np.longdouble``, so each
-    moment is rounded to float once.  Sums run in increasing ``i`` (``j``):
-    moment ``k`` is the same at every ``K >= k``.
+    moment is rounded to float once; each ``e_j`` is one product and one
+    reduction over ``i``, and the weighted sum one over ``j``.  Rows do not
+    mix, so stacking laws into one call changes no bit of any of them.
+    Reductions along axis 0 run in increasing ``i`` (``j``), and each weight
+    is rounded to ``np.longdouble`` alone: moment ``k`` is the same at every
+    ``K >= k``.
     """
     u = u.astype(np.longdouble)
     order = u.shape[1]
     k = np.arange(1, order + 1)
-    iu = u * np.arange(order)  # i*u_i
-    e = [np.exp(u[:, :1] * k)]  # e[j][row, k - 1] = [w**j] exp(k*U)
+    iu = (u * np.arange(order)).T[:, :, None]  # iu[i, row] = i*u_i
+    e = np.empty((order, *u.shape), np.longdouble)  # e[j, row, k - 1] = [w**j] exp(k*U)
+    e[0] = np.exp(u[:, :1] * k)
     for j in range(1, order):
-        e.append(sum(iu[:, i:i + 1] * e[j - i] for i in range(1, j + 1)) * k / j)
-    weights = ([max(c - j, 0) if sigma else math.comb(c, j + 1) for c in range(1, order + 1)]
-               for j in range(order))
-    return (sum(w * ej for w, ej in zip(weights, e)) / k).astype(float)
+        e[j] = np.add.reduce(iu[1:j + 1] * e[j - 1::-1], axis=0) * k / j
+    weights = np.array([[max(c - j, 0) if sigma else math.comb(c, j + 1)
+                         for c in range(1, order + 1)] for j in range(order)], np.longdouble)
+    return (np.add.reduce(weights[:, None] * e, axis=0) / k).astype(float)
 
 
 def limit_law_moments(kind: LimitKind, gamma: float, order: int) -> MomentSeq:
@@ -187,15 +192,19 @@ def _unit_generator(nu: Measure, order: int,
     return m.variance / m0**2, m0, unit, u1
 
 
-def _scaled_moments(unit: MomentSeq, u1: np.ndarray, ns: Sequence[int],
-                    kind: ConvKind) -> list:
+def _scaled_moments(unit: MomentSeq, u1: np.ndarray, ns: Sequence[int], kind: ConvKind,
+                    gamma: float | None = None) -> list:
     """Moments of the scaled law of each step ``n`` of ``ns``, as many as
     ``unit`` holds: the unit-mean generator's own at ``n = 1`` (first, if
-    at all), then one :func:`_lagrange_moments` of ``U_n = n*U1(w/n)``."""
+    at all), then one :func:`_lagrange_moments` of ``U_n = n*U1(w/n)``.
+    Given ``gamma``, the limit law of ``kind`` comes last, from the row
+    ``U = gamma*w`` of the same call (bitwise :func:`limit_law_moments`)."""
     later = [n for n in ns if n > 1]
     out = [unit.values] * (len(ns) - len(later))
-    if later:
-        u = u1 * np.power.outer(np.array(later, dtype=float), 1.0 - np.arange(len(u1)))
+    u = u1 * np.power.outer(np.array(later, dtype=float), 1.0 - np.arange(len(u1)))
+    if gamma is not None:
+        u = np.vstack([u, gamma * np.eye(1, len(u1), 1)])
+    if len(u):
         out += _lagrange_moments(u, kind == "uplus").tolist()
     return out
 
@@ -259,8 +268,7 @@ def _scaled_law_variances(nu: Measure, m0: float, kind: ConvKind, cells: list) -
 # convergence reporting
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     n: int
     order: int
     value: float
@@ -268,8 +276,7 @@ class MomentRow:
     error: float
 
 
-@dataclass(frozen=True)
-class VarianceRow:
+class VarianceRow(NamedTuple):
     n: int
     m: float
     value: float | None
@@ -307,8 +314,9 @@ def convergence_report(
     The generator's S-series, of order ``moment_order - 1``, is the one
     series a report reverts.  Moment rows compare orders
     ``1..moment_order`` of each scaled law (see
-    :func:`scaled_sequence_moments`; one :func:`_lagrange_moments` for all
-    steps) with the limit law for ``gamma = Var(nu)/mean(nu)**2``.
+    :func:`scaled_sequence_moments`) with the limit law for
+    ``gamma = Var(nu)/mean(nu)**2``; one :func:`_lagrange_moments` gives
+    both, for all steps.
     Variance rows evaluate each scaled law's variance function through the
     paper's transformation laws: with ``c = 1/(n*m0**n)`` and ``x = m/c``,
     ``V_n(m) = c**2 * W(x)``, where ``W`` is the ``boxplus`` (``uplus``,
@@ -337,13 +345,14 @@ def convergence_report(
     require_order(moment_order)
     _check_kind(kind)
     gamma, m0, unit, u1 = _unit_generator(nu, moment_order, kind)
+    require_positive("gamma", gamma)  # the limit law's; a one-atom generator has gamma = 0
     limit_kind = LIMIT_OF_KIND[kind]
-    lim = limit_law_moments(limit_kind, gamma, moment_order)
+    *scaled, lim = _scaled_moments(unit, u1, ns, kind, gamma)
     lim_variance = limit_variance_eta if limit_kind == "eta" else limit_variance_sigma
 
     rows = [MomentRow(n, order, value, target, abs(value - target))
-            for n, values in zip(ns, _scaled_moments(unit, u1, ns, kind))
-            for order, value, target in zip(range(1, moment_order + 1), values, lim.values)]
+            for n, values in zip(ns, scaled)
+            for order, value, target in zip(range(1, moment_order + 1), values, lim)]
     cells = [(n, m) for n in ns for m in VARIANCE_GRID]
     vrows: list[VarianceRow] = []
     for (n, m), value in zip(cells, _scaled_law_variances(nu, m0, kind, cells)):

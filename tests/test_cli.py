@@ -1,7 +1,10 @@
 """Command-line frontend: byte-exact golden output, exit codes, error reporting."""
 
+import contextlib
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import click
@@ -208,6 +211,80 @@ def test_golden_output(golden, tmp_path):
     result = _invoke(GOLDEN_CASES[golden] + ["--out", out])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_CASES))
+def test_golden_output_over_a_longer_file(golden, tmp_path):
+    # --out rewrites a file in place; a longer old file must leave no tail
+    out = tmp_path / golden
+    want = (GOLDEN / golden).read_bytes()
+    out.write_bytes(b"x" * (len(want) + 4096))
+    result = _invoke(GOLDEN_CASES[golden] + ["--out", out])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == want
+
+
+def test_out_never_truncates_to_zero(monkeypatch, tmp_path):
+    # O_TRUNC on a file holding data makes ext4 flush the new data on close
+    opened = []
+    os_open = os.open
+
+    def recording(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    out = tmp_path / "out.csv"
+    for golden in ("limit_free_poisson.csv", "transform_g.csv", "transform_g.csv"):
+        assert _invoke(GOLDEN_CASES[golden] + ["--out", out]).exit_code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert [path for path, _ in opened] == [str(out)] * 3
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in opened)
+
+
+def test_out_to_the_null_device():
+    assert _invoke(GOLDEN_CASES["transform_g.csv"] + ["--out", os.devnull]).exit_code == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_to_a_fifo(tmp_path):
+    # a FIFO is written and not truncated
+    fifo = tmp_path / "table"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    result = _invoke(GOLDEN_CASES["csk_free_poisson.csv"] + ["--out", fifo])
+    if result.exit_code:  # perhaps before it opened the FIFO: let the reader see EOF
+        with contextlib.suppress(OSError):  # ENXIO once the reader has gone
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert result.exit_code == 0, result.output
+    assert received == [(GOLDEN / "csk_free_poisson.csv").read_bytes()]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_out_creates_a_file_with_the_umask_mode(tmp_path):
+    out = tmp_path / "new.csv"
+    old = os.umask(0o027)
+    try:
+        result = _invoke(GOLDEN_CASES["transform_g.csv"] + ["--out", out])
+    finally:
+        os.umask(old)
+    assert result.exit_code == 0, result.output
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_out_on_a_directory_raises_os_error(tmp_path):
+    result = _invoke(GOLDEN_CASES["transform_g.csv"] + ["--out", tmp_path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, OSError)
 
 
 #: Values of a "%.17g" cell: every kind of float, as Python floats and as

@@ -201,3 +201,30 @@ def test_limit_reference_error_grades_scaled_and_limit_moments(tmp_path):
     moments.write_text('{"type": "moments", "values": [1, 2, 5]}', encoding="utf-8")
     assert compare_cli.limit_reference_error(
         ["limit", "--spec", str(moments), "--kind", "boxplus"], header + rows) is None
+
+
+def _fake_checkout(root: Path, body: str) -> Path:
+    """A checkout whose ``cskfam.cli.main`` runs ``body``, with the job's
+    ``--out`` path as ``out``."""
+    package = root / "src" / "cskfam"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "cli.py").write_text(
+        "def main(args, standalone_mode=True):\n"
+        "    out = args[args.index('--out') + 1]\n"
+        f"    {body}\n", encoding="utf-8")
+    return root
+
+
+def test_run_checkout_writes_each_table_over_stale_bytes(tmp_path):
+    # each --out first holds bytes longer than any table, as in the
+    # benchmark's timed passes, so a table that leaves a tail of them differs
+    truncating = _fake_checkout(tmp_path / "a", "with open(out, 'wb') as fh: fh.write(b'table\\n')")
+    in_place = _fake_checkout(tmp_path / "b", "with open(out, 'r+b') as fh: fh.write(b'table\\n')")
+    failing = _fake_checkout(tmp_path / "c", "raise SystemExit(1)")
+    jobs = [{"args": ["csk"]}]
+    assert compare_cli.run_checkout(truncating, jobs, tmp_path / "a.out") == [(0, b"table\n")]
+    assert compare_cli.run_checkout(in_place, jobs, tmp_path / "b.out") == [
+        (0, b"table\n" + compare_cli.STALE_OUT[6:])]
+    # a job that writes nothing reads as empty, as when its file was new
+    assert compare_cli.run_checkout(failing, jobs, tmp_path / "c.out") == [(1, b"")]

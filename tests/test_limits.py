@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cskfam import conv, csk, limits, series, transforms
 from cskfam.conv import bp_transform
@@ -326,6 +328,56 @@ def test_report_reverts_only_the_generator_s_series(name, kind, monkeypatch):
         monkeypatch.setattr(module, "ps_revert", recording)
     rep = convergence_report(GENERATORS[name], kind)
     assert orders == [rep.moment_order]  # the Psi series of the generator's 6 moments
+
+
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_runs_one_lagrange_pass(kind, monkeypatch):
+    # the scaled laws of every step and the limit law share one call; the
+    # limit law once took a second call of its own
+    calls = []
+    lagrange = limits._lagrange_moments
+
+    def counting(u, sigma):
+        calls.append((u.shape, sigma))
+        return lagrange(u, sigma)
+
+    monkeypatch.setattr(limits, "_lagrange_moments", counting)
+    rep = convergence_report(TWO_ATOM, kind)
+    assert calls == [((len(rep.n_values), rep.moment_order), kind == "uplus")]
+    limit = [r.limit for r in rep.rows if r.n == 1]
+    assert limit == list(limit_law_moments(rep.limit_kind, rep.gamma, rep.moment_order).values)
+
+
+@pytest.mark.parametrize("kind", ["boxplus", "uplus"])
+def test_report_on_a_one_atom_generator_names_gamma(kind):
+    with pytest.raises(DomainError, match=r"^gamma = 0 must be positive and finite$"):
+        convergence_report(AtomicMeasure((2.0,), (1.0,)), kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.integers(1, 12), sigma=st.booleans())
+def test_lagrange_moments_of_stacked_rows_are_the_rows_alone(data, order, sigma):
+    # stacking laws into one call, as a report stacks its steps and limit
+    # law, moves no bit of any of them; a row may be U = gamma*w
+    rows = st.lists(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order),
+                    min_size=1, max_size=8)
+    u = np.array(data.draw(rows)) / np.arange(1, order + 1) ** 2
+    if data.draw(st.booleans()):
+        u[-1] = data.draw(st.floats(0.01, 3.0)) * np.eye(1, order, 1)[0]
+    stacked = limits._lagrange_moments(u, sigma)
+    for row, got in zip(u, stacked):
+        assert got.tobytes() == limits._lagrange_moments(row[None], sigma)[0].tobytes()
+
+
+@pytest.mark.parametrize("sigma", [False, True])
+def test_lagrange_moments_do_not_depend_on_the_order(sigma):
+    # moment k is the same at every order K >= k.  Where some weight
+    # C(k, j + 1) passed 2**63 (K >= 67), numpy once made the whole row of
+    # weights float64 and rounded every weight above 2**53 of it
+    u = np.random.default_rng(7).normal(size=(2, 90)) * 0.1 / np.arange(1, 91)
+    full = limits._lagrange_moments(u, sigma)
+    for order in (40, 70):
+        assert full[:, :order].tobytes() == limits._lagrange_moments(u[:, :order], sigma).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))

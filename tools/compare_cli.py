@@ -10,10 +10,11 @@ takes a spec on each ``tests/golden/*.json`` of this checkout, including
 paths the benchmark never takes (see :func:`golden_spec_jobs`), once per
 comparison.  Each checkout then runs every job through
 ``cskfam.cli.main`` in one fresh interpreter whose ``sys.path`` starts with
-that checkout's ``src``.  The tool lists each job whose CSV bytes or exit
-code differ, followed by each differing line of its CSV (``-`` parent, then
-``+`` change; lines are aligned first, and a line only one side has prints
-``(none)`` on the other), by the size of the
+that checkout's ``src``, writing its table over a file of stale bytes
+longer than any table (see :func:`run_checkout`).  The tool lists each job
+whose CSV bytes or exit code differ, followed by each differing line of its
+CSV (``-`` parent, then ``+`` change; lines are aligned first, and a line
+only one side has prints ``(none)`` on the other), by the size of the
 change: the largest relative change ``|change - parent| / |parent|`` of each
 column over the numeric cells that differ (see :func:`largest_changes`),
 and by the grade of each side: the rows within tolerance of the job's own
@@ -75,6 +76,9 @@ GOLDEN_MEANS = "-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,3"
 GOLDEN_POWER = "2.5"
 GOLDEN_ORDER = "40"
 GOLDEN_SCHEDULE = "1,2,4,9,64,1000000000000,10000000000000"
+#: What each job's ``--out`` holds before the job runs: longer than any table
+#: the jobs write (the largest, an order-160 ``convolve``, is about 4 KiB).
+STALE_OUT = b"x" * 65536
 #: Largest step whose moment rows :func:`limit_reference_error` grades: the
 #: exact chain multiplies ``n`` series, and the benchmark stops at 64.
 LIMIT_REFERENCE_MAX_N = 64
@@ -130,9 +134,17 @@ def golden_spec_jobs(golden: Path = GOLDEN_DIR) -> list[tuple[str, list[str]]]:
 
 
 def run_checkout(checkout: Path, jobs: list[dict], outdir: Path) -> list[tuple[int, bytes]]:
-    """Exit code and CSV bytes of every job, run by ``checkout``'s sources."""
+    """Exit code and CSV bytes of every job, run by ``checkout``'s sources.
+
+    Each job's ``--out`` file holds :data:`STALE_OUT` before the job runs,
+    so every table is written over an existing longer file, as in the
+    benchmark's timed passes, and a table that leaves a tail of it differs.
+    A file that still holds exactly those bytes (the job wrote nothing)
+    reads as empty."""
     outdir.mkdir()
     runs = [dict(job, out=str(outdir / f"job{i}.csv")) for i, job in enumerate(jobs)]
+    for run in runs:
+        Path(run["out"]).write_bytes(STALE_OUT)
     jobs_path, result_path = outdir / "jobs.json", outdir / "codes.json"
     jobs_path.write_text(json.dumps(runs), encoding="utf-8")
     subprocess.run([sys.executable, "-c", _RUNNER, str(checkout / "src"), str(jobs_path),
@@ -140,8 +152,8 @@ def run_checkout(checkout: Path, jobs: list[dict], outdir: Path) -> list[tuple[i
     codes = json.loads(result_path.read_text(encoding="utf-8"))
     out = []
     for code, job in zip(codes, runs):
-        path = Path(job["out"])
-        out.append((code, path.read_bytes() if path.exists() else b""))
+        data = Path(job["out"]).read_bytes()
+        out.append((code, b"" if data == STALE_OUT else data))
     return out
 
 
