@@ -8,7 +8,12 @@ identical inputs produce byte-identical files.  ``--out`` rewrites its file
 in place, with no truncation to length 0 first, and truncates it to the new
 table's length (see :func:`_emit`); stdout is the default.
 
-Exit codes: 0 success, 1 numeric or domain failure, 2 usage error.
+A command line is ``cskfam COMMAND [--option VALUE]...`` (see
+:data:`_COMMANDS`).  A value follows ``=`` or is the next argument, even one
+starting with ``-``; a repeated option keeps its last value.
+
+Exit codes: 0 success; 1 numeric or domain failure (``error:`` on stderr),
+a closed stdout or Ctrl-C; 2 usage error (``Error:`` on stderr).
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import stat
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import conv, csk, limits, transforms
@@ -31,6 +35,10 @@ from .measure import Measure, MomentSeq, parse_measure_spec
 MAX_GRID_POINTS = 10**6
 #: Moment order of ``convolve`` when ``--order`` is not given.
 DEFAULT_ORDER = 40
+
+
+class UsageError(Exception):
+    """A malformed command line, or an input it names that cannot be read."""
 
 
 def _fmt(x: float) -> str:
@@ -55,24 +63,24 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
     if ranged and len(parts) != 3:
-        raise click.UsageError(f"grid {text!r} must look like a:b:step")
+        raise UsageError(f"grid {text!r} must look like a:b:step")
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise click.UsageError(f"grid {text!r}: {exc}") from exc
+        raise UsageError(f"grid {text!r}: {exc}") from exc
     if not all(map(math.isfinite, values)):
-        raise click.UsageError(f"grid {text!r}: every number must be finite")
+        raise UsageError(f"grid {text!r}: every number must be finite")
     if not ranged:
         return values
     a, b, step = values
     if step <= 0.0 or b < a:
-        raise click.UsageError("grid requires step > 0 and b >= a")
+        raise UsageError("grid requires step > 0 and b >= a")
     steps = (b - a) / step
     if not math.isfinite(steps):
-        raise click.UsageError(f"grid {text!r}: (b - a)/step overflows")
+        raise UsageError(f"grid {text!r}: (b - a)/step overflows")
     count = int(np.floor(steps + 1e-9)) + 1
     if count > MAX_GRID_POINTS:
-        raise click.UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return tuple(a + i * step for i in range(count))
 
 
@@ -80,9 +88,9 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise click.UsageError(f"n-schedule {text!r}: {exc}") from exc
+        raise UsageError(f"n-schedule {text!r}: {exc}") from exc
     if not values:
-        raise click.UsageError("n-schedule must name at least one n")
+        raise UsageError("n-schedule must name at least one n")
     return values
 
 
@@ -90,7 +98,7 @@ def _load_measure(path: str) -> Measure:
     try:
         return parse_measure_spec(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}") from exc
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(out: str | None, comment_rows: list[str], header: list[str], rows: list[str]):
@@ -115,7 +123,7 @@ def _emit(out: str | None, comment_rows: list[str], header: list[str], rows: lis
     lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     data = text.encode("utf-8")
     fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
@@ -123,23 +131,6 @@ def _emit(out: str | None, comment_rows: list[str], header: list[str], rows: lis
         fh.write(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
-
-
-class _Main(click.Group):
-    """The command group: a :class:`CskfamError` from any subcommand prints
-    one ``error:`` line on stderr and exits 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except CskfamError as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(1) from exc
-
-
-@click.group(cls=_Main)
-def main():
-    """Numerical Cauchy-Stieltjes kernel family toolkit."""
 
 
 #: The :mod:`.transforms` function of each ``--which``, by name: it is looked
@@ -163,12 +154,6 @@ def _as_real(value) -> float:
     return float(value)
 
 
-@main.command()
-@click.option("--spec", required=True, type=click.Path(), help="Measure-spec JSON file.")
-@click.option("--which", required=True, type=click.Choice(sorted(_TRANSFORMS)),
-              help="Transform to evaluate.")
-@click.option("--grid", required=True, help="Arguments: a:b:step or comma list.")
-@click.option("--out", default=None, type=click.Path(), help="Output CSV (default stdout).")
 def transform(spec, which, grid, out):
     """Evaluate one transform on a grid of real arguments."""
     nu = _load_measure(spec)
@@ -199,21 +184,12 @@ def _operand(path: str, op: str) -> Measure:
     return nu
 
 
-@main.command()
-@click.option("--spec", required=True, type=click.Path(), help="First measure-spec file.")
-@click.option("--spec2", default=None, type=click.Path(), help="Second measure-spec file.")
-@click.option("--power", default=None, type=float,
-              help="Convolution power (or map parameter t for op=bt).")
-@click.option("--op", required=True, type=click.Choice(list(_POWER_OPS)))
-@click.option("--order", default=DEFAULT_ORDER, show_default=True,
-              help="Moment order of the computation.")
-@click.option("--out", default=None, type=click.Path())
 def convolve(spec, spec2, power, op, order, out):
     """Convolve two measures, or apply a convolution power, at moment level."""
     if (spec2 is None) == (power is None):
-        raise click.UsageError("provide exactly one of --spec2 or --power")
+        raise UsageError("provide exactly one of --spec2 or --power")
     if spec2 is not None and op not in _PAIR_OPS:
-        raise click.UsageError("op=bt takes --power (the parameter t), not --spec2")
+        raise UsageError("op=bt takes --power (the parameter t), not --spec2")
     nu = _operand(spec, op)
     if spec2 is not None:
         other = _operand(spec2, op)
@@ -226,10 +202,6 @@ def convolve(spec, spec2, power, op, order, out):
     _emit(out, [f"convolve,{op}", config, f"order,{order}"], ["order", "moment"], rows)
 
 
-@main.command(name="csk")
-@click.option("--spec", required=True, type=click.Path())
-@click.option("--at", "at_grid", required=True, help="Mean grid: a:b:step or comma list.")
-@click.option("--out", default=None, type=click.Path())
 def csk_cmd(spec, at_grid, out):
     """Tabulate theta, pseudo-variance and variance over a grid of means.
 
@@ -252,14 +224,6 @@ def csk_cmd(spec, at_grid, out):
           ["m", "theta", "pseudo_variance", "variance", "error"], rows)
 
 
-@main.command()
-@click.option("--spec", required=True, type=click.Path())
-@click.option("--kind", required=True, type=click.Choice(["boxplus", "uplus"]))
-@click.option("--n-schedule", default="1,2,4,8,16,32,64", show_default=True)
-@click.option("--moments", "moment_order", default=6, show_default=True,
-              help="Highest moment order compared against the limit law; also the "
-                   "order of the series behind the moment rows.")
-@click.option("--out", default=None, type=click.Path())
 def limit(spec, kind, n_schedule, moment_order, out):
     """Run the scaled-convolution limit experiment and report errors."""
     nu = _load_measure(spec)
@@ -280,28 +244,114 @@ def limit(spec, kind, n_schedule, moment_order, out):
           ["row", "n", "index", "value", "limit", "error", "note"], rows)
 
 
-@main.command()
-@click.option("--suite", required=True, help="Suite name (see `verify --suite list`).")
 def verify(suite):
     """Run a built-in verification suite; exit 0 only if every check passes."""
     from . import verify_suites
 
     if suite == "list":
         for name in verify_suites.SUITES:
-            click.echo(name)
+            print(name)
         return
     if suite not in verify_suites.SUITES:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown suite {suite!r}; available: {', '.join(verify_suites.SUITES)}"
         )
     checks = verify_suites.SUITES[suite]()
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
-        click.echo(f"{status} {name}: {detail}")
+        print(f"{status} {name}: {detail}")
         failed += 0 if passed else 1
-    click.echo(f"{len(checks) - failed}/{len(checks)} checks passed")
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
     if failed:
+        sys.exit(1)
+
+
+_SPEC = ("--spec", "spec", str, ..., "Measure-spec JSON file.")
+_OUT = ("--out", "out", str, None, "Output CSV (default stdout).")
+#: Each command's function and options: (flag, parameter, converter, default
+#: or ``...`` if required, help); a converter is str, int, float or the choices.
+_COMMANDS = {
+    "transform": (transform, [
+        _SPEC, ("--which", "which", tuple(sorted(_TRANSFORMS)), ..., "Transform to evaluate."),
+        ("--grid", "grid", str, ..., "Arguments: a:b:step or comma list."), _OUT]),
+    "convolve": (convolve, [
+        ("--spec", "spec", str, ..., "First measure-spec file."),
+        ("--spec2", "spec2", str, None, "Second measure-spec file."),
+        ("--power", "power", float, None, "Convolution power (or map parameter t for op=bt)."),
+        ("--op", "op", tuple(_POWER_OPS), ..., "A convolution, or bt for the map B_t."),
+        ("--order", "order", int, DEFAULT_ORDER, "Moment order of the computation."), _OUT]),
+    "csk": (csk_cmd, [
+        _SPEC, ("--at", "at_grid", str, ..., "Mean grid: a:b:step or comma list."), _OUT]),
+    "limit": (limit, [
+        _SPEC, ("--kind", "kind", ("boxplus", "uplus"), ..., "Convolution of the powers."),
+        ("--n-schedule", "n_schedule", str, "1,2,4,8,16,32,64", "Comma list of the n."),
+        ("--moments", "moment_order", int, 6, "Highest moment order to compare."), _OUT]),
+    "verify": (verify, [("--suite", "suite", str, ..., "Suite name (see `--suite list`).")]),
+}
+
+
+def _parse(args: list[str]):
+    """The call a command line asks for: a command, or printing a usage."""
+    name = args[0] if args else None
+    if name == "--help":
+        return lambda: print(f"Usage: cskfam COMMAND [OPTIONS]\nCommands: {', '.join(_COMMANDS)}")
+    if name not in _COMMANDS:
+        raise UsageError(f"No such command {name!r}." if args else "Missing command.")
+    fn, options = _COMMANDS[name]
+    flags = {option[0]: option for option in options}
+    kwargs, rest = {param: default for _, param, _, default, _ in options}, iter(args[1:])
+    for arg in rest:
+        if arg == "--help":
+            return lambda: print(_help(name))
+        flag, eq, text = arg.partition("=")
+        if flag not in flags:
+            raise UsageError(f"Unexpected argument {arg!r}.")
+        if not eq and (text := next(rest, None)) is None:
+            raise UsageError(f"Option {flag!r} requires an argument.")
+        _, param, convert, _, _ = flags[flag]
+        try:
+            kwargs[param] = convert(text) if callable(convert) else convert[convert.index(text)]
+        except ValueError:
+            raise UsageError(f"Invalid value for {flag!r}: {text!r}.") from None
+    if missing := [flag for flag, param, *_ in options if kwargs[param] is ...]:
+        raise UsageError(f"Missing option {missing[0]!r}.")
+    return lambda: fn(**kwargs)
+
+
+def _help(name: str) -> str:
+    fn, options = _COMMANDS[name]
+    lines = [f"Usage: cskfam {name} [OPTIONS]", "", fn.__doc__, "", "Options:"]
+    for flag, _, kind, default, text in options:
+        kind = kind.__name__ if callable(kind) else "|".join(kind)
+        mark = {...: "  [required]", None: ""}.get(default, f"  [default: {default}]")
+        lines.append(f"  {flag} {kind}  {text}{mark}")
+    return "\n".join(lines)
+
+
+def main(args=None, standalone_mode=True):
+    """Run one command line (``sys.argv[1:]`` by default).  Outside standalone
+    mode a usage error, a closed stdout or Ctrl-C propagates as an exception."""
+    args = sys.argv[1:] if args is None else list(args)
+    try:
+        _parse(args)()
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+    except CskfamError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from exc
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        command = f" {args[0]}" if args and args[0] in _COMMANDS else ""
+        print(f"Error: {exc}\nTry 'cskfam{command} --help' for help.", file=sys.stderr)
+        sys.exit(2)
+    except (BrokenPipeError, KeyboardInterrupt) as exc:
+        if not standalone_mode:
+            raise
+        if isinstance(exc, BrokenPipeError):  # the reader has gone: drop what stdout holds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            print("\nAborted!", file=sys.stderr)
         sys.exit(1)
 
 

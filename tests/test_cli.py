@@ -7,10 +7,9 @@ import sys
 import threading
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke as _invoke
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +17,6 @@ from cskfam import cli, conv, measure, series, transforms
 from cskfam.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _invoke(args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 _MP_MEANS = "-1.5,-0.999,-0.9,-0.5,-0.1,0,0.1,0.5,0.9,0.999,1.5"  # domain (-1, 1)
@@ -422,10 +417,65 @@ def test_malformed_input_exits_1_without_traceback(doc, args, tmp_path):
          "--n-schedule", "one"],
         ["transform", "--spec", GOLDEN / "missing.json", "--which", "G", "--grid", "3"],
         ["verify", "--suite", "nonexistent"],
+        # the command line itself: no or an unknown command, an unknown
+        # option, a value missing at the end, a bad choice, int or float,
+        # and an extra argument
+        [],
+        ["tabulate", "--spec", GOLDEN / "free_poisson.json"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "1", "--grid", "1"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at"],
+        ["transform", "--spec", GOLDEN / "free_poisson.json", "--which", "g", "--grid", "3"],
+        ["convolve", "--spec", GOLDEN / "free_poisson.json", "--op", "times", "--power", "2"],
+        ["limit", "--spec", GOLDEN / "free_poisson.json", "--kind", "free"],
+        ["convolve", "--spec", GOLDEN / "free_poisson.json", "--op", "boxplus", "--power", "2",
+         "--order", "4.5"],
+        ["convolve", "--spec", GOLDEN / "free_poisson.json", "--op", "boxplus", "--power", "abc"],
+        ["csk", "--spec", GOLDEN / "free_poisson.json", "--at", "1", "extra"],
     ],
 )
 def test_usage_error_exits_2(args):
-    assert _invoke(args).exit_code == 2
+    result = _invoke(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error" in result.stderr
+
+
+def test_option_value_may_start_with_a_dash_and_a_repeat_keeps_the_last():
+    spec = GOLDEN / "free_poisson.json"
+    spaced = _invoke(["csk", "--spec", spec, "--at", "-0.5,0.5"])
+    assert spaced.exit_code == 0, spaced.output
+    assert b"# grid,-0.5,0.5\n" in spaced.stdout_bytes
+    for args in (["--at=-0.5,0.5"], ["--at", "3", "--at", "-0.5,0.5"], ["--at=3", "--at=-0.5,0.5"]):
+        assert _invoke(["csk", "--spec", spec, *args]).stdout_bytes == spaced.stdout_bytes
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_names_every_option(command):
+    result = _invoke(["--help"] if command is None else [command, "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    if command is None:
+        assert all(name in result.stdout for name in cli._COMMANDS)
+        return
+    fn, options = cli._COMMANDS[command]
+    assert fn.__doc__.splitlines()[0] in result.stdout
+    for flag, _, _, _, text in options:
+        assert f"  {flag} " in result.stdout and text in result.stdout
+
+
+def test_ctrl_c_exits_1_in_standalone_mode_and_propagates_outside_it(monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(transforms, "cauchy_transform", interrupted)
+    args = ["transform", "--spec", str(GOLDEN / "free_poisson.json"), "--which", "G", "--grid", "5"]
+    result = _invoke(args)
+    assert result.exit_code == 1
+    assert result.stderr == "\nAborted!\n"
+    with pytest.raises(KeyboardInterrupt):
+        main(args, standalone_mode=False)
+    with pytest.raises(cli.UsageError):  # the benchmark scores it as a failed job
+        main(["csk"], standalone_mode=False)
 
 
 @pytest.mark.parametrize(
@@ -547,7 +597,7 @@ def test_commands_look_up_library_functions_when_they_run(monkeypatch):
 def test_grid_point_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
     assert len(cli._parse_grid("0:9:1")) == 10
-    with pytest.raises(click.UsageError):
+    with pytest.raises(cli.UsageError):
         cli._parse_grid("0:10:1")
     assert cli._parse_grid("0,1,2,3,4,5,6,7,8,9,10")[-1] == 10.0  # lists are not ranges
 
@@ -608,3 +658,31 @@ def test_cli_jobs_load_no_scipy(tmp_path):
     fallbacks, modules = proc.stdout.split(" ", 1)
     assert int(fallbacks) > 0
     assert modules.strip() == "[]"
+
+
+def test_cli_import_loads_no_click():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import cskfam.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))", str(src)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX pipes")
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # about 10^5 rows, far beyond a pipe's buffer, to a pipe nobody reads
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cskfam.cli", "csk", "--spec", str(GOLDEN / "free_poisson.json"),
+             "--at", "0.00002:2:0.00002"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -9,11 +9,10 @@ import mpmath as mp
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
 from cskfam import csk as csk_module
 from cskfam import measure as measure_module
-from cskfam.cli import main
 from cskfam.csk import (
     affine_pseudo_variance,
     boxplus_power_variance,
@@ -1047,7 +1046,7 @@ def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path)
     monkeypatch.setattr(csk_module, "_roots", counted)
     spec = tmp_path / "mp.json"
     spec.write_text('{"type":"named","name":"marchenko_pastur_centered","params":{"a":0.5}}')
-    result = CliRunner().invoke(main, ["csk", "--spec", str(spec), "--at=-0.75:1.5:0.25"])
+    result = invoke(["csk", "--spec", str(spec), "--at=-0.75:1.5:0.25"])
     assert result.exit_code == 0, result.output
     means = [-0.75 + 0.25 * i for i in range(10)]
     assert calls == [means]  # one root per row, the generator mean included
@@ -1064,7 +1063,7 @@ def test_moments_spec_row_solves_the_s_series_root_once(monkeypatch, tmp_path):
     monkeypatch.setattr(csk_module, "_pseudo_variance_from_moments", counted)
     spec = tmp_path / "catalan.json"
     spec.write_text('{"type":"moments","values":[1,2,5,14,42,132,429,1430,4862,16796]}')
-    result = CliRunner().invoke(main, ["csk", "--spec", str(spec), "--at", "0.8"])
+    result = invoke(["csk", "--spec", str(spec), "--at", "0.8"])
     assert result.exit_code == 0, result.output
     assert result.stdout.splitlines()[-1].split(",")[-1] == ""  # an answered row
     assert calls == [0.8]
@@ -1087,8 +1086,7 @@ def test_csk_command_on_a_named_density_integrates_nothing(spec, monkeypatch):
         raise AssertionError("quadrature in a csk job")
 
     monkeypatch.setattr(measure_module, "integrate_pieces", no_quadrature)
-    result = CliRunner().invoke(main, ["csk", "--spec", str(spec),
-                                       "--at=-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,2.9,3.5"])
+    result = invoke(["csk", "--spec", str(spec), "--at=-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,2.9,3.5"])
     assert result.exit_code == 0, result.output
     assert calls == []
     comments = [line for line in result.stdout.splitlines() if line.startswith("# mean_domain")]
