@@ -112,7 +112,7 @@ def boolean_cumulants_to_moments(b: np.ndarray) -> MomentSeq:
 def _finite(result: MomentSeq, what: str) -> MomentSeq:
     """``result`` of a convolution computed under ``np.errstate(all="ignore")``;
     an overflow there leaves inf or nan in it, which is an error."""
-    if not all(math.isfinite(v) for v in result.values):
+    if not all(map(math.isfinite, result.values)):
         raise NumericError(f"{what} overflows: a moment is not finite")
     return result
 
@@ -201,10 +201,8 @@ def _boolean_power_jacobi(jacobi, t: float) -> tuple[np.ndarray, np.ndarray]:
     ``omega_1`` scale by ``t`` and the rest stay, for every Jacobi matrix.
     ``K(z) = z - 1/G(z) = alpha_0 + omega_1/(z - alpha_1 - ...)`` is the
     continued fraction, and the power scales ``K``."""
-    alpha, omega = (np.append(x, x[-1]) for x in jacobi)  # entry 0 apart from the tail
-    alpha[0] *= t
-    omega[0] *= t
-    return alpha, omega
+    # entry 0 scales, and a copy of the last entry keeps the tail as it was
+    return tuple(np.concatenate(((t * x[0],), x[1:], x[-1:])) for x in jacobi)
 
 
 def _free_power_jacobi(jacobi, t: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -216,7 +214,7 @@ def _free_power_jacobi(jacobi, t: float) -> tuple[np.ndarray, np.ndarray] | None
     Meixner law ``FM(a, b)`` (Saitoh & Yoshida 2001)."""
     if jacobi is None or max(len(x) for x in jacobi) > 2:
         return None
-    (a0, a1), (w1, w2) = (np.append(x, x[-1])[:2] for x in jacobi)
+    (a0, a1), (w1, w2) = ((x[0], x[-1]) for x in jacobi)
     return np.array((t * a0, a1 + (t - 1.0) * a0)), np.array((t * w1, w2 + (t - 1.0) * w1))
 
 

@@ -508,7 +508,7 @@ class MomentSeq(Measure):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise DomainError("a moment sequence needs at least m1")
 

@@ -22,6 +22,10 @@ One kernel is not a series operation: :func:`jacobi_moments` reads the
 moments of a law off its Jacobi parameters by the three-term recurrence,
 in ``O(K**2)`` with no reversion.  The named densities' moments and the
 additive powers that keep a Jacobi matrix (:mod:`.conv`) go through it.
+It runs in ``np.longdouble`` with one numpy call per recurrence row and
+one per moment parity, each adding its terms in increasing index order
+from +0, so its roundings are those of the plain loop written out term
+by term.
 """
 
 from __future__ import annotations
@@ -139,28 +143,44 @@ def jacobi_moments(alpha: np.ndarray, omega: np.ndarray, order: int) -> np.ndarr
     ``c[j+1, k] = c[j, k-1] + alpha_k c[j, k] + omega_(k+1) c[j, k+1]``.
     Orthogonality gives ``m_(i+j) = sum_k c[i, k] c[j, k] h_k`` with ``h_k =
     omega_1 ... omega_k``, so the rows ``j <= (order + 1)//2``, each one
-    vector step from the last, give every moment by two matrix-vector
-    products: ``O(K**2)`` and no reversion.  The arithmetic runs in
-    ``np.longdouble`` (a 64-bit significand on x86-64), so the moments are
-    rounded once, to about one ulp: the Catalan numbers of free Poisson
-    come out correctly rounded through order 160.  Where ``longdouble`` is
-    plain double, the error of ``m_n`` is within a few ``n*eps*rho**n``,
-    ``rho`` the largest ``|x|`` on the support.
+    vector step from the last, give every moment by two sums over ``k``:
+    ``O(K**2)`` and no reversion.
+
+    Each step is one :func:`numpy.vecdot` of the row's windows ``(c[j,
+    k+1], c[j, k], c[j, k-1])`` (a read-only view of a zero-padded array)
+    with ``(omega_(k+1), alpha_k, 1)``, and each parity of the moments one
+    :func:`numpy.einsum`.  For ``np.longdouble`` both add their terms one
+    at a time, in increasing index order, from +0, so every entry is
+    ``(omega_(k+1) c[j, k+1] + alpha_k c[j, k]) + c[j, k-1]`` and every
+    moment ``sum_k fl(fl(c c) h_k)``: the roundings of the plain loop
+    written out term by term, which ``tests/oracles.py`` keeps as the
+    reference, and a zero moment is +0.  :func:`numpy.vecdot` first
+    appeared in numpy 2.0, hence the package's floor at that version.
+
+    The arithmetic runs in ``np.longdouble`` (a 64-bit significand on
+    x86-64), so the moments are rounded once, to about one ulp: the
+    Catalan numbers of free Poisson come out correctly rounded through
+    order 160.  Where ``longdouble`` is plain double, numpy may hand both
+    calls to BLAS or to pairwise sums, so the bits may differ from the
+    loop's; the error of ``m_n`` is within a few ``n*eps*rho**n``, ``rho``
+    the largest ``|x|`` on the support.
     """
     top = (order + 1) // 2
-    a, w = (np.full(top + 1, x[-1], dtype=np.longdouble) for x in (alpha, omega))
-    a[:min(top + 1, len(alpha))] = alpha[:top + 1]
-    w[:min(top + 1, len(omega))] = omega[:top + 1]
-    c = np.zeros((top + 1, top + 1), dtype=np.longdouble)
-    c[0, 0] = 1.0
-    for row, following in zip(c, c[1:]):  # x**j has degree j <= top
-        following[:] = a * row
-        following[:-1] += w[:-1] * row[1:]
-        following[1:] += row[:-1]
-    h = np.cumprod(np.concatenate(((1.0,), w[:-1])))
+    coef = np.ones((top + 1, 3), dtype=np.longdouble)  # rows (omega_(k+1), alpha_k, 1)
+    for column, x in zip(coef.T, (omega, alpha)):
+        column[:] = x[-1]
+        column[:min(top + 1, len(x))] = x[:top + 1]
+    h = np.cumprod(np.concatenate(((1.0,), coef[:-1, 0])))
+    coef[-1, 0] = 0.0  # omega_(top+1) meets only the zero pad, and 0 * inf is nan
+    padded = np.zeros((top + 1, top + 3), dtype=np.longdouble)  # c[j, k] at [j, k + 1]
+    padded[0, 1] = 1.0
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 3, axis=1)[:, :, ::-1]
+    for row, following in zip(windows, padded[1:, 1:-1]):  # x**j has degree j <= top
+        np.vecdot(row, coef, out=following)
+    c = padded[:, 1:-1]
     m = np.empty(2 * top + 1, dtype=np.longdouble)
-    m[0::2] = (c * c) @ h
-    m[1::2] = (c[:-1] * c[1:]) @ h
+    m[0::2] = np.einsum("jk,jk,k->j", c, c, h)
+    m[1::2] = np.einsum("jk,jk,k->j", c[:-1], c[1:], h)
     return m[1:order + 1].astype(float)
 
 

@@ -274,6 +274,28 @@ def jacobi_path_moments(alpha, omega, n: int) -> list:
     return out
 
 
+def three_op_jacobi_moments(alpha, omega, order: int) -> np.ndarray:
+    """The three-term recurrence of ``series.jacobi_moments`` written as
+    three array updates per row and two matrix-vector products, in
+    ``np.longdouble``: the reference that the production kernel matches
+    bit for bit where ``longdouble`` is wider than double."""
+    top = (order + 1) // 2
+    a, w = (np.full(top + 1, x[-1], dtype=np.longdouble) for x in (alpha, omega))
+    a[:min(top + 1, len(alpha))] = alpha[:top + 1]
+    w[:min(top + 1, len(omega))] = omega[:top + 1]
+    c = np.zeros((top + 1, top + 1), dtype=np.longdouble)
+    c[0, 0] = 1.0
+    for row, following in zip(c, c[1:]):  # x**j has degree j <= top
+        following[:] = a * row
+        following[:-1] += w[:-1] * row[1:]
+        following[1:] += row[:-1]
+    h = np.cumprod(np.concatenate(((1.0,), w[:-1])))
+    m = np.empty(2 * top + 1, dtype=np.longdouble)
+    m[0::2] = (c * c) @ h
+    m[1::2] = (c[:-1] * c[1:]) @ h
+    return m[1:order + 1].astype(float)
+
+
 def exact_scaled_sequence(moments_, n: int, kind: str) -> list[Fraction]:
     """Moments of ``D_{1/(n m0**n)}((nu ** boxtimes n) ** kind n)`` from exact
     moments, one operation at a time: the multiplicative power through

@@ -504,6 +504,28 @@ def test_convolve_overflowing_power_exits_1(op):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("op, power", [("uplus", "2.5"), ("uplus", "0.4"),
+                                       ("bt", "0.5"), ("bt", "3")])
+def test_odd_moments_of_the_centered_semicircle_are_plus_zero(op, power, tmp_path):
+    # the recurrence adds every row entry and every moment from +0, so an
+    # odd moment of a symmetric law is +0.0 and prints as 0, never as -0
+    nu = measure.Semicircle(0.0, 1.0)
+    for values in (measure.moments(nu, 160).values,
+                   getattr(conv, cli._POWER_OPS[op])(nu, float(power), 160).values):
+        odd = np.array(values[0::2])
+        assert not odd.any() and not np.signbit(odd).any()
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"type":"named","name":"semicircle","params":{"center":0,"variance":1}}',
+                    encoding="utf-8")
+    result = _invoke(["convolve", "--spec", spec, "--op", op, "--power", power,
+                      "--order", "160"])
+    assert result.exit_code == 0
+    rows = [line.split(",") for line in result.stdout.splitlines()[4:]]
+    assert [n for n, _ in rows] == [str(n) for n in range(1, 161)]
+    assert [m for _, m in rows[0::2]] == ["0"] * 80
+    assert "-0" not in (m for _, m in rows)
+
+
 @pytest.mark.parametrize("op", ["boxplus", "boxtimes"])
 def test_convolve_overflowing_pair_exits_1(op, tmp_path):
     # once printed nan in all 160 rows and exited 0

@@ -203,6 +203,57 @@ def test_limit_reference_error_grades_scaled_and_limit_moments(tmp_path):
         ["limit", "--spec", str(moments), "--kind", "boxplus"], header + rows) is None
 
 
+def test_convolve_reference_error_reads_the_exact_powers(tmp_path):
+    # free Poisson: the free power 2 has m = 2, 6, 22, the Boolean power 2
+    # 2, 6, 20, B_1 1, 2, 6 and the multiplicative power 2 (Fuss-Catalan)
+    # 1, 3, 12; semicircle(1, 1/2) free power 2 is semicircle(2, 1), with
+    # m = 2, 5, 14; centered Marchenko-Pastur a = 1 free power 2 has
+    # 0, 2, 2; half-weight atoms 0 and 1 Boolean power 2 have 1, 1.5, 2.25
+    specs = {
+        "fp": '{"type": "named", "name": "free_poisson"}',
+        "sc": '{"type": "named", "name": "semicircle", "params": {"center": 1, "variance": 0.5}}',
+        "mp": '{"type": "named", "name": "marchenko_pastur_centered", "params": {"a": 1}}',
+        "atomic": '{"type": "atomic", "atoms": [0, 1], "weights": [0.5, 0.5]}',
+        "moments": '{"type": "moments", "values": [1, 2, 5]}',
+    }
+    for name, doc in specs.items():
+        (tmp_path / f"{name}.json").write_text(doc, encoding="utf-8")
+
+    def error(spec, op, power, moments):
+        out = "# convolve\norder,moment\n" + "".join(
+            f"{k},{m!r}\n" for k, m in enumerate(moments, start=1))
+        return compare_cli.convolve_reference_error(
+            ["convolve", "--spec", str(tmp_path / f"{spec}.json"), "--power", power,
+             "--op", op, "--order", str(len(moments))], out.encode("utf-8"))
+
+    exact = [("fp", "boxplus", "2.0", [2.0, 6.0, 22.0]), ("fp", "uplus", "2.0", [2.0, 6.0, 20.0]),
+             ("fp", "bt", "1.0", [1.0, 2.0, 6.0]), ("fp", "boxtimes", "2.0", [1.0, 3.0, 12.0]),
+             ("sc", "boxplus", "2.0", [2.0, 5.0, 14.0]), ("mp", "boxplus", "2.0", [0.0, 2.0, 2.0]),
+             ("atomic", "uplus", "2.0", [1.0, 1.5, 2.25])]
+    for spec, op, power, moments in exact:
+        assert error(spec, op, power, moments) == {"moments": 0.0}, (spec, op)
+    # one ulp off 22, on the scale rho**3 = 22 of the largest growth
+    moved = error("fp", "boxplus", "2.0", [2.0, 6.0, 22.000000000000004])
+    assert moved == {"moments": pytest.approx(3.55e-15 / 22, rel=0.01)}
+    # a zero moment is graded on the rho**n scale: rho = sqrt(2) here
+    assert error("mp", "boxplus", "2.0", [1e-15, 2.0, 2.0]) == {
+        "moments": pytest.approx(1e-15 / math.sqrt(2))}
+    # no exact reference: the free power of an atomic law, a moment list, a
+    # multiplicative power off free Poisson or at a non-integer power
+    for spec, op, power in [("atomic", "boxplus", "2.0"), ("moments", "uplus", "2.0"),
+                            ("sc", "boxtimes", "2.0"), ("fp", "boxtimes", "2.5")]:
+        assert error(spec, op, power, [1.0, 2.0]) is None, (spec, op)
+    # a failed job leaves no rows; other commands and pair jobs are not graded
+    assert compare_cli.convolve_reference_error(
+        ["convolve", "--spec", str(tmp_path / "fp.json"), "--power", "2.0", "--op", "uplus"],
+        b"x" * 64) == {}
+    assert compare_cli.convolve_reference_error(
+        ["convolve", "--spec", str(tmp_path / "fp.json"), "--spec2", str(tmp_path / "fp.json"),
+         "--op", "uplus"], b"order,moment\n1,2\n") is None
+    assert compare_cli.convolve_reference_error(
+        ["csk", "--spec", str(tmp_path / "fp.json")], b"order,moment\n1,2\n") is None
+
+
 def _fake_checkout(root: Path, body: str) -> Path:
     """A checkout whose ``cskfam.cli.main`` runs ``body``, with the job's
     ``--out`` path as ``out``."""

@@ -1,15 +1,19 @@
 """Series engine: frozen examples, oracles, and algebraic properties."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cskfam import series
+from cskfam import conv, series
 from cskfam.errors import DomainError
-from cskfam.measure import MomentSeq
+from cskfam.measure import AtomicMeasure, MomentSeq
 from cskfam.series import (
     identity_series,
+    jacobi_moments,
     ps_compose,
     ps_derivative,
     ps_exp,
@@ -24,7 +28,14 @@ from cskfam.series import (
 from cskfam.limits import _lagrange_moments
 from cskfam.transforms import s_series, s_series_to_moments
 
-from oracles import catalan, compose_direct, lagrange_revert, substitution_revert
+from oracles import (
+    catalan,
+    compose_direct,
+    jacobi_path_moments,
+    lagrange_revert,
+    substitution_revert,
+    three_op_jacobi_moments,
+)
 
 # ---------------------------------------------------------------------------
 # multiplication
@@ -327,6 +338,75 @@ def test_shortcuts_match_the_general_kernels_bit_for_bit(order):
 
 
 # ---------------------------------------------------------------------------
+# the three-term recurrence, one numpy call per row
+
+
+@st.composite
+def _jacobi_parameters(draw):
+    """Jacobi parameters of a free Meixner law ``(alpha_0, alpha_1; omega_1,
+    omega_2)`` or of a law of 1-6 atoms (Lanczos), then as they are or
+    under one of the maps of ``conv``: a Boolean power, a free power, or
+    the Boolean-to-free map ``B_t`` (the free power ``1 + t`` of a free
+    Meixner law, then the Boolean power ``1/(1 + t)``)."""
+    if draw(st.booleans()):
+        pair = st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2)
+        alpha = np.array(draw(pair))
+        omega = np.array(draw(st.lists(st.floats(0.0, 4.0, exclude_min=True),
+                                       min_size=2, max_size=2)))
+        jacobi = alpha, omega
+    else:
+        k = draw(st.integers(1, 6))
+        gaps = draw(st.lists(st.floats(0.05, 1.5), min_size=k - 1, max_size=k - 1))
+        atoms = draw(st.floats(-3.0, 0.0)) + np.cumsum([0.0, *gaps])
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+        weights /= weights.sum()
+        weights[-1] = 1.0 - weights[:-1].sum()  # exact normalization
+        jacobi = AtomicMeasure(tuple(atoms), tuple(weights)).jacobi()
+    kind = draw(st.sampled_from(("law", "uplus", "boxplus", "bt")))
+    if kind == "uplus":
+        return conv._boolean_power_jacobi(jacobi, draw(st.floats(0.0, 4.0, exclude_min=True)))
+    if kind == "boxplus":
+        return conv._free_power_jacobi(jacobi, draw(st.floats(1.0, 4.0))) or jacobi
+    if kind == "bt":
+        t = draw(st.floats(0.0, 3.0, exclude_min=True))
+        powered = conv._free_power_jacobi(jacobi, 1.0 + t) or jacobi
+        return conv._boolean_power_jacobi(powered, 1.0 / (1.0 + t))
+    return jacobi
+
+
+def _assert_within_envelope(got, jacobi, order):
+    """The docstring's envelope where ``longdouble`` is plain double: ``m_n``
+    within ``4*n*eps*rho**n`` of the moments summed over Motzkin paths at
+    40 digits, ``rho`` read off the exact moments' growth.  Below the
+    smallest normal double there is no relative accuracy to keep: the scale
+    is floored there, and a subnormal ``omega_k`` is left out."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    assume(not np.any((jacobi[1] > 0.0) & (jacobi[1] < tiny)))
+    with mpmath.workdps(40):
+        exact = [float(v) for v in jacobi_path_moments(
+            *([mpmath.mpf(float(x)) for x in seq] for seq in jacobi), order)]
+    log_rho = max((math.log(abs(v)) / n for n, v in enumerate(exact, start=1) if v), default=0.0)
+    for n, (g, w) in enumerate(zip(got, exact, strict=True), start=1):
+        assert abs(g - w) <= 4 * n * eps * max(abs(w), math.exp(n * log_rho), tiny), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(jacobi=_jacobi_parameters(), order=st.integers(1, 161))
+def test_jacobi_moments_match_the_three_op_recurrence_bit_for_bit(jacobi, order):
+    # In np.longdouble vecdot and einsum add one term at a time from +0, as
+    # the oracle's array updates and matrix-vector products do.  Where
+    # longdouble is plain double both may go through BLAS or pairwise sums,
+    # so only the envelope holds there.  The float64 results are compared:
+    # a longdouble array carries padding bytes of no fixed value.
+    got = jacobi_moments(*jacobi, order)
+    assert got.dtype == np.float64 and got.shape == (order,)
+    if np.finfo(np.longdouble).nmant == 52:
+        _assert_within_envelope(got, jacobi, order)
+    else:
+        assert got.tobytes() == three_op_jacobi_moments(*jacobi, order).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # no function writes to its arguments
 
 
@@ -349,6 +429,7 @@ READ_ONLY_CALLS = {
     "ps_pow_int_negative": lambda: ps_pow_int(_frozen(1.5, 0.3, -0.2, 0.1), -2),
     "s_series_to_moments": lambda: s_series_to_moments(_frozen(1.0, -1.0, 1.0, -1.0), 4),
     "lagrange_moments": lambda: _lagrange_moments(_frozen(0.0, 1.0, -0.5, 1 / 3)[None], True),
+    "jacobi_moments": lambda: jacobi_moments(_frozen(0.5, -1.0), _frozen(1.0, 2.0), 9),
 }
 
 

@@ -26,8 +26,11 @@ error against its reference, the closed form or the 50-digit atomic
 family, over its rows and over the two ends of its ``# mean_domain`` line
 (see :func:`csk_reference_error`), and a ``limit`` job prints each side's
 largest relative error of its moment rows against the exact rational
-scaled laws and limit law (see :func:`limit_reference_error`), so that bits
-moved within the tolerance read as closer or farther.
+scaled laws and limit law (see :func:`limit_reference_error`), and a
+``convolve --power`` job prints each side's largest error on the ``rho**n``
+scale against the exact moments that ``bench/jobs.py`` grades it by (see
+:func:`convolve_reference_error`), so that bits moved within the tolerance
+read as closer or farther.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
 checkout (see :func:`source_lines`), so that a comparison also shows
@@ -315,6 +318,63 @@ def limit_reference_error(args: list[str], out: bytes) -> dict[str, float] | Non
     return errors
 
 
+def _exact_power(doc: dict, op: str, power: fractions.Fraction, order: int) -> list | None:
+    """The exact moments ``m1..m_order`` of ``cskfam convolve --op op
+    --power power`` on the law of a spec document, as ``bench/jobs.py``
+    builds them for ``moment_calculus``: the free powers of the named
+    densities in closed form, ``reference.uplus_power`` for the Boolean
+    power, and ``B_t`` as the Boolean power ``1/(1+t)`` of the free power
+    ``1+t``; a multiplicative power only for free Poisson at an integer
+    power (Fuss-Catalan).  None where no exact reference exists."""
+    params = {key: fractions.Fraction(float(value))
+              for key, value in doc.get("params", {}).items()}
+    free = {
+        "free_poisson": lambda t: J.ref.free_poisson_moments(order, rate=t),
+        "semicircle": lambda t: J.ref.shift(
+            J.ref.semicircle_moments(order, t * params.get("variance", 1)),
+            t * params.get("center", 0)),
+        "marchenko_pastur_centered": lambda t: J.ref.mp_centered_moments(
+            order, params.get("a", 1), t),
+    }.get(doc.get("name")) if doc.get("type") == "named" else None
+    if op == "boxtimes":
+        if doc.get("name") != "free_poisson" or power.denominator != 1:
+            return None
+        return [J.ref.fuss_catalan(k, int(power)) for k in range(1, order + 1)]
+    if op == "uplus":
+        base = free(1) if free else _exact_moments(doc, order)  # an atomic law
+        return None if base is None else J.ref.uplus_power(base, power)
+    if free is None:
+        return None
+    if op == "boxplus":
+        return free(power)
+    return J.ref.uplus_power(free(1 + power), 1 / (1 + power))  # bt
+
+
+def convolve_reference_error(args: list[str], out: bytes) -> dict[str, float] | None:
+    """Largest error of the moment rows of a ``cskfam convolve --power``
+    output against the exact moments of :func:`_exact_power`, on the scale
+    ``rho**n`` of their growth rate where the exact moment is smaller (odd
+    moments of a symmetric law are 0), as ``bench/jobs.py`` grades
+    ``moment_calculus``.  An output without moment rows gives ``{}``; None
+    for any other job and where no exact reference exists."""
+    if args[0] != "convolve" or "--power" not in args:
+        return None
+    doc = json.loads(Path(args[args.index("--spec") + 1]).read_text(encoding="utf-8"))
+    op = args[args.index("--op") + 1]
+    power = fractions.Fraction(float(args[args.index("--power") + 1]))
+    rows = [row for row in J._parse(out.decode("utf-8"))[2] if len(row) == 2]
+    if not rows:
+        return {}
+    want = _exact_power(doc, op, power, len(rows))
+    if want is None:
+        return None
+    want = [float(v) for v in want]
+    log_rho = max((math.log(abs(v)) / k for k, v in enumerate(want, start=1) if v),
+                  default=0.0)
+    return {"moments": max(abs(float(row[1]) - w) / max(abs(w), math.exp(k * log_rho))
+                           for k, (row, w) in enumerate(zip(rows, want), start=1))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -372,7 +432,7 @@ def main(argv=None) -> int:
                     worst = (rel, f"{key} of {label}")
             parent_errors, change_errors = (
                 csk_reference_error(run["args"], out) or limit_reference_error(run["args"], out)
-                for out in (pout, cout))
+                or convolve_reference_error(run["args"], out) for out in (pout, cout))
             for part in sorted(set(parent_errors or ()) & set(change_errors or ())):
                 print(f"  reference error ({part}): parent {parent_errors[part]:.2g}, "
                       f"change {change_errors[part]:.2g}")
