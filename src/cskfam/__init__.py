@@ -31,7 +31,6 @@ from .csk import (
     bt_variance,
     csk_density_weight,
     family_row,
-    k_mean,
     mean_domain,
     pseudo_variance,
     psi_mean_inverse,
@@ -39,7 +38,6 @@ from .csk import (
     variance,
 )
 from .errors import (
-    AccuracyError,
     CskfamError,
     DomainError,
     FormalPowerWarning,

@@ -18,21 +18,24 @@ support, G, Psi and the Jacobi parameters), and each quantity has one
 formula for every representation: both ends of the domain of means are
 ``K(edge) = edge - 1/G(edge)``, taken in closed form from a constant
 Jacobi tail and from the finite sum of an atomic G, so that no ``cskfam
-csk`` number needs quadrature; the pseudo-variance and variance are read
-off the mean-map root ``theta``.  Only that root (``_roots``) picks a route by
-representation.  A moment sequence's truncated power series of Psi
-diverges at the relevant ``theta``, so its root comes from the reverted
-S-series, which converges regardless of the unknown support radius.
-Every other law has Jacobi parameters, which give the exact root in
-closed form (``_jacobi_roots``: the free Meixner continued fraction for a
-constant tail, an extreme eigenvalue for a finite Jacobi matrix), and a
-mean whose root is not admissible is refused.  ``k_mean``, the mean map
-from one Psi integral, is what the tests check those roots against.
+csk`` number needs G or Psi of a density; the pseudo-variance and
+variance are read off the mean-map root ``theta``, or, for a constant
+Jacobi tail, taken with it from the free Meixner variance function.  Only
+that root (``_roots``) picks a route by representation.  A moment
+sequence's truncated power series of Psi diverges at the relevant
+``theta``, so its root comes from the reverted S-series, which converges
+regardless of the unknown support radius.  Every other law has Jacobi
+parameters, which give the exact root in closed form (``_jacobi_roots``:
+the free Meixner continued fraction for a constant tail, an extreme
+eigenvalue for a finite Jacobi matrix), and a mean whose root is not
+admissible is refused.  The tests hold those roots against an mpmath mean
+map that reads no Jacobi parameters.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -47,14 +50,10 @@ from .errors import (
     require_positive,
     value_or_error,
 )
-from .measure import Measure, MomentSeq, mean, support_bounds, variance_of
-from .transforms import _check_theta, bracketed_root, cauchy_transform, psi_integral, s_series
+from .measure import Measure, MomentSeq, mean, support_bounds, two_product, variance_of
+from .transforms import bracketed_root, cauchy_transform, s_series
 
 _MEAN_MATCH_TOL = 1e-12
-
-#: Floor on ``1 + psi_integral`` below which ``k_mean`` declares the mean
-#: lost: under it the sum has cancelled to fewer than half its digits.
-_MEAN_MAP_FLOOR = math.sqrt(np.finfo(float).eps)
 
 #: Means whose roots ``_roots`` reads at a time, which bounds the
 #: (means x k x k) array of the eigenvalue route.
@@ -65,34 +64,12 @@ _GRID_CHUNK = 64
 # mean parametrization
 
 
-def k_mean(nu: Measure, theta: float) -> float:
-    """Mean of the family member at kernel parameter ``theta``, from one
-    Psi integral.  No root of this module is read off it: it is the mean
-    map that the tests hold those roots against.
-
-    Strictly increasing in ``theta``; ``theta = 0`` returns the generator
-    mean.  Computed as ``P/(theta*(1+P))`` with ``P = integral of
-    theta*x/(1-theta*x)``, which stays stable as ``theta -> 0``.
-
-    ``1 + P``, the integral of ``1/(1 - theta*x)``, is positive, but at a
-    large unbounded ``theta`` it cancels in floating point: once it is at
-    most ``sqrt(eps)`` (about 1.5e-8) fewer than half its digits are left,
-    the computed mean can fall on the wrong side of a target, and
-    NumericError is raised.
-    """
-    if theta == 0.0:
-        return mean(nu)
-    _check_theta(nu, theta)
-    p = psi_integral(nu, theta)
-    if not 1.0 + p > _MEAN_MAP_FLOOR:
-        raise NumericError(f"the mean map is lost to cancellation at theta = {theta:g}")
-    return p / (theta * (1.0 + p))
-
-
-def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> list[float]:
+def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> tuple[list, list | None]:
     """The mean-map root ``theta = 1/p`` at each mean, from one read of
     :meth:`.Measure.jacobi`: nan where ``nu`` has no Jacobi parameters (a
-    moment sequence) or the mean gives no root.
+    moment sequence) or the mean gives no root.  With it, the
+    pseudo-variance and the variance at each mean as ``(pv, v)`` pairs where
+    the parameters give them in closed form, else None.
 
     The mean map is ``m = K(p)`` with ``K(z) = z - 1/G(z)``, and the
     continued fraction of G gives ``K(p) = alpha_0 + omega_1*G'(p)``, with
@@ -109,7 +86,16 @@ def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> list[float]
       Where ``alpha_1**2 = 4*omega_2`` the support ends at 0 (free Poisson,
       a semicircle with ``center**2 = 4*variance``), and ``p*d`` is the
       square ``(omega_2/omega_1)*(m - e)**2`` about the end ``e = m0 -
-      alpha_1*omega_1/(2*omega_2)`` of the domain of means;
+      alpha_1*omega_1/(2*omega_2)`` of the domain of means.  The variance
+      is the free Meixner one, ``V = omega_1 + beta*d + (omega_2/omega_1 -
+      1)*d**2`` with ``beta = alpha_1 - alpha_0``, and ``PV = m*V/d``, both
+      in long double (double where numpy's long double is double) and
+      rounded once; ``V`` is taken as ``(omega_1 - alpha_0*beta) + beta*m +
+      ...``, since ``1 + beta*d`` cancels where ``d`` is rounded (free
+      Poisson next to 0) and ``(1/theta - m)*d`` next to an end of the
+      domain where ``V/d`` is small against ``m``.  A law of two atoms
+      (``omega_2 = 0``), whose ``V = (m - x_1)*(x_2 - m)`` cancels next to
+      its atoms in either form, has None;
     * a finite matrix (three atoms or more, ``omega_n = 0``) gives ``p`` as
       the eigenvalue of ``J' + (omega_1/d)*e1*e1^T`` beyond the spectrum of
       ``J'`` on the side of ``d``: the largest for ``m > m0`` and the
@@ -117,7 +103,7 @@ def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> list[float]
     """
     jacobi = nu.jacobi()
     if jacobi is None:
-        return [math.nan] * len(means)
+        return [math.nan] * len(means), None
     alpha, omega = jacobi
     m = np.asarray(means, dtype=float)
     d = m - m0
@@ -126,13 +112,20 @@ def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> list[float]
             # theta = d/(p*d) with p*d a quadratic in d: fewer roundings than
             # 1/p, whose three terms cancel next to an end of the domain;
             # a square is taken as one, since expanded it cancels next to e
-            (_, a1), (w1, w2) = (np.append(x, x[-1])[:2] for x in jacobi)
+            (a0, a1), (w1, w2) = (np.append(x, x[-1])[:2] for x in jacobi)
             if w2 > 0.0 and a1 * a1 == 4.0 * w2:
                 r = m - (m0 - a1 * w1 / (2.0 * w2))
                 pd = (w2 / w1) * (r * r)
             else:
                 pd = (w1 + a1 * d) + w2 * d * (d / w1)
-            return np.where(w2 * d * d < w1 * w1, d / pd, math.nan).tolist()
+            theta = np.where(w2 * d * d < w1 * w1, d / pd, math.nan).tolist()
+            if w2 == 0.0:
+                return theta, None
+            # V and PV = m*V/d in long double, each rounded to float once
+            beta, mx = a1 - a0, m.astype(np.longdouble)
+            dx = mx - m0
+            v = ((w1 - a0 * beta) + beta * mx) + (w2 / w1 - 1.0) * (dx * dx)
+            return theta, list(zip((mx * v / dx).astype(float).tolist(), v.astype(float).tolist()))
         k = alpha.size - 1
         off = np.diag(np.sqrt(omega[1:k]), 1)
         tail = np.broadcast_to(np.diag(alpha[1:]) + off + off.T, (d.size, k, k)).copy()
@@ -140,12 +133,14 @@ def _jacobi_roots(nu: Measure, m0: float, means: Sequence[float]) -> list[float]
         finite = np.isfinite(c)
         tail[:, 0, 0] += np.where(finite, c, 0.0)
         eig = np.linalg.eigvalsh(tail)
-        return (1.0 / np.where(finite, np.where(d > 0.0, eig[:, -1], eig[:, 0]), math.nan)).tolist()
+        eig = np.where(finite, np.where(d > 0.0, eig[:, -1], eig[:, 0]), math.nan)
+        return (1.0 / eig).tolist(), None
 
 
-def _roots(nu: Measure, m0: float, means: Sequence[float]) -> list:
+def _roots(nu: Measure, m0: float, means: Sequence[float]) -> tuple[list, list | None]:
     """The mean-map root at each mean (``m0`` the generator mean), or the
-    CskfamError raised there; 0 within ``_MEAN_MATCH_TOL`` of ``m0``.
+    CskfamError raised there, 0 within ``_MEAN_MATCH_TOL`` of ``m0``; and
+    the closed-form ``(pv, v)`` pairs of :func:`_jacobi_roots`, or None.
 
     The one place that picks a route by representation.  A moment
     sequence's truncated Psi series diverges at the relevant ``theta``, so
@@ -162,12 +157,14 @@ def _roots(nu: Measure, m0: float, means: Sequence[float]) -> list:
     where it is not.
     """
     if isinstance(nu, MomentSeq):
-        return [value_or_error(_moment_root, nu, m, m0) for m in means]
+        return [value_or_error(_moment_root, nu, m, m0) for m in means], None
     (lo, hi), (t_lo, t_hi) = nu.support(), nu.theta_range()
-    roots = []
+    roots, closed = [], []
     for first in range(0, len(means), _GRID_CHUNK):
         part = means[first:first + _GRID_CHUNK]
-        for m, theta in zip(part, _jacobi_roots(nu, m0, part)):
+        thetas, pairs = _jacobi_roots(nu, m0, part)
+        closed = None if pairs is None else closed + pairs
+        for m, theta in zip(part, thetas):
             if abs(m - m0) <= _MEAN_MATCH_TOL:
                 roots.append(0.0)
             elif m > m0:
@@ -176,7 +173,7 @@ def _roots(nu: Measure, m0: float, means: Sequence[float]) -> list:
             else:
                 roots.append(theta if lo < m < hi and t_lo < theta < 0.0 else
                              _refusal(m, "below", "lower", t_lo))
-    return roots
+    return roots, closed
 
 
 def _refusal(m: float, side: str, edge: str, end: float) -> DomainError:
@@ -198,7 +195,7 @@ def _moment_root(mseq: MomentSeq, m: float, m0: float) -> float:
 def psi_mean_inverse(nu: Measure, m: float) -> float:
     """The kernel parameter whose family member has mean ``m``: a one-mean
     :func:`_roots`, whose CskfamError is raised here."""
-    return raise_error(_roots(nu, mean(nu), [m])[0])
+    return raise_error(_roots(nu, mean(nu), [m])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +224,9 @@ def _mean_endpoint(nu: Measure, upper: bool) -> float:
         step = math.sqrt(w1 * (w1 / w2))
         return a0 + step if upper else a0 - step
     d = edge - a1
-    # d*d - 4*omega_2 rounded once, from Dekker's exact square p + err (d split in 26-bit
-    # halves, which overflow past 1e150): the plain difference cancels next to the support
-    p, split = d * d, 134217729.0 * d  # 2**27 + 1
-    hi = split - (split - d)
-    err = ((hi * hi - p) + 2.0 * hi * (d - hi)) + (d - hi) * (d - hi) if abs(d) < 1e150 else 0.0
+    # d*d - 4*omega_2 rounded once, from the exact square p + err: the plain
+    # difference cancels next to the support
+    p, err = two_product(d, d)
     return a0 + w1 * (2.0 / (d + math.copysign(math.sqrt((p - 4.0 * w2) + err), d)))
 
 
@@ -321,20 +316,21 @@ def _pseudo_variance_from_moments(mseq: MomentSeq, m: float) -> float:
     return m * m / root
 
 
-def _pseudo_variance(nu: Measure, m: float, m0: float, theta: float) -> float:
+def _pseudo_variance(nu: Measure, m: float, m0: float, theta: float,
+                     pv: float | None = None) -> float:
     if m == 0.0:
         return variance_of(nu) if abs(m0) <= _MEAN_MATCH_TOL else 0.0
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         if abs(m0) <= _MEAN_MATCH_TOL:
             return variance_of(nu)
         raise DomainError("pseudo-variance diverges at a nonzero generator mean")
-    return m * (1.0 / theta - m)
+    return m * (1.0 / theta - m) if pv is None else pv
 
 
-def _variance(nu: Measure, m: float, m0: float, theta: float) -> float:
+def _variance(nu: Measure, m: float, m0: float, theta: float, v: float | None = None) -> float:
     if abs(m - m0) <= _MEAN_MATCH_TOL:
         return variance_of(nu)
-    return (1.0 / theta - m) * (m - m0)
+    return (1.0 / theta - m) * (m - m0) if v is None else v
 
 
 def pseudo_variance(nu: Measure, m: float) -> float:
@@ -354,8 +350,9 @@ def pseudo_variance(nu: Measure, m: float) -> float:
 def variance(nu: Measure, m: float) -> float:
     """Variance of the family member with mean ``m``.
 
-    Evaluated as ``(1/psi(m) - m) * (m - m0)``, which stays regular at
-    ``m = 0``; at the generator mean it returns the generator variance.
+    ``(1/psi(m) - m) * (m - m0)``, which stays regular at ``m = 0``, or the
+    closed form of a constant Jacobi tail (:func:`_jacobi_roots`); at the
+    generator mean it returns the generator variance.
     A one-mean :func:`variances`, whose CskfamError is raised here.
     """
     return raise_error(variances(nu, [m])[0])
@@ -374,22 +371,28 @@ def family_rows(nu: Measure, means: Sequence[float]) -> list:
     :func:`_roots` of the grid, and both variances read them.
 
     Envelope on laws with Jacobi parameters, whose root is exact up to its
-    last few roundings.  From 0.06 to 0.86 of the way from the generator
-    mean to either end of the domain, all three columns are within 2e-15
-    relative of the closed form on the named densities (4.8e-16
-    measured).  Against the 50-digit family, atomic laws of two atoms
-    are within 1e-14 (8.0e-15 measured, on atoms (3.625, 4), whose domain
-    ends 0.005 below the generator mean), and of three or four atoms, from
-    an eigenvalue, within 5e-14 (2.4e-14 measured on atoms (2.375, 2.9375,
-    3)).  Where the support ends at 0 (free Poisson, a semicircle with
-    ``center**2 = 4*variance``) theta and the variance stay within 1e-15
-    down to 1e-6 from that end of the domain (1.9e-16 measured).  Next to
-    an end of the domain where ``V/(m - m0)`` is small against ``m``,
-    ``1/theta - m`` cancels whatever the root: 2.3e-14 at ``m = -0.999``
-    on the centered Marchenko-Pastur law ``a = 1``."""
+    last few roundings.  On the named densities the pseudo-variance and the
+    variance are the closed forms of :func:`_jacobi_roots` rounded once
+    from long double: within 1.2e-16 relative of the 50-digit values over
+    13 laws from 1e-6 to 1 - 1e-6 of the way from the generator mean to
+    either end of the domain (1.1e-16 measured; ``V = 1 + m`` exactly on
+    the centered Marchenko-Pastur law ``a = 1``, where ``(1/theta - m)*m``
+    was 1.2e-11 off at ``m = -0.99999``).  Theta is within 2e-15 from 0.06
+    to 0.86 of the way (1.5e-16 measured), and where the support ends at 0
+    (free Poisson, a semicircle with ``center**2 = 4*variance``) down to
+    1e-6 from that end (1.9e-16 measured); next to the end ``K(0)`` of a
+    semicircle whose support misses 0, ``p*d`` cancels (6.3e-12 at 1e-6 of
+    the way on semicircle(3, 0.5)).  Against the 50-digit family, atomic
+    laws of two atoms are within 1e-14 (8.0e-15 measured, on atoms (3.625,
+    4), whose domain ends 0.005 below the generator mean), and of three or
+    four atoms, from an eigenvalue, within 5e-14 (2.4e-14 measured on atoms
+    (2.375, 2.9375, 3)).  On atomic laws, next to an end of the domain
+    where ``V/(m - m0)`` is small against ``m``, ``1/theta - m`` cancels
+    whatever the root."""
     m0 = mean(nu)
-    return [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root)
-            for m, root in zip(means, _roots(nu, m0, means))]
+    roots, closed = _roots(nu, m0, means)
+    return [root if isinstance(root, CskfamError) else value_or_error(_row, nu, m, m0, root, pair)
+            for m, root, pair in zip(means, roots, closed or itertools.repeat((None, None)))]
 
 
 def variances(nu: Measure, means: Sequence[float]) -> list:
@@ -398,12 +401,15 @@ def variances(nu: Measure, means: Sequence[float]) -> list:
     that :func:`family_rows` adds diverges near a nonzero generator mean,
     where the variance stays regular."""
     m0 = mean(nu)
-    return [root if isinstance(root, CskfamError) else value_or_error(_variance, nu, m, m0, root)
-            for m, root in zip(means, _roots(nu, m0, means))]
+    roots, closed = _roots(nu, m0, means)
+    return [root if isinstance(root, CskfamError) else value_or_error(_variance, nu, m, m0, root, v)
+            for m, root, (_, v) in zip(means, roots, closed or itertools.repeat((None, None)))]
 
 
-def _row(nu: Measure, m: float, m0: float, theta: float) -> tuple[float, float, float]:
-    return theta, _pseudo_variance(nu, m, m0, theta), _variance(nu, m, m0, theta)
+def _row(nu: Measure, m: float, m0: float, theta: float,
+         closed: tuple) -> tuple[float, float, float]:
+    pv, v = closed
+    return theta, _pseudo_variance(nu, m, m0, theta, pv), _variance(nu, m, m0, theta, v)
 
 
 def _pseudo_variance_slope_at_zero(nu: Measure) -> float:

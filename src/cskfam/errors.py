@@ -21,17 +21,6 @@ class InsufficientDataError(CskfamError, ValueError):
     """A truncated representation does not carry enough information."""
 
 
-class AccuracyError(CskfamError, RuntimeError):
-    """Numerical quadrature or extrapolation failed to reach its tolerance.
-
-    Carries the best available estimate so callers can degrade gracefully.
-    """
-
-    def __init__(self, message: str, best_estimate: float | complex | None = None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class NumericError(CskfamError, RuntimeError):
     """Root bracketing or iteration failed for numerical reasons."""
 

@@ -2,53 +2,43 @@
 
 Every generating measure is a :class:`Measure` and implements one protocol:
 ``moments``, ``mean`` (a named density's is its ``center``),
-``free_cumulants``, ``s_series``, ``integrate``, ``cauchy`` (G),
-``psi_integral``, ``support``, ``theta_range``, ``jacobi`` (the
-recurrence coefficients of the orthogonal polynomials, None unless known:
-closed forms for the named densities, Lanczos once per atomic law; the
-additive powers of :mod:`.conv` map them, and :mod:`.csk` reads its
-mean-map roots and mean-domain ends off them) and the flags
-``lower_edge_singular`` and ``upper_edge_singular``, which say where G
-diverges at an end of the support (the mean-domain formula needs it
-there).  The base class gives ``is_positive`` (read off the support) and
-``zero_mass`` (0 unless an atom sits at 0).  Atomic measures answer with
-exact weighted sums; the named densities (semicircle, centered
-Marchenko-Pastur, free Poisson) with quadrature, and take their moments
-and their S series from their Jacobi parameters.  One class,
-:class:`DensityMeasure`, is the image ``center + sqrt(variance)*y`` of the
-centered Marchenko-Pastur law ``y`` with parameter ``a``; the three
-subclass it and set only those parameters and their spec name (the
-semicircle at ``a = 0``, free Poisson at ``a = 1`` moved to mean 1), except
-that free Poisson keeps its own pieces, whose weights cancel the ``u**2``
-of the shared ones by hand.  A :class:`MomentSeq` is known only through
-``m1..mK``: its G is its Psi power sum, both truncated and warning outside
-their trust radius, and it raises :class:`InsufficientDataError` for what
-a moment list does not fix (the support, integrals of arbitrary
-functions).  It is also the value type of the moment-level calculus.  The
-numeric methods are called only through ``moments`` and ``mean`` here,
-through the transforms of :mod:`.transforms` (``cauchy_transform``,
-``psi_integral``, ``psi_transform``) and through the convolutions of :mod:`.conv`
-(``free_cumulants``, ``s_series``: float64 arrays); ``theta_range`` is
-read by :mod:`.transforms` and :mod:`.csk`, ``jacobi`` by :mod:`.csk` and
-:mod:`.conv`, and ``integrate`` only by the tests.
+``free_cumulants``, ``s_series``, ``cauchy`` (G), ``psi_integral``,
+``support``, ``theta_range``, ``jacobi`` (the recurrence coefficients of
+the orthogonal polynomials, None unless known: closed forms for the named
+densities, Lanczos once per atomic law; the additive powers of :mod:`.conv`
+map them, and :mod:`.csk` reads its mean-map roots and mean-domain ends off
+them) and the flags ``lower_edge_singular`` and ``upper_edge_singular``,
+which say where G diverges at an end of the support (the mean-domain
+formula needs it there).  The base class gives ``is_positive`` (read off
+the support) and ``zero_mass`` (0 unless an atom sits at 0).  Atomic
+measures answer with exact weighted sums.  The named densities (semicircle,
+centered Marchenko-Pastur, free Poisson) answer G and Psi in closed form
+from their Jacobi parameters, and take their moments and their S series
+from them too.  One class, :class:`DensityMeasure`, is the image ``center +
+sqrt(variance)*y`` of the centered Marchenko-Pastur law ``y`` with
+parameter ``a``; the three subclass it and set only those parameters and
+their spec name (the semicircle at ``a = 0``, free Poisson at ``a = 1``
+moved to mean 1).  A :class:`MomentSeq` is known only through ``m1..mK``:
+its G is its Psi power sum, both truncated and warning outside their trust
+radius, and it raises :class:`InsufficientDataError` for what a moment list
+does not fix (the support).  It is also the value type of the moment-level
+calculus.  The numeric methods are called only through ``moments`` and
+``mean`` here, through the transforms of :mod:`.transforms`
+(``cauchy_transform``, ``psi_integral``, ``psi_transform``) and through the
+convolutions of :mod:`.conv` (``free_cumulants``, ``s_series``: float64
+arrays); ``theta_range`` is read by :mod:`.transforms` and :mod:`.csk`, and
+``jacobi`` by :mod:`.csk` and :mod:`.conv`.
 
-Densities with an inverse-square-root edge (free Poisson at 0, the
-centered Marchenko-Pastur law at |a| = 1) are integrated after the
-substitution ``x = edge +/- u**2``, which turns every integrand built from
-the density into a smooth one.  Each density therefore exposes a list of
-:class:`QuadPiece` objects; all quadrature in the package runs over those
-pieces, in :func:`integrate_pieces`.  On each piece a fixed pair of composite
-Gauss-Legendre rules (33 and 65 nodes per sub-interval) is tried first: the
-density's weights at their nodes are computed once per measure, so a smooth
-integral costs one vectorized integrand evaluation and one matrix product.
-The 65-node sum is kept when it agrees with the 33-node sum within
-``FIXED_RULE_TOL * max(1, |I|)``; otherwise (a pole of the integrand near the
-piece, a node on a pole, a non-finite sum) the piece goes to an adaptive
-fallback that bisects it and applies the same pair to each part until the
-parts pass the same check.  An integrand may be real or complex: both are
-summed as they are, in one pass, and the check reads the modulus ``|I|``
-of the sum, so G and Psi off the real axis take the same path as on it.
-Everything here is numpy and the standard library.
+A named density's Jacobi parameters are ``(alpha_0, alpha_1; omega,
+omega)``, constant past the first step, so its G is one step of the
+continued fraction over the Cauchy transform ``G'(z) = 2/((z - alpha_1) +
+S)`` of the constant tail, ``S = sqrt(z - lo)*sqrt(z - hi)`` on the branch
+``S ~ z - alpha_1``, with ``[lo, hi]`` the support.  The radicand is kept
+factored, each end with its rounding error, so nothing cancels next to an
+edge, and G and Psi come out in forms that do not cancel there, off the
+real axis or at small ``theta`` (see :meth:`DensityMeasure.cauchy` and
+:meth:`DensityMeasure.psi_integral`).  ``density(x)`` gives the density
+pointwise.  Everything here is numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -59,12 +49,10 @@ import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    AccuracyError,
     DomainError,
     InsufficientDataError,
     MeasureSpecError,
@@ -73,42 +61,6 @@ from .errors import (
     require_order,
 )
 from .series import jacobi_moments
-
-#: Nodes per sub-interval of the fixed Gauss-Legendre pair (coarse, fine).
-#: Both are odd, so both have a node at the middle of each sub-interval: a
-#: pole there makes the sums non-finite.  Even rules would place their nodes
-#: symmetrically around it and agree on a finite principal value.
-FIXED_RULE_NODES = (33, 65)
-#: The fine sum of the fixed pair is accepted when it lies within
-#: ``FIXED_RULE_TOL * max(1, |I|)`` of the coarse one.  The difference bounds
-#: the coarse rule's error, and for the analytic integrands that pass, the
-#: fine rule's error is far smaller.
-FIXED_RULE_TOL = 1e-13
-#: Bisection levels and sub-intervals per piece allowed to the adaptive
-#: fallback of :func:`integrate_pieces` before it gives up.
-FALLBACK_MAX_DEPTH = 40
-FALLBACK_MAX_INTERVALS = 400
-
-@dataclass(frozen=True)
-class QuadPiece:
-    """One edge-regularized integration piece of a density.
-
-    Integration runs over ``u`` in ``(0, umax)`` with ``x = anchor + sign*u**2``,
-    and ``weight(u)`` already contains the density times ``|dx/du|``.  The
-    weight acts elementwise, on a numpy array of nodes and on a float: it is
-    evaluated once on the nodes of the fixed rule (see
-    :attr:`DensityMeasure.fixed_rule`) and once on the nodes of each
-    sub-interval of the adaptive fallback.  ``breaks`` are fixed break
-    points in ``(0, umax)`` where the weight has a pole just off the
-    interval; the fixed rule and the fallback both split the piece there.
-    """
-
-    anchor: float
-    sign: int
-    umax: float
-    weight: Callable[[float], float]
-    breaks: tuple[float, ...] = ()
-
 
 class Measure:
     """Base class of the measure representations: the measure protocol, with
@@ -165,10 +117,6 @@ class Measure:
         from .transforms import s_series
 
         return s_series(self.moments(order))
-
-    def integrate(self, f) -> float | complex:
-        """Integral of ``f`` against the measure."""
-        raise NotImplementedError
 
     def cauchy(self, z: complex) -> complex:
         """``G(z) = integral of 1/(z - x)``."""
@@ -248,9 +196,6 @@ class AtomicMeasure(Measure):
         with np.errstate(all="ignore"):  # an overflow leaves inf, which callers refuse
             return MomentSeq(tuple(float(np.dot(w, a**n)) for n in range(1, order + 1)))
 
-    def integrate(self, f) -> float | complex:
-        return sum(w * f(a) for a, w in zip(self.atoms, self.weights))
-
     def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
         return self._lanczos
 
@@ -313,7 +258,7 @@ class DensityMeasure(Measure):
         return self.center + s * (self.a - 2.0), self.center + s * (self.a + 2.0)
 
     def support(self) -> tuple[float, float]:
-        return self._support  # read once per theta by psi_integral
+        return self._support
 
     def density(self, x: float) -> float:
         lo, hi = self.support()
@@ -321,47 +266,6 @@ class DensityMeasure(Measure):
             return 0.0
         y = (x - self.center) / math.sqrt(self.variance)
         return math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi * self.variance * (1.0 + self.a * y))
-
-    @cached_property
-    def pieces(self) -> tuple[QuadPiece, ...]:
-        """The edge-regularized integration pieces, built once per measure."""
-        a, s = self.a, math.sqrt(self.variance)
-        four_s, pi_v, umax = 4.0 * s, math.pi * self.variance, math.sqrt(2.0 * s)
-        lo, hi = self.support()
-        # 1 + a*y at x = lo + u**2 is (1-a)**2 + a*u**2/s; at x = hi - u**2 it
-        # is (1+a)**2 - a*u**2/s.  Both forms are exact where the naive
-        # expression cancels catastrophically (|a| = 1 near the singular edge).
-        c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
-
-        def w_lo(u):
-            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_lo + a * u * u / s))
-
-        def w_hi(u):
-            return u * u * np.sqrt(four_s - u * u) / (pi_v * (c_hi - a * u * u / s))
-
-        # For |a| near 1, 1 + a*y vanishes just outside the support, at
-        # u = i*r with r = sqrt(s*c/|a|) on the piece whose c is small: break
-        # that piece at 4r, 16r, 64r, ... below umax.
-        def breaks(c):
-            out, b = [], 4.0 * math.sqrt(s * c / abs(a))
-            while 0.0 < b < umax:
-                out.append(b)
-                b *= 4.0
-            return tuple(out)
-
-        return (
-            QuadPiece(lo, +1, umax, w_lo, breaks(c_lo) if a > 0.0 else ()),
-            QuadPiece(hi, -1, umax, w_hi, breaks(c_hi) if a < 0.0 else ()),
-        )
-
-    @cached_property
-    def fixed_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nodes of the fixed Gauss-Legendre pair on all pieces, built once
-        per measure: ``(anchor, offset, matrix)``.  A node at ``u`` on a piece
-        has ``anchor`` the piece's anchor and ``offset = sign*u**2``; row ``i``
-        of ``matrix`` holds the coarse rule's weights of piece ``i`` times the
-        piece weight, row ``P + i`` the fine rule's (``P`` pieces)."""
-        return _fixed_rule(self.pieces)
 
     def free_cumulants(self, order: int) -> np.ndarray:
         """Exact free cumulants ``k1..k_order``, which the free convolutions
@@ -394,36 +298,77 @@ class DensityMeasure(Measure):
     def mean(self) -> float:
         return float(self.center)  # alpha_0: bitwise the order-1 recurrence
 
-    def integrate(self, f) -> float | complex:
-        return integrate_pieces(self, _pullback(f))
+    @cached_property
+    def _closed_form(self) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
+        """``c = alpha_1 - 2*alpha_0``, ``k = omega - alpha_0*(alpha_1 -
+        alpha_0)`` and each end ``alpha_1 -/+ 2*sqrt(omega)`` of the support
+        as the float of :meth:`support` and its rest to about 32 digits: the
+        rounding error of the sum (Knuth's two-sum) and twice the Newton
+        correction ``(omega - s**2)/(2*s)`` of ``s = sqrt(omega)``, from an
+        exact square.  A rest is 0 where the end is exact (free Poisson,
+        Marchenko-Pastur).  Read once per measure."""
+        (a0, a1), (w, _) = (x.tolist() for x in self.jacobi())
+        s = math.sqrt(w)
+        p, err = two_product(s, s)
+        rest = ((w - p) - err) / s
+
+        def end(e, step):
+            gap = e - a1
+            return e, ((a1 - (e - gap)) + (step - gap)) + (rest if step > 0.0 else -rest)
+
+        lo, hi = self.support()
+        return a1 - 2.0 * a0, w - a0 * (a1 - a0), end(lo, -2.0 * s), end(hi, 2.0 * s)
 
     def cauchy(self, z: complex) -> float | complex:
-        # x = anchor + offset, so z - x = (z - anchor) - offset without
-        # cancellation even when z sits on a support edge; a real z is
-        # integrated as a float.  z is the integrand's pole either way.
-        if z.imag == 0.0:
-            lo, hi = self.support()
-            if lo < z.real < hi:
-                raise SingularityError(f"z = {z.real:g} lies inside the support ({lo:g}, {hi:g})")
-            z = z.real
-        return integrate_pieces(self, lambda a, d: 1.0 / ((z - a) - d), pole=z)
+        """``G = 1/((z - alpha_0) - omega*G')``, which is ``2/((z + c) + S)``
+        where ``omega_1 = omega_2``, with ``c`` of :attr:`_closed_form` added
+        to ``z`` before ``S``; ``z - lo`` and ``z - hi`` read the rests of the
+        ends.  A real ``z`` is answered as a float, and raises
+        SingularityError inside the support and at a singular edge, where the
+        denominator is 0."""
+        c, _, (lo, lo_rest), (hi, hi_rest) = self._closed_form
+        if z.imag != 0.0:
+            return 2.0 / ((z + c) + cmath.sqrt((z - lo) - lo_rest) * cmath.sqrt((z - hi) - hi_rest))
+        z = z.real
+        if lo < z < hi:
+            raise SingularityError(f"z = {z:g} lies inside the support ({lo:g}, {hi:g})")
+        den = (z + c) + math.copysign(_root_of_product((z - lo) - lo_rest, (z - hi) - hi_rest),
+                                      z - hi)
+        if den == 0.0:
+            raise SingularityError(f"G diverges at the support edge z = {z:g}")
+        return 2.0 / den
 
     def psi_integral(self, theta: float | complex) -> float | complex:
-        """One kernel for real and complex ``theta``: ``theta*x/(1 - theta*x)
-        = x / ((r - anchor) - offset)`` with ``r = 1/theta``, stable at the
-        edges and free of the cancellation of ``-1 + r*G(r)`` at small
-        ``|theta|``.  ``r`` is the integrand's pole, and only a real one can
-        meet the support."""
-        r = 1.0 / theta
-        pole = r
-        if r.imag == 0.0:
-            lo, hi = self.support()
-            pole = r.real
-            if lo <= pole <= hi:
+        """``Psi = r*G(r) - 1`` at ``r = 1/theta``, in ``theta`` with no
+        rounded ``1/theta``: with ``T = theta*S(r) = sqrt(1 -
+        lo*theta)*sqrt(1 - hi*theta)``, ``u = 1 - c*theta`` and ``c``, ``k``
+        of :attr:`_closed_form`, ``Psi = (u - T)/(1 + c*theta + T)``, whose
+        numerator is ``4*theta*(alpha_0 + k*theta)/(u + T)``; of ``u - T`` and
+        ``u + T`` the larger is kept, so that neither cancels (the first does
+        at small ``|theta|``).  ``1 - lo*theta`` and ``1 - hi*theta`` read the
+        rests of the ends and an exact product.  The principal roots give
+        the branch of ``S`` off the real axis.  A real ``theta`` whose pole
+        ``1/theta`` lies in the closed support, where ``(1 - lo*theta)*(1 -
+        hi*theta) <= 0``, raises SingularityError; where both factors are
+        negative (the pole beyond the support on the far side of 0) ``T`` is
+        negative."""
+        c, k, *ends = self._closed_form
+        (lo, lo_rest), (hi, hi_rest) = ends
+        if theta.imag != 0.0:
+            t = cmath.sqrt((1.0 - lo * theta) - lo_rest * theta) * cmath.sqrt(
+                (1.0 - hi * theta) - hi_rest * theta)
+        else:
+            theta = float(theta.real)
+            f_lo, f_hi = (_one_minus_product(e, theta) - rest * theta for e, rest in ends)
+            if not f_lo * f_hi > 0.0:
                 raise SingularityError(
-                    f"the pole 1/theta = {pole:g} lies in the support [{lo:g}, {hi:g}]"
-                )
-        return integrate_pieces(self, lambda a, d: (a + d) / ((r - a) - d), pole)
+                    f"the pole 1/theta = {1.0 / theta:g} lies in the support [{lo:g}, {hi:g}]")
+            t = math.copysign(_root_of_product(f_lo, f_hi), f_lo)
+        u = 1.0 - c * theta
+        den = (1.0 + c * theta) + t
+        if abs(u - t) > abs(u + t):  # u + t cancels, as at small |theta| u - t does
+            return (u - t) / den
+        return 4.0 * theta * (self.center + k * theta) / (den * (u + t))
 
     def jacobi(self) -> tuple[np.ndarray, np.ndarray]:
         """``alpha = (center, center + sqrt(variance)*a)`` and ``omega =
@@ -475,22 +420,10 @@ class MarchenkoPasturCentered(DensityMeasure):
 @dataclass(frozen=True)
 class FreePoisson(DensityMeasure):
     """Free Poisson law: density ``sqrt((4-x)/x) / (2*pi)`` on ``(0, 4)``, the
-    Marchenko-Pastur law at ``a = 1`` moved to mean 1.  Its weights cancel
-    the ``u**2`` of the shared ones by hand, which the golden tables pin."""
+    Marchenko-Pastur law at ``a = 1`` moved to mean 1."""
 
     a = center = variance = 1.0
     name = "free_poisson"
-
-    @cached_property
-    def pieces(self) -> tuple[QuadPiece, ...]:
-        def w_lo(u):
-            return np.sqrt(4.0 - u * u) / math.pi
-
-        def w_hi(u):
-            return u * u / (math.pi * np.sqrt(4.0 - u * u))
-
-        umax = math.sqrt(2.0)
-        return QuadPiece(0.0, +1, umax, w_lo), QuadPiece(4.0, -1, umax, w_hi)
 
 
 @dataclass(frozen=True)
@@ -538,11 +471,6 @@ class MomentSeq(Measure):
             raise InsufficientDataError(f"measure stores {self.order} moments, {order} requested")
         return MomentSeq(self.values[:order])
 
-    def integrate(self, f) -> float | complex:
-        raise InsufficientDataError(
-            "cannot integrate an arbitrary function against a moment-sequence measure"
-        )
-
     def cauchy(self, z: complex) -> complex:
         if z == 0:
             raise SingularityError("z = 0 is the pole of the truncated Laurent series of G")
@@ -567,6 +495,35 @@ class MomentSeq(Measure):
         return f"moments(order={self.order})"
 
 
+def two_product(x: float, y: float) -> tuple[float, float]:
+    """``x*y`` as ``p + err`` exactly (Dekker 1971), from Veltkamp's split of
+    each factor in 26-bit halves, which overflows past 1e150: ``err`` is 0
+    there."""
+    p = x * y
+    if not (abs(x) < 1e150 and abs(y) < 1e150):
+        return p, 0.0
+
+    def split(v):
+        c = 134217729.0 * v  # 2**27 + 1
+        return c - (c - v), v - (c - (c - v))
+
+    (x1, x2), (y1, y2) = split(x), split(y)
+    return p, ((x1 * y1 - p) + x1 * y2 + x2 * y1) + x2 * y2
+
+
+def _root_of_product(x: float, y: float) -> float:
+    """``sqrt(|x*y|)`` rounded twice, or from two roots where the product
+    overflows."""
+    square = abs(x * y)
+    return math.sqrt(square) if square < math.inf else math.sqrt(abs(x)) * math.sqrt(abs(y))
+
+
+def _one_minus_product(x: float, y: float) -> float:
+    """``1 - x*y`` rounded once where it cancels (``x*y`` near 1)."""
+    p, err = two_product(x, y)
+    return (1.0 - p) - err
+
+
 def support_bounds(nu: Measure) -> tuple[float, float]:
     """``b = min(0, inf supp)`` and ``B = max(0, sup supp)``."""
     lo, hi = nu.support()
@@ -580,238 +537,14 @@ def laurent_trust_radius(m: MomentSeq) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``n``-point Gauss-Legendre rule on (0, 1).
-
-    Golub-Welsch nodes (the eigenvalues of the dense ``n x n`` Jacobi
-    matrix, from ``numpy.linalg.eigvalsh``), one Newton step on the
-    three-term recurrence, weights ``2 / ((1 - x**2) * P_n'(x)**2)`` made
-    symmetric: nodes and weights within about one ulp (numpy's ``leggauss``
-    misses the weights of the 65-node rule by up to 3e-13 relative).
-    """
-    def legendre(x):  # P_{n-1}(x), P_n(x)
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p0, p1
-
-    k = np.arange(1.0, n)
-    off = np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1)
-    x = np.linalg.eigvalsh(off + off.T)
-    p0, p1 = legendre(x)
-    x = x - p1 * (x * x - 1.0) / (n * (x * p1 - p0))
-    p0, p1 = legendre(x)
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    return 0.5 * (1.0 + x), 0.5 * w
-
-
-#: The coarse and the fine rule of the fixed pair on (0, 1), built at import.
-_FIXED_RULES = tuple(_gauss_legendre(n) for n in FIXED_RULE_NODES)
-#: The nodes of both rules, coarse first, as the fallback evaluates them.
-_PAIR_NODES = np.concatenate([x for x, _ in _FIXED_RULES])
-
-
-def _fixed_rule(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # composite rules on the sub-intervals between 0, a piece's breaks and
-    # its umax; row k of the matrix is zero off its own rule and piece
-    blocks = []
-    for x, w in _FIXED_RULES:
-        for piece in pieces:
-            ends = np.array((0.0, *piece.breaks, piece.umax))
-            lo, width = ends[:-1, None], np.diff(ends)[:, None]
-            blocks.append((piece, (lo + width * x).ravel(), (width * w).ravel()))
-    matrix = np.zeros((len(blocks), sum(nodes.size for _, nodes, _ in blocks)))
-    start = 0
-    for row, (piece, nodes, w) in enumerate(blocks):
-        matrix[row, start:start + nodes.size] = w * piece.weight(nodes)
-        start += nodes.size
-    anchor = np.concatenate([np.full(nodes.size, piece.anchor) for piece, nodes, _ in blocks])
-    offset = np.concatenate([piece.sign * nodes * nodes for piece, nodes, _ in blocks])
-    return anchor, offset, matrix
-
-
-def integrate_pieces(nu: DensityMeasure, integrand: Callable,
-                     pole: float | complex | None = None) -> float | complex:
-    """Sum over the density pieces of ``nu`` of the integral of ``weight * integrand``.
-
-    ``integrand(a, d)`` is the function integrated against the density at
-    ``x = a + d``, given as a piece's anchor ``a`` and the signed offset
-    ``d = sign*u**2`` from it, so that a distance ``z - x`` computes as
-    ``(z - a) - d`` without cancellation at an edge.  It acts elementwise,
-    on numpy arrays of nodes and on Python floats, and may return real or
-    complex values: a complex integrand is summed as it is, in the same one
-    pass, and the result is complex.
-
-    Each piece is first integrated by the fixed Gauss-Legendre pair on the
-    measure's cached :attr:`~DensityMeasure.fixed_rule`: one call of
-    ``integrand`` on the nodes of all pieces (numpy warnings silenced) and
-    one matrix product.  A piece's fine sum is kept when both of its sums
-    are finite and agree within ``FIXED_RULE_TOL * max(1, |I|)``, with
-    ``|I|`` the modulus of the fine sum.
-    Otherwise the piece goes to the adaptive fallback,
-    :func:`_bisect_piece`, which applies the same pair to sub-intervals of
-    ``(0, umax)`` split at the piece's ``breaks`` and at the
-    :func:`_pole_breaks` of the integrand's ``pole``, real or complex.
-    The fallback raises :class:`SingularityError` when the integrand is not
-    finite where it bisects and :class:`AccuracyError` (with
-    ``best_estimate``) when bisection stops short of the tolerance.  This
-    is the edge-stable entry point of every density method.
-    """
-    anchor, offset, matrix = nu.fixed_rule
-    with np.errstate(all="ignore"):
-        sums = (matrix @ integrand(anchor, offset)).tolist()
-    pieces = nu.pieces
-    total = 0.0
-    for piece, coarse, fine in zip(pieces, sums, sums[len(pieces):]):
-        if abs(fine - coarse) <= FIXED_RULE_TOL * max(1.0, abs(fine)) and cmath.isfinite(fine):
-            total += fine
-            continue
-        pts, centre = _pole_breaks(piece, pole)
-        total += _bisect_piece(piece, integrand, sorted([*piece.breaks, *pts]), centre)
-    return total
-
-
-def _pole_breaks(piece: QuadPiece,
-                 pole: float | complex | None) -> tuple[list[float], float | None]:
-    """Where the fallback splits a piece near the integrand's pole, in
-    ``(0, umax)``, and the node its offsets are taken from (None: the
-    anchor; see :func:`_nodes`).
-
-    A complex pole over the piece, whose real part is ``x`` at the node
-    ``u*``, gives ``u*`` and ``u* -/+ f*|Im(pole)|/u*`` for ``f = 1, 10,
-    100``, since the peak of the integrand is about ``|Im(pole)|/u*`` wide
-    in ``u``; its offsets are taken from ``u*``.  A real pole, or a complex
-    one whose real part misses the piece, at a distance ``0 < q < 0.5``
-    from the anchor gives ``sqrt(q)``, ``10*sqrt(q)`` and ``100*sqrt(q)``,
-    where the integrand turns steep."""
-    if isinstance(pole, complex):
-        q = piece.sign * (pole.real - piece.anchor)
-        centre = float(np.float32(math.sqrt(q))) if q > 0.0 else 0.0  # 24 bits: exact squares
-        if 0.0 < centre < piece.umax:
-            step = abs(pole.imag) / centre
-            pts = [centre, *(centre + k * f * step for f in (1.0, 10.0, 100.0) for k in (-1.0, 1.0))]
-            return [p for p in pts if 0.0 < p < piece.umax], centre
-        pole = pole.real
-    q = math.inf if pole is None else abs(pole - piece.anchor)
-    if not 0.0 < q < 0.5:
-        return [], None
-    root = math.sqrt(q)
-    return [p for p in (root, 10.0 * root, 100.0 * root) if p < piece.umax], None
-
-
-def _nodes(piece: QuadPiece, lo: float, steps, centre: float | None):
-    """The nodes ``u = lo + steps`` of a piece with the integrand's ``(a,
-    d)`` there: ``(anchor, sign*u**2)``, or, about the node ``centre``,
-    ``a = anchor + sign*centre**2`` and ``d = x - a`` from ``t = (lo -
-    centre) + steps``.  Next to a complex pole whose real part is ``a``,
-    ``t`` and ``d`` keep their digits, which ``u`` and ``sign*u**2``
-    rounded at the scale of ``u`` lose."""
-    if centre is None:
-        u = lo + steps
-        return u, piece.anchor, piece.sign * u * u
-    t = (lo - centre) + steps
-    square = centre * centre  # exact: centre has 24 significant bits
-    a = piece.anchor + piece.sign * square
-    rest = math.fsum((piece.anchor, piece.sign * square, -a))
-    return centre + t, a, rest + piece.sign * t * (2.0 * centre + t)
-
-
-def _pair_sums(piece: QuadPiece, integrand: Callable, lo: float, hi: float,
-               centre: float | None) -> tuple[float | complex, float | complex]:
-    """The coarse and the fine sum of the fixed pair on ``(lo, hi)`` of a piece,
-    from one evaluation on the nodes of both rules (:func:`_nodes`)."""
-    (_, w_coarse), (_, w_fine) = _FIXED_RULES
-    u, a, d = _nodes(piece, lo, (hi - lo) * _PAIR_NODES, centre)
-    values = (hi - lo) * piece.weight(u) * integrand(a, d)
-    return (w_coarse @ values[:w_coarse.size]).item(), (w_fine @ values[w_coarse.size:]).item()
-
-
-def _bisect_piece(piece: QuadPiece, integrand: Callable, points: list[float],
-                  centre: float | None) -> float | complex:
-    """Adaptive fallback of :func:`integrate_pieces` on one piece.
-
-    Starts from the sub-intervals of ``(0, umax)`` between the sorted
-    ``points`` and sums each by the fixed pair.  Without ``points`` the only
-    such sub-interval is the whole piece, whose sums on the same nodes
-    :func:`integrate_pieces` has just rejected, so the fallback starts from
-    its two halves instead.  A sub-interval that is a
-    share ``s`` of ``umax`` is accepted when both sums are finite and agree
-    within ``FIXED_RULE_TOL * max(s, |I|)``: the whole piece's check, split
-    over its parts, with ``|I|`` the modulus of a real or complex sum.
-    Otherwise it is bisected, after a pole probe at the split point
-    (:func:`_halves`).  A sub-interval that still
-    fails after ``FALLBACK_MAX_DEPTH`` bisections, or once the piece has
-    used ``FALLBACK_MAX_INTERVALS`` sub-intervals, keeps its fine sum, and
-    the piece then raises :class:`AccuracyError` with the total as
-    ``best_estimate``.
-    """
-    total, evaluated, converged = 0.0, 0, True
-    with np.errstate(all="ignore"):
-        if points:
-            ends = [0.0, *points, piece.umax]
-            stack = [(lo, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:])))]
-        else:
-            # the fixed pair has just failed on the whole piece, on these same
-            # nodes: it counts as the first sub-interval, and its halves follow
-            stack, evaluated = _halves(piece, integrand, 0.0, piece.umax, 0, centre), 1
-        while stack:  # leftmost sub-interval first: a fixed summation order
-            lo, hi, depth = stack.pop()
-            coarse, fine = _pair_sums(piece, integrand, lo, hi, centre)
-            evaluated += 1
-            tol = FIXED_RULE_TOL * max((hi - lo) / piece.umax, abs(fine))
-            if abs(fine - coarse) <= tol and cmath.isfinite(fine):
-                total += fine
-            elif depth == FALLBACK_MAX_DEPTH or evaluated >= FALLBACK_MAX_INTERVALS:
-                total += fine
-                converged = False
-            else:
-                stack += _halves(piece, integrand, lo, hi, depth, centre)
-    if not converged:
-        raise AccuracyError(
-            f"adaptive quadrature did not reach its tolerance in {evaluated} sub-intervals",
-            best_estimate=total,
-        )
-    return total
-
-
-def _halves(piece: QuadPiece, integrand: Callable, lo: float, hi: float, depth: int,
-            centre: float | None) -> list[tuple[float, float, int]]:
-    """The halves of ``(lo, hi)`` at ``depth + 1``, the right one first for
-    :func:`_bisect_piece`'s stack, once the integrand is finite at the split
-    point: both odd rules had their middle node there, so a non-finite value
-    or a ``ZeroDivisionError`` is a pole, and raises
-    :class:`SingularityError`."""
-    mid = 0.5 * (lo + hi)
-    try:
-        u, a, d = _nodes(piece, mid, 0.0, centre)
-        value = piece.weight(u) * integrand(a, d)
-    except ZeroDivisionError:
-        value = math.nan
-    if not cmath.isfinite(value):
-        raise SingularityError("a quadrature node fell on a pole of the integrand")
-    return [(mid, hi, depth + 1), (lo, mid, depth + 1)]
-
-
-def _pullback(f) -> Callable:
-    """The :func:`integrate_pieces` integrand of ``f``: ``f(a + d)``, broadcast
-    to the shape of ``d`` (``f`` may be a constant)."""
-    return lambda a, d: np.broadcast_to(f(a + d), np.shape(d))
-
-
-# ---------------------------------------------------------------------------
 # moments
 
 
 @lru_cache(maxsize=256)
 def _density_moments(nu: DensityMeasure, order: int) -> tuple[float, ...]:
     # The named densities have exact closed-form Jacobi parameters, so their
-    # moments come from the three-term recurrence; quadrature of x**n is the
-    # independent cross-check exercised by the test suite.
+    # moments come from the three-term recurrence; the tests check them
+    # against mpmath quadrature of the density.
     return tuple(jacobi_moments(*nu.jacobi(), order).tolist())
 
 

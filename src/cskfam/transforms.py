@@ -3,8 +3,8 @@
 Every transform is written once against the measure protocol of
 :mod:`.measure`: point values come from ``cauchy_transform`` and
 ``psi_integral``, which each representation answers in its own way (exact
-sums, edge-stable quadrature, or truncated series that warn outside their
-trust region).  The series dictionary between moments and the S-transform
+sums, closed forms from the Jacobi parameters, or truncated series that
+warn outside their trust region).  The series dictionary between moments and the S-transform
 lives here as well, since the convolution layer and the limit-law layer
 both need it.
 

@@ -483,3 +483,63 @@ def mp_cauchy_complex(nu, z: complex, dps: int = 50):
         root = mpmath.sqrt(b_coef * b_coef - 4 * a_coef)
         g = 2 / (b_coef + root)
         return g if g.imag * z.imag < 0 else 2 / (b_coef - root)
+
+
+def _image(nu):
+    """``(center, s, a)`` of a named density at the working precision, ``s =
+    sqrt(variance)``: the image ``center + s*y`` of the centered
+    Marchenko-Pastur law ``y`` with parameter ``a``."""
+    return (mpmath.mpf(nu.center), mpmath.sqrt(mpmath.mpf(nu.variance)), mpmath.mpf(nu.a))
+
+
+def mp_integral(nu, f, dps: int = 20):
+    """The integral of ``f`` against a named density at ``dps`` digits, by
+    mpmath's tanh-sinh quadrature after ``x = lo + u**2`` below ``alpha_1 =
+    center + s*a`` and ``x = hi - u**2`` above it, ``u`` in ``(0,
+    sqrt(2*s))``: the density ``sqrt((x - lo)*(hi - x))/(2*pi*s**2*(1 +
+    a*y))``, ``y = (x - center)/s``, times ``2*u`` is then smooth, with ``1 +
+    a*y = (1 -/+ a)**2 +/- a*u**2/s`` written without cancellation at an
+    inverse-square-root edge.  ``f`` is called with mpmath numbers."""
+    with mpmath.workdps(dps):
+        c, s, a = _image(nu)
+        lo, hi = c + s * (a - 2), c + s * (a + 2)
+
+        def piece(edge, sign):
+            return lambda u: (u * u * mpmath.sqrt(4 * s - u * u) * f(edge + sign * u * u)
+                              / (mpmath.pi * s * s * ((1 - sign * a) ** 2 + sign * a * u * u / s)))
+
+        umax = mpmath.sqrt(2 * s)
+        return mpmath.quad(piece(lo, 1), [0, umax]) + mpmath.quad(piece(hi, -1), [0, umax])
+
+
+def mp_psi(nu, theta, dps: int = 60):
+    """``Psi(theta) = integral of theta*x/(1 - theta*x)`` of an atomic law
+    or a named density at the exact ``theta``, real or complex, at ``dps``
+    digits: the finite sum, or ``r*G(r) - 1`` at ``r = 1/theta`` from
+    :func:`mp_cauchy` (:func:`mp_cauchy_complex` off the real axis)."""
+    with mpmath.workdps(dps):
+        if hasattr(nu, "atoms"):
+            t = mpmath.mpmathify(theta)
+            return mpmath.fsum(w * t * a / (1 - t * a) for a, w in zip(nu.atoms, nu.weights))
+        if isinstance(theta, complex) and theta.imag:
+            r = 1 / mpmath.mpc(theta)
+            return r * mp_cauchy_complex(nu, r, dps) - 1
+        r = 1 / mpmath.mpf(theta.real)
+        return r * mp_cauchy(nu, r, dps) - 1
+
+
+def mp_k_mean(nu, theta: float, dps: int = 50) -> float:
+    """The mean ``Psi/(theta*(1 + Psi))`` of the family member at kernel
+    parameter ``theta``, from :func:`mp_psi` at ``dps`` digits, and the
+    generator mean at ``theta = 0``: the mean map that the package's roots
+    are held against.  It reads the law's parameters or atoms only, never
+    its Jacobi parameters.  Where ``1 + Psi`` is below ``10**(-dps/2)``, fewer
+    than half its digits are left, and the assertion fails."""
+    with mpmath.workdps(dps):
+        if theta == 0.0:
+            if hasattr(nu, "atoms"):
+                return float(mpmath.fsum(mpmath.mpf(a) * w for a, w in zip(nu.atoms, nu.weights)))
+            return float(nu.center)
+        psi = mp_psi(nu, theta, dps)
+        assert 1 + psi > mpmath.mpf(10) ** (-dps // 2), f"mean map lost at theta = {theta}"
+        return float(psi / (theta * (1 + psi)))

@@ -267,6 +267,48 @@ def _fake_checkout(root: Path, body: str) -> Path:
     return root
 
 
+def test_transform_reference_error_reads_the_closed_forms_and_the_sums(tmp_path):
+    # unit semicircle G(2.5) = 0.5 and free Poisson G(4.5) = 1/3; half-weight
+    # atoms 0 and 1 have G(2) = 0.75, M(0.5) = 1.5 and Psi(0.5) = 0.5
+    specs = {
+        "sc": '{"type": "named", "name": "semicircle"}',
+        "fp": '{"type": "named", "name": "free_poisson"}',
+        "mp": '{"type": "named", "name": "marchenko_pastur_centered", "params": {"a": 1}}',
+        "atomic": '{"type": "atomic", "atoms": [0, 1], "weights": [0.5, 0.5]}',
+        "moments": '{"type": "moments", "values": [1, 2, 5]}',
+    }
+    for name, doc in specs.items():
+        (tmp_path / f"{name}.json").write_text(doc, encoding="utf-8")
+
+    def error(spec, which, rows):
+        out = f"# transform,{which}\nargument,value,error\n" + "".join(
+            f"{x!r},{v!r},\n" if isinstance(v, float) else f"{x!r},,{v}\n" for x, v in rows)
+        return compare_cli.transform_reference_error(
+            ["transform", "--spec", str(tmp_path / f"{spec}.json"), "--which", which,
+             "--grid", "0"], out.encode("utf-8"))
+
+    # error rows are skipped; Psi and M at 0 are 0 and 1
+    assert error("sc", "G", [(2.5, 0.5), (0.0, "z = 0 lies inside the support")]) == {"G": 0.0}
+    assert error("atomic", "G", [(2.0, 0.75)]) == {"G": 0.0}
+    assert error("atomic", "M", [(0.5, 1.5), (0.0, 1.0)]) == {"M": 0.0}
+    assert error("atomic", "Psi", [(0.5, 0.5), (0.0, 0.0)]) == {"Psi": 0.0}
+    assert error("fp", "G", [(4.5, 1.0 / 3.0)])["G"] < 1e-16
+    # free Poisson K(z) = z - 1/G(z): 4.5 - 3 = 1.5, here one part in 1e10 off
+    assert error("fp", "K", [(4.5, 1.5 * (1.0 + 1e-10))]) == {"K": pytest.approx(1e-10, rel=1e-6)}
+    # M and Psi of centered Marchenko-Pastur a = 1 at theta = -0.5: G(-2) =
+    # 2/(-1 - sqrt(5)), so M = G(-2)/theta = 4/(1 + sqrt(5)) and Psi = M - 1
+    m = 4.0 / (1.0 + math.sqrt(5.0))
+    assert error("mp", "M", [(-0.5, m)])["M"] < 2e-16
+    assert error("mp", "Psi", [(-0.5, m - 1.0)])["Psi"] < 1e-15  # m - 1 cancels
+    # an output without answered rows gives {}; no reference for S, R, a
+    # moment list or another command
+    assert error("fp", "G", [(1.0, "z = 1 lies inside the support")]) == {}
+    assert error("fp", "S", [(-0.5, 2.0)]) is None
+    assert error("fp", "R", [(0.5, 2.0)]) is None
+    assert error("moments", "G", [(10.0, 0.1)]) is None
+    assert compare_cli.transform_reference_error(["csk", "--spec", "x"], b"") is None
+
+
 def test_run_checkout_writes_each_table_over_stale_bytes(tmp_path):
     # each --out first holds bytes longer than any table, as in the
     # benchmark's timed passes, so a table that leaves a tail of them differs

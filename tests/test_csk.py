@@ -12,7 +12,6 @@ import pytest
 from cli_runner import invoke
 
 from cskfam import csk as csk_module
-from cskfam import measure as measure_module
 from cskfam.csk import (
     affine_pseudo_variance,
     boxplus_power_variance,
@@ -23,7 +22,6 @@ from cskfam.csk import (
     csk_density_weight,
     family_row,
     family_rows,
-    k_mean,
     mean_domain,
     pseudo_variance,
     psi_mean_inverse,
@@ -51,7 +49,7 @@ from cskfam.measure import (
 )
 from cskfam.transforms import bracketed_root, cauchy_transform, psi_transform, s_transform
 
-from oracles import atomic_family_row
+from oracles import atomic_family_row, mp_integral, mp_k_mean
 
 FP = FreePoisson()
 TWO_ATOM = AtomicMeasure((0.5, 2.5), (0.4, 0.6))
@@ -84,43 +82,12 @@ def jacobi_reads(monkeypatch):
 # mean parametrization
 
 
-def test_k_mean_at_zero_is_generator_mean():
-    assert k_mean(FP, 0.0) == 1.0
-    assert abs(k_mean(FP, 1e-12) - 1.0) <= 1e-10
-
-
-def test_k_mean_point_mass_constant():
-    nu = AtomicMeasure((1.5,), (1.0,))
-    for theta in (-2.0, -0.1, 0.3):
-        assert abs(k_mean(nu, theta) - 1.5) <= 1e-14
-
-
-def test_k_mean_strictly_increasing():
-    thetas = np.linspace(-3.0, 0.24, 12)
-    values = [k_mean(FP, float(t)) for t in thetas]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_k_mean_free_poisson_quadrature_consistency():
-    # k = Psi / (theta * (1 + Psi)) with Psi evaluated independently
-    for theta in (1.0 / 8.0, 1.0 / 16.0, -0.5):
-        psi = psi_transform(FP, theta).real
-        want = psi / (theta * (1.0 + psi))
-        assert abs(k_mean(FP, theta) - want) <= 1e-11
-    assert k_mean(FP, 1.0 / 16.0) < k_mean(FP, 1.0 / 8.0)
-
-
-def test_k_mean_theta_range():
-    with pytest.raises(DomainError):
-        k_mean(FP, 0.3)
-
-
 def test_psi_mean_inverse_round_trip():
     for nu in (FP, TWO_ATOM, MarchenkoPasturCentered(0.5)):
         lo, hi = mean_domain(nu)
         for m in np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 7):
             theta = psi_mean_inverse(nu, float(m))
-            assert abs(k_mean(nu, theta) - m) <= 1e-10
+            assert abs(mp_k_mean(nu, theta) - m) <= 1e-10
 
 
 def test_psi_mean_inverse_at_mean_is_zero():
@@ -138,7 +105,7 @@ def test_psi_mean_inverse_bisection_oracle():
     lo, hi = 1e-12, 0.25 - 1e-9
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if k_mean(FP, mid) < m:
+        if mp_k_mean(FP, mid) < m:
             lo = mid
         else:
             hi = mid
@@ -159,8 +126,8 @@ def test_psi_mean_inverse_outside_domain():
         (AtomicMeasure((0.1, 0.2, 0.7), (0.1, 0.2, 0.7)), 0.25, "below"),
         (Semicircle(3.0, 0.5), -1.5, "below"),
         (AtomicMeasure((-2.0, -1.0), (0.5, 0.5)), 0.0, "above"),  # theta walks to +inf
-        # just below the domain: without the sqrt(eps) floor of k_mean the
-        # walk stopped on a sign change made by rounding, at |theta| ~ 1e13-1e15
+        # just below the domain: a walk in theta once stopped on a sign change
+        # made by rounding, at |theta| ~ 1e13-1e15
         (TWO_ATOM, 0.9605, "below"),
         (Semicircle(3.0, 0.5), 2.0, "below"),  # lower mean endpoint 2.823
         (Semicircle(3.0, 0.5), 2.4, "below"),
@@ -173,20 +140,6 @@ def test_psi_mean_inverse_beyond_an_unbounded_walk(nu, m, side):
     # cancellation there before it could bracket the mean.
     with pytest.raises(DomainError, match=f"^m = {m:g} {side} the attainable means$"):
         psi_mean_inverse(nu, m)
-
-
-def test_k_mean_lost_to_cancellation():
-    with pytest.raises(NumericError, match="cancellation"):
-        k_mean(TWO_ATOM, -1e17)
-
-
-def test_k_mean_floor_on_one_plus_psi():
-    # 1 + Psi(theta) is about 1.04/|theta| for TWO_ATOM at large negative theta:
-    # 6.2e-8 at -2**24 (kept) and 7.7e-9 at -2**27, under sqrt(eps) = 1.49e-8
-    lower_end = 1.0 / (0.4 / 0.5 + 0.6 / 2.5)
-    assert lower_end < k_mean(TWO_ATOM, -2.0**24) < lower_end + 1e-6
-    with pytest.raises(NumericError, match="cancellation"):
-        k_mean(TWO_ATOM, -2.0**27)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +156,7 @@ def test_k_mean_floor_on_one_plus_psi():
 def test_one_inversion_reads_the_jacobi_parameters_once_and_no_psi(nu, means, route,
                                                                    psi_calls, jacobi_reads):
     # both routes read the root off one _jacobi_roots, and evaluate no mean
-    # map; the quadrature mean map k_mean takes the root back to m
+    # map; the mpmath mean map of the oracles takes the root back to m
     if route == "psi_mean_inverse":
         invert = psi_mean_inverse
     else:
@@ -213,7 +166,7 @@ def test_one_inversion_reads_the_jacobi_parameters_once_and_no_psi(nu, means, ro
         jacobi_reads.clear()
         theta = invert(nu, m)
         assert jacobi_reads == [[m]] and psi_calls == []
-        assert abs(k_mean(nu, theta) - m) <= 1e-10
+        assert abs(mp_k_mean(nu, theta) - m) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +376,20 @@ def test_variance_mp_at_spec_point():
     assert abs(variance(MarchenkoPasturCentered(0.5), 0.4) - 1.2) <= 1e-9
 
 
+@pytest.mark.parametrize("nu, m, want", [
+    *((MarchenkoPasturCentered(1.0), m, 1.0 + m) for m in (-0.999, -0.9999, -0.99999)),
+    *((MarchenkoPasturCentered(-1.0), m, 1.0 - m) for m in (0.999, 0.9999, 0.99999)),
+    *((FP, m, m) for m in (1e-3, 1e-6, 1.99999)),
+], ids=str)
+def test_variance_next_to_an_end_of_the_domain_is_exact(nu, m, want):
+    # (1/theta - m)*(m - m0) cancelled next to the end -1 of MP a = 1: 2.3e-14,
+    # 7.2e-13 and 1.2e-11 relative off at these means; the free Meixner
+    # variance function is exact there, and so is PV = m*V/m, as m0 = 0
+    theta, pv, v = family_row(nu, m)
+    assert v == want and variance(nu, m) == want
+    if nu.mean() == 0.0:
+        assert pv == want
+
 def test_pseudo_variance_diverges_at_nonzero_mean():
     with pytest.raises(DomainError):
         pseudo_variance(FP, 1.0)
@@ -474,13 +441,13 @@ def test_weight_is_one_at_zero_mean_when_pv_nonzero():
 
 def test_weight_normalizes():
     for m in (0.5, 1.5):
-        total = FP.integrate(lambda x: csk_density_weight(FP, x, m))
+        total = mp_integral(FP, lambda x: csk_density_weight(FP, x, m))
         assert abs(total - 1.0) <= 1e-9
 
 
 def test_weight_reproduces_mean():
     m = 1.5
-    got = FP.integrate(lambda x: x * csk_density_weight(FP, x, m))
+    got = mp_integral(FP, lambda x: x * csk_density_weight(FP, x, m))
     assert abs(got - m) <= 1e-8
 
 
@@ -493,13 +460,13 @@ def test_weight_zero_mean_slope_branch():
     assert pseudo_variance(nu, 0.0) == 0.0
     for x in (-1.0, 0.5, 2.0):
         assert abs(csk_density_weight(nu, x, 0.0) - 2.0 / (2.0 + x)) <= 1e-5
-    total = nu.integrate(lambda x: csk_density_weight(nu, x, 0.0))
+    total = mp_integral(nu, lambda x: csk_density_weight(nu, x, 0.0))
     assert abs(total - 1.0) <= 1e-5
 
 
 def test_variance_matches_defining_integral():
     for m in (0.6, 1.5):
-        integral = FP.integrate(lambda x: (x - m) ** 2 * csk_density_weight(FP, x, m))
+        integral = mp_integral(FP, lambda x: (x - m) ** 2 * csk_density_weight(FP, x, m))
         assert abs(variance(FP, m) - integral) <= 1e-8
 
 
@@ -994,7 +961,8 @@ def test_an_inadmissible_root_is_refused(nu, root, monkeypatch):
     true_roots = csk_module._jacobi_roots
 
     def wrong_roots(nu_, m0_, means):
-        return [root(t, nu_, m) for t, m in zip(true_roots(nu_, m0_, means), means)]
+        thetas, closed = true_roots(nu_, m0_, means)
+        return [root(t, nu_, m) for t, m in zip(thetas, means)], closed
 
     monkeypatch.setattr(csk_module, "_jacobi_roots", wrong_roots)
     rows = family_rows(nu, grid)
@@ -1029,10 +997,12 @@ def test_jacobi_roots_of_a_chunk_are_bitwise_the_one_mean_roots(nu, width):
     means = np.linspace(lo - 0.5, hi + 0.5, width)
     means[width // 2] = m0
     means = means.tolist()
-    chunk = csk_module._jacobi_roots(nu, m0, means)
-    alone = [csk_module._jacobi_roots(nu, m0, [m])[0] for m in means]
-    assert [x.hex() for x in chunk] == [x.hex() for x in alone]
-    assert any(math.isfinite(x) for x in chunk) or width == 1
+    # (and so are the closed-form pseudo-variances and variances, or None)
+    thetas, closed = csk_module._jacobi_roots(nu, m0, means)
+    alone = [csk_module._jacobi_roots(nu, m0, [m]) for m in means]
+    assert [x.hex() for x in thetas] == [t.hex() for (t,), _ in alone]
+    assert repr(closed) == repr(None if closed is None else [c for _, (c,) in alone])
+    assert any(math.isfinite(x) for x in thetas) or width == 1
 
 
 def test_family_row_inverts_the_mean_map_once_per_cli_row(monkeypatch, tmp_path):
@@ -1078,14 +1048,15 @@ NAMED_SPECS = sorted(path for path in _GOLDEN.glob("*.json")
 def test_csk_command_on_a_named_density_integrates_nothing(spec, monkeypatch):
     # the mean-domain ends once took a quadrature G at each edge; now the
     # ends and the roots are read off the Jacobi parameters, so a csk job
-    # evaluates no G and no Psi: any quadrature fails the command
+    # evaluates no G and no Psi: either fails the command
     calls = []
 
-    def no_quadrature(nu, integrand, pole=None):
-        calls.append(pole)
-        raise AssertionError("quadrature in a csk job")
+    def no_transform(nu, arg):
+        calls.append(arg)
+        raise AssertionError("G or Psi in a csk job")
 
-    monkeypatch.setattr(measure_module, "integrate_pieces", no_quadrature)
+    for name in ("cauchy", "psi_integral"):
+        monkeypatch.setattr(DensityMeasure, name, no_transform)
     result = invoke(["csk", "--spec", str(spec), "--at=-1.5,-0.5,0,0.1,0.5,0.9,1,1.5,2,2.9,3.5"])
     assert result.exit_code == 0, result.output
     assert calls == []

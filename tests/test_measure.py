@@ -1,5 +1,6 @@
-"""Measure representations, moments, quadrature, and spec parsing."""
+"""Measure representations, moments, G and Psi of the named densities, and spec parsing."""
 
+import cmath
 import math
 import warnings
 
@@ -8,9 +9,8 @@ import numpy as np
 import pytest
 
 from cskfam import measure as measure_module
-from cskfam.csk import k_mean, mean_domain
+from cskfam.csk import mean_domain
 from cskfam.errors import (
-    AccuracyError,
     CskfamError,
     DomainError,
     InsufficientDataError,
@@ -24,7 +24,6 @@ from cskfam.measure import (
     MarchenkoPasturCentered,
     MomentSeq,
     Semicircle,
-    integrate_pieces,
     laurent_trust_radius,
     mean,
     moments,
@@ -38,7 +37,14 @@ from cskfam.transforms import (
     r_transform,
 )
 
-from oracles import catalan, mp_cauchy, mp_cauchy_complex, nc_moments_from_free_cumulants
+from oracles import (
+    catalan,
+    mp_cauchy,
+    mp_cauchy_complex,
+    mp_integral,
+    mp_psi,
+    nc_moments_from_free_cumulants,
+)
 
 ALL_DENSITIES = [
     FreePoisson(),
@@ -101,13 +107,12 @@ def test_density_mean_is_bitwise_the_first_recurrence_moment(nu, monkeypatch):
 
 @pytest.mark.parametrize("nu", ALL_DENSITIES, ids=lambda nu: nu.describe())
 def test_density_moments_agree_with_quadrature(nu):
+    # the recurrence on the Jacobi parameters against mpmath quadrature of
+    # the density at 20 digits, which also integrates to 1
     got = moments(nu, 8).values
-    quad = [
-        integrate_pieces(
-            nu, lambda a, d, n=n: (a + d) ** n)
-        for n in range(1, 9)
-    ]
-    np.testing.assert_allclose(got, quad, atol=1e-10, rtol=1e-10)
+    quad = [float(mp_integral(nu, lambda x, n=n: x**n)) for n in range(9)]
+    assert quad[0] == 1.0
+    np.testing.assert_allclose(got, quad[1:], atol=1e-14, rtol=1e-14)
 
 
 def test_moment_sequence_measure_slices_and_rejects():
@@ -125,79 +130,17 @@ def test_moment_seq_accessors():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# G and Psi of the named densities, against mpmath
 
 
-@pytest.mark.parametrize("nu", ALL_DENSITIES, ids=lambda nu: nu.describe())
-def test_normalization(nu):
-    assert abs(nu.integrate(lambda x: 1.0) - 1.0) <= 1e-10
-
-
-def test_point_evaluation():
-    nu = AtomicMeasure((2.0,), (1.0,))
-    assert nu.integrate(lambda x: x**2) == 4.0
-
-
-def test_free_poisson_unit_mean():
-    nu = FreePoisson()
-    assert abs(nu.integrate(lambda x: x) - 1.0) <= 1e-10
-
-
-def test_complex_integrand():
-    nu = Semicircle(0.0, 1.0)
-    val = nu.integrate(lambda x: 1.0 / (2j - x))
-    # equals G(2i) = i*(1 - sqrt(2)) for the unit semicircle
-    assert abs(val - 1j * (1.0 - math.sqrt(2.0))) <= 1e-10
+def test_complex_cauchy_of_the_semicircle_at_2i():
+    # G(2i) = i*(1 - sqrt(2)) for the unit semicircle
+    val = cauchy_transform(Semicircle(0.0, 1.0), 2j)
+    assert abs(val - 1j * (1.0 - math.sqrt(2.0))) <= 1e-16
     assert val.imag < 0.0
 
 
-def test_moment_sequence_cannot_integrate():
-    with pytest.raises(InsufficientDataError):
-        MomentSeq((1.0, 2.0)).integrate(lambda x: x)
-
-
-def test_quadrature_failure_carries_estimate():
-    # integrand with a non-integrable endpoint blowup in u
-    nu = FreePoisson()
-    with pytest.raises(AccuracyError) as err:
-        integrate_pieces(nu, lambda a, d: 1.0 / abs(d) ** 1.25)
-    assert err.value.best_estimate is not None
-
-
-def test_quadrature_of_an_integrand_rough_at_every_scale_stops():
-    # sin(1e8 x) fails the fixed pair on every sub-interval wider than about
-    # 1e-8: bisection would need some 2**27 of them, and the fallback's
-    # sub-interval budget stops it
-    with pytest.raises(AccuracyError, match="did not reach its tolerance") as err:
-        FreePoisson().integrate(lambda x: np.sin(1e8 * x))
-    assert err.value.best_estimate is not None
-
-
-@pytest.mark.parametrize(
-    "nu, theta",
-    [(FreePoisson(), 0.9), (Semicircle(3.0, 0.5), 0.33), (MarchenkoPasturCentered(-1.0), -50.0)],
-)
-def test_quadrature_node_on_a_pole_is_a_singularity(nu, theta):
-    # 1/theta lies inside the support, where x/(1/theta - x) has a pole: a
-    # typed error, not a number.  psi_integral refuses before integrating;
-    # an integrand whose pole is a node is checked below.
-    with pytest.raises(SingularityError, match="pole"):
-        psi_integral(nu, theta)
-
-
-def test_quadrature_node_on_the_piece_midpoint_pole_is_a_singularity():
-    # the first Gauss-Kronrod node of each piece is its midpoint u = umax/2,
-    # and so is the middle node of each (odd) fixed rule: the fixed sums are
-    # not finite, and the adaptive fallback lands on the pole
-    h = 0.5 * FreePoisson().pieces[0].umax
-    with pytest.raises(SingularityError, match="pole"):
-        integrate_pieces(FreePoisson(), lambda a, d: 1.0 / (abs(d) - h * h))
-
-
-# ---------------------------------------------------------------------------
-# the fixed Gauss-Legendre pair and its adaptive fallback
-
-FIXED_RULE_DENSITIES = [
+EDGE_DENSITIES = [
     FreePoisson(),
     Semicircle(0.0, 1.0),
     MarchenkoPasturCentered(1.0),
@@ -214,147 +157,73 @@ def _outside_edges(nu):
     return [z for d in EDGE_DISTANCES for z in (lo - d, hi + d) if z != 0.0]
 
 
-@pytest.mark.parametrize("nu", FIXED_RULE_DENSITIES, ids=lambda nu: nu.describe())
+@pytest.mark.parametrize("nu", EDGE_DENSITIES, ids=lambda nu: nu.describe())
 def test_psi_and_cauchy_against_mpmath(nu):
     """Psi at theta = 1/z and G at z, for z from 1e-6 to 100 outside each
-    support edge, within 1e-12 * max(1, |ref|) of the closed forms at 50
-    digits.  Measured worst case: 5.2e-16 for Psi (MP(15/16)) and 3.8e-16
-    for G (MP(15/16)).  The points up to 1e-2 from an edge go to the
-    adaptive fallback; those 0.1 and farther are answered by the fixed pair.
-
-    Psi integrates against the pole r = 1/theta rounded to double, and so
-    does its reference.  Rounding 1/theta is a relative change of theta
-    below 1.2e-16, but near an inverse-square-root edge away from 0 Psi is
-    ill-conditioned in theta: against the exact 1/theta, Psi of MP(1) at
-    1/theta = -1.000001 is 1.1e-11 off for that reason alone, with or
-    without the fixed rule.
-    """
+    support edge, within 1e-15 relative of the closed forms at 60 digits,
+    Psi at the exact theta (measured: 3.9e-16).  These supports are exact
+    in floats.  Before the closed form, Psi of MP(1) was 1.1e-11 off at
+    1/theta = -1.000001 against the exact theta, and 1 - lo*theta rounded
+    as a plain difference left Psi of MP(15/16) 4.3e-13 off at 1e-6 from its
+    lower edge."""
     for z in _outside_edges(nu):
         theta = 1.0 / z
-        r = 1.0 / theta
-        with mpmath.workdps(50):
-            psi_ref = float(r * mp_cauchy(nu, r) - 1)
-        g_ref = float(mp_cauchy(nu, z))
-        assert abs(psi_integral(nu, theta) - psi_ref) <= 1e-12 * max(1.0, abs(psi_ref)), z
+        psi_ref = float(mp_psi(nu, theta))
+        g_ref = float(mp_cauchy(nu, z, dps=60))
+        assert abs(psi_integral(nu, theta) - psi_ref) <= 1e-15 * abs(psi_ref), z
         g = cauchy_transform(nu, z)
         assert g.imag == 0.0
-        assert abs(g.real - g_ref) <= 1e-12 * max(1.0, abs(g_ref)), z
+        assert abs(g.real - g_ref) <= 1e-15 * abs(g_ref), z
 
 
-def _record_fallback(monkeypatch) -> list:
-    """Patch the adaptive fallback to record the break points of each call."""
-    calls = []
-    fallback = measure_module._bisect_piece
-
-    def recorded(piece, integrand, points, centre):
-        calls.append(list(points))
-        return fallback(piece, integrand, points, centre)
-
-    monkeypatch.setattr(measure_module, "_bisect_piece", recorded)
-    return calls
+#: The named laws of the envelope tests: support ends exact in floats, and
+#: rounded (the semicircles of variance 0.5).
+NAMED_LAWS = [
+    FreePoisson(), Semicircle(0.0, 1.0), Semicircle(1.0, 0.5), Semicircle(3.0, 0.5),
+    *(MarchenkoPasturCentered(a) for a in (1.0, -1.0, 0.5, 0.3125)),
+]
 
 
-@pytest.mark.parametrize(
-    "nu, theta",
-    [(FreePoisson(), -1.0), (MarchenkoPasturCentered(0.5), 0.2), (Semicircle(0.0, 1.0), 0.3),
-     (MarchenkoPasturCentered(15.0 / 16.0), -0.5)],
-)
-def test_smooth_interior_makes_no_adaptive_call(nu, theta, monkeypatch):
-    calls = _record_fallback(monkeypatch)
-    psi_integral(nu, theta)
-    cauchy_transform(nu, 1.0 / theta)
-    k_mean(nu, theta)
-    assert calls == []
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+@pytest.mark.parametrize("nu", NAMED_LAWS, ids=lambda nu: nu.describe())
+def test_g_and_psi_next_to_each_edge_against_mpmath(nu, upper):
+    """G at 1e-6 outside an edge and Psi at theta = 1/z, against 60 digits:
+    within 1e-15 at a singular edge (free Poisson at z = -1e-6 included),
+    and within 2e-13 at a regular one, where the rounded support end of a
+    semicircle of variance 0.5 costs 7.5e-14 for G and 1.1e-13 for Psi
+    (measured; the quadrature read the same for G)."""
+    z = nu.support()[upper] + (1e-6 if upper else -1e-6)
+    singular = nu.upper_edge_singular if upper else nu.lower_edge_singular
+    bound = 1e-15 if singular else 2e-13
+    want = float(mp_cauchy(nu, z, dps=60))
+    assert abs(cauchy_transform(nu, z).real - want) <= bound * abs(want)
+    want = float(mp_psi(nu, 1.0 / z))
+    assert abs(psi_integral(nu, 1.0 / z) - want) <= bound * abs(want)
 
 
-def test_argument_near_an_edge_falls_back_to_adaptive_quadrature(monkeypatch):
-    calls = _record_fallback(monkeypatch)
-    nu = FreePoisson()
-    got = cauchy_transform(nu, -1e-6).real
-    assert len(calls) == 1  # the lower piece only; the upper one is smooth
-    assert abs(got - float(mp_cauchy(nu, -1e-6))) <= 1e-12 * abs(got)
+@pytest.mark.parametrize("nu, theta", [
+    *((nu, t) for nu in NAMED_LAWS for t in (1e-8, -1e-8)),
+    (MarchenkoPasturCentered(1.0), -0.999999),  # next to the singular edge -1
+    (MarchenkoPasturCentered(-1.0), 0.999999),
+], ids=str)
+def test_psi_at_small_theta_and_next_to_a_singular_pole_against_mpmath(nu, theta):
+    # the quadrature was 3e-9 to 1.1e-8 off at |theta| = 1e-8 (its absolute
+    # tolerance) and 1.2e-11 off at theta = -0.999999 on MP(1), which it
+    # integrated against the rounded pole 1/theta
+    want = float(mp_psi(nu, theta))
+    assert abs(psi_integral(nu, theta) - want) <= 1e-15 * abs(want)
 
 
-def test_pole_near_an_anchor_adds_fallback_break_points(monkeypatch):
-    # q = |pole - anchor| = 1e-6 on the lower piece: breaks at sqrt(q),
-    # 10*sqrt(q) and 100*sqrt(q); without a pole, the fallback has none
-    points = _record_fallback(monkeypatch)
-    nu, z = FreePoisson(), -1e-6
-    integrand = lambda a, d: 1.0 / ((z - a) - d)
-    with_pole = integrate_pieces(nu, integrand, pole=z)
-    without = integrate_pieces(nu, integrand)
-    assert points == [[1e-3, 1e-2, 1e-1], []]
-    assert abs(with_pole - without) <= 1e-12 * abs(with_pole)
-
-
-def test_fallback_without_break_points_starts_from_the_halves(monkeypatch):
-    # with no pole passed and no piece breaks, the fallback once summed the
-    # whole piece again, on the nodes whose sums had just been rejected
-    spans = []
-    pair_sums = measure_module._pair_sums
-
-    def recorded(piece, integrand, lo, hi, centre):
-        spans.append((lo, hi))
-        return pair_sums(piece, integrand, lo, hi, centre)
-
-    monkeypatch.setattr(measure_module, "_pair_sums", recorded)
-    nu, z = FreePoisson(), -1e-6
-    got = integrate_pieces(nu, lambda a, d: 1.0 / ((z - a) - d))
-    umax = nu.pieces[0].umax
-    assert (0.0, umax) not in spans and spans[0] == (0.0, umax / 2)
-    assert len(spans) == 16  # 17 with the whole piece summed again
-    assert abs(got - float(mp_cauchy(nu, z))) <= 1e-12 * abs(got)
-
-
-@pytest.mark.parametrize(
-    "nu, z, transform",
-    [
-        (FreePoisson(), -1e-6, "G"),  # 1e-6 below the inverse-square-root edge 0
-        (MarchenkoPasturCentered(1.0), -1.0 - 1e-6, "G"),  # the same at -1
-        (MarchenkoPasturCentered(1.0), -1.0 - 1e-6, "Psi"),
-        (FreePoisson(), 4.0 + 1e-6, "Psi"),  # pole 1e-6 off the anchor 4
-        (FreePoisson(), -1e-6, "Psi"),
-    ],
-)
-def test_fallback_near_an_edge_against_mpmath(nu, z, transform, monkeypatch):
-    """The bisection fallback within 1e-12 relative of the closed form at
-    50 digits; Psi at theta = 1/z against its rounded pole (see above)."""
-    calls = _record_fallback(monkeypatch)
-    if transform == "G":
-        got = cauchy_transform(nu, z).real
-        want = float(mp_cauchy(nu, z))
-    else:
-        theta = 1.0 / z
-        got = psi_integral(nu, theta)
-        r = 1.0 / theta
-        with mpmath.workdps(50):
-            want = float(r * mp_cauchy(nu, r) - 1)
-    assert calls  # the fixed pair alone did not pass
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_non_finite_fixed_sum_falls_back_and_raises():
-    # a pole on the 21st node of the fine rule of the lower piece: the fixed
-    # sum is not finite (and numpy's division warning stays inside), and the
-    # adaptive fallback reports that it cannot converge
-    nu = FreePoisson()
-    anchor, offset, matrix = nu.fixed_rule
-    pole = float(abs(offset[np.flatnonzero(matrix[len(nu.pieces)])[20]]))
-    integrand = lambda a, d: 1.0 / (abs(d) - pole)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(matrix @ integrand(anchor, offset)).all()
-    with pytest.raises(AccuracyError) as err:
-        integrate_pieces(nu, integrand)
-    assert err.value.best_estimate is not None
-
-
-def test_fixed_rule_weights_integrate_the_density():
-    # coarse and fine rows both sum the piece weights to the total mass 1
-    for nu in ALL_DENSITIES + [MarchenkoPasturCentered(15.0 / 16.0)]:
-        _, _, matrix = nu.fixed_rule
-        n = len(nu.pieces)
-        assert abs(matrix[:n].sum() - 1.0) <= 1e-14
-        assert abs(matrix[n:].sum() - 1.0) <= 1e-14
+@pytest.mark.parametrize("nu", NAMED_LAWS, ids=lambda nu: nu.describe())
+@pytest.mark.parametrize("y", [1e-6, -1e-6])
+def test_complex_g_and_psi_at_the_old_piece_junction_against_mpmath(nu, y):
+    # x = alpha_1 is where the two quadrature pieces met: G there lost
+    # eps/|Im z|, 5e-11 to 1.7e-10 relative at Im z = 1e-6
+    z = complex(nu.jacobi()[0][1], y)
+    want = complex(mp_cauchy_complex(nu, z, dps=60))
+    assert abs(cauchy_transform(nu, z) - want) <= 1e-15 * abs(want)
+    want = complex(mp_psi(nu, 1.0 / z))
+    assert abs(psi_integral(nu, 1.0 / z) - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize(
@@ -365,6 +234,9 @@ def test_fixed_rule_weights_integrate_the_density():
         (Semicircle(3.0, 0.5), 0.49),
         (Semicircle(0.0, 1.0), 0.5),  # 1/theta on the closed support's edge
         (FreePoisson(), 0.25),
+        (FreePoisson(), 0.9),
+        (Semicircle(3.0, 0.5), 0.33),
+        (MarchenkoPasturCentered(-1.0), -50.0),
         (AtomicMeasure((0.5, 2.0), (0.5, 0.5)), 0.5),  # 1/theta is an atom
         (AtomicMeasure((0.5, 2.0), (0.5, 0.5)), 2.0),
     ],
@@ -377,35 +249,7 @@ def test_psi_integral_with_its_pole_on_the_support_is_a_singularity(nu, theta):
 
 
 # ---------------------------------------------------------------------------
-# complex integrands: one pass of the same quadrature
-
-
-@pytest.mark.parametrize(
-    "nu, f",
-    [(FreePoisson(), lambda x: 1.0 / (x - 2.0)), (Semicircle(), lambda x: 1.0 / x)],
-    ids=["free_poisson", "semicircle"],
-)
-def test_integrand_with_a_pole_at_the_support_midpoint_is_a_typed_error(nu, f):
-    # a probe of f at the support midpoint once chose between a real and a
-    # componentwise complex integral, and raised ZeroDivisionError here
-    with pytest.raises(CskfamError):
-        nu.integrate(f)
-
-
-def test_complex_cauchy_is_one_quadrature_pass(monkeypatch):
-    # the real and imaginary parts were once two integrals
-    calls = []
-    integrate = measure_module.integrate_pieces
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(measure_module, "integrate_pieces", counted)
-    for nu in (FreePoisson(), Semicircle(0.0, 1.0), MarchenkoPasturCentered(-1.0)):
-        calls.clear()
-        cauchy_transform(nu, 0.5 + 0.25j)
-        assert len(calls) == 1
+# G and Psi off the real axis
 
 
 OFF_AXIS_DENSITIES = [
@@ -440,8 +284,8 @@ def test_complex_cauchy_against_mpmath(nu):
     ],
 )
 def test_complex_cauchy_close_to_the_support_against_mpmath(nu, z):
-    # 1e-4 above the support: the separate real and imaginary integrals
-    # each missed the tolerance (AccuracyError); the complex sum meets it
+    # 1e-4 above the support: the separate real and imaginary integrals of
+    # an early quadrature each missed their tolerance (AccuracyError)
     want = complex(mp_cauchy_complex(nu, z))
     assert abs(cauchy_transform(nu, z) - want) <= 1e-13 * abs(want)
 
@@ -451,7 +295,7 @@ def test_complex_cauchy_close_to_the_support_against_mpmath(nu, z):
                                    (Semicircle(), 0.5)], ids=str)
 @pytest.mark.parametrize("y", [1e-3, 3e-5, 1e-6, -1e-6])
 def test_complex_g_and_psi_over_the_support_interior_against_mpmath(nu, x, y):
-    # the fallback once split a piece only at a real pole, and G raised
+    # a quadrature that split a piece only at a real pole raised
     # AccuracyError from Im z = 3e-5 down (free Poisson at 1 + 3e-5j after
     # 10 ms); measured now: within 8e-16 relative
     z = complex(x, y)
@@ -469,7 +313,7 @@ def test_complex_g_and_psi_over_the_support_interior_against_mpmath(nu, x, y):
 @pytest.mark.parametrize("theta", [1e-4 * (1 + 1j), 1e-6 * (1 - 1j), 1e-8 + 3e-8j])
 def test_complex_psi_at_small_theta_against_mpmath(nu, theta):
     # Psi = -1 + r*G(r) at r = 1/theta cancelled: 1.9e-12, 2.6e-10 and
-    # 1.4e-8 relative off at these theta; measured now: 6.3e-16
+    # 1.4e-8 relative off at these theta
     with mpmath.workdps(40):
         r = 1 / mpmath.mpc(theta)
         want = complex(-1 + r * mp_cauchy_complex(nu, r, dps=40))
@@ -529,63 +373,27 @@ def test_marchenko_pastur_parameter_bounds():
 
 
 def test_mp_density_pointwise_consistent():
-    # density(x) evaluated pointwise integrates to the same value as pieces
+    # density(x) evaluated pointwise integrates to 1
     nu = MarchenkoPasturCentered(0.5)
     xs = np.linspace(-1.49, 2.49, 2001)
     riemann = np.trapezoid([nu.density(float(x)) for x in xs], xs)
     assert abs(riemann - 1.0) < 1e-3
 
 
-def _parent_rule(nu):
-    """The pieces, support, edge flags and free cumulants (order 160) of a
-    named density as its own class wrote them before the three shared one
+def _parent_law(nu):
+    """The support, edge flags and free cumulants (order 160) of a named
+    density as its own class wrote them before the three shared one
     Marchenko-Pastur image class."""
     if isinstance(nu, FreePoisson):
-        def fp_lo(u):
-            return np.sqrt(4.0 - u * u) / math.pi
-
-        def fp_hi(u):
-            return u * u / (math.pi * np.sqrt(4.0 - u * u))
-
-        pieces = [measure_module.QuadPiece(0.0, +1, math.sqrt(2.0), fp_lo),
-                  measure_module.QuadPiece(4.0, -1, math.sqrt(2.0), fp_hi)]
-        return pieces, (0.0, 4.0), (True, False), np.ones(160)
+        return (0.0, 4.0), (True, False), np.ones(160)
     if isinstance(nu, Semicircle):
         r, v = 2.0 * math.sqrt(nu.variance), nu.variance
-        umax, two_r, pi_v = math.sqrt(r), 2.0 * r, math.pi * v
-
-        def w(u):
-            return u * u * np.sqrt(two_r - u * u) / pi_v
-
-        lo, hi = nu.center - r, nu.center + r
         cumulants = np.zeros(160)
         cumulants[:2] = nu.center, v
-        pieces = [measure_module.QuadPiece(lo, +1, umax, w),
-                  measure_module.QuadPiece(hi, -1, umax, w)]
-        return pieces, (lo, hi), (False, False), cumulants
+        return (nu.center - r, nu.center + r), (False, False), cumulants
     a = nu.a
-    lo, hi = a - 2.0, a + 2.0
-    c_lo, c_hi = (1.0 - a) ** 2, (1.0 + a) ** 2
-
-    def w_lo(u):
-        return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_lo + a * u * u))
-
-    def w_hi(u):
-        return u * u * np.sqrt(4.0 - u * u) / (math.pi * (c_hi - a * u * u))
-
-    def breaks(c):
-        out, b = [], 4.0 * math.sqrt(c / abs(a))
-        while 0.0 < b < math.sqrt(2.0):
-            out.append(b)
-            b *= 4.0
-        return tuple(out)
-
-    pieces = [
-        measure_module.QuadPiece(lo, +1, math.sqrt(2.0), w_lo, breaks(c_lo) if a > 0.0 else ()),
-        measure_module.QuadPiece(hi, -1, math.sqrt(2.0), w_hi, breaks(c_hi) if a < 0.0 else ()),
-    ]
     cumulants = np.array([0.0 if n < 2 else a ** (n - 2) for n in range(1, 161)])
-    return pieces, (lo, hi), (a == 1.0, a == -1.0), cumulants
+    return (a - 2.0, a + 2.0), (a == 1.0, a == -1.0), cumulants
 
 
 @pytest.mark.parametrize(
@@ -595,12 +403,8 @@ def _parent_rule(nu):
      Semicircle(-4.0, 0.5), Semicircle(0.3, 1.7), Semicircle(3.0, 0.1)],
     ids=lambda nu: nu.describe(),
 )
-def test_shared_rule_is_the_parents_rule(nu):
-    pieces, support, flags, cumulants = _parent_rule(nu)
-    for got, want in zip(nu.fixed_rule, measure_module._fixed_rule(pieces), strict=True):
-        assert got.tobytes() == want.tobytes()
-    assert ([(p.anchor, p.sign, p.umax, p.breaks) for p in nu.pieces]
-            == [(p.anchor, p.sign, p.umax, p.breaks) for p in pieces])
+def test_shared_class_is_the_parents_law(nu):
+    support, flags, cumulants = _parent_law(nu)
     assert nu.support() == support
     assert (nu.lower_edge_singular, nu.upper_edge_singular) == flags
     assert nu.free_cumulants(160).tobytes() == cumulants.tobytes()
@@ -713,31 +517,45 @@ PROTOCOL_MEASURES = [
     FreePoisson(),
     Semicircle(1.0, 0.5),
     MarchenkoPasturCentered(0.5),
+    MarchenkoPasturCentered(1.0),
+    MarchenkoPasturCentered(-1.0),
     MomentSeq((1.0, 2.0, 5.0, 14.0, 42.0, 132.0)),
 ]
 
 ENTRY_POINTS = {
     "moments": lambda nu: moments(nu, 3),
-    "integrate": lambda nu: nu.integrate(lambda x: x * x),
     "cauchy_transform": lambda nu: cauchy_transform(nu, 10.0),
     "psi_integral": lambda nu: psi_integral(nu, 0.01),
     "m_transform": lambda nu: m_transform(nu, 0.01),
-    "k_mean": lambda nu: k_mean(nu, 0.01),
     "mean_domain": lambda nu: mean_domain(nu),
     "r_transform": lambda nu: r_transform(nu, 0.05),
     "theta_range": lambda nu: nu.theta_range(),
+    # G at each end of the support, real and as a complex number
+    "cauchy_at_the_edges": lambda nu: [cauchy_transform(nu, x) for e in nu.support()
+                                       for x in (e, complex(e, 0.0))],
+    # Psi with its pole 1/theta at each nonzero end of the support
+    "psi_at_the_edges": lambda nu: [psi_integral(nu, 1.0 / e) for e in nu.support() if e],
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("nu", PROTOCOL_MEASURES, ids=lambda nu: nu.describe())
 def test_protocol_entry_points_answer_or_raise_typed_errors(nu, entry):
+    # at a singular edge (an atom, an inverse-square-root edge) G raises
+    # SingularityError, never inf or ZeroDivisionError, and Psi does with its
+    # pole anywhere on the closed support; G is finite at a regular edge
     try:
         value = ENTRY_POINTS[entry](nu)
+    except SingularityError:
+        singular = nu.lower_edge_singular or nu.upper_edge_singular
+        assert entry == "psi_at_the_edges" or entry == "cauchy_at_the_edges" and singular
+        return
     except CskfamError:
         assert isinstance(nu, MomentSeq)  # only a moment list lacks information
         return
-    assert value is not None
+    assert value is not None and entry != "psi_at_the_edges"
+    if entry == "cauchy_at_the_edges":
+        assert all(map(cmath.isfinite, value))
 
 
 # ---------------------------------------------------------------------------

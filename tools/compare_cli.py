@@ -29,7 +29,10 @@ largest relative error of its moment rows against the exact rational
 scaled laws and limit law (see :func:`limit_reference_error`), and a
 ``convolve --power`` job prints each side's largest error on the ``rho**n``
 scale against the exact moments that ``bench/jobs.py`` grades it by (see
-:func:`convolve_reference_error`), so that bits moved within the tolerance
+:func:`convolve_reference_error`), and a ``transform`` job of ``G``, ``M``,
+``Psi`` or ``K`` on a named density or an atomic law prints each side's
+largest relative error against the 50-digit closed form or finite sum (see
+:func:`transform_reference_error`), so that bits moved within the tolerance
 read as closer or farther.
 It ends with the number of jobs that differ and one line naming the largest
 change over all jobs, then the line count of ``src/cskfam/*.py`` in each
@@ -52,6 +55,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -268,6 +273,63 @@ def csk_reference_error(args: list[str], out: bytes) -> dict[str, float] | None:
     return errors
 
 
+#: ``(center, variance, a)`` of each named density from its spec parameters:
+#: the image ``center + sqrt(variance)*y`` of the centered Marchenko-Pastur
+#: law ``y`` with parameter ``a``.
+NAMED_IMAGES = {
+    "free_poisson": lambda p: (1.0, 1.0, 1.0),
+    "semicircle": lambda p: (p.get("center", 0.0), p.get("variance", 1.0), 0.0),
+    "marchenko_pastur_centered": lambda p: (0.0, 1.0, p["a"]),
+}
+
+
+def _cauchy_reference(doc: dict):
+    """``G`` of the law of a spec document at mpmath's working precision, as
+    a function of an mpmath number: the finite sum of an atomic law, and for
+    a named density the free Meixner closed form ``2/((z + alpha_1 -
+    2*alpha_0) + S)`` with ``S = sign(z - alpha_1)*sqrt((z - alpha_1)**2 -
+    4*variance)``, from its float parameters; None for a moment list."""
+    if doc.get("type") == "atomic":
+        pairs = [(mpmath.mpf(a), mpmath.mpf(w)) for a, w in zip(doc["atoms"], doc["weights"])]
+        return lambda z: mpmath.fsum(w / (z - a) for a, w in pairs)
+    if doc.get("type") != "named":
+        return None
+    center, variance, a = map(mpmath.mpf, NAMED_IMAGES[doc["name"]](doc.get("params", {})))
+    a1 = center + mpmath.sqrt(variance) * a
+    return lambda z: 2 / ((z + a1 - 2 * center)
+                          + mpmath.sign(z - a1) * mpmath.sqrt((z - a1) ** 2 - 4 * variance))
+
+
+def transform_reference_error(args: list[str], out: bytes) -> dict[str, float] | None:
+    """Largest relative error of the answered rows of a ``cskfam transform``
+    output for ``G``, ``M``, ``Psi`` or ``K``, keyed by that name, against
+    :func:`_cauchy_reference` at 50 digits at the printed argument:
+    ``G(z)``, ``M(theta) = G(1/theta)/theta`` (1 at 0), ``Psi = M - 1`` and
+    ``K(z) = z - 1/G(z)``.  A value whose reference is 0 counts its absolute
+    error.  An output without answered rows gives ``{}``; None for any other
+    job, any other transform and a moment list."""
+    if args[0] != "transform" or args[args.index("--which") + 1] not in ("G", "M", "Psi", "K"):
+        return None
+    which = args[args.index("--which") + 1]
+    doc = json.loads(Path(args[args.index("--spec") + 1]).read_text(encoding="utf-8"))
+    rows = [row for row in J._parse(out.decode("utf-8"))[2] if not row[2]]
+    worst = {}
+    with mpmath.workdps(50):
+        g = _cauchy_reference(doc)
+        if g is None:
+            return None
+        for row in rows:
+            x = mpmath.mpf(float(row[0]))
+            if which == "G":
+                want = g(x)
+            elif which == "K":
+                want = x - 1 / g(x)
+            else:  # M, or Psi = M - 1
+                want = (1 if x == 0 else g(1 / x) / x) - (1 if which == "Psi" else 0)
+            err = abs(mpmath.mpf(float(row[1])) - want) / (abs(want) if want else 1)
+            worst[which] = max(worst.get(which, 0.0), float(err))
+    return worst
+
 
 def _exact_moments(doc: dict, order: int) -> list | None:
     """The exact moments ``m1..m_order`` of the law of a spec document, from
@@ -432,7 +494,8 @@ def main(argv=None) -> int:
                     worst = (rel, f"{key} of {label}")
             parent_errors, change_errors = (
                 csk_reference_error(run["args"], out) or limit_reference_error(run["args"], out)
-                or convolve_reference_error(run["args"], out) for out in (pout, cout))
+                or convolve_reference_error(run["args"], out)
+                or transform_reference_error(run["args"], out) for out in (pout, cout))
             for part in sorted(set(parent_errors or ()) & set(change_errors or ())):
                 print(f"  reference error ({part}): parent {parent_errors[part]:.2g}, "
                       f"change {change_errors[part]:.2g}")
